@@ -2,50 +2,38 @@
 
 Each theory constrains finite domain cardinalities through indexed
 nullary predicates (or not at all, for the empty-signature theories).
-Decision and spectrum procedures are the exact closed forms induced by
-the axioms; the model checkers back the independent brute-force oracle.
+A theory declares the spectrum shape each predicate part of a cube
+allows; the :class:`~combinekit.theories.Theory` base derives the exact
+decision and spectrum procedures from it.  The model checkers, written
+separately from the shapes, back the independent brute-force oracle.
 
 Theories parameterized by an undecidable tag set take a decidable
 stand-in (default: the odd numbers) that only the model checker reads;
-decision procedures stay tag-blind, which keeps them faithful to their
-capability certificates.
+shapes stay tag-blind and withhold the sizes the tags decide, which
+keeps them faithful to their capability certificates.
 """
 
 from __future__ import annotations
 
-from .errors import CapabilityMissing, IterationCapExceeded, SignatureError
-from .formulas import Cube, PredicateId, Signature
+from .errors import SignatureError
+from .formulas import Cube, PredicateId, PredicateLiteral, Signature
 from .properties import certificate
-from .sets import (
-    ALEPH0,
-    Card,
-    EvPeriodicSet,
-    empty_set,
-    finite_set,
-    interval,
-    upfrom,
-)
+from .sets import ALEPH0, EvPeriodicSet, finite_set, interval, upfrom
 from .spectra import DEFAULT_ITERATION_CAP, ExactSpectrum
 from .theories import (
+    ALL,
+    CAPPED,
     DEFAULT_U_STANDIN,
+    EMPTY,
+    TAGGED,
+    UNSAT,
     FOracle,
     FormulaEnumeration,
+    Shape,
     Theory,
-    exclusive_positive,
     identity_oracle,
     minmod_equalities,
 )
-
-
-def _require_int_indices(theory: Theory, cube: Cube, allow_inf: bool = False):
-    for pid in (l.pred for l in cube.pred_literals()):
-        for ix in pid.indices:
-            if ix == "inf" and not allow_inf:
-                raise SignatureError(f"{theory.name} has no infinite-index predicate {pid}")
-
-
-def _empty_spectrum() -> ExactSpectrum:
-    return ExactSpectrum(empty_set(), False)
 
 
 class EqualityTheory(Theory):
@@ -57,33 +45,8 @@ class EqualityTheory(Theory):
         self.signature = Signature(frozenset())
         self.certificate = certificate(shiny=True)
 
-    def decide_cube(self, cube: Cube) -> bool:
-        self.check_owned(cube)
-        return minmod_equalities(cube) is not None
-
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        self.check_owned(cube)
-        mm = minmod_equalities(cube)
-        return mm is not None and k >= mm
-
-    def spec_inf(self, cube: Cube) -> bool:
-        return self.decide_cube(cube)
-
-    def exact_spectrum(self, cube: Cube) -> ExactSpectrum:
-        mm = minmod_equalities(cube)
-        if mm is None:
-            return _empty_spectrum()
-        return ExactSpectrum(upfrom(mm), True)
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        return minmod_equalities(cube)
-
-    def nshiny_classify(self, cube: Cube):
-        mm = minmod_equalities(cube)
-        return None if mm is None else (2, mm)
-
-    def cube_spectrum_exact(self, cube: Cube):
-        return self.exact_spectrum(cube)
+    def shape(self, part):
+        return Shape(ALL, True)
 
     def model_check(self, size, true_preds):
         return not true_preds
@@ -97,25 +60,8 @@ class InfiniteOnlyTheory(Theory):
         self.signature = Signature(frozenset())
         self.certificate = certificate(cfs=True, smooth=True)
 
-    def decide_cube(self, cube: Cube) -> bool:
-        self.check_owned(cube)
-        return minmod_equalities(cube) is not None
-
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        self.check_owned(cube)
-        return False
-
-    def spec_inf(self, cube: Cube) -> bool:
-        return self.decide_cube(cube)
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        return ALEPH0 if self.decide_cube(cube) else None
-
-    def infinite_only(self, cube: Cube) -> bool:
-        return self.decide_cube(cube)
-
-    def cube_spectrum_exact(self, cube: Cube):
-        return ExactSpectrum(empty_set(), self.decide_cube(cube))
+    def shape(self, part):
+        return Shape(EMPTY, True)
 
     def model_check(self, size, true_preds):
         return False
@@ -132,31 +78,8 @@ class ExactSizeTheory(Theory):
         self.signature = Signature(frozenset())
         self.certificate = certificate(never_infinite=True, cfs=True, n_shiny_param=n)
 
-    def decide_cube(self, cube: Cube) -> bool:
-        self.check_owned(cube)
-        mm = minmod_equalities(cube)
-        return mm is not None and mm <= self.n
-
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        return k == self.n and self.decide_cube(cube)
-
-    def spec_inf(self, cube: Cube) -> bool:
-        self.check_owned(cube)
-        return False
-
-    def exact_spectrum(self, cube: Cube) -> ExactSpectrum:
-        if not self.decide_cube(cube):
-            return _empty_spectrum()
-        return ExactSpectrum(finite_set([self.n]), False)
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        return self.n if self.decide_cube(cube) else None
-
-    def nshiny_classify(self, cube: Cube):
-        return (0, self.n) if self.decide_cube(cube) else None
-
-    def cube_spectrum_exact(self, cube: Cube):
-        return self.exact_spectrum(cube)
+    def shape(self, part):
+        return Shape(finite_set([self.n]), False)
 
     def model_check(self, size, true_preds):
         return size == self.n and not true_preds
@@ -178,37 +101,8 @@ class MaxSizeTheory(Theory):
             n_shiny_param=1 if n == 1 else None,
         )
 
-    def decide_cube(self, cube: Cube) -> bool:
-        self.check_owned(cube)
-        mm = minmod_equalities(cube)
-        return mm is not None and mm <= self.n
-
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        self.check_owned(cube)
-        mm = minmod_equalities(cube)
-        return mm is not None and mm <= k <= self.n
-
-    def spec_inf(self, cube: Cube) -> bool:
-        self.check_owned(cube)
-        return False
-
-    def exact_spectrum(self, cube: Cube) -> ExactSpectrum:
-        mm = minmod_equalities(cube)
-        if mm is None or mm > self.n:
-            return _empty_spectrum()
-        return ExactSpectrum(interval(mm, self.n), False)
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        mm = minmod_equalities(cube)
-        return mm if mm is not None and mm <= self.n else None
-
-    def nshiny_classify(self, cube: Cube):
-        if self.n != 1:
-            raise CapabilityMissing(self.name, "nshiny_classify")
-        return (0, 1) if self.decide_cube(cube) else None
-
-    def cube_spectrum_exact(self, cube: Cube):
-        return self.exact_spectrum(cube)
+    def shape(self, part):
+        return Shape(interval(1, self.n), False)
 
     def model_check(self, size, true_preds):
         return size <= self.n and not true_preds
@@ -225,37 +119,8 @@ class MinSizeTheory(Theory):
         self.signature = Signature(frozenset())
         self.certificate = certificate(shiny=True)
 
-    def _floor(self, cube: Cube) -> int | None:
-        mm = minmod_equalities(cube)
-        return None if mm is None else max(mm, self.n)
-
-    def decide_cube(self, cube: Cube) -> bool:
-        self.check_owned(cube)
-        return self._floor(cube) is not None
-
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        self.check_owned(cube)
-        fl = self._floor(cube)
-        return fl is not None and k >= fl
-
-    def spec_inf(self, cube: Cube) -> bool:
-        return self.decide_cube(cube)
-
-    def exact_spectrum(self, cube: Cube) -> ExactSpectrum:
-        fl = self._floor(cube)
-        if fl is None:
-            return _empty_spectrum()
-        return ExactSpectrum(upfrom(fl), True)
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        return self._floor(cube)
-
-    def nshiny_classify(self, cube: Cube):
-        fl = self._floor(cube)
-        return None if fl is None else (2, fl)
-
-    def cube_spectrum_exact(self, cube: Cube):
-        return self.exact_spectrum(cube)
+    def shape(self, part):
+        return Shape(upfrom(self.n), True)
 
     def model_check(self, size, true_preds):
         return size >= self.n and not true_preds
@@ -275,50 +140,10 @@ class SizePinTheory(Theory):
         self.signature = Signature(frozenset({(family, 1)}))
         self.certificate = certificate(gentle=True)
 
-    def _split(self, cube: Cube):
-        self.check_owned(cube)
-        _require_int_indices(self, cube)
-        ok, pos = exclusive_positive(cube)
-        mm = minmod_equalities(cube) if ok else None
-        return ok, pos, mm
-
-    def decide_cube(self, cube: Cube) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
-        return mm <= pos.indices[0] if pos else True
-
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
-        if pos:
-            return k == pos.indices[0] and mm <= k
-        return k >= mm
-
-    def spec_inf(self, cube: Cube) -> bool:
-        ok, pos, mm = self._split(cube)
-        return ok and mm is not None and pos is None
-
-    def exact_spectrum(self, cube: Cube) -> ExactSpectrum:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return _empty_spectrum()
-        if pos:
-            n = pos.indices[0]
-            return ExactSpectrum(finite_set([n]) if mm <= n else empty_set(), False)
-        return ExactSpectrum(upfrom(mm), True)
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return None
-        if pos:
-            return pos.indices[0] if mm <= pos.indices[0] else None
-        return mm
-
-    def cube_spectrum_exact(self, cube: Cube):
-        return self.exact_spectrum(cube)
+    def shape(self, pos):
+        if pos is None:
+            return Shape(ALL, True)
+        return Shape(finite_set([pos.indices[0]]), False)
 
     def model_check(self, size, true_preds):
         return all(pid.indices[0] == size for pid in true_preds)
@@ -343,43 +168,10 @@ class BigModelTagTheory(Theory):
             smooth=True, fmp=True, finitely_witnessable=True
         )
 
-    def _split(self, cube: Cube):
-        self.check_owned(cube)
-        _require_int_indices(self, cube)
-        ok, pos = exclusive_positive(cube)
-        mm = minmod_equalities(cube) if ok else None
-        return ok, pos, mm
-
-    def decide_cube(self, cube: Cube) -> bool:
-        ok, _, mm = self._split(cube)
-        return ok and mm is not None
-
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None or k < mm:
-            return False
-        if pos and k <= self.n:
-            raise CapabilityMissing(
-                self.name, "spec_finite", f"membership of {k} depends on the tag set"
-            )
-        return True
-
-    def spec_inf(self, cube: Cube) -> bool:
-        return self.decide_cube(cube)
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None or pos:
-            return None
-        return mm
-
-    def cube_spectrum_exact(self, cube: Cube):
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return _empty_spectrum()
-        if pos:
-            return None
-        return ExactSpectrum(upfrom(mm), True)
+    def shape(self, pos):
+        if pos is None:
+            return Shape(ALL, True)
+        return Shape(upfrom(self.n + 1), True, withheld=interval(1, self.n), why=TAGGED)
 
     def model_check(self, size, true_preds):
         if len(true_preds) > 1:
@@ -409,55 +201,10 @@ class TwoSizeTheory(Theory):
             never_infinite=True, n_decidable_rule=("except", frozenset({m}))
         )
 
-    def _split(self, cube: Cube):
-        self.check_owned(cube)
-        _require_int_indices(self, cube)
-        ok, pos = exclusive_positive(cube)
-        mm = minmod_equalities(cube) if ok else None
-        return ok, pos, mm
-
-    def decide_cube(self, cube: Cube) -> bool:
-        ok, _, mm = self._split(cube)
-        return ok and mm is not None and mm <= self.n
-
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
-        if k == self.n:
-            return mm <= self.n
-        if k == self.m:
-            if mm > self.m:
-                return False
-            if pos:
-                raise CapabilityMissing(
-                    self.name,
-                    "spec_finite",
-                    f"membership of the lower size {self.m} depends on the tag set",
-                )
-            return True
-        return False
-
-    def spec_inf(self, cube: Cube) -> bool:
-        self.check_owned(cube)
-        return False
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None or mm > self.n:
-            return None
-        if pos:
-            return None  # m-or-n depends on the tag set
-        return self.m if mm <= self.m else self.n
-
-    def cube_spectrum_exact(self, cube: Cube):
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return _empty_spectrum()
-        if pos:
-            return None
-        members = [s for s in (self.m, self.n) if s >= mm]
-        return ExactSpectrum(finite_set(members), False)
+    def shape(self, pos):
+        if pos is None:
+            return Shape(finite_set([self.m, self.n]), False)
+        return Shape(finite_set([self.n]), False, withheld=finite_set([self.m]), why=TAGGED)
 
     def model_check(self, size, true_preds):
         if size not in (self.m, self.n) or len(true_preds) > 1:
@@ -499,61 +246,11 @@ class SizeCapTheory(Theory):
             cofqg_rule=("complement-not-in-filter", s),
         )
 
-    def _split(self, cube: Cube):
-        self.check_owned(cube)
-        _require_int_indices(self, cube)
-        ok, pos = exclusive_positive(cube)
-        mm = minmod_equalities(cube) if ok else None
-        return ok, pos, mm
-
-    def decide_cube(self, cube: Cube) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
+    def shape(self, pos):
         if pos is None:
-            return True
+            return Shape(self.s, True)
         j = pos.indices[0]
-        i = mm
-        while self.f.geq(j, i):
-            if self.s.contains(i):
-                return True
-            i += 1
-            if i - mm > self.cap:
-                raise IterationCapExceeded("size-cap satisfiability scan", self.cap)
-        return False
-
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None or k < mm or not self.s.contains(k):
-            return False
-        return self.f.geq(pos.indices[0], k) if pos else True
-
-    def spec_inf(self, cube: Cube) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
-        if pos:
-            raise CapabilityMissing(
-                self.name, "spec_inf", "depends on whether the cap is finite"
-            )
-        return True
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return None
-        if pos is None:
-            first = self.s.intersect(upfrom(mm)).min_element()
-            return first  # infinite S always has one
-        return None  # bounded by F; the view searches via spec_finite
-
-    def cube_spectrum_exact(self, cube: Cube):
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return _empty_spectrum()
-        if pos:
-            return None
-        return ExactSpectrum(self.s.intersect(upfrom(mm)), True)
+        return Shape(self.s, None, allow=lambda k: self.f.geq(j, k), why=CAPPED)
 
     def model_check(self, size, true_preds):
         if not self.s.contains(size) or len(true_preds) > 1:
@@ -569,7 +266,8 @@ class GapIndexTheory(Theory):
     addressed by their 1-based position in the inner theory's canonical
     cube enumeration.  When the i-th gap does not exist (the inner
     spectrum misses fewer than i finite sizes) the predicate forces an
-    infinite model.
+    infinite model.  Satisfiability, the infinite-only hint and exact
+    spectra go through the gap value rather than the shape.
     """
 
     def __init__(self, inner: Theory, family: str = "P", max_index: int = 3):
@@ -587,8 +285,6 @@ class GapIndexTheory(Theory):
     def _register_names(self):
         # Friendly references for the inner theory's bare predicates:
         # "Q" is the cube {Q}, "NOTQ" the cube {~Q}.
-        from .formulas import PredicateLiteral
-
         for fam, arity in sorted(self.inner.signature.families):
             if arity != 0:
                 continue
@@ -611,7 +307,7 @@ class GapIndexTheory(Theory):
         gaps = sum(1 for j in range(1, k + 1) if not self.inner.spec_finite(phi, j))
         return gaps == n
 
-    def _gap_value(self, fid: int, n: int) -> Card | None:
+    def _gap_value(self, fid: int, n: int):
         """Exact gap value when the inner theory materializes spectra;
         None when that knowledge is unavailable."""
         phi = self.inner_cube(fid)
@@ -621,67 +317,43 @@ class GapIndexTheory(Theory):
         v = exact.finite_part.nth_excluded(n)
         return ALEPH0 if v is None else v
 
-    def _split(self, cube: Cube):
-        self.check_owned(cube)
-        _require_int_indices(self, cube)
-        ok, pos = exclusive_positive(cube)
-        mm = minmod_equalities(cube) if ok else None
-        return ok, pos, mm
+    def shape(self, pos):
+        if pos is None:
+            return Shape(ALL, True)
+        fid, n = pos.indices
+        return Shape(
+            ALL, None, allow=lambda k: self._is_nth_gap(fid, n, k), why="the gap may or may not exist"
+        )
 
     def decide_cube(self, cube: Cube) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
+        pos = self.read_part(cube)
+        mm = None if pos is UNSAT else minmod_equalities(cube)
+        if mm is None:
             return False
         if pos is None:
             return True
         fid, n = pos.indices
         return not any(self._is_nth_gap(fid, n, m) for m in range(1, mm))
 
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None or k < mm:
-            return False
-        if pos is None:
-            return True
-        fid, n = pos.indices
-        return self._is_nth_gap(fid, n, k)
-
-    def spec_inf(self, cube: Cube) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
-        if pos:
-            raise CapabilityMissing(
-                self.name, "spec_inf", "the gap may or may not exist"
-            )
-        return True
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return None
-        if pos is None:
-            return mm
-        return None  # the view searches via spec_finite / the infinite hint
-
     def infinite_only(self, cube: Cube) -> bool:
-        ok, pos, _ = self._split(cube)
-        if not ok or pos is None or not self.decide_cube(cube):
+        pos = self.read_part(cube)
+        if pos is UNSAT or pos is None or not self.decide_cube(cube):
             return False
         return self._gap_value(*pos.indices) is ALEPH0
 
     def cube_spectrum_exact(self, cube: Cube):
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return _empty_spectrum()
+        pos = self.read_part(cube)
+        mm = None if pos is UNSAT else minmod_equalities(cube)
+        if mm is None:
+            return ExactSpectrum(EMPTY, False)
         if pos is None:
             return ExactSpectrum(upfrom(mm), True)
         v = self._gap_value(*pos.indices)
         if v is None:
             return None
         if v is ALEPH0:
-            return ExactSpectrum(empty_set(), True)
-        return ExactSpectrum(finite_set([v]) if v >= mm else empty_set(), False)
+            return ExactSpectrum(EMPTY, True)
+        return ExactSpectrum(finite_set([v]) if v >= mm else EMPTY, False)
 
     def model_check(self, size, true_preds):
         if len(true_preds) > 1:
@@ -721,59 +393,13 @@ class MixedTagTheory(Theory):
         self.signature = Signature(frozenset({(family, 1)}))
         self.certificate = certificate(n_decidable_rule=("geq", n + 1))
 
-    def _split(self, cube: Cube):
-        self.check_owned(cube)
-        _require_int_indices(self, cube)
-        ok, pos = exclusive_positive(cube)
-        mm = minmod_equalities(cube) if ok else None
-        return ok, pos, mm
-
-    def decide_cube(self, cube: Cube) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
-        if pos and pos.indices[0] % 2 == 0:
-            return self.f.geq(pos.indices[0] // 2, mm)
-        return True
-
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None or k < mm:
-            return False
-        if pos is None or pos.indices[0] == 1:
-            return True
-        j = pos.indices[0]
+    def shape(self, pos):
+        j = 1 if pos is None else pos.indices[0]
+        if j == 1:
+            return Shape(ALL, True)
         if j % 2 == 0:
-            return self.f.geq(j // 2, k)
-        if k <= self.n:
-            raise CapabilityMissing(
-                self.name, "spec_finite", f"membership of {k} depends on the tag set"
-            )
-        return True
-
-    def spec_inf(self, cube: Cube) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
-        if pos and pos.indices[0] % 2 == 0 and pos.indices[0] >= 2:
-            raise CapabilityMissing(self.name, "spec_inf", "depends on whether the cap is finite")
-        return True
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return None
-        if pos is None or pos.indices[0] == 1:
-            return mm
-        return None
-
-    def cube_spectrum_exact(self, cube: Cube):
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return _empty_spectrum()
-        if pos is None or pos.indices[0] == 1:
-            return ExactSpectrum(upfrom(mm), True)
-        return None
+            return Shape(ALL, None, allow=lambda k: self.f.geq(j // 2, k), why=CAPPED)
+        return Shape(upfrom(self.n + 1), True, withheld=interval(1, self.n), why=TAGGED)
 
     def model_check(self, size, true_preds):
         if len(true_preds) > 1:
@@ -804,62 +430,13 @@ class CapOrUnboundedTheory(Theory):
         self.signature = Signature(frozenset({(family, 1)}))
         self.certificate = certificate(cfs=True)
 
-    def _split(self, cube: Cube):
-        self.check_owned(cube)
-        _require_int_indices(self, cube)
-        ok, pos = exclusive_positive(cube)
-        mm = minmod_equalities(cube) if ok else None
-        return ok, pos, mm
-
-    def decide_cube(self, cube: Cube) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
-        if pos and pos.indices[0] >= 2:
-            return self.f.geq(pos.indices[0], mm)
-        return True
-
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None or k < mm:
-            return False
+    def shape(self, pos):
         if pos is None:
-            return True
-        if pos.indices[0] == 1:
-            return False
-        return self.f.geq(pos.indices[0], k)
-
-    def spec_inf(self, cube: Cube) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
-        if pos and pos.indices[0] >= 2:
-            raise CapabilityMissing(self.name, "spec_inf", "depends on whether the cap is finite")
-        return True
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return None
-        if pos is None:
-            return mm
-        if pos.indices[0] == 1:
-            return ALEPH0
-        return None
-
-    def infinite_only(self, cube: Cube) -> bool:
-        ok, pos, mm = self._split(cube)
-        return ok and mm is not None and pos is not None and pos.indices[0] == 1
-
-    def cube_spectrum_exact(self, cube: Cube):
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return _empty_spectrum()
-        if pos is None:
-            return ExactSpectrum(upfrom(mm), True)
-        if pos.indices[0] == 1:
-            return ExactSpectrum(empty_set(), True)
-        return None
+            return Shape(ALL, True)
+        j = pos.indices[0]
+        if j == 1:
+            return Shape(EMPTY, True)
+        return Shape(ALL, None, allow=lambda k: self.f.geq(j, k), why=CAPPED)
 
     def model_check(self, size, true_preds):
         if len(true_preds) > 1:
@@ -886,41 +463,10 @@ class TaggedInfinityTheory(Theory):
         self.signature = Signature(frozenset({(family, 1)}))
         self.certificate = certificate(stably_infinite=True, smooth=True)
 
-    def _split(self, cube: Cube):
-        self.check_owned(cube)
-        _require_int_indices(self, cube)
-        ok, pos = exclusive_positive(cube)
-        mm = minmod_equalities(cube) if ok else None
-        return ok, pos, mm
-
-    def decide_cube(self, cube: Cube) -> bool:
-        ok, _, mm = self._split(cube)
-        return ok and mm is not None
-
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None or k < mm:
-            return False
-        if pos:
-            raise CapabilityMissing(self.name, "spec_finite", "depends on the tag set")
-        return True
-
-    def spec_inf(self, cube: Cube) -> bool:
-        return self.decide_cube(cube)
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None or pos:
-            return None
-        return mm
-
-    def cube_spectrum_exact(self, cube: Cube):
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return _empty_spectrum()
-        if pos:
-            return None
-        return ExactSpectrum(upfrom(mm), True)
+    def shape(self, pos):
+        if pos is None:
+            return Shape(ALL, True)
+        return Shape(EMPTY, True, withheld=ALL, why=TAGGED)
 
     def model_check(self, size, true_preds):
         if len(true_preds) > 1:
@@ -928,7 +474,19 @@ class TaggedInfinityTheory(Theory):
         return not any(self.u_standin.contains(pid.indices[0]) for pid in true_preds)
 
 
-class SingletonOrInfiniteTheory(Theory):
+class _BarePredicateTheory(Theory):
+    """One bare predicate; a cube's predicate part is its polarity
+    (True, False, or None when the cube does not mention it)."""
+
+    def read_part(self, cube: Cube):
+        polarity = None
+        for lit in cube.pred_literals():
+            self.check_pred(lit.pred)
+            polarity = lit.positive
+        return UNSAT if cube.contradictory else polarity
+
+
+class SingletonOrInfiniteTheory(_BarePredicateTheory):
     """A single bare predicate: true pins the domain to one element,
     false forces an infinite one."""
 
@@ -939,57 +497,11 @@ class SingletonOrInfiniteTheory(Theory):
         self.certificate = certificate(cfs=True, infinitely_decidable=True)
         self._pid = PredicateId(family, ())
 
-    def _split(self, cube: Cube):
-        self.check_owned(cube)
-        if cube.contradictory:
-            return False, None, None
-        polarity = None
-        for lit in cube.pred_literals():
-            polarity = lit.positive
-        return True, polarity, minmod_equalities(cube)
-
-    def decide_cube(self, cube: Cube) -> bool:
-        ok, polarity, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
-        return mm == 1 if polarity is True else True
-
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        ok, polarity, mm = self._split(cube)
-        if not ok or mm is None or polarity is False:
-            return False
-        return k == 1 and mm == 1
-
-    def spec_inf(self, cube: Cube) -> bool:
-        ok, polarity, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
-        return polarity is not True
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        ok, polarity, mm = self._split(cube)
-        if not ok or mm is None:
-            return None
-        if polarity is True:
-            return 1 if mm == 1 else None
-        return 1 if mm == 1 and polarity is None else ALEPH0
-
-    def infinite_only(self, cube: Cube) -> bool:
-        ok, polarity, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
-        return polarity is False or (polarity is None and mm >= 2)
-
-    def cube_spectrum_exact(self, cube: Cube):
-        ok, polarity, mm = self._split(cube)
-        if not ok or mm is None:
-            return _empty_spectrum()
-        one = finite_set([1]) if mm == 1 else empty_set()
-        if polarity is True:
-            return ExactSpectrum(one, False)
+    def shape(self, polarity):
         if polarity is False:
-            return ExactSpectrum(empty_set(), True)
-        return ExactSpectrum(one, True)
+            return Shape(EMPTY, True)
+        # True pins one element; left unmentioned, it may also be false.
+        return Shape(finite_set([1]), polarity is None)
 
     def model_check(self, size, true_preds):
         if self._pid in true_preds:
@@ -997,7 +509,7 @@ class SingletonOrInfiniteTheory(Theory):
         return False
 
 
-class StepTheory(Theory):
+class StepTheory(_BarePredicateTheory):
     """A single bare predicate: true pins the size to `pin`, false keeps
     it at least `floor`.  With floor <= pin every cube spectrum is the
     singleton {pin} or an upward tail, which makes the theory pin-shiny.
@@ -1015,69 +527,12 @@ class StepTheory(Theory):
         self.certificate = certificate(cfs=True, n_shiny_param=pin)
         self._pid = PredicateId(family, ())
 
-    def _split(self, cube: Cube):
-        self.check_owned(cube)
-        if cube.contradictory:
-            return False, None, None
-        polarity = None
-        for lit in cube.pred_literals():
-            polarity = lit.positive
-        return True, polarity, minmod_equalities(cube)
-
-    def decide_cube(self, cube: Cube) -> bool:
-        ok, polarity, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
-        return mm <= self.pin if polarity is True else True
-
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        ok, polarity, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
-        hit_pin = k == self.pin and mm <= self.pin
-        hit_tail = k >= max(mm, self.floor)
+    def shape(self, polarity):
         if polarity is True:
-            return hit_pin
+            return Shape(finite_set([self.pin]), False)
         if polarity is False:
-            return hit_tail
-        return hit_pin or hit_tail
-
-    def spec_inf(self, cube: Cube) -> bool:
-        ok, polarity, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
-        return polarity is not True
-
-    def exact_spectrum(self, cube: Cube) -> ExactSpectrum:
-        ok, polarity, mm = self._split(cube)
-        if not ok or mm is None:
-            return _empty_spectrum()
-        pin_part = finite_set([self.pin]) if mm <= self.pin else empty_set()
-        tail = upfrom(max(mm, self.floor))
-        if polarity is True:
-            return ExactSpectrum(pin_part, False)
-        if polarity is False:
-            return ExactSpectrum(tail, True)
-        return ExactSpectrum(pin_part.union(tail), True)
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        ok, polarity, mm = self._split(cube)
-        if not ok or mm is None:
-            return None
-        if polarity is True:
-            return self.pin if mm <= self.pin else None
-        return max(mm, self.floor)
-
-    def nshiny_classify(self, cube: Cube):
-        ok, polarity, mm = self._split(cube)
-        if not ok or mm is None:
-            return None
-        if polarity is True:
-            return (0, self.pin) if mm <= self.pin else None
-        return (2, max(mm, self.floor))
-
-    def cube_spectrum_exact(self, cube: Cube):
-        return self.exact_spectrum(cube)
+            return Shape(upfrom(self.floor), True)
+        return Shape(finite_set([self.pin]).union(upfrom(self.floor)), True)
 
     def model_check(self, size, true_preds):
         if self._pid in true_preds:
@@ -1086,7 +541,8 @@ class StepTheory(Theory):
 
 
 class OracleFloorTheory(Theory):
-    """P_k forces at least F(k) elements; positive predicates may stack.
+    """P_k forces at least F(k) elements; positive predicates may stack,
+    so a cube's predicate part is the tuple of its positive predicates.
 
     Smooth with computable spectra, but no computable minimum model size
     (that would reveal whether a floor is finite).
@@ -1099,33 +555,15 @@ class OracleFloorTheory(Theory):
         self.signature = Signature(frozenset({(family, 1)}))
         self.certificate = certificate(cfs=True, smooth=True)
 
-    def _split(self, cube: Cube):
-        self.check_owned(cube)
-        _require_int_indices(self, cube)
-        if cube.contradictory:
-            return False, (), None
-        return True, cube.positive_preds(), minmod_equalities(cube)
+    def read_part(self, cube: Cube):
+        for lit in cube.pred_literals():
+            self.check_pred(lit.pred)
+        return UNSAT if cube.contradictory else cube.positive_preds()
 
-    def decide_cube(self, cube: Cube) -> bool:
-        ok, _, mm = self._split(cube)
-        return ok and mm is not None
-
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None or k < mm:
-            return False
-        return all(not self.f.geq(pid.indices[0], k + 1) for pid in pos)
-
-    def spec_inf(self, cube: Cube) -> bool:
-        return self.decide_cube(cube)
-
-    def cube_spectrum_exact(self, cube: Cube):
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return _empty_spectrum()
-        if pos:
-            return None
-        return ExactSpectrum(upfrom(mm), True)
+    def shape(self, pos):
+        if not pos:
+            return Shape(ALL, True)
+        return Shape(ALL, True, allow=lambda k: all(not self.f.geq(p.indices[0], k + 1) for p in pos))
 
     def model_check(self, size, true_preds):
         return all(not self.f.geq(pid.indices[0], size + 1) for pid in true_preds)
@@ -1187,7 +625,7 @@ class CompositeTestTheory(Theory):
         self.signature = Signature(frozenset(fams))
         self.certificate = cert
 
-    def _validate_pred(self, pid: PredicateId):
+    def validate_indices(self, pid: PredicateId):
         if pid.family == "R":
             i, j, _ = pid.indices
             if not (isinstance(i, int) and isinstance(j, int) and i < j):
@@ -1198,86 +636,20 @@ class CompositeTestTheory(Theory):
             if ix == "inf" and not (self.allow_inf and pid.family == "P"):
                 raise SignatureError(f"{self.name}: no infinite index on {pid}")
 
-    def _split(self, cube: Cube):
-        self.check_owned(cube)
-        for lit in cube.pred_literals():
-            self._validate_pred(lit.pred)
-        ok, pos = exclusive_positive(cube)
-        mm = minmod_equalities(cube) if ok else None
-        return ok, pos, mm
-
-    def decide_cube(self, cube: Cube) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
+    def shape(self, pos):
         if pos is None:
-            return True
+            return Shape(ALL, True)
+        ix = pos.indices
         if pos.family == "P":
-            idx = pos.indices[0]
-            return True if idx == "inf" else mm <= idx
+            return Shape(EMPTY, True) if ix[0] == "inf" else Shape(finite_set([ix[0]]), False)
         if pos.family == "Q":
-            return self.f.geq(pos.indices[0], mm)
+            return Shape(ALL, None, allow=lambda k: self.f.geq(ix[0], k), why=CAPPED)
         if pos.family == "R":
-            return mm <= pos.indices[1]
-        return True  # B: a big enough model always exists
+            return Shape(finite_set([ix[1]]), False, withheld=finite_set([ix[0]]), why=TAGGED)
+        # B_(n,tag): a big enough model always exists; below n the tag decides.
+        return Shape(upfrom(ix[0] + 1), True, withheld=interval(1, ix[0]), why=TAGGED)
 
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None or k < mm:
-            return False
-        if pos is None:
-            return True
-        if pos.family == "P":
-            idx = pos.indices[0]
-            return False if idx == "inf" else k == idx
-        if pos.family == "Q":
-            return self.f.geq(pos.indices[0], k)
-        if pos.family == "R":
-            i, j, _ = pos.indices
-            if k == j:
-                return True
-            if k == i:
-                raise CapabilityMissing(
-                    self.name, "spec_finite", f"membership of the lower size {i} depends on the tag set"
-                )
-            return False
-        if k <= pos.indices[0]:  # B_(n,tag) below its threshold
-            raise CapabilityMissing(
-                self.name, "spec_finite", f"membership of {k} depends on the tag set"
-            )
-        return True
-
-    def spec_inf(self, cube: Cube) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return False
-        if pos is None:
-            return True
-        if pos.family == "P":
-            return pos.indices[0] == "inf"
-        if pos.family == "Q":
-            raise CapabilityMissing(self.name, "spec_inf", "depends on whether the cap is finite")
-        if pos.family == "R":
-            return False
-        return True  # B is stably infinite
-
-    def infinite_only(self, cube: Cube) -> bool:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None or pos is None:
-            return False
-        return pos.family == "P" and pos.indices[0] == "inf"
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        ok, pos, mm = self._split(cube)
-        if not ok or mm is None:
-            return None
-        if pos is None:
-            return mm
-        if pos.family == "P":
-            idx = pos.indices[0]
-            if idx == "inf":
-                return ALEPH0
-            return idx if mm <= idx else None
+    def cube_spectrum_exact(self, cube: Cube):
         return None
 
     def sample_pred(self, rng):
@@ -1305,7 +677,7 @@ class CompositeTestTheory(Theory):
         if len(true_preds) > 1:
             return False
         for pid in true_preds:
-            self._validate_pred(pid)
+            self.validate_indices(pid)
             if pid.family == "P":
                 idx = pid.indices[0]
                 if idx == "inf" or size != idx:

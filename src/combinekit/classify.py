@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .brute import brute_spectrum, random_cube
 from .errors import CapabilityMissing
 from .filters import NO, YES, FreeFilter, filter_includes, frechet, generated
-from .formulas import Cube, PredicateLiteral, clique_extension
+from .formulas import Cube, PredicateLiteral
 from .properties import CLASSES, LATTICE_EDGES
 from .sets import bitzero, finite_set, upfrom
 from .spectra import ExactSpectrum, view
@@ -51,7 +51,7 @@ def _bounded_above(theory: Theory, cube: Cube, bound: int) -> int | None:
     if not theory.decide_cube(cube):
         return None
     for j in range(1, bound + 2):
-        if not theory.decide_cube(clique_extension(cube, j)):
+        if not theory.decide_at_least(cube, j):
             return j
     return None
 

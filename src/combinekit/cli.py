@@ -211,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     cl.set_defaults(fn=cmd_classify)
 
     la = sub.add_parser("lattice", help="emit the property lattice")
-    la.add_argument("--catalog", default="default")
     la.add_argument("--n", type=int, default=4)
     la.set_defaults(fn=cmd_lattice)
 

@@ -20,12 +20,11 @@ from .formulas import (
     Cube,
     Formula,
     arrangement_to_cube,
-    clique_extension,
     enumerate_arrangements,
     split_by_signature,
     to_dnf,
 )
-from .sets import ALEPH0, Card, card_to_json
+from .sets import ALEPH0, Card, card_to_json, is_finite_card
 from .spectra import DEFAULT_ITERATION_CAP, SpectrumView, view
 from .theories import Theory
 
@@ -152,15 +151,19 @@ class CombinationVerdict:
 
 
 # -- per-method spectrum intersection ----------------------------------------
+#
+# Each runner asks its two views only what the method's hypotheses
+# license; the views refuse anything else with CapabilityMissing.
 
 
 def _run_shiny(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
     if not v1.sat():
         return False, None
     k = v1.minmod(cap)
-    assert isinstance(k, int)  # shiny theories have finite minimal models
+    if not is_finite_card(k):
+        raise CapabilityMissing(v1.owner.name, "minmod", "shiny needs a finite minimal model")
     stats.loop_iterations += 1
-    return v2.owner.decide_cube(clique_extension(v2.cube, k)), None
+    return v2.owner.decide_at_least(v2.cube, k), None
 
 
 def _run_nelson_oppen(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
@@ -173,54 +176,39 @@ def _run_gentle(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
     spec1 = v1.exact()
     if spec1.is_empty():
         return False, None
-    if spec1.finite_part.is_finite() and not spec1.has_inf:
-        bound = spec1.finite_part.max_element() or 0
-        for n in spec1.finite_part.elements(bound):
-            stats.loop_iterations += 1
-            if v2.owner.spec_finite(v2.cube, n):
-                return True, n
-        return False, None
-    # Cofinite spectrum: scan the holes' range, then ask for anything bigger.
-    excluded = spec1.finite_part.complement()
-    k = excluded.max_element() or 0
-    for n in spec1.finite_part.elements(k):
+    bounded = spec1.finite_part.is_finite() and not spec1.has_inf
+    # Scan a finite spectrum whole; scan a cofinite one up to its last
+    # hole, then ask for anything bigger.
+    top = (spec1.finite_part if bounded else spec1.finite_part.complement()).max_element() or 0
+    for n in spec1.finite_part.elements(top):
         stats.loop_iterations += 1
-        if v2.owner.spec_finite(v2.cube, n):
+        if v2.contains(n):
             return True, n
-    return v2.owner.decide_cube(clique_extension(v2.cube, k + 1)), None
+    if bounded:
+        return False, None
+    return v2.owner.decide_at_least(v2.cube, top + 1), None
 
 
 def _run_smcs(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
-    if v2.owner.spec_inf(v2.cube):
+    if v2.contains(ALEPH0):
         if v1.sat():
             return True, ALEPH0
         return False, None
-    k = 0
-    while v2.owner.decide_cube(clique_extension(v2.cube, k + 1)):
-        k += 1
-        stats.loop_iterations += 1
-        if k > cap:
-            raise IterationCapExceeded("smcs max-finite scan", cap)
-    if k == 0:
-        return False, None
-    if v1.owner.spec_finite(v1.cube, k):
+    k = v2.max_finite(cap) or 0
+    stats.loop_iterations += k
+    if k and v1.contains(k):
         return True, k
     return False, None
 
 
 def _run_cs(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
-    inf1 = v1.owner.spec_inf(v1.cube)
-    if inf1 and v2.owner.spec_inf(v2.cube):
+    inf1 = v1.contains(ALEPH0)
+    if inf1 and v2.contains(ALEPH0):
         return True, ALEPH0
-    bounded = v1 if not inf1 else v2
-    k = 0
-    while bounded.owner.decide_cube(clique_extension(bounded.cube, k + 1)):
-        k += 1
-        stats.loop_iterations += 1
-        if k > cap:
-            raise IterationCapExceeded("cs max-finite scan", cap)
+    k = (v2 if inf1 else v1).max_finite(cap) or 0
+    stats.loop_iterations += k
     for n in range(1, k + 1):
-        if v1.owner.spec_finite(v1.cube, n) and v2.owner.spec_finite(v2.cube, n):
+        if v1.contains(n) and v2.contains(n):
             return True, n
     return False, None
 
@@ -228,82 +216,53 @@ def _run_cs(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
 def _run_n_shiny(v1: SpectrumView, v2: SpectrumView, n: int, cap: int, stats: _Stats):
     if not v1.sat():
         return False, None
-    if v1.owner.spec_finite(v1.cube, n) and v2.owner.spec_finite(v2.cube, n):
+    if v1.contains(n) and v2.contains(n):
         return True, n
     shape = v1.owner.nshiny_classify(v1.cube)
-    assert shape is not None
+    if shape is None:
+        raise CapabilityMissing(v1.owner.name, "nshiny_classify", "no shape for a satisfiable cube")
     t, k = shape
     if t == 0:
         # Spectrum is exactly {n}; the n-check above already failed.
         return False, None
     stats.loop_iterations += 1
-    return v2.owner.decide_cube(clique_extension(v2.cube, k)), None
+    return v2.owner.decide_at_least(v2.cube, k), None
 
 
 def _run_quasi_gentle(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
     n = 1
-    while True:
-        ok1 = v1.owner.decide_cube(clique_extension(v1.cube, n))
-        ok2 = ok1 and v2.owner.decide_cube(clique_extension(v2.cube, n))
-        if not (ok1 and ok2):
-            return False, None
-        if v1.owner.spec_finite(v1.cube, n) and v2.owner.spec_finite(v2.cube, n):
+    while v1.owner.decide_at_least(v1.cube, n) and v2.owner.decide_at_least(v2.cube, n):
+        if v1.contains(n) and v2.contains(n):
             return True, n
         n += 1
         stats.loop_iterations += 1
         if n > cap:
             raise IterationCapExceeded("quasi-gentle interleaved scan", cap)
+    return False, None
+
+
+_RUNNERS = {
+    "shiny": _run_shiny,
+    "nelson-oppen": _run_nelson_oppen,
+    "gentle": _run_gentle,
+    "smcs": _run_smcs,
+    "cs": _run_cs,
+    "quasi-gentle": _run_quasi_gentle,
+}
 
 
 def _run_method(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
-    if method.kind == "shiny":
-        return _run_shiny(v1, v2, cap, stats)
-    if method.kind == "nelson-oppen":
-        return _run_nelson_oppen(v1, v2, cap, stats)
-    if method.kind == "gentle":
-        return _run_gentle(v1, v2, cap, stats)
-    if method.kind == "smcs":
-        return _run_smcs(v1, v2, cap, stats)
-    if method.kind == "cs":
-        return _run_cs(v1, v2, cap, stats)
     if method.kind == "n-shiny":
         return _run_n_shiny(v1, v2, method.n, cap, stats)
-    return _run_quasi_gentle(v1, v2, cap, stats)
+    return _RUNNERS[method.kind](v1, v2, cap, stats)
 
 
-# Public single-pair entry points (first argument is the hypothesis side).
-
-
-def intersect_shiny(v1: SpectrumView, v2: SpectrumView, cap: int = DEFAULT_ITERATION_CAP) -> bool:
-    return _run_shiny(v1, v2, cap, _Stats())[0]
-
-
-def intersect_smcs(v1: SpectrumView, v2: SpectrumView, cap: int = DEFAULT_ITERATION_CAP) -> bool:
-    return _run_smcs(v1, v2, cap, _Stats())[0]
-
-
-def intersect_cs(v1: SpectrumView, v2: SpectrumView, cap: int = DEFAULT_ITERATION_CAP) -> bool:
-    return _run_cs(v1, v2, cap, _Stats())[0]
-
-
-def intersect_nshiny(
-    v1: SpectrumView, v2: SpectrumView, n: int, cap: int = DEFAULT_ITERATION_CAP
+def intersect(
+    method: Method, v1: SpectrumView, v2: SpectrumView, cap: int = DEFAULT_ITERATION_CAP
 ) -> bool:
-    return _run_n_shiny(v1, v2, n, cap, _Stats())[0]
-
-
-def intersect_quasigentle(
-    v1: SpectrumView, v2: SpectrumView, cap: int = DEFAULT_ITERATION_CAP
-) -> bool:
-    return _run_quasi_gentle(v1, v2, cap, _Stats())[0]
-
-
-def intersect_gentle(v1: SpectrumView, v2: SpectrumView, cap: int = DEFAULT_ITERATION_CAP) -> bool:
-    return _run_gentle(v1, v2, cap, _Stats())[0]
-
-
-def intersect_nelson_oppen(v1: SpectrumView, v2: SpectrumView) -> bool:
-    return _run_nelson_oppen(v1, v2, 0, _Stats())[0]
+    """Whether the two views' spectra meet, by the method's procedure;
+    the first view is the side the method's hypotheses are about."""
+    return _run_method(method, v1, v2, cap, _Stats())[0]
 
 
 # -- method selection ---------------------------------------------------------

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, replace
 
 from .errors import CapabilityMissing
-from .formulas import Cube, clique_extension
+from .formulas import Cube
 from .theories import FormulaEnumeration, Theory
 
 
@@ -72,7 +72,7 @@ def process_formula(state: DiagState, theory: Theory, enum: FormulaEnumeration) 
     phi = enum.cube(state.i)
     if _has_model_in(theory, phi, state.s_prefix):
         return replace(state, sat=state.sat | {state.i}, i=state.i + 1)
-    if not theory.decide_cube(clique_extension(phi, state.j)):
+    if not theory.decide_at_least(phi, state.j):
         return replace(state, unsat=state.unsat | {state.i}, i=state.i + 1)
     return replace(state, prom=state.prom | {state.i}, i=state.i + 1)
 
@@ -106,15 +106,10 @@ def process_number(state: DiagState, theory: Theory, enum: FormulaEnumeration) -
 def run_diagonalization(
     theory: Theory, rounds: int, enum: FormulaEnumeration | None = None
 ) -> DiagState:
-    """Alternate formula and number processing for the given number of rounds."""
-    if rounds < 1:
-        raise ValueError("need at least one round")
-    _check_theory(theory)
-    enum = enum or FormulaEnumeration(theory)
-    state = initial_state()
-    for _ in range(rounds):
-        state = process_formula(state, theory, enum)
-        state = process_number(state, theory, enum)
+    """Alternate formula and number processing for the given number of
+    rounds; the last state of :func:`run_rounds`."""
+    for state in run_rounds(theory, rounds, enum):
+        pass
     return state
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError, SignatureError
@@ -120,14 +121,22 @@ class Cube:
     def of(literals: Iterable[Literal]) -> "Cube":
         return Cube(tuple(literals))
 
-    @property
+    @cached_property
     def contradictory(self) -> bool:
-        seen = set(self.literals)
+        # Sorting puts each negative literal right after its positive twin.
+        prev = None
         for lit in self.literals:
-            if isinstance(lit, EqualityLiteral) and lit.left == lit.right and not lit.positive:
-                return True
-            if lit.negate() in seen:
-                return True
+            if not lit.positive:
+                if isinstance(lit, EqualityLiteral):
+                    if lit.left == lit.right or (
+                        isinstance(prev, EqualityLiteral)
+                        and prev.positive
+                        and (prev.left, prev.right) == (lit.left, lit.right)
+                    ):
+                        return True
+                elif isinstance(prev, PredicateLiteral) and prev.positive and prev.pred == lit.pred:
+                    return True
+            prev = lit
         return False
 
     def variables(self) -> frozenset[str]:

@@ -163,6 +163,18 @@ class EvPeriodicSet:
                 return len(self.preperiod) + j + 1
         return None
 
+    def min_from(self, n: int) -> int | None:
+        """Least element >= n (n >= 1); None when there is none."""
+        p, q = len(self.preperiod), len(self.period)
+        for m in range(n, p + 1):
+            if self.preperiod[m - 1]:
+                return m
+        start = max(n, p + 1)
+        for m in range(start, start + q):
+            if self.period[(m - p - 1) % q]:
+                return m
+        return None
+
     def max_element(self) -> int | None:
         """Greatest element of a finite set; None when empty or infinite."""
         if not self.is_finite():

@@ -61,11 +61,12 @@ class ExactSpectrum:
 class SpectrumView:
     """A theory/cube pair with its supported spectrum queries.
 
-    Capabilities: ``contains_finite`` (finite membership is total),
-    ``contains_inf`` (infinite membership is decidable), ``exact`` (the
-    whole spectrum can be materialized).  Partially n-decidable theories
-    answer `contains` for their certified cardinalities even without the
-    blanket ``contains_finite`` capability.
+    Capabilities: ``contains_finite`` (finite membership is total) and
+    ``contains_inf`` (infinite membership is decidable).  Partially
+    n-decidable theories answer `contains` for their certified
+    cardinalities even without the blanket ``contains_finite``
+    capability.  ``exact`` materializes the spectrum of a gentle theory;
+    the theory itself refuses the rest.
     """
 
     owner: "Theory"
@@ -79,8 +80,6 @@ class SpectrumView:
             caps.add("contains_finite")
         if cert.infinitely_decidable:
             caps.add("contains_inf")
-        if cert.gentle or cert.shiny or cert.n_shiny_param is not None:
-            caps.add("exact")
         object.__setattr__(self, "capabilities", frozenset(caps))
 
     # -- queries ---------------------------------------------------------
@@ -106,10 +105,8 @@ class SpectrumView:
         mis-declared certificate shows up as IterationCapExceeded.
         Returns None when the cube is unsatisfiable.
         """
-        from .formulas import clique_extension
-
         k = 0
-        while self.owner.decide_cube(clique_extension(self.cube, k + 1)):
+        while self.owner.decide_at_least(self.cube, k + 1):
             k += 1
             if k > cap:
                 raise IterationCapExceeded("max_finite", cap)
@@ -137,29 +134,9 @@ class SpectrumView:
         raise IterationCapExceeded("minmod", cap)
 
     def exact(self) -> ExactSpectrum:
-        if "exact" not in self.capabilities:
-            raise CapabilityMissing(self.owner.name, "exact_spectrum")
         return self.owner.exact_spectrum(self.cube)
 
 
 def view(theory: "Theory", cube: "Cube") -> SpectrumView:
     return SpectrumView(theory, cube)
 
-
-# Module-level op names mirroring the public API surface.
-
-
-def spec_contains(v: SpectrumView, c: Card) -> bool:
-    return v.contains(c)
-
-
-def max_finite(v: SpectrumView, cap: int = DEFAULT_ITERATION_CAP) -> int | None:
-    return v.max_finite(cap)
-
-
-def minmod(v: SpectrumView, cap: int = DEFAULT_ITERATION_CAP) -> Card | None:
-    return v.minmod(cap)
-
-
-def exact_spectrum(v: SpectrumView) -> ExactSpectrum:
-    return v.exact()

@@ -1,13 +1,25 @@
-"""Theory handles: signature, decision procedure, spectrum procedures.
+"""Theory handles: a declared spectrum shape, derived queries, a model checker.
 
-Every theory in the catalog is a subclass of :class:`Theory` exposing:
+Every catalog theory constrains only domain cardinalities.  So the
+spectrum of a cube is the set of sizes its predicate literals allow, cut
+off below at the cube's equality minimum (:func:`minmod_equalities`).  A
+theory declares exactly that, and the :class:`Theory` base derives every
+query from it.  A concrete theory declares:
 
-* ``decide_cube``   -- exact quantifier-free satisfiability of a cube;
-* ``spec_finite``   -- finite spectrum membership, raising
-  CapabilityMissing on queries the certificate withholds;
-* ``spec_inf``      -- infinite spectrum membership, same gating;
-* ``exact_spectrum``-- full materialization for gentle-or-stronger theories;
-* ``model_check``   -- finite-model axiom check backing the brute oracle.
+* ``signature`` and ``certificate``;
+* ``shape(part)`` -- the :class:`Shape` one predicate part of a cube
+  allows: by default the part is the cube's unique positive predicate,
+  or None when it has none;
+* ``model_check`` -- the finite-model axiom check backing the brute
+  oracle.  It is written by hand, apart from the shape, so that the
+  oracle can referee the derived queries.
+
+The base reads a cube's predicate literals once (ownership, index
+grammar, contradiction, exclusivity), caches one shape per part, and
+derives ``decide_cube``, ``spec_finite``, ``spec_inf``, ``minmod_cube``,
+``exact_spectrum``, ``cube_spectrum_exact``, ``nshiny_classify``,
+``infinite_only`` and ``decide_at_least``.  Queries the certificate
+withholds raise CapabilityMissing.
 
 Decision and spectrum procedures never consult the model checker's
 undecidable-set stand-in; only ``model_check`` sees it.  The external
@@ -18,9 +30,10 @@ query.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
-from .errors import CapabilityMissing, SignatureError
+from .errors import CapabilityMissing, IterationCapExceeded, SignatureError
 from .formulas import (
     Cube,
     EqualityLiteral,
@@ -28,11 +41,12 @@ from .formulas import (
     PredicateLiteral,
     Signature,
     canonical_cubes,
+    clique_extension,
     equality_literal_pool,
 )
 from .properties import PropertyCertificate
-from .sets import Card, odds
-from .spectra import ExactSpectrum
+from .sets import ALEPH0, Card, EvPeriodicSet, empty_set, odds, upfrom
+from .spectra import DEFAULT_ITERATION_CAP, ExactSpectrum
 
 
 class FOracle:
@@ -164,23 +178,52 @@ def minmod_equalities(cube: Cube) -> int | None:
     return len(classes)
 
 
-def exclusive_positive(cube: Cube) -> tuple[bool, PredicateId | None]:
-    """(consistent, the unique positive predicate or None) for theories whose
-    distinct predicates exclude each other.  Contradictory cubes and cubes
-    with two distinct positive predicates are inconsistent."""
-    if cube.contradictory:
-        return False, None
-    pos = cube.positive_preds()
-    if len(pos) > 1:
-        return False, None
-    return True, (pos[0] if pos else None)
+# -- spectrum shapes -----------------------------------------------------------
+
+# Reasons a shape gives for the queries it withholds.
+TAGGED = "depends on the tag set"
+CAPPED = "depends on whether the cap is finite"
+
+
+@dataclass(frozen=True)
+class Shape:
+    """The sizes one predicate part of a cube allows, before the cube's
+    equality minimum cuts them off below.
+
+    ``finite`` holds the finite sizes the part allows, each subject to
+    ``allow`` when that oracle test is set.  ``withheld`` holds the finite
+    sizes whose membership depends on the tag set (None when there are
+    none); it is disjoint from ``finite``.  ``inf`` says whether the infinite cardinality is allowed,
+    None when that is withheld.  ``why`` explains the withheld queries.
+    Where ``inf`` is not True, ``allow`` must be downward closed (a cap):
+    satisfiability scans upward from the equality minimum until it fails.
+    """
+
+    finite: EvPeriodicSet
+    inf: bool | None
+    withheld: EvPeriodicSet | None = None
+    allow: Callable[[int], bool] | None = None
+    why: str = ""
+
+    @property
+    def known(self) -> bool:
+        """Whether the cube's spectrum follows from this shape and its
+        equality minimum alone: no oracle test and nothing withheld."""
+        return self.allow is None and self.withheld is None and self.inf is not None
+
+
+EMPTY = empty_set()
+ALL = upfrom(1)
+
+# The predicate part of a cube whose literals clash.
+UNSAT = object()
 
 
 # -- theory base -------------------------------------------------------------
 
 
 class Theory:
-    """Base class; concrete theories fill in the procedures they support."""
+    """Base class: derives every query from ``shape`` and the equality minimum."""
 
     name: str
     signature: Signature
@@ -196,42 +239,166 @@ class Theory:
     # signature instead.
     positive_guards_only: bool = True
 
-    # -- core ops ---------------------------------------------------------
+    # Bound on the satisfiability scan through a shape's oracle test.
+    cap: int = DEFAULT_ITERATION_CAP
 
-    def decide_cube(self, cube: Cube) -> bool:
+    # -- declared by each theory ----------------------------------------
+
+    def shape(self, part) -> Shape:
         raise NotImplementedError
-
-    def spec_finite(self, cube: Cube, k: int) -> bool:
-        raise CapabilityMissing(self.name, "spec_finite")
-
-    def spec_inf(self, cube: Cube) -> bool:
-        raise CapabilityMissing(self.name, "spec_inf")
-
-    def exact_spectrum(self, cube: Cube) -> ExactSpectrum:
-        raise CapabilityMissing(self.name, "exact_spectrum")
-
-    def minmod_cube(self, cube: Cube) -> Card | None:
-        """Closed-form minimum spectrum element, or None when the theory
-        has no certified closed form (the view then falls back to search)."""
-        return None
-
-    def nshiny_classify(self, cube: Cube) -> tuple[int, int] | None:
-        """Spectrum shape for n-shiny owners: (0, n) for {n}; (1, k) for
-        {n} plus the tail from k; (2, k) for the tail from k.  None when
-        the cube is unsatisfiable."""
-        raise CapabilityMissing(self.name, "nshiny_classify")
 
     def model_check(self, size: int, true_preds: frozenset[PredicateId]) -> bool:
         """Whether a finite model of this size with exactly these true
         predicates satisfies every (non-vacuous) axiom."""
         raise NotImplementedError
 
-    # -- internal hints (not capabilities) ---------------------------------
+    # -- reading a cube ---------------------------------------------------
+
+    def check_pred(self, pid: PredicateId):
+        """Raise SignatureError for a predicate this theory does not own or
+        whose indices its grammar rejects."""
+        if not self.signature.owns(pid):
+            raise SignatureError(f"{self.name} does not own predicate {pid}")
+        self.validate_indices(pid)
+
+    def validate_indices(self, pid: PredicateId):
+        if "inf" in pid.indices:
+            raise SignatureError(f"{self.name} has no infinite-index predicate {pid}")
+
+    def read_part(self, cube: Cube):
+        """The cube's predicate part: its unique positive predicate, or None.
+        UNSAT when its literals clash or two distinct predicates are
+        positive, since distinct predicates exclude each other."""
+        positive = []
+        for lit in cube.pred_literals():
+            self.check_pred(lit.pred)
+            if lit.positive:
+                positive.append(lit.pred)
+        if cube.contradictory or len(positive) > 1:
+            return UNSAT
+        return positive[0] if positive else None
+
+    @cached_property
+    def _shapes(self) -> dict:
+        # One shape per predicate part, built on first use.
+        return {}
+
+    def _shape(self, cube: Cube) -> Shape | None:
+        """The shape of the cube's predicate part; None when it is UNSAT."""
+        part = self.read_part(cube)
+        if part is UNSAT:
+            return None
+        shape = self._shapes.get(part)
+        if shape is None:
+            shape = self._shapes[part] = self.shape(part)
+        return shape
+
+    # -- derived queries --------------------------------------------------
+
+    def decide_cube(self, cube: Cube) -> bool:
+        """Exact quantifier-free satisfiability of the cube."""
+        shape = self._shape(cube)
+        if shape is None:
+            return False
+        mm = minmod_equalities(cube)
+        if mm is None:
+            return False
+        if shape.inf:
+            return True
+        if shape.allow is None:
+            return shape.finite.min_from(mm) is not None
+        k = mm
+        while shape.allow(k):
+            if k in shape.finite:
+                return True
+            k += 1
+            if k - mm > self.cap:
+                raise IterationCapExceeded("satisfiability scan", self.cap)
+        return False
+
+    def decide_at_least(self, cube: Cube, k: int) -> bool:
+        """Whether the cube has a model of at least k elements."""
+        return self.decide_cube(clique_extension(cube, k))
+
+    def spec_finite(self, cube: Cube, k: int) -> bool:
+        """Finite spectrum membership; CapabilityMissing on a withheld size."""
+        shape = self._shape(cube)
+        if shape is None or k < 1:
+            return False
+        withheld = shape.withheld is not None and k in shape.withheld
+        if not withheld and k not in shape.finite:
+            return False
+        mm = minmod_equalities(cube)
+        if mm is None or k < mm:
+            return False
+        if withheld:
+            raise CapabilityMissing(self.name, "spec_finite", f"membership of {k} {shape.why}")
+        return shape.allow is None or shape.allow(k)
+
+    def spec_inf(self, cube: Cube) -> bool:
+        """Infinite spectrum membership; CapabilityMissing when withheld."""
+        shape = self._shape(cube)
+        if shape is None or shape.inf is False or minmod_equalities(cube) is None:
+            return False
+        if shape.inf is None:
+            raise CapabilityMissing(self.name, "spec_inf", shape.why)
+        return True
+
+    def minmod_cube(self, cube: Cube) -> Card | None:
+        """Closed-form minimum spectrum element, or None when the theory
+        has no certified closed form (the view then falls back to search)."""
+        shape = self._shape(cube)
+        if shape is None or not shape.known:
+            return None
+        mm = minmod_equalities(cube)
+        if mm is None:
+            return None
+        first = shape.finite.min_from(mm)
+        if first is not None:
+            return first
+        return ALEPH0 if shape.inf else None
+
+    def cube_spectrum_exact(self, cube: Cube) -> ExactSpectrum | None:
+        """Exact spectrum when computable without undecidable queries;
+        None otherwise.  Powers structural probes only."""
+        shape = self._shape(cube)
+        mm = None if shape is None else minmod_equalities(cube)
+        if mm is None:
+            return ExactSpectrum(EMPTY, False)
+        if not shape.known:
+            return None
+        return ExactSpectrum(shape.finite.intersect(upfrom(mm)), shape.inf)
+
+    def exact_spectrum(self, cube: Cube) -> ExactSpectrum:
+        """Full materialization, for gentle theories."""
+        if not self.certificate.gentle:
+            raise CapabilityMissing(self.name, "exact_spectrum")
+        return self.cube_spectrum_exact(cube)
+
+    def nshiny_classify(self, cube: Cube) -> tuple[int, int] | None:
+        """Spectrum shape for n-shiny owners: (0, n) for {n}; (1, k) for
+        {n} plus the tail from k; (2, k) for the tail from k.  None when
+        the cube is unsatisfiable.  The catalog's n-shiny shapes are
+        singletons and tails, so (1, k) does not arise."""
+        if not self.certificate.shiny and self.certificate.n_shiny_param is None:
+            raise CapabilityMissing(self.name, "nshiny_classify")
+        shape = self._shape(cube)
+        mm = None if shape is None else minmod_equalities(cube)
+        first = None if mm is None else shape.finite.min_from(mm)
+        if first is None:
+            return None
+        return (2, first) if shape.inf else (0, first)
 
     def infinite_only(self, cube: Cube) -> bool:
         """True when the procedure knows every model of the cube is infinite.
         Consumed by oracle-agreement suites; never a public capability."""
-        return False
+        shape = self._shape(cube)
+        if shape is None or shape.inf is not True or not shape.known or shape.finite.is_infinite():
+            return False
+        mm = minmod_equalities(cube)
+        return mm is not None and shape.finite.min_from(mm) is None
+
+    # -- sampling -----------------------------------------------------------
 
     def sample_pred(self, rng) -> PredicateId | None:
         """A random predicate of this signature, for test-cube sampling.
@@ -250,18 +417,6 @@ class Theory:
         i = rng.randint(1, bound - 1)
         j = rng.randint(i + 1, bound)
         return PredicateId(fam, (i, j, rng.randint(1, 9)))
-
-    def cube_spectrum_exact(self, cube: Cube) -> ExactSpectrum | None:
-        """Exact spectrum when computable without undecidable queries;
-        None otherwise.  Powers structural probes only."""
-        return None
-
-    # -- shared helpers -----------------------------------------------------
-
-    def check_owned(self, cube: Cube):
-        for lit in cube.pred_literals():
-            if not self.signature.owns(lit.pred):
-                raise SignatureError(f"{self.name} does not own predicate {lit.pred}")
 
     def __repr__(self) -> str:
         return f"<theory {self.name}>"

@@ -156,3 +156,10 @@ def test_verdict_json_round_trips(capsys):
     v = json.loads(out.strip())
     assert set(v) == {"sat", "method", "witness", "stats"}
     assert json.loads(json.dumps(v)) == v
+
+
+def test_combine_override_outside_certificate_exits_2(capsys):
+    # T_inf has no finite minimal model, so the shiny procedure cannot run.
+    code, _, err = run_cli(capsys, "combine", "T_inf", "T_eq_P", "(= x x)", "--method", "shiny", "--override")
+    assert code == 2
+    assert err.startswith("error:")

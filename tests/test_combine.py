@@ -23,12 +23,7 @@ from combinekit.combine import (
     SMCS,
     Method,
     combine_decide,
-    intersect_cs,
-    intersect_gentle,
-    intersect_nshiny,
-    intersect_quasigentle,
-    intersect_shiny,
-    intersect_smcs,
+    intersect,
     method_applicable,
     n_shiny,
     quasi_gentle,
@@ -126,26 +121,26 @@ def test_smcs_combination_examples():
 
 def test_intersect_shiny_examples():
     teq, tle3 = EqualityTheory(), MaxSizeTheory(3)
-    assert intersect_shiny(view(teq, TOP), view(tle3, TOP))
+    assert intersect(SHINY, view(teq, TOP), view(tle3, TOP))
     c4 = neq_clique(["a", "b", "c", "d"], 4)
-    assert not intersect_shiny(view(teq, c4), view(tle3, TOP))
+    assert not intersect(SHINY, view(teq, c4), view(tle3, TOP))
     bad = Cube((EqualityLiteral("x", "x", False),))
-    assert not intersect_shiny(view(teq, bad), view(tle3, TOP))
+    assert not intersect(SHINY, view(teq, bad), view(tle3, TOP))
 
 
 def test_intersect_smcs_examples():
-    assert intersect_smcs(view(MinSizeTheory(2), TOP), view(ExactSizeTheory(3), TOP))
-    assert not intersect_smcs(view(MinSizeTheory(4), TOP), view(ExactSizeTheory(3), TOP))
-    assert intersect_smcs(view(MinSizeTheory(2), TOP), view(InfiniteOnlyTheory(), TOP))
+    assert intersect(SMCS, view(MinSizeTheory(2), TOP), view(ExactSizeTheory(3), TOP))
+    assert not intersect(SMCS, view(MinSizeTheory(4), TOP), view(ExactSizeTheory(3), TOP))
+    assert intersect(SMCS, view(MinSizeTheory(2), TOP), view(InfiniteOnlyTheory(), TOP))
 
 
 def test_intersect_cs_examples():
-    assert intersect_cs(view(MaxSizeTheory(3), TOP), view(MinSizeTheory(2), TOP))
-    assert not intersect_cs(view(MaxSizeTheory(2), TOP), view(MinSizeTheory(3), TOP))
+    assert intersect(CS, view(MaxSizeTheory(3), TOP), view(MinSizeTheory(2), TOP))
+    assert not intersect(CS, view(MaxSizeTheory(2), TOP), view(MinSizeTheory(3), TOP))
     tcs1, tcs2 = SingletonOrInfiniteTheory(), SingletonOrInfiniteTheory("Q")
     p1 = Cube((PredicateLiteral(PredicateId("P", ()), True),))
     p2 = Cube((PredicateLiteral(PredicateId("Q", ()), True),))
-    assert intersect_cs(view(tcs1, p1), view(tcs2, p2))
+    assert intersect(CS, view(tcs1, p1), view(tcs2, p2))
 
 
 def test_intersect_nshiny_examples():
@@ -156,27 +151,27 @@ def test_intersect_nshiny_examples():
     def pin(k):
         return Cube((PredicateLiteral(PredicateId("P", (k,)), True),))
 
-    assert intersect_nshiny(view(tns, P), view(tp, pin(4)), 4)
-    assert not intersect_nshiny(view(tns, P), view(tp, pin(5)), 4)
-    assert intersect_nshiny(view(tns, notP), view(tp, pin(7)), 4)
+    assert intersect(n_shiny(4), view(tns, P), view(tp, pin(4)))
+    assert not intersect(n_shiny(4), view(tns, P), view(tp, pin(5)))
+    assert intersect(n_shiny(4), view(tns, notP), view(tp, pin(7)))
 
 
 def test_intersect_quasigentle_examples():
     sa = SizeCapTheory(upfrom(1))
     se = SizeCapTheory(evens(), family="Q")
     c3 = neq_clique(["a", "b", "c"], 3)
-    assert intersect_quasigentle(view(sa, XY), view(se, c3))
+    assert intersect(quasi_gentle(), view(sa, XY), view(se, c3))
     p3 = Cube((PredicateLiteral(PredicateId("Q", (3,)), True),))
     c5 = neq_clique(["a", "b", "c", "d", "e"], 5)
-    assert not intersect_quasigentle(view(se, p3), view(sa.__class__(evens(), family="P"), c5))
+    assert not intersect(quasi_gentle(), view(se, p3), view(sa.__class__(evens(), family="P"), c5))
     bad = Cube((EqualityLiteral("x", "x", False),))
-    assert not intersect_quasigentle(view(sa, bad), view(se, TOP))
+    assert not intersect(quasi_gentle(), view(sa, bad), view(se, TOP))
 
 
 def test_intersect_gentle_short_circuits_empty():
     tle3, tp = MaxSizeTheory(3), SizePinTheory()
     bad = Cube((EqualityLiteral("x", "x", False),))
-    assert not intersect_gentle(view(tle3, bad), view(tp, TOP))
+    assert not intersect(GENTLE, view(tle3, bad), view(tp, TOP))
 
 
 def test_gentle_detects_purely_infinite_intersections():

@@ -11,7 +11,7 @@ from combinekit.catalog import (
 from combinekit.errors import CapabilityMissing, IterationCapExceeded
 from combinekit.formulas import Cube, EqualityLiteral, neq_clique, parse_formula, to_dnf
 from combinekit.sets import ALEPH0, empty_set, evens, finite_set, upfrom
-from combinekit.spectra import ExactSpectrum, exact_spectrum, max_finite, minmod, spec_contains, view
+from combinekit.spectra import ExactSpectrum, view
 
 TOP = Cube(())
 XY_DISTINCT = Cube((EqualityLiteral("x", "y", False),))
@@ -36,10 +36,10 @@ def test_exact_spectrum_shapes_and_json():
 
 
 def test_spec_contains_examples():
-    assert spec_contains(view(ExactSizeTheory(3), TOP), 3)
+    assert view(ExactSizeTheory(3), TOP).contains(3)
     tinf = InfiniteOnlyTheory()
-    assert not spec_contains(view(tinf, XY_DISTINCT), 5)
-    assert spec_contains(view(tinf, XY_DISTINCT), ALEPH0)
+    assert not view(tinf, XY_DISTINCT).contains(5)
+    assert view(tinf, XY_DISTINCT).contains(ALEPH0)
 
 
 def test_spec_contains_capability_gating():
@@ -60,19 +60,19 @@ def test_spec_contains_capability_gating():
 
 
 def test_max_finite_examples():
-    assert max_finite(view(MaxSizeTheory(3), TOP)) == 3
-    assert max_finite(view(ExactSizeTheory(4), TOP)) == 4
+    assert view(MaxSizeTheory(3), TOP).max_finite() == 3
+    assert view(ExactSizeTheory(4), TOP).max_finite() == 4
     with pytest.raises(IterationCapExceeded):
-        max_finite(view(EqualityTheory(), TOP), cap=100)
-    assert max_finite(view(MaxSizeTheory(2), neq_clique(["a", "b", "c"], 3))) is None
+        view(EqualityTheory(), TOP).max_finite(cap=100)
+    assert view(MaxSizeTheory(2), neq_clique(["a", "b", "c"], 3)).max_finite() is None
 
 
 def test_minmod_examples():
     teq = EqualityTheory()
-    assert minmod(view(teq, neq_clique(["x", "y", "z"], 3))) == 3
-    assert minmod(view(teq, to_dnf(parse_formula("(= x y)"))[0])) == 1
-    assert minmod(view(InfiniteOnlyTheory(), TOP)) is ALEPH0
-    assert minmod(view(MaxSizeTheory(2), neq_clique(["a", "b", "c"], 3))) is None
+    assert view(teq, neq_clique(["x", "y", "z"], 3)).minmod() == 3
+    assert view(teq, to_dnf(parse_formula("(= x y)"))[0]).minmod() == 1
+    assert view(InfiniteOnlyTheory(), TOP).minmod() is ALEPH0
+    assert view(MaxSizeTheory(2), neq_clique(["a", "b", "c"], 3)).minmod() is None
 
 
 def test_minmod_consistency_property(catalog, rng):
@@ -88,13 +88,13 @@ def test_minmod_consistency_property(catalog, rng):
 
 
 def test_exact_spectrum_examples():
-    got = exact_spectrum(view(MaxSizeTheory(3), XY_DISTINCT))
+    got = view(MaxSizeTheory(3), XY_DISTINCT).exact()
     assert got == ExactSpectrum(finite_set([2, 3]), False)
-    got = exact_spectrum(view(MinSizeTheory(2), TOP))
+    got = view(MinSizeTheory(2), TOP).exact()
     assert got.finite_part == upfrom(2)
     assert got.has_inf
     bad = Cube((EqualityLiteral("x", "x", False),))
-    assert exact_spectrum(view(MaxSizeTheory(3), bad)).is_empty()
+    assert view(MaxSizeTheory(3), bad).exact().is_empty()
 
 
 def test_exact_agrees_with_contains_pointwise(catalog, rng):
