@@ -45,7 +45,7 @@ from .formulas import (
 )
 from .sets import ALEPH0, Card, EvPeriodicSet, bitzero, evens, parse_set_literal, upfrom
 from .spectra import ExactSpectrum, SpectrumView, view
-from .theories import FOracle, Model, Theory, identity_oracle
+from .theories import FOracle, Theory, identity_oracle
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "IterationCapExceeded",
     "Method",
     "MethodNotApplicable",
-    "Model",
     "NELSON_OPPEN",
     "ParseError",
     "PredicateId",

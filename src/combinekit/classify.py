@@ -20,6 +20,7 @@ from .errors import CapabilityMissing
 from .filters import NO, YES, FreeFilter, filter_includes, frechet, generated
 from .formulas import Cube, PredicateLiteral
 from .properties import CLASSES, LATTICE_EDGES
+from .properties import class_ancestors  # noqa: F401  (re-exported)
 from .sets import bitzero, finite_set, upfrom
 from .spectra import ExactSpectrum, view
 from .theories import Theory
@@ -325,19 +326,6 @@ def refute_class(
 
 
 # -- lattice -------------------------------------------------------------------
-
-
-def class_ancestors(cls: str) -> frozenset[str]:
-    """The class and everything reachable upward from it."""
-    out = {cls}
-    changed = True
-    while changed:
-        changed = False
-        for lo, hi in LATTICE_EDGES:
-            if lo in out and hi not in out:
-                out.add(hi)
-                changed = True
-    return frozenset(out)
 
 
 def strongest_classes(theory: Theory, *, n: int = 4, filt: FreeFilter | None = None) -> list[str]:

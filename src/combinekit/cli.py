@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from .brute import brute_spectrum, random_cube
 from .classify import build_lattice, filter_chain_demo, probe_certificate
-from .combine import Method, combine_decide, quasi_gentle, n_shiny
+from .combine import METHODS, Method, combine_decide, n_shiny
 from .diagonal import run_rounds
 from .errors import CombineKitError
 from .formulas import parse_formula, to_dnf
@@ -38,26 +39,19 @@ def _parse_for(theory: Theory, text: str):
     return parse_formula(text, resolver)
 
 
-def _method_from_flag(name: str | None, registry: Registry):
-    if name is None or name == "auto":
+def _method_from_flag(name: str) -> Method | None:
+    """``auto``, a `METHODS` kind (``no`` for nelson-oppen), or
+    ``n-shiny(<n>)``; bare ``n-shiny`` has no default n."""
+    if name == "auto":
         return None
-    name = name.lower()
-    table = {
-        "shiny": Method("shiny"),
-        "nelson-oppen": Method("nelson-oppen"),
-        "no": Method("nelson-oppen"),
-        "gentle": Method("gentle"),
-        "smcs": Method("smcs"),
-        "cs": Method("cs"),
-    }
-    if name in table:
-        return table[name]
-    if name.startswith("n-shiny"):
-        inner = name[len("n-shiny") :].strip("():")
-        return n_shiny(int(inner)) if inner else n_shiny(4)
-    if name.startswith("quasi-gentle"):
-        return quasi_gentle()
-    raise CombineKitError(f"unknown method {name!r}")
+    kind = "nelson-oppen" if name == "no" else name
+    if kind in METHODS and kind != "n-shiny":
+        return Method(kind)
+    m = re.fullmatch(r"n-shiny\(([1-9][0-9]*)\)", name)
+    if m:
+        return n_shiny(int(m.group(1)))
+    accepted = ["auto", "no", *(k for k in METHODS if k != "n-shiny"), "n-shiny(<n>)"]
+    raise CombineKitError(f"unknown method {name!r}; accepted: {', '.join(accepted)}")
 
 
 def cmd_decide(args, registry: Registry) -> int:
@@ -73,7 +67,7 @@ def cmd_combine(args, registry: Registry) -> int:
     t2 = registry.resolve(args.theory2)
     resolver = getattr(t1, "resolver", None) or getattr(t2, "resolver", None)
     f = parse_formula(args.formula, resolver)
-    method = _method_from_flag(args.method, registry)
+    method = _method_from_flag(args.method)
     verdict = combine_decide(t1, t2, f, method, override=args.override, cap=args.cap)
     _emit(verdict.to_json(), args.format)
     return EXIT_SAT if verdict.sat else EXIT_UNSAT
@@ -195,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("theory1")
     c.add_argument("theory2")
     c.add_argument("formula")
-    c.add_argument("--method", default="auto")
+    c.add_argument("--method", default="auto", help="auto, a method kind, no, or n-shiny(<n>)")
     c.add_argument("--override", action="store_true", help="run the method even if its hypotheses fail")
     c.set_defaults(fn=cmd_combine)
 
@@ -236,12 +230,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         registry = load_registry(args.config)
         return args.fn(args, registry)
-    except CombineKitError as e:
+    except (CombineKitError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
+    except Exception as e:  # an internal fault still exits 2, never 1 ("unsat")
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -28,91 +28,6 @@ from .sets import ALEPH0, Card, card_to_json, is_finite_card
 from .spectra import DEFAULT_ITERATION_CAP, SpectrumView, view
 from .theories import Theory
 
-METHOD_KINDS = (
-    "nelson-oppen",
-    "gentle",
-    "cs",
-    "smcs",
-    "n-shiny",
-    "quasi-gentle",
-    "shiny",
-)
-
-
-@dataclass(frozen=True)
-class Method:
-    """A combination method choice; n-shiny carries its cardinality and
-    quasi-gentle the filter used for applicability certification."""
-
-    kind: str
-    n: int | None = None
-    filt: FreeFilter | None = None
-
-    def __post_init__(self):
-        if self.kind not in METHOD_KINDS:
-            raise ValueError(f"unknown method {self.kind!r}")
-        if self.kind == "n-shiny" and (self.n is None or self.n < 1):
-            raise ValueError("n-shiny needs a positive n")
-        if self.kind == "quasi-gentle" and self.filt is None:
-            object.__setattr__(self, "filt", frechet())
-
-    def label(self) -> str:
-        if self.kind == "n-shiny":
-            return f"n-shiny({self.n})"
-        if self.kind == "quasi-gentle":
-            return f"quasi-gentle({self.filt.name})"
-        return self.kind
-
-
-SHINY = Method("shiny")
-NELSON_OPPEN = Method("nelson-oppen")
-GENTLE = Method("gentle")
-SMCS = Method("smcs")
-CS = Method("cs")
-
-
-def n_shiny(n: int) -> Method:
-    return Method("n-shiny", n=n)
-
-
-def quasi_gentle(filt: FreeFilter | None = None) -> Method:
-    return Method("quasi-gentle", filt=filt or frechet())
-
-
-def method_applicable(method: Method, t1: Theory, t2: Theory) -> bool:
-    """Whether the certificates of (t1, t2), in this order, satisfy the
-    method's hypotheses.  The shell additionally tries the swapped order."""
-    c1, c2 = t1.certificate, t2.certificate
-    if method.kind == "shiny":
-        return c1.shiny
-    if method.kind == "nelson-oppen":
-        return c1.stably_infinite and c2.stably_infinite
-    if method.kind == "gentle":
-        return c1.gentle and c2.cfs
-    if method.kind == "smcs":
-        return c1.smooth and c1.cs and c2.infinitely_decidable
-    if method.kind == "cs":
-        # Both finite-computable; side1 decides the infinite question, and
-        # side2 must only if side1's answer can ever be positive.
-        return (
-            c1.cfs
-            and c2.cfs
-            and c1.infinitely_decidable
-            and (c2.infinitely_decidable or c1.never_infinite)
-        )
-    if method.kind == "n-shiny":
-        return c1.is_n_shiny(method.n) and c2.is_n_decidable(method.n)
-    return c1.is_fqg(method.filt) and c2.is_cofqg(method.filt)
-
-
-def hypothesis_diff(method: Method, t1: Theory, t2: Theory) -> str:
-    """Human-readable reason the method fails for the pair, both orders."""
-    lines = []
-    for a, b in ((t1, t2), (t2, t1)):
-        if not method_applicable(method, a, b):
-            lines.append(f"({a.name}, {b.name}) fails {method.label()} hypotheses")
-    return "; ".join(lines) if lines else "applicable"
-
 
 @dataclass
 class _Stats:
@@ -156,7 +71,7 @@ class CombinationVerdict:
 # license; the views refuse anything else with CapabilityMissing.
 
 
-def _run_shiny(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
+def _run_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
     if not v1.sat():
         return False, None
     k = v1.minmod(cap)
@@ -166,13 +81,13 @@ def _run_shiny(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
     return v2.owner.decide_at_least(v2.cube, k), None
 
 
-def _run_nelson_oppen(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
+def _run_nelson_oppen(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
     if v1.sat() and v2.sat():
         return True, ALEPH0
     return False, None
 
 
-def _run_gentle(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
+def _run_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
     spec1 = v1.exact()
     if spec1.is_empty():
         return False, None
@@ -189,7 +104,7 @@ def _run_gentle(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
     return v2.owner.decide_at_least(v2.cube, top + 1), None
 
 
-def _run_smcs(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
+def _run_smcs(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
     if v2.contains(ALEPH0):
         if v1.sat():
             return True, ALEPH0
@@ -201,7 +116,7 @@ def _run_smcs(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
     return False, None
 
 
-def _run_cs(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
+def _run_cs(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
     inf1 = v1.contains(ALEPH0)
     if inf1 and v2.contains(ALEPH0):
         return True, ALEPH0
@@ -213,7 +128,8 @@ def _run_cs(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
     return False, None
 
 
-def _run_n_shiny(v1: SpectrumView, v2: SpectrumView, n: int, cap: int, stats: _Stats):
+def _run_n_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
+    n = method.n
     if not v1.sat():
         return False, None
     if v1.contains(n) and v2.contains(n):
@@ -229,7 +145,7 @@ def _run_n_shiny(v1: SpectrumView, v2: SpectrumView, n: int, cap: int, stats: _S
     return v2.owner.decide_at_least(v2.cube, k), None
 
 
-def _run_quasi_gentle(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
+def _run_quasi_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
     n = 1
     while v1.owner.decide_at_least(v1.cube, n) and v2.owner.decide_at_least(v2.cube, n):
         if v1.contains(n) and v2.contains(n):
@@ -241,20 +157,80 @@ def _run_quasi_gentle(v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stat
     return False, None
 
 
-_RUNNERS = {
-    "shiny": _run_shiny,
-    "nelson-oppen": _run_nelson_oppen,
-    "gentle": _run_gentle,
-    "smcs": _run_smcs,
-    "cs": _run_cs,
-    "quasi-gentle": _run_quasi_gentle,
+# Each method as (side-1 class, side-2 class, runner), in the cheapest-first
+# order auto-selection tries them.  n-shiny reads the method's n, and
+# quasi-gentle its filter, for both memberships.
+METHODS = {
+    "nelson-oppen": ("SI", "SI", _run_nelson_oppen),
+    "gentle": ("gentle", "CFS", _run_gentle),
+    "cs": ("CS", "CS", _run_cs),
+    "smcs": ("SM+CS", "ID", _run_smcs),
+    "n-shiny": ("n-shiny", "n-decidable", _run_n_shiny),
+    "quasi-gentle": ("F-QG", "co-F-QG", _run_quasi_gentle),
+    "shiny": ("shiny", "decidable", _run_shiny),
 }
 
 
-def _run_method(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
-    if method.kind == "n-shiny":
-        return _run_n_shiny(v1, v2, method.n, cap, stats)
-    return _RUNNERS[method.kind](v1, v2, cap, stats)
+@dataclass(frozen=True)
+class Method:
+    """A combination method choice; n-shiny carries its cardinality and
+    quasi-gentle the filter used for applicability certification."""
+
+    kind: str
+    n: int | None = None
+    filt: FreeFilter | None = None
+
+    def __post_init__(self):
+        if self.kind not in METHODS:
+            raise ValueError(f"unknown method {self.kind!r}")
+        if self.kind == "n-shiny" and (self.n is None or self.n < 1):
+            raise ValueError("n-shiny needs a positive n")
+        if self.kind == "quasi-gentle" and self.filt is None:
+            object.__setattr__(self, "filt", frechet())
+
+    def label(self) -> str:
+        if self.kind == "n-shiny":
+            return f"n-shiny({self.n})"
+        if self.kind == "quasi-gentle":
+            return f"quasi-gentle({self.filt.name})"
+        return self.kind
+
+
+SHINY = Method("shiny")
+NELSON_OPPEN = Method("nelson-oppen")
+GENTLE = Method("gentle")
+SMCS = Method("smcs")
+CS = Method("cs")
+
+
+def n_shiny(n: int) -> Method:
+    return Method("n-shiny", n=n)
+
+
+def quasi_gentle(filt: FreeFilter | None = None) -> Method:
+    return Method("quasi-gentle", filt=filt or frechet())
+
+
+def method_applicable(method: Method, t1: Theory, t2: Theory) -> bool:
+    """Whether the certificates of (t1, t2), in this order, satisfy the
+    method's hypotheses.  The shell additionally tries the swapped order."""
+    side1, side2, _ = METHODS[method.kind]
+    c1, c2 = t1.certificate, t2.certificate
+    if not c1.member(side1, n=method.n, filt=method.filt):
+        return False
+    if method.kind == "cs" and c1.never_infinite:
+        # Side 1 never has an infinite model, so side 2 need not decide it.
+        side2 = "CFS"
+    return c2.member(side2, n=method.n, filt=method.filt)
+
+
+def hypothesis_diff(method: Method, t1: Theory, t2: Theory) -> str:
+    """Human-readable reason the method fails for the pair, both orders."""
+    lines = []
+    for a, b in ((t1, t2), (t2, t1)):
+        if not method_applicable(method, a, b):
+            lines.append(f"({a.name}, {b.name}) fails {method.label()} hypotheses")
+    return "; ".join(lines) if lines else "applicable"
 
 
 def intersect(
@@ -262,29 +238,26 @@ def intersect(
 ) -> bool:
     """Whether the two views' spectra meet, by the method's procedure;
     the first view is the side the method's hypotheses are about."""
-    return _run_method(method, v1, v2, cap, _Stats())[0]
+    run = METHODS[method.kind][2]
+    return run(method, v1, v2, cap, _Stats())[0]
 
 
 # -- method selection ---------------------------------------------------------
 
-AUTO_ORDER = ("nelson-oppen", "gentle", "cs", "smcs", "n-shiny", "quasi-gentle", "shiny")
-
 
 def _candidate_methods(kind: str, t1: Theory, t2: Theory) -> Iterator[Method]:
-    if kind == "n-shiny":
-        for t in (t1, t2):
-            if t.certificate.n_shiny_param is not None:
-                yield n_shiny(t.certificate.n_shiny_param)
-    elif kind == "quasi-gentle":
-        yield quasi_gentle(frechet())
-    else:
+    if kind != "n-shiny":
         yield Method(kind)
+        return
+    for t in (t1, t2):
+        if t.certificate.n_shiny_param is not None:
+            yield n_shiny(t.certificate.n_shiny_param)
 
 
 def select_method(t1: Theory, t2: Theory) -> tuple[Method, bool] | None:
-    """First applicable method in the fixed cheapest-first order; the
-    boolean says whether the theory order had to be swapped."""
-    for kind in AUTO_ORDER:
+    """First applicable method in `METHODS` order; the boolean says
+    whether the theory order had to be swapped."""
+    for kind in METHODS:
         for m in _candidate_methods(kind, t1, t2):
             if method_applicable(m, t1, t2):
                 return m, False
@@ -326,6 +299,7 @@ def combine_decide(
         else:
             raise MethodNotApplicable(hypothesis_diff(method, t1, t2))
 
+    run = METHODS[method.kind][2]
     stats = _Stats()
     label = method.label() + (" [sides swapped]" if swapped else "")
     cubes = to_dnf(f) if not isinstance(f, Cube) else ([f] if not f.contradictory else [])
@@ -339,7 +313,7 @@ def combine_decide(
             a1, a2 = c1.join(delta), c2.join(delta)
             first, second = (a2, a1) if swapped else (a1, a2)
             ft, st = (t2, t1) if swapped else (t1, t2)
-            ok, card = _run_method(method, view(ft, first), view(st, second), cap, stats)
+            ok, card = run(method, view(ft, first), view(st, second), cap, stats)
             if ok:
                 sat = True
                 witness = (arr, card) if card is not None else None

@@ -160,9 +160,6 @@ class Cube:
     def with_literals(self, extra: Iterable[Literal]) -> "Cube":
         return Cube(self.literals + tuple(extra))
 
-    def without_preds(self) -> "Cube":
-        return Cube(self.eq_literals())
-
     def __str__(self) -> str:
         return "{" + ", ".join(str(l) for l in self.literals) + "}" if self.literals else "{}"
 

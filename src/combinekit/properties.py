@@ -1,9 +1,10 @@
 """Theory combination property certificates and their inclusion lattice.
 
 A certificate records which combination-relevant properties a theory's
-implementation actually supports.  Construction enforces the closure of
-the inclusion lattice (15 edges): every implied property is filled in,
-and an explicit denial of an implied property is rejected.
+implementation actually supports.  Construction closes the declared
+classes upward along the inclusion lattice (`LATTICE_EDGES`, 15 edges):
+every implied property is filled in, and an explicit denial of an
+implied property is rejected.  `MEMBERSHIP` is the one test per class.
 
 Parameterized properties are rule-valued: n-decidability is a rule over
 cardinalities, quasi-gentleness (and its co-variant) a rule over free
@@ -13,6 +14,7 @@ filters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .filters import NO, YES, FreeFilter
 
@@ -110,10 +112,6 @@ class PropertyCertificate:
     def sm_cs(self) -> bool:
         return self.smooth and self.cs
 
-    @property
-    def polite(self) -> bool:
-        return self.smooth and self.finitely_witnessable
-
     def is_n_decidable(self, k: int) -> bool:
         return self.cfs or _eval_ndec(self.n_decidable_rule, k)
 
@@ -127,55 +125,59 @@ class PropertyCertificate:
         return self.is_fqg(filt) or _eval_filter_rule(self.cofqg_rule, filt)
 
     def member(self, cls: str, *, n: int | None = None, filt: FreeFilter | None = None) -> bool:
-        """Membership of this theory in a lattice class."""
-        if cls == "decidable":
-            return True
-        if cls == "n-decidable":
-            assert n is not None
-            return self.is_n_decidable(n)
-        if cls == "CFS":
-            return self.cfs
-        if cls == "ID":
-            return self.infinitely_decidable
-        if cls == "co-F-QG":
-            assert filt is not None
-            return self.is_cofqg(filt)
-        if cls == "CS":
-            return self.cs
-        if cls == "SI":
-            return self.stably_infinite
-        if cls == "F-QG":
-            assert filt is not None
-            return self.is_fqg(filt)
-        if cls == "gentle":
-            return self.gentle
-        if cls == "SM+CS":
-            return self.sm_cs
-        if cls == "n-shiny":
-            assert n is not None
-            return self.is_n_shiny(n)
-        if cls == "shiny":
-            return self.shiny
-        raise ValueError(f"unknown class {cls!r}")
+        """Membership of this theory in a lattice class; n-decidable and
+        n-shiny need ``n``, F-QG and co-F-QG need ``filt``."""
+        if cls not in MEMBERSHIP:
+            raise ValueError(f"unknown class {cls!r}")
+        param, test = MEMBERSHIP[cls]
+        arg = {"n": n, "filt": filt}.get(param)
+        if param is not None and arg is None:
+            raise ValueError(f"membership in {cls} needs {param}")
+        return test(self, arg)
 
-    def flags_json(self) -> dict:
-        return {
-            "cfs": self.cfs,
-            "id": self.infinitely_decidable,
-            "cs": self.cs,
-            "si": self.stably_infinite,
-            "smooth": self.smooth,
-            "fmp": self.fmp,
-            "minmod_computable": self.minmod_computable,
-            "gentle": self.gentle,
-            "sm_cs": self.sm_cs,
-            "shiny": self.shiny,
-            "never_infinite": self.never_infinite,
-            "n_shiny": self.n_shiny_param,
-            "n_decidable": list(map(str, self.n_decidable_rule)),
-            "fqg": self.fqg_rule[0],
-            "cofqg": self.cofqg_rule[0],
-        }
+
+# Each lattice class as (the parameter its membership needs, its test).
+MEMBERSHIP = {
+    "decidable": (None, lambda c, _: True),
+    "n-decidable": ("n", PropertyCertificate.is_n_decidable),
+    "CFS": (None, lambda c, _: c.cfs),
+    "ID": (None, lambda c, _: c.infinitely_decidable),
+    "co-F-QG": ("filt", PropertyCertificate.is_cofqg),
+    "CS": (None, lambda c, _: c.cs),
+    "SI": (None, lambda c, _: c.stably_infinite),
+    "F-QG": ("filt", PropertyCertificate.is_fqg),
+    "gentle": (None, lambda c, _: c.gentle),
+    "SM+CS": (None, lambda c, _: c.sm_cs),
+    "n-shiny": ("n", PropertyCertificate.is_n_shiny),
+    "shiny": (None, lambda c, _: c.shiny),
+}
+
+# The declared field behind each class that has one, and the value that
+# membership forces on it.  co-F-QG membership reads "F-QG, or the
+# co-rule", so forcing it only rejects an explicit ("none",).
+FORCED_FIELDS = {
+    "CFS": ("cfs", True),
+    "ID": ("infinitely_decidable", True),
+    "SI": ("stably_infinite", True),
+    "SM+CS": ("smooth", True),
+    "gentle": ("gentle", True),
+    "F-QG": ("fqg_rule", ("all",)),
+    "co-F-QG": ("cofqg_rule", None),
+}
+
+
+@cache
+def class_ancestors(cls: str) -> frozenset[str]:
+    """The class and everything reachable upward from it."""
+    out = {cls}
+    changed = True
+    while changed:
+        changed = False
+        for lo, hi in LATTICE_EDGES:
+            if lo in out and hi not in out:
+                out.add(hi)
+                changed = True
+    return frozenset(out)
 
 
 class CertificateViolation(ValueError):
@@ -201,57 +203,62 @@ def certificate(
 ) -> PropertyCertificate:
     """Build a certificate, closing it under the lattice implications.
 
-    ``None`` means "derive"; an explicit ``False`` that an implication
-    forces to ``True`` raises :class:`CertificateViolation`.
+    ``None`` means "derive"; an explicit ``False`` (or rule ``("none",)``)
+    that an implication forces raises :class:`CertificateViolation`.
+    Apart from the lattice edges, four implications hold: shiny gives fmp
+    and minimal-model computability, smoothness gives SI, a never-infinite
+    theory decides the infinite question, and quasi-gentleness for some
+    filters needs computable finite spectra.
     """
+    fields = {
+        "cfs": cfs,
+        "infinitely_decidable": infinitely_decidable,
+        "stably_infinite": stably_infinite,
+        "smooth": smooth,
+        "fmp": fmp,
+        "minmod_computable": minmod_computable,
+        "gentle": gentle,
+        "fqg_rule": fqg_rule,
+        "cofqg_rule": cofqg_rule,
+    }
 
-    def force(name: str, explicit: bool | None, implied: bool) -> bool:
-        if explicit is False and implied:
-            raise CertificateViolation(f"{name} denied but implied by the lattice")
-        return implied or bool(explicit)
+    def force(name: str, value, why: str):
+        if fields[name] is False or fields[name] == ("none",):
+            raise CertificateViolation(f"{name} denied but implied by {why}")
+        if value is not None:
+            fields[name] = value
 
     if shiny:
-        smooth = force("smooth", smooth, True)
-        fmp = force("fmp", fmp, True)
-        minmod_computable = force("minmod_computable", minmod_computable, True)
-    if n_shiny_param is not None or shiny:
-        gentle = force("gentle", gentle, True)
-    if never_infinite:
-        if stably_infinite:
-            raise CertificateViolation("never_infinite contradicts stable infiniteness")
-        if smooth:
-            raise CertificateViolation("never_infinite contradicts smoothness")
-        infinitely_decidable = force("infinitely_decidable", infinitely_decidable, True)
-    if smooth:
-        stably_infinite = force("stably_infinite", stably_infinite, True)
-    if stably_infinite:
-        infinitely_decidable = force("infinitely_decidable", infinitely_decidable, True)
-    if gentle:
-        cfs = force("cfs", cfs, True)
-        infinitely_decidable = force("infinitely_decidable", infinitely_decidable, True)
-        if fqg_rule == ("none",):
-            raise CertificateViolation("gentle implies F-QG for every free filter")
-        fqg_rule = ("all",)
-    if fqg_rule is not None and fqg_rule != ("none",):
-        if cofqg_rule == ("none",) and fqg_rule == ("all",):
-            raise CertificateViolation("F-QG implies co-F-QG for the same filter")
-        cfs = force("cfs", cfs, True)
-    if cofqg_rule is not None and cofqg_rule != ("none",):
-        cfs = force("cfs", cfs, True)
+        force("fmp", True, "shiny")
+        force("minmod_computable", True, "shiny")
+    # The classes the declaration states, with the three non-edge
+    # implications folded in: smooth -> SI, never infinite -> ID, and a
+    # (co-)F-QG rule for some filters -> CFS.
+    partial_rule = any(r not in (None, ("none",), ("all",)) for r in (fqg_rule, cofqg_rule))
+    stated = {
+        "shiny": shiny,
+        "n-shiny": n_shiny_param is not None,
+        "gentle": gentle,
+        "F-QG": fqg_rule == ("all",),
+        "co-F-QG": cofqg_rule == ("all",),
+        "SI": stably_infinite or smooth,
+        "ID": infinitely_decidable or never_infinite,
+        "CFS": cfs or partial_rule,
+    }
+    closed = frozenset().union(*(class_ancestors(c) for c, on in stated.items() if on))
+    for cls, (name, value) in FORCED_FIELDS.items():
+        if cls in closed:
+            force(name, value, f"{cls} in the lattice")
+    if never_infinite and "SI" in closed:
+        raise CertificateViolation("never_infinite contradicts stable infiniteness (and smoothness)")
 
     return PropertyCertificate(
-        cfs=bool(cfs),
-        infinitely_decidable=bool(infinitely_decidable),
-        stably_infinite=bool(stably_infinite),
-        smooth=bool(smooth),
-        fmp=bool(fmp),
-        minmod_computable=bool(minmod_computable),
-        gentle=bool(gentle),
+        **{k: bool(v) for k, v in fields.items() if not k.endswith("_rule")},
         shiny=shiny,
         never_infinite=never_infinite,
         finitely_witnessable=finitely_witnessable,
         n_shiny_param=n_shiny_param,
         n_decidable_rule=n_decidable_rule or ("none",),
-        fqg_rule=fqg_rule or ("none",),
-        cofqg_rule=cofqg_rule or ("none",),
+        fqg_rule=fields["fqg_rule"] or ("none",),
+        cofqg_rule=fields["cofqg_rule"] or ("none",),
     )

@@ -58,6 +58,8 @@ def _oracle_from_json(spec) -> FOracle:
 
 def theory_from_json(spec: dict, registry: "Registry | None" = None) -> Theory:
     """Build a theory handle from its JSON definition."""
+    if not isinstance(spec, dict):
+        raise RegistryError(f"a theory definition is a JSON object, not {spec!r}")
     kind = spec.get("kind")
     fam = spec.get("family", "P")
     if kind in ("T_eq", "Teq"):
@@ -128,29 +130,25 @@ _ALIASES = {
 
 @dataclass
 class RunConfig:
-    """CLI-facing configuration: extra theory definitions plus defaults."""
+    """A JSON registry config: ``{"theories": {name: definition, ...}}``.
+    Run settings (``--K``, ``--cap``, ``--seed``, ``--format``) are CLI
+    flags only."""
 
     theories: dict = field(default_factory=dict)
-    brute_bound: int = 6
-    iteration_cap: int = 10_000
-    seed: int = 0
-    output_format: str = "json"
-
-    def __post_init__(self):
-        if self.brute_bound < 1 or self.iteration_cap < 1:
-            raise ValueError("bounds must be >= 1")
 
     @staticmethod
     def from_file(path: str) -> "RunConfig":
         with open(path) as fh:
             raw = json.load(fh)
-        return RunConfig(
-            theories=raw.get("theories", {}),
-            brute_bound=raw.get("K", 6),
-            iteration_cap=raw.get("cap", 10_000),
-            seed=raw.get("seed", 0),
-            output_format=raw.get("format", "json"),
-        )
+        if not isinstance(raw, dict):
+            raise RegistryError(f"{path}: the config must be a JSON object")
+        unknown = sorted(set(raw) - {"theories"})
+        if unknown:
+            raise RegistryError(f"{path}: unknown config keys {unknown}; only 'theories' is read")
+        theories = raw.get("theories", {})
+        if not isinstance(theories, dict):
+            raise RegistryError(f"{path}: 'theories' must map names to theory definitions")
+        return RunConfig(theories)
 
 
 class Registry:
@@ -171,7 +169,12 @@ class Registry:
                 elif t.s == upfrom(1):
                     self._theories["T_leq_S_all"] = t
         for name, spec in self.config.theories.items():
-            self._theories[name] = theory_from_json(spec, self)
+            try:
+                self._theories[name] = theory_from_json(spec, self)
+            except KeyError as e:
+                raise RegistryError(f"theory {name!r}: missing key {e}") from e
+            except (CombineKitError, TypeError, ValueError) as e:
+                raise RegistryError(f"theory {name!r}: {e}") from e
 
     def names(self) -> list[str]:
         return sorted(self._theories)

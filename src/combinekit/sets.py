@@ -52,15 +52,6 @@ def card_to_json(c: Card):
     return "inf" if c is ALEPH0 else c
 
 
-def card_from_json(v) -> Card:
-    if v == "inf":
-        return ALEPH0
-    n = int(v)
-    if n < 1:
-        raise ValueError(f"cardinalities are positive, got {n}")
-    return n
-
-
 @dataclass(frozen=True)
 class EvPeriodicSet:
     """An eventually periodic subset of the positive naturals.

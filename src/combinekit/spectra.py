@@ -9,7 +9,7 @@ certificate supports; asking for more raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import CapabilityMissing, IterationCapExceeded
@@ -61,26 +61,15 @@ class ExactSpectrum:
 class SpectrumView:
     """A theory/cube pair with its supported spectrum queries.
 
-    Capabilities: ``contains_finite`` (finite membership is total) and
-    ``contains_inf`` (infinite membership is decidable).  Partially
-    n-decidable theories answer `contains` for their certified
-    cardinalities even without the blanket ``contains_finite``
-    capability.  ``exact`` materializes the spectrum of a gentle theory;
-    the theory itself refuses the rest.
+    Finite membership is answered where the certificate makes the
+    theory n-decidable at that cardinality (every cardinality under CFS),
+    and infinite membership where it is infinitely decidable.  ``exact``
+    materializes the spectrum of a gentle theory; the theory itself
+    refuses the rest.
     """
 
     owner: "Theory"
     cube: "Cube"
-    capabilities: frozenset[str] = field(init=False)
-
-    def __post_init__(self):
-        cert = self.owner.certificate
-        caps = set()
-        if cert.cfs:
-            caps.add("contains_finite")
-        if cert.infinitely_decidable:
-            caps.add("contains_inf")
-        object.__setattr__(self, "capabilities", frozenset(caps))
 
     # -- queries ---------------------------------------------------------
 
@@ -89,12 +78,12 @@ class SpectrumView:
 
     def contains(self, c: Card) -> bool:
         if c is ALEPH0:
-            if "contains_inf" not in self.capabilities:
+            if not self.owner.certificate.infinitely_decidable:
                 raise CapabilityMissing(self.owner.name, "spec_inf")
             return self.owner.spec_inf(self.cube)
         if not is_finite_card(c) or c < 1:
             raise ValueError(f"bad cardinality {c!r}")
-        if "contains_finite" not in self.capabilities and not self.owner.certificate.is_n_decidable(c):
+        if not self.owner.certificate.is_n_decidable(c):
             raise CapabilityMissing(self.owner.name, "spec_finite", f"at cardinality {c}")
         return self.owner.spec_finite(self.cube, c)
 
@@ -126,7 +115,7 @@ class SpectrumView:
             return closed
         if self.owner.infinite_only(self.cube):
             return ALEPH0
-        if "contains_finite" not in self.capabilities:
+        if not self.owner.certificate.cfs:
             raise CapabilityMissing(self.owner.name, "minmod")
         for k in range(1, cap + 1):
             if self.owner.spec_finite(self.cube, k):

@@ -83,27 +83,6 @@ def doubling_oracle() -> FOracle:
     return FOracle("double", lambda m, n: 2 * m >= n)
 
 
-@dataclass
-class Model:
-    """A finite interpretation: domain [1..size], true predicates, variable values."""
-
-    size: int
-    true_predicates: frozenset[PredicateId]
-    assignment: dict[str, int]
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("domains are nonempty")
-
-    def satisfies_literal(self, lit) -> bool:
-        if isinstance(lit, EqualityLiteral):
-            return (self.assignment[lit.left] == self.assignment[lit.right]) == lit.positive
-        return (lit.pred in self.true_predicates) == lit.positive
-
-    def satisfies_cube(self, cube: Cube) -> bool:
-        return all(self.satisfies_literal(l) for l in cube.literals)
-
-
 # -- equality reasoning -----------------------------------------------------
 
 
@@ -420,11 +399,6 @@ class Theory:
 
     def __repr__(self) -> str:
         return f"<theory {self.name}>"
-
-
-def model_check(theory: Theory, model: Model) -> bool:
-    """Whether the model satisfies every non-vacuous axiom of the theory."""
-    return theory.model_check(model.size, model.true_predicates)
 
 
 DEFAULT_U_STANDIN = odds()

@@ -78,6 +78,16 @@ def test_certificate_violations_rejected():
         certificate(cofqg_rule=("complement-not-in-filter", evens()), cfs=False)
 
 
+def test_member_needs_its_parameter():
+    cert = certificate(shiny=True)
+    for cls, kw in (("n-decidable", {"filt": frechet()}), ("n-shiny", {}), ("F-QG", {"n": 4}), ("co-F-QG", {})):
+        with pytest.raises(ValueError):
+            cert.member(cls, **kw)
+    with pytest.raises(ValueError):
+        cert.member("polite")
+    assert cert.member("n-shiny", n=4) and cert.member("F-QG", filt=frechet())
+
+
 def test_class_ancestors():
     assert class_ancestors("shiny") == frozenset(CLASSES)
     assert class_ancestors("decidable") == frozenset({"decidable"})

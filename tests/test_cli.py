@@ -163,3 +163,54 @@ def test_combine_override_outside_certificate_exits_2(capsys):
     code, _, err = run_cli(capsys, "combine", "T_inf", "T_eq_P", "(= x x)", "--method", "shiny", "--override")
     assert code == 2
     assert err.startswith("error:")
+
+
+def _config_run(tmp_path, capsys, config):
+    cfg = tmp_path / "registry.json"
+    cfg.write_text(json.dumps(config))
+    return run_cli(capsys, "--config", str(cfg), "decide", "T_eq", "(= x x)")
+
+
+def test_config_entry_missing_key_exits_2(tmp_path, capsys):
+    code, _, err = _config_run(tmp_path, capsys, {"theories": {"x": {"kind": "T_eq_n"}}})
+    assert code == 2
+    assert err.startswith("error:") and "'x'" in err and "'n'" in err
+
+
+def test_config_theories_not_an_object_exits_2(tmp_path, capsys):
+    code, _, err = _config_run(tmp_path, capsys, {"theories": ["a"]})
+    assert code == 2
+    assert err.startswith("error:") and "theories" in err
+
+
+def test_config_unknown_key_exits_2(tmp_path, capsys):
+    code, _, err = _config_run(tmp_path, capsys, {"theories": {}, "cap": 1})
+    assert code == 2
+    assert "cap" in err
+
+
+def test_combine_method_forms(capsys):
+    for method in ("no", "nelson-oppen"):
+        code, out, _ = run_cli(capsys, "combine", "T_inf", "T_si", "(= x x)", "--method", method)
+        assert code == 0 and json.loads(out.strip())["method"] == "nelson-oppen"
+    code, out, _ = run_cli(capsys, "combine", "T_eq_4", "T_leq_5", "(= x x)", "--method", "n-shiny(4)")
+    assert code == 0 and json.loads(out.strip())["method"].startswith("n-shiny(4)")
+    code, out, _ = run_cli(capsys, "combine", "T_leq_3", "T_eq_P", "(pred P 2)", "--method", "quasi-gentle")
+    assert code == 0 and json.loads(out.strip())["method"] == "quasi-gentle(frechet)"
+
+
+def test_combine_method_syntax_is_strict(capsys):
+    for method in ("n-shiny", "n-shiny4", "n-shiny(0)", "quasi-gentleXYZ", "Gentle", "n-shiny(x)"):
+        code, _, err = run_cli(capsys, "combine", "T_leq_3", "T_eq_P", "(pred P 2)", "--method", method)
+        assert code == 2, method
+        assert "unknown method" in err and "n-shiny(<n>)" in err
+
+
+def test_internal_fault_exits_2_not_unsat(capsys, monkeypatch):
+    def broken(path):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("combinekit.cli.load_registry", broken)
+    code, _, err = run_cli(capsys, "decide", "T_eq", "(= x x)")
+    assert code == 2
+    assert err.startswith("error: KeyError")
