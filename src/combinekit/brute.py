@@ -13,21 +13,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .formulas import Cube, EqualityLiteral, Formula, PredicateId, PredicateLiteral, eval_formula
 from .theories import Theory
-
-
-@dataclass(frozen=True)
-class BruteConfig:
-    max_card: int = 6
-    predicate_closure: frozenset[PredicateId] | None = None
-
-    def __post_init__(self):
-        if self.max_card < 1:
-            raise ValueError("max_card must be >= 1")
 
 
 def _closure_for(theory: Theory, cubes: tuple[Cube, ...], explicit) -> frozenset[PredicateId]:
@@ -42,11 +31,6 @@ def _closure_for(theory: Theory, cubes: tuple[Cube, ...], explicit) -> frozenset
     fams = theory.signature.families
     if all(arity == 0 for _, arity in fams):
         return frozenset(PredicateId(fam, ()) for fam, _ in fams)
-    if not theory.positive_guards_only:
-        raise ValueError(
-            f"{theory.name}: infinite signature with non-positive guards; "
-            "the all-false default would be unsound"
-        )
     out: set[PredicateId] = set()
     for cube in cubes:
         out.update(cube.positive_preds())

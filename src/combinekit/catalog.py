@@ -16,15 +16,16 @@ keeps them faithful to their capability certificates.
 from __future__ import annotations
 
 from .errors import SignatureError
-from .formulas import Cube, PredicateId, PredicateLiteral, Signature
+from .formulas import Cube, EqualityLiteral, PredicateId, PredicateLiteral, Signature, fresh_variables
 from .properties import certificate
-from .sets import ALEPH0, EvPeriodicSet, finite_set, interval, upfrom
-from .spectra import DEFAULT_ITERATION_CAP, ExactSpectrum
+from .sets import ALEPH0, EvPeriodicSet, evens, finite_set, interval, upfrom
+from .spectra import ExactSpectrum
 from .theories import (
     ALL,
     CAPPED,
     DEFAULT_U_STANDIN,
     EMPTY,
+    SAMPLE_INDEX_BOUND,
     TAGGED,
     UNSAT,
     FOracle,
@@ -135,9 +136,7 @@ class SizePinTheory(Theory):
     """
 
     def __init__(self, family: str = "P"):
-        self.family = family
-        self.name = "T_eq_P" if family == "P" else f"T_eq_P[{family}]"
-        self.signature = Signature(frozenset({(family, 1)}))
+        self._declare_family("T_eq_P", family, 1)
         self.certificate = certificate(gentle=True)
 
     def shape(self, pos):
@@ -160,10 +159,8 @@ class BigModelTagTheory(Theory):
         if n < 1:
             raise ValueError("threshold must be positive")
         self.n = n
-        self.family = family
         self.u_standin = u_standin if u_standin is not None else DEFAULT_U_STANDIN
-        self.name = f"T_gt_{n}_P" if family == "P" else f"T_gt_{n}_P[{family}]"
-        self.signature = Signature(frozenset({(family, 1)}))
+        self._declare_family(f"T_gt_{n}_P", family, 1)
         self.certificate = certificate(
             smooth=True, fmp=True, finitely_witnessable=True
         )
@@ -193,10 +190,8 @@ class TwoSizeTheory(Theory):
         if not (1 <= m < n):
             raise ValueError("need 1 <= m < n")
         self.m, self.n = m, n
-        self.family = family
         self.u_standin = u_standin if u_standin is not None else DEFAULT_U_STANDIN
-        self.name = f"T_mn_{m}_{n}" if family == "P" else f"T_mn_{m}_{n}[{family}]"
-        self.signature = Signature(frozenset({(family, 1)}))
+        self._declare_family(f"T_mn_{m}_{n}", family, 1)
         self.certificate = certificate(
             never_infinite=True, n_decidable_rule=("except", frozenset({m}))
         )
@@ -224,22 +219,12 @@ class SizeCapTheory(Theory):
     avoiding S's complement.
     """
 
-    def __init__(
-        self,
-        s: EvPeriodicSet,
-        f: FOracle | None = None,
-        family: str = "P",
-        cap: int = DEFAULT_ITERATION_CAP,
-    ):
+    def __init__(self, s: EvPeriodicSet, f: FOracle | None = None, family: str = "P"):
         if not s.is_infinite():
             raise ValueError("the size set must be infinite")
         self.s = s
         self.f = f if f is not None else identity_oracle()
-        self.family = family
-        self.cap = cap
-        tag = s.to_literal()
-        self.name = f"T_leq_S({tag})" if family == "P" else f"T_leq_S({tag})[{family}]"
-        self.signature = Signature(frozenset({(family, 1)}))
+        self._declare_family(f"T_leq_S({s.to_literal()})", family, 1)
         self.certificate = certificate(
             cfs=True,
             fqg_rule=("set-in-filter", s),
@@ -270,14 +255,12 @@ class GapIndexTheory(Theory):
     spectra go through the gap value rather than the shape.
     """
 
-    def __init__(self, inner: Theory, family: str = "P", max_index: int = 3):
+    def __init__(self, inner: Theory, family: str = "P"):
         if not inner.certificate.cfs:
             raise ValueError("inner theory must have computable finite spectra")
         self.inner = inner
-        self.family = family
-        self.enumeration = FormulaEnumeration(inner, max_index)
-        self.name = f"Th_of({inner.name})" if family == "P" else f"Th_of({inner.name})[{family}]"
-        self.signature = Signature(frozenset({(family, 2)}))
+        self.enumeration = FormulaEnumeration(inner)
+        self._declare_family(f"Th_of({inner.name})", family, 2)
         self.certificate = certificate(cfs=True)
         self._names: dict[str, int] = {}
         self._register_names()
@@ -388,9 +371,7 @@ class MixedTagTheory(Theory):
         self.n = n
         self.f = f if f is not None else identity_oracle()
         self.u_standin = u_standin if u_standin is not None else DEFAULT_U_STANDIN
-        self.family = family
-        self.name = f"T_d_{n}" if family == "P" else f"T_d_{n}[{family}]"
-        self.signature = Signature(frozenset({(family, 1)}))
+        self._declare_family(f"T_d_{n}", family, 1)
         self.certificate = certificate(n_decidable_rule=("geq", n + 1))
 
     def shape(self, pos):
@@ -425,9 +406,7 @@ class CapOrUnboundedTheory(Theory):
 
     def __init__(self, f: FOracle | None = None, family: str = "P"):
         self.f = f if f is not None else identity_oracle()
-        self.family = family
-        self.name = "T_cfs" if family == "P" else f"T_cfs[{family}]"
-        self.signature = Signature(frozenset({(family, 1)}))
+        self._declare_family("T_cfs", family, 1)
         self.certificate = certificate(cfs=True)
 
     def shape(self, pos):
@@ -457,10 +436,8 @@ class TaggedInfinityTheory(Theory):
     """
 
     def __init__(self, family: str = "P", u_standin: EvPeriodicSet | None = None):
-        self.family = family
         self.u_standin = u_standin if u_standin is not None else DEFAULT_U_STANDIN
-        self.name = "T_si" if family == "P" else f"T_si[{family}]"
-        self.signature = Signature(frozenset({(family, 1)}))
+        self._declare_family("T_si", family, 1)
         self.certificate = certificate(stably_infinite=True, smooth=True)
 
     def shape(self, pos):
@@ -491,9 +468,7 @@ class SingletonOrInfiniteTheory(_BarePredicateTheory):
     false forces an infinite one."""
 
     def __init__(self, family: str = "P"):
-        self.family = family
-        self.name = "T_cs" if family == "P" else f"T_cs[{family}]"
-        self.signature = Signature(frozenset({(family, 0)}))
+        self._declare_family("T_cs", family, 0)
         self.certificate = certificate(cfs=True, infinitely_decidable=True)
         self._pid = PredicateId(family, ())
 
@@ -520,10 +495,8 @@ class StepTheory(_BarePredicateTheory):
             raise ValueError("need 1 <= floor <= pin")
         self.pin = pin
         self.floor = floor
-        self.family = family
-        base = f"T_ns_{pin}" if pin == floor else f"T_step_{pin}_{floor}"
-        self.name = name or (base if family == "P" else f"{base}[{family}]")
-        self.signature = Signature(frozenset({(family, 0)}))
+        self._declare_family(f"T_ns_{pin}" if pin == floor else f"T_step_{pin}_{floor}", family, 0)
+        self.name = name or self.name
         self.certificate = certificate(cfs=True, n_shiny_param=pin)
         self._pid = PredicateId(family, ())
 
@@ -550,9 +523,7 @@ class OracleFloorTheory(Theory):
 
     def __init__(self, f: FOracle | None = None, family: str = "P"):
         self.f = f if f is not None else identity_oracle()
-        self.family = family
-        self.name = "T_geq_F" if family == "P" else f"T_geq_F[{family}]"
-        self.signature = Signature(frozenset({(family, 1)}))
+        self._declare_family("T_geq_F", family, 1)
         self.certificate = certificate(cfs=True, smooth=True)
 
     def read_part(self, cube: Cube):
@@ -585,19 +556,12 @@ class CompositeTestTheory(Theory):
     literal.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        n: int | None = None,
-        f: FOracle | None = None,
-        u_standin: EvPeriodicSet | None = None,
-    ):
+    def __init__(self, kind: str, n: int | None = None):
         if kind not in _COMPLETE_KINDS:
             raise ValueError(f"unknown complete-theory kind {kind!r}")
         self.kind = kind
         self.n = n
-        self.f = f if f is not None else identity_oracle()
-        self.u_standin = u_standin if u_standin is not None else DEFAULT_U_STANDIN
+        self.f = identity_oracle()
         fams: set[tuple[str, int]] = set()
         self.allow_inf = False
         if kind == "shiny-complete":
@@ -655,7 +619,7 @@ class CompositeTestTheory(Theory):
     def sample_pred(self, rng):
         fams = sorted(self.signature.families)
         fam, arity = rng.choice(fams)
-        bound = self.sample_index_bound
+        bound = SAMPLE_INDEX_BOUND
         if fam == "P":
             if self.allow_inf and rng.random() < 0.25:
                 return PredicateId("P", ("inf",))
@@ -689,23 +653,13 @@ class CompositeTestTheory(Theory):
                 i, j, tag = pid.indices
                 if size not in (i, j):
                     return False
-                if self.u_standin.contains(tag) and size != j:
+                if DEFAULT_U_STANDIN.contains(tag) and size != j:
                     return False
             else:  # B_(n, tag)
                 thresh, tag = pid.indices
-                if self.u_standin.contains(tag) and size <= thresh:
+                if DEFAULT_U_STANDIN.contains(tag) and size <= thresh:
                     return False
         return True
-
-
-def make_complete_theory(
-    kind: str,
-    n: int | None = None,
-    f: FOracle | None = None,
-    u_standin: EvPeriodicSet | None = None,
-) -> CompositeTestTheory:
-    """Build one of the composite test theories by role name."""
-    return CompositeTestTheory(kind, n=n, f=f, u_standin=u_standin)
 
 
 def toy_inner_theory() -> StepTheory:
@@ -719,18 +673,19 @@ def witness_tgtnp(theory: BigModelTagTheory, cube: Cube) -> Cube:
     fresh self-equalities, enough for a satisfiable output to have a model
     carried entirely by its own variables even when the tag forces more
     than `threshold` elements."""
-    from .theories import witness_with_self_equalities
-
     if not isinstance(theory, BigModelTagTheory):
         raise ValueError("witness transform is specific to the big-model-tag theory")
-    return witness_with_self_equalities(theory, cube, theory.n + 1)
+    pos = cube.positive_preds()
+    if len(pos) != 1:
+        raise ValueError("witness needs exactly one positive predicate literal")
+    if not isinstance(pos[0].indices[0], int):
+        raise ValueError("witness needs a finite predicate index")
+    fresh = fresh_variables(cube.variables(), theory.n + 1, prefix="x")
+    return cube.with_literals(EqualityLiteral(v, v, True) for v in fresh)
 
 
-def default_catalog(u_standin: EvPeriodicSet | None = None) -> list[Theory]:
+def default_catalog() -> list[Theory]:
     """The standard theory lineup used by the CLI and the test suites."""
-    from .sets import evens
-
-    u = u_standin if u_standin is not None else DEFAULT_U_STANDIN
     f = identity_oracle()
     return [
         EqualityTheory(),
@@ -740,23 +695,23 @@ def default_catalog(u_standin: EvPeriodicSet | None = None) -> list[Theory]:
         MaxSizeTheory(3),
         MinSizeTheory(2),
         SizePinTheory(),
-        BigModelTagTheory(2, u_standin=u),
-        TwoSizeTheory(2, 5, u_standin=u),
-        TwoSizeTheory(4, 5, u_standin=u),
+        BigModelTagTheory(2),
+        TwoSizeTheory(2, 5),
+        TwoSizeTheory(4, 5),
         SizeCapTheory(evens(), f),
         SizeCapTheory(upfrom(1), f),
         GapIndexTheory(toy_inner_theory()),
-        MixedTagTheory(4, f, u_standin=u),
-        MixedTagTheory(3, f, u_standin=u),
+        MixedTagTheory(4, f),
+        MixedTagTheory(3, f),
         CapOrUnboundedTheory(f),
-        TaggedInfinityTheory(u_standin=u),
+        TaggedInfinityTheory(),
         SingletonOrInfiniteTheory(),
         StepTheory(4, 4),
         toy_inner_theory(),
         OracleFloorTheory(f),
-        make_complete_theory("shiny-complete", u_standin=u),
-        make_complete_theory("SI-complete", u_standin=u),
-        make_complete_theory("ID-complete", u_standin=u),
-        make_complete_theory("CS-complete"),
-        make_complete_theory("n-shiny-complete", n=4, u_standin=u),
+        CompositeTestTheory("shiny-complete"),
+        CompositeTestTheory("SI-complete"),
+        CompositeTestTheory("ID-complete"),
+        CompositeTestTheory("CS-complete"),
+        CompositeTestTheory("n-shiny-complete", n=4),
     ]

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .brute import brute_spectrum, random_cube
-from .errors import CapabilityMissing
+from .errors import CapabilityMissing, IterationCapExceeded
 from .filters import NO, YES, FreeFilter, filter_includes, frechet, generated
 from .formulas import Cube, PredicateLiteral
 from .properties import CLASSES, LATTICE_EDGES
@@ -48,13 +48,16 @@ def _report(theory: Theory, flag: str, verdict: str, evidence: str) -> dict:
 
 def _bounded_above(theory: Theory, cube: Cube, bound: int) -> int | None:
     """The first clique size that kills the cube, proving its spectrum is
-    bounded (hence misses the infinite cardinality); None if not found."""
+    bounded (hence misses the infinite cardinality); None if none up to
+    bound + 1 does."""
     if not theory.decide_cube(cube):
         return None
-    for j in range(1, bound + 2):
-        if not theory.decide_at_least(cube, j):
-            return j
-    return None
+    try:
+        return view(theory, cube).max_finite(bound) + 1
+    except IterationCapExceeded as e:
+        if e.operation != "max_finite":
+            raise
+        return None
 
 
 def _shape_ok_for_nshiny(spec: ExactSpectrum, n: int) -> bool:
@@ -242,14 +245,7 @@ def probe_certificate(
 
 
 def refute_class(
-    theory: Theory,
-    cls: str,
-    *,
-    n: int = 4,
-    filt: FreeFilter | None = None,
-    samples: int = DEFAULT_PROBE_SAMPLES,
-    bound: int = DEFAULT_PROBE_BOUND,
-    seed: int = 0,
+    theory: Theory, cls: str, *, n: int = 4, filt: FreeFilter | None = None
 ) -> tuple[str, str]:
     """Evidence that the theory is outside the class.
 
@@ -258,8 +254,8 @@ def refute_class(
     undecidability-backed capabilities.  Call only on non-member classes.
     """
     filt = filt or frechet()
-    rng = random.Random(seed)
-    cubes = sample_cubes(theory, samples, rng)
+    bound = DEFAULT_PROBE_BOUND
+    cubes = sample_cubes(theory, DEFAULT_PROBE_SAMPLES, random.Random(0))
 
     def exact_specs():
         for c in cubes:
@@ -283,7 +279,7 @@ def refute_class(
                 return "fail", f"{c} is satisfiable but dies at clique size {j}"
         return "paper-level", "no bounded satisfiable cube found"
     if cls == "SM+CS":
-        verdict, ev = refute_class(theory, "SI", n=n, filt=filt, samples=samples, bound=bound, seed=seed)
+        verdict, ev = refute_class(theory, "SI", n=n, filt=filt)
         if verdict == "fail":
             return verdict, f"not stably infinite: {ev}"
         for c in cubes:
@@ -300,7 +296,7 @@ def refute_class(
         for c, spec in exact_specs():
             if spec.has_inf and filt.member(spec.finite_part) == NO:
                 return "fail", f"infinite spectrum of {c} has finite part outside the filter"
-        verdict, ev = refute_class(theory, "co-F-QG", n=n, filt=filt, samples=samples, bound=bound, seed=seed)
+        verdict, ev = refute_class(theory, "co-F-QG", n=n, filt=filt)
         if verdict == "fail":
             return verdict, f"not even co-quasi-gentle: {ev}"
         return "paper-level", "spectra unavailable without the undecidable parameters"
@@ -316,7 +312,7 @@ def refute_class(
         return "paper-level", "shapes unavailable without the undecidable parameters"
     if cls == "shiny":
         for parent in ("SM+CS", "n-shiny", "SI"):
-            verdict, ev = refute_class(theory, parent, n=n, filt=filt, samples=samples, bound=bound, seed=seed)
+            verdict, ev = refute_class(theory, parent, n=n, filt=filt)
             if verdict == "fail":
                 return verdict, f"outside {parent}: {ev}"
         return "paper-level", "minimal-model computability withheld"

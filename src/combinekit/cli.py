@@ -39,6 +39,18 @@ def _parse_for(theory: Theory, text: str):
     return parse_formula(text, resolver)
 
 
+def _positive_int(text: str) -> int:
+    """The type of every count and bound flag: an integer >= 1, so that no
+    bound makes a check vacuous."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _method_from_flag(name: str) -> Method | None:
     """``auto``, a `METHODS` kind (``no`` for nelson-oppen), or
     ``n-shiny(<n>)``; bare ``n-shiny`` has no default n."""
@@ -176,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="registry config path (or set COMBINEKIT_CONFIG)")
     p.add_argument("--format", default="json", choices=["json", "dot", "text"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--K", type=int, default=6, help="brute-force size bound")
-    p.add_argument("--cap", type=int, default=10_000, help="iteration cap for unbounded scans")
+    p.add_argument("--K", type=_positive_int, default=6, help="brute-force size bound")
+    p.add_argument("--cap", type=_positive_int, default=10_000, help="iteration cap for unbounded scans")
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("decide", help="satisfiability of a formula in one theory")
@@ -196,30 +208,30 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("spectrum", help="window view of a formula's spectrum")
     s.add_argument("theory")
     s.add_argument("formula")
-    s.add_argument("--upto", type=int, default=6)
+    s.add_argument("--upto", type=_positive_int, default=6)
     s.set_defaults(fn=cmd_spectrum)
 
     cl = sub.add_parser("classify", help="run certificate probes")
     cl.add_argument("theories", nargs="*")
-    cl.add_argument("--samples", type=int, default=25)
+    cl.add_argument("--samples", type=_positive_int, default=25)
     cl.set_defaults(fn=cmd_classify)
 
     la = sub.add_parser("lattice", help="emit the property lattice")
-    la.add_argument("--n", type=int, default=4)
+    la.add_argument("--n", type=_positive_int, default=4)
     la.set_defaults(fn=cmd_lattice)
 
     di = sub.add_parser("diagonal", help="run the non-cofinite set construction")
     di.add_argument("--theory", default="T_leq_2")
-    di.add_argument("--rounds", type=int, default=5)
+    di.add_argument("--rounds", type=_positive_int, default=5)
     di.set_defaults(fn=cmd_diagonal)
 
     b = sub.add_parser("brute-check", help="oracle agreement suite for one theory")
     b.add_argument("--theory", required=True)
-    b.add_argument("--samples", type=int, default=100)
+    b.add_argument("--samples", type=_positive_int, default=100)
     b.set_defaults(fn=cmd_brute_check)
 
     fi = sub.add_parser("filters", help="generated-filter chain/antichain demo")
-    fi.add_argument("--depth", type=int, default=5)
+    fi.add_argument("--depth", type=_positive_int, default=5)
     fi.set_defaults(fn=cmd_filters)
 
     return p

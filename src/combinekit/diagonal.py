@@ -134,17 +134,13 @@ def intersect_from_run(
     """'empty' or 'nonempty': whether the formula's spectrum misses the
     constructed set (and the infinite cardinality) entirely.
 
-    Runs the construction until the formula is classified; the unsat
-    bucket means empty, the other two mean nonempty.
+    Each round classifies one formula, so the construction classifies
+    this one in round ``formula_id``; the unsat bucket means empty, the
+    other two mean nonempty.
     """
     if formula_id < 1:
         raise ValueError("formula ids are 1-based")
-    _check_theory(theory)
-    enum = enum or FormulaEnumeration(theory)
-    state = initial_state()
-    while state.i <= formula_id:
-        state = process_formula(state, theory, enum)
-        state = process_number(state, theory, enum)
+    state = run_diagonalization(theory, formula_id, enum)
     if formula_id in state.unsat:
         return "empty"
     return "nonempty"

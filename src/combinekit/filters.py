@@ -5,11 +5,10 @@ sets) and filters generated by a finite family of eventually periodic
 sets with the strong finite intersection property, closed under
 supersets and cofinite refinement.
 
-Membership for a generated filter is decided exactly: intersections only
-shrink as the generator subset grows, so ``A`` belongs to the filter iff
-``(intersection of all generators) \\ A`` is finite.  An ``unknown``
-verdict is only reachable when a caller restricts the subset-size search
-bound below the generator count.
+Membership is a yes/no verdict, decided exactly for a generated filter:
+intersections only shrink as the generator subset grows, so ``A``
+belongs to the filter iff ``(intersection of all generators) \\ A`` is
+finite.
 
 Ultrafilters are deliberately absent: they are non-constructive, and the
 self-dual quasi-gentle case they would induce stays uninstantiated.
@@ -25,7 +24,6 @@ from .sets import EvPeriodicSet, universe
 
 YES = "yes"
 NO = "no"
-UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -34,7 +32,7 @@ class FrechetFilter:
 
     name: str = "frechet"
 
-    def member(self, s: EvPeriodicSet, search_bound: int | None = None) -> str:
+    def member(self, s: EvPeriodicSet) -> str:
         return YES if s.is_cofinite() else NO
 
     def generator_sets(self) -> tuple[EvPeriodicSet, ...]:
@@ -57,19 +55,9 @@ class GeneratedFilter:
                         "generators lack the strong finite intersection property"
                     )
 
-    def _core(self, gens: tuple[EvPeriodicSet, ...]) -> EvPeriodicSet:
-        return reduce(lambda a, b: a.intersect(b), gens, universe())
-
-    def member(self, s: EvPeriodicSet, search_bound: int | None = None) -> str:
-        bound = len(self.generators) if search_bound is None else search_bound
-        if bound >= len(self.generators):
-            core = self._core(self.generators)
-            return YES if core.difference(s).is_finite() else NO
-        for size in range(0, bound + 1):
-            for combo in itertools.combinations(self.generators, size):
-                if self._core(combo).difference(s).is_finite():
-                    return YES
-        return UNKNOWN
+    def member(self, s: EvPeriodicSet) -> str:
+        core = reduce(lambda a, b: a.intersect(b), self.generators, universe())
+        return YES if core.difference(s).is_finite() else NO
 
     def generator_sets(self) -> tuple[EvPeriodicSet, ...]:
         return self.generators
@@ -86,16 +74,11 @@ def generated(generators: tuple[EvPeriodicSet, ...], name: str = "generated") ->
     return GeneratedFilter(generators, name)
 
 
-def filter_includes(f1: FreeFilter, f2: FreeFilter, search_bound: int | None = None) -> str:
+def filter_includes(f1: FreeFilter, f2: FreeFilter) -> str:
     """Whether every member of f1 is a member of f2.
 
     Decided through generators: f1 is included in f2 iff each of f1's
     generators belongs to f2 (the Fréchet filter has no generators beyond
     the cofinite sets, which every free filter contains).
     """
-    verdicts = [f2.member(g, search_bound) for g in f1.generator_sets()]
-    if all(v == YES for v in verdicts):
-        return YES
-    if any(v == NO for v in verdicts):
-        return NO
-    return UNKNOWN
+    return YES if all(f2.member(g) == YES for g in f1.generator_sets()) else NO

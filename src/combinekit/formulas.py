@@ -117,10 +117,6 @@ class Cube:
             self, "literals", tuple(sorted(set(self.literals), key=lambda l: l.sort_key))
         )
 
-    @staticmethod
-    def of(literals: Iterable[Literal]) -> "Cube":
-        return Cube(tuple(literals))
-
     @cached_property
     def contradictory(self) -> bool:
         # Sorting puts each negative literal right after its positive twin.
@@ -316,20 +312,16 @@ def parse_formula(text: str, resolver: Resolver | None = None) -> Formula:
             fam, foff = take()
             if not _FAMILY_RE.match(fam or ""):
                 raise ParseError(f"unknown predicate family {fam!r}", foff)
-            indices = []
-            while peek()[0] != ")":
-                t, o = take()
-                indices.append(parse_index(t, o))
-            take()
-            return PredicateLiteral(PredicateId(fam, tuple(indices)))
-        if _FAMILY_RE.match(head or ""):
-            indices = []
-            while peek()[0] != ")":
-                t, o = take()
-                indices.append(parse_index(t, o))
-            take()
-            return PredicateLiteral(PredicateId(head, tuple(indices)))
-        raise ParseError(f"unknown operator {head!r}", hoff)
+        elif _FAMILY_RE.match(head or ""):
+            fam = head
+        else:
+            raise ParseError(f"unknown operator {head!r}", hoff)
+        indices = []
+        while peek()[0] != ")":
+            t, o = take()
+            indices.append(parse_index(t, o))
+        take()
+        return PredicateLiteral(PredicateId(fam, tuple(indices)))
 
     def expect_close():
         tok, off = take()
@@ -507,9 +499,6 @@ class Signature:
 
     def disjoint_from(self, other: "Signature") -> bool:
         return not (self.families & other.families)
-
-
-EMPTY_SIGNATURE = Signature(frozenset())
 
 
 def split_by_signature(

@@ -254,9 +254,9 @@ def certificate(
 
     return PropertyCertificate(
         **{k: bool(v) for k, v in fields.items() if not k.endswith("_rule")},
-        shiny=shiny,
-        never_infinite=never_infinite,
-        finitely_witnessable=finitely_witnessable,
+        shiny=bool(shiny),
+        never_infinite=bool(never_infinite),
+        finitely_witnessable=bool(finitely_witnessable),
         n_shiny_param=n_shiny_param,
         n_decidable_rule=n_decidable_rule or ("none",),
         fqg_rule=fields["fqg_rule"] or ("none",),

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .catalog import (
     BigModelTagTheory,
     CapOrUnboundedTheory,
+    CompositeTestTheory,
     EqualityTheory,
     ExactSizeTheory,
     GapIndexTheory,
@@ -31,7 +32,6 @@ from .catalog import (
     TaggedInfinityTheory,
     TwoSizeTheory,
     default_catalog,
-    make_complete_theory,
     toy_inner_theory,
 )
 from .errors import CombineKitError
@@ -106,7 +106,7 @@ def theory_from_json(spec: dict, registry: "Registry | None" = None) -> Theory:
     if kind == "toy":
         return toy_inner_theory()
     if kind == "complete":
-        return make_complete_theory(spec["role"], n=spec.get("n"))
+        return CompositeTestTheory(spec["role"], n=spec.get("n"))
     raise RegistryError(f"unknown theory kind {kind!r}")
 
 
@@ -118,7 +118,7 @@ _DYNAMIC_PATTERNS: list[tuple[re.Pattern, callable]] = [
     (re.compile(r"^T_mn_(\d+)_(\d+)$"), lambda m: TwoSizeTheory(int(m.group(1)), int(m.group(2)))),
     (re.compile(r"^T_d_(\d+)$"), lambda m: MixedTagTheory(int(m.group(1)))),
     (re.compile(r"^T_ns_(\d+)$"), lambda m: StepTheory(int(m.group(1)), int(m.group(1)))),
-    (re.compile(r"^complete_nshiny_(\d+)$"), lambda m: make_complete_theory("n-shiny-complete", n=int(m.group(1)))),
+    (re.compile(r"^complete_nshiny_(\d+)$"), lambda m: CompositeTestTheory("n-shiny-complete", n=int(m.group(1)))),
 ]
 
 _ALIASES = {

@@ -36,7 +36,6 @@ from typing import Callable, Iterable
 from .errors import CapabilityMissing, IterationCapExceeded, SignatureError
 from .formulas import (
     Cube,
-    EqualityLiteral,
     PredicateId,
     PredicateLiteral,
     Signature,
@@ -197,6 +196,9 @@ ALL = upfrom(1)
 # The predicate part of a cube whose literals clash.
 UNSAT = object()
 
+# Largest predicate index drawn when sampling random test cubes.
+SAMPLE_INDEX_BOUND = 6
+
 
 # -- theory base -------------------------------------------------------------
 
@@ -208,28 +210,27 @@ class Theory:
     signature: Signature
     certificate: PropertyCertificate
 
-    # Hint for random cube generation: largest predicate index to draw.
-    sample_index_bound: int = 6
+    # -- declared by each theory ----------------------------------------
+
+    def shape(self, part) -> Shape:
+        raise NotImplementedError
 
     # Theories over infinite signatures must only constrain models through
     # positively guarded axioms (P -> ...), which is what lets the brute
     # oracle default unmentioned predicates to false.  Finite-signature
     # theories may constrain negatively; the oracle enumerates their whole
     # signature instead.
-    positive_guards_only: bool = True
-
-    # Bound on the satisfiability scan through a shape's oracle test.
-    cap: int = DEFAULT_ITERATION_CAP
-
-    # -- declared by each theory ----------------------------------------
-
-    def shape(self, part) -> Shape:
-        raise NotImplementedError
-
     def model_check(self, size: int, true_preds: frozenset[PredicateId]) -> bool:
         """Whether a finite model of this size with exactly these true
         predicates satisfies every (non-vacuous) axiom."""
         raise NotImplementedError
+
+    def _declare_family(self, base: str, family: str, arity: int):
+        """Own the one predicate family ``family`` of this arity; the name
+        is ``base``, suffixed with the family unless it is the plain P."""
+        self.family = family
+        self.name = base if family == "P" else f"{base}[{family}]"
+        self.signature = Signature(frozenset({(family, arity)}))
 
     # -- reading a cube ---------------------------------------------------
 
@@ -291,8 +292,8 @@ class Theory:
             if k in shape.finite:
                 return True
             k += 1
-            if k - mm > self.cap:
-                raise IterationCapExceeded("satisfiability scan", self.cap)
+            if k - mm > DEFAULT_ITERATION_CAP:
+                raise IterationCapExceeded("satisfiability scan", DEFAULT_ITERATION_CAP)
         return False
 
     def decide_at_least(self, cube: Cube, k: int) -> bool:
@@ -386,7 +387,7 @@ class Theory:
         if not fams:
             return None
         fam, arity = rng.choice(fams)
-        bound = self.sample_index_bound
+        bound = SAMPLE_INDEX_BOUND
         if arity == 0:
             return PredicateId(fam, ())
         if arity == 1:
@@ -403,12 +404,14 @@ class Theory:
 
 DEFAULT_U_STANDIN = odds()
 
-# Variable pool for the canonical formula enumeration shared by the
-# inner-theory registry and the diagonal construction.
+# Variable pool and largest unary predicate index for the canonical
+# formula enumeration shared by the inner-theory registry and the
+# diagonal construction.
 ENUMERATION_VARIABLES = ("w1", "w2", "w3", "w4")
+ENUMERATION_MAX_INDEX = 3
 
 
-def literal_pool_for(theory: Theory, max_index: int = 3) -> list:
+def literal_pool_for(theory: Theory) -> list:
     """The bounded literal universe for enumerating this theory's cubes."""
     pool = list(equality_literal_pool(ENUMERATION_VARIABLES))
     for fam, arity in sorted(theory.signature.families):
@@ -417,7 +420,7 @@ def literal_pool_for(theory: Theory, max_index: int = 3) -> list:
             pool.append(PredicateLiteral(pid, True))
             pool.append(PredicateLiteral(pid, False))
         elif arity == 1:
-            for i in range(1, max_index + 1):
+            for i in range(1, ENUMERATION_MAX_INDEX + 1):
                 pid = PredicateId(fam, (i,))
                 pool.append(PredicateLiteral(pid, True))
                 pool.append(PredicateLiteral(pid, False))
@@ -432,8 +435,8 @@ class FormulaEnumeration:
     are stable and invertible within a run.
     """
 
-    def __init__(self, theory: Theory, max_index: int = 3):
-        self._gen = canonical_cubes(literal_pool_for(theory, max_index))
+    def __init__(self, theory: Theory):
+        self._gen = canonical_cubes(literal_pool_for(theory))
         self._by_id: list[Cube] = []
         self._ids: dict[Cube, int] = {}
 
@@ -454,18 +457,3 @@ class FormulaEnumeration:
         self._by_id.append(c)
         self._ids[c] = len(self._by_id)
 
-
-def witness_with_self_equalities(theory: Theory, cube: Cube, count: int) -> Cube:
-    """Extend a single-positive-predicate cube with `count` fresh
-    self-equalities; satisfiability is preserved and every satisfiable
-    output has a model carried entirely by its own variables (provided
-    `count` covers the largest size the theory's axioms can force)."""
-    from .formulas import fresh_variables
-
-    pos = cube.positive_preds()
-    if len(pos) != 1:
-        raise ValueError("witness needs exactly one positive predicate literal")
-    if not isinstance(pos[0].indices[0], int):
-        raise ValueError("witness needs a finite predicate index")
-    fresh = fresh_variables(cube.variables(), count, prefix="x")
-    return cube.with_literals(EqualityLiteral(v, v, True) for v in fresh)

@@ -1,7 +1,4 @@
-import pytest
-
 from combinekit.brute import (
-    BruteConfig,
     brute_combined_formula_sat,
     brute_combined_sat,
     brute_sat_at,
@@ -25,11 +22,6 @@ TOP = Cube(())
 def cube(text):
     (c,) = to_dnf(parse_formula(text))
     return c
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        BruteConfig(max_card=0)
 
 
 def test_pigeonhole_example():

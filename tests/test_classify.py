@@ -9,7 +9,7 @@ from combinekit.classify import (
     probe_certificate,
     refute_class,
 )
-from combinekit.filters import NO, UNKNOWN, YES, filter_includes, frechet, generated
+from combinekit.filters import NO, YES, filter_includes, frechet, generated
 from combinekit.properties import (
     CLASSES,
     LATTICE_EDGES,
@@ -86,6 +86,14 @@ def test_member_needs_its_parameter():
     with pytest.raises(ValueError):
         cert.member("polite")
     assert cert.member("n-shiny", n=4) and cert.member("F-QG", filt=frechet())
+
+
+def test_certificate_stores_plain_flags_as_bools():
+    for flag in ("shiny", "never_infinite", "finitely_witnessable"):
+        cert = certificate(**{flag: None})
+        assert getattr(cert, flag) is False
+        assert cert == certificate()
+        assert getattr(certificate(**{flag: 1}), flag) is True
 
 
 def test_class_ancestors():
@@ -240,13 +248,6 @@ def test_generated_filter_membership_exact():
     assert f12.member(bitzero(1).intersect(bitzero(2))) == YES
     assert f12.member(odds()) == NO
     assert f12.member(finite_set([2]).complement()) == YES  # cofinite refinement
-
-
-def test_generated_filter_bounded_search_can_answer_unknown():
-    f12 = bitzero_filter({1, 2})
-    inter = bitzero(1).intersect(bitzero(2))
-    assert f12.member(inter, search_bound=1) == UNKNOWN
-    assert f12.member(inter, search_bound=2) == YES
 
 
 def test_generators_must_have_infinite_intersections():

@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from combinekit.cli import main
 
 
@@ -214,3 +216,26 @@ def test_internal_fault_exits_2_not_unsat(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "decide", "T_eq", "(= x x)")
     assert code == 2
     assert err.startswith("error: KeyError")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--K", "-3", "classify", "T_leq_3"),
+        ("classify", "T_eq", "--samples", "0"),
+        ("--K", "0", "brute-check", "--theory", "T_eq_P"),
+        ("spectrum", "T_eq_P", "(P 3)", "--upto", "-2"),
+        ("--cap", "0", "combine", "T_leq_3", "T_eq_P", "(= x x)"),
+        ("brute-check", "--theory", "T_eq", "--samples", "0"),
+        ("diagonal", "--rounds", "0"),
+        ("lattice", "--n", "0"),
+        ("filters", "--depth", "0"),
+        ("--K", "two", "classify", "T_eq"),
+    ],
+)
+def test_vacuous_count_and_bound_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be >= 1" in err or "not an integer" in err

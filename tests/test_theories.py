@@ -5,6 +5,7 @@ import pytest
 from combinekit.brute import brute_sat_at, brute_spectrum, random_cube
 from combinekit.catalog import (
     BigModelTagTheory,
+    CompositeTestTheory,
     GapIndexTheory,
     MixedTagTheory,
     SingletonOrInfiniteTheory,
@@ -13,7 +14,6 @@ from combinekit.catalog import (
     StepTheory,
     TaggedInfinityTheory,
     TwoSizeTheory,
-    make_complete_theory,
     toy_inner_theory,
     witness_tgtnp,
 )
@@ -264,21 +264,21 @@ def _pred_subsets_for(theory, c):
 
 
 def test_complete_theory_examples():
-    cs = make_complete_theory("CS-complete")
+    cs = CompositeTestTheory("CS-complete")
     big = cube("(and (pred P inf) (distinct a b c d e f g))")
     assert cs.decide_cube(big)
     assert cs.spec_inf(big)
-    shiny = make_complete_theory("shiny-complete")
+    shiny = CompositeTestTheory("shiny-complete")
     assert not shiny.decide_cube(Cube((plit("P", 3), plit("Q", 2))))
-    si = make_complete_theory("SI-complete")
+    si = CompositeTestTheory("SI-complete")
     assert si.decide_cube(Cube((plit("B", 4, 9),)))
-    idc = make_complete_theory("ID-complete")
+    idc = CompositeTestTheory("ID-complete")
     assert idc.spec_inf(cube("(distinct x y)"))
     assert not idc.spec_inf(Cube((plit("R", 2, 5, 9),)))
 
 
 def test_complete_theory_rejects_bad_two_size_indices():
-    t = make_complete_theory("n-shiny-complete", n=4)
+    t = CompositeTestTheory("n-shiny-complete", n=4)
     with pytest.raises(SignatureError):
         t.decide_cube(Cube((plit("R", 4, 6, 1),)))  # lower size equals n
     with pytest.raises(SignatureError):
@@ -287,7 +287,7 @@ def test_complete_theory_rejects_bad_two_size_indices():
 
 def test_unknown_complete_kind():
     with pytest.raises(ValueError):
-        make_complete_theory("bogus")
+        CompositeTestTheory("bogus")
 
 
 # -- gap-index theory ----------------------------------------------------------------
