@@ -12,10 +12,12 @@ parameters, which are reported as paper-level only.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
 from .brute import brute_spectrum, random_cube
+from .catalog import BigModelTagTheory, witness_tgtnp
 from .errors import CapabilityMissing, IterationCapExceeded
 from .filters import NO, YES, FreeFilter, filter_includes, frechet, generated
 from .formulas import Cube, PredicateLiteral
@@ -42,24 +44,6 @@ def sample_cubes(theory: Theory, count: int, rng: random.Random) -> list[Cube]:
     return cubes[:count]
 
 
-def _report(theory: Theory, flag: str, verdict: str, evidence: str) -> dict:
-    return {"theory": theory.name, "flag": flag, "verdict": verdict, "evidence": evidence}
-
-
-def _bounded_above(theory: Theory, cube: Cube, bound: int) -> int | None:
-    """The first clique size that kills the cube, proving its spectrum is
-    bounded (hence misses the infinite cardinality); None if none up to
-    bound + 1 does."""
-    if not theory.decide_cube(cube):
-        return None
-    try:
-        return view(theory, cube).max_finite(bound) + 1
-    except IterationCapExceeded as e:
-        if e.operation != "max_finite":
-            raise
-        return None
-
-
 def _shape_ok_for_nshiny(spec: ExactSpectrum, n: int) -> bool:
     if spec.is_empty():
         return True
@@ -78,6 +62,11 @@ def _shape_ok_for_nshiny(spec: ExactSpectrum, n: int) -> bool:
     return k is not None and k >= n + 2 and rest == upfrom(k)
 
 
+def _first(cubes, check) -> str | None:
+    """The first counterexample text the per-cube check reports, or None."""
+    return next(filter(None, map(check, cubes)), None)
+
+
 # -- per-flag corroboration probes -------------------------------------------
 
 
@@ -92,156 +81,131 @@ def probe_certificate(
     Probes report and never throw; capability errors inside a probe are
     themselves a failure of the claimed flag.
     """
-    rng = random.Random(seed)
-    cubes = sample_cubes(theory, samples, rng)
+    cubes = sample_cubes(theory, samples, random.Random(seed))
     cert = theory.certificate
+    # Every probe that reads a cube's brute window reads the same one.
+    window = functools.cache(lambda c: brute_spectrum(theory, c, bound))
+
+    def decidable(c):
+        if not theory.decide_cube(c) and window(c):
+            return f"decide says unsat but a finite model exists: {c}"
+
+    def cfs(c):
+        w = window(c)
+        for k in range(1, bound + 1):
+            if theory.spec_finite(c, k) != (k in w):
+                return f"finite membership of {k} disagrees with brute on {c}"
+
+    def infinitely_decidable(c):
+        got = theory.spec_inf(c)
+        if got and not theory.decide_cube(c):
+            return f"infinite member claimed for unsatisfiable {c}"
+        if cert.never_infinite and got:
+            return f"never-infinite theory claims an infinite model of {c}"
+
+    def stably_infinite(c):
+        if theory.decide_cube(c) and not theory.spec_inf(c):
+            return f"satisfiable {c} lacks an infinite model"
+
+    def smooth(c):
+        w = window(c)
+        if w and not all(k in w for k in range(min(w), bound + 1)):
+            return f"window spectrum of {c} is not upward closed: {sorted(w)}"
+        if w and not theory.spec_inf(c):
+            return f"{c} has finite models but no infinite one"
+
+    def fmp(c):
+        if theory.decide_cube(c) and not window(c):
+            return f"satisfiable {c} has no model within the probe bound"
+
+    def minmod(c):
+        w = window(c)
+        if w and (got := view(theory, c).minmod()) != min(w):
+            return f"minimum model of {c}: got {got}, brute says {min(w)}"
+
+    def gentle(c):
+        spec = theory.exact_spectrum(c)
+        if not spec.finite_or_cofinite():
+            return f"spectrum of {c} is neither finite nor cofinite"
+        w = window(c)
+        for k in range(1, bound + 1):
+            if spec.finite_part.contains(k) != (k in w):
+                return f"materialized spectrum of {c} disagrees with brute at {k}"
+
+    def n_shiny(c):
+        shape = theory.nshiny_classify(c)
+        if shape is None:
+            return f"no shape for satisfiable {c}" if theory.decide_cube(c) else None
+        t, k = shape
+        if t not in (0, 1, 2) or k < 1:
+            return f"bad shape {shape} for {c}"
+        w = window(c)
+        for kk in range(1, bound + 1):
+            expect = (t in (1, 2) and kk >= k) or (t in (0, 1) and kk == cert.n_shiny_param)
+            if (kk in w) != expect:
+                return f"shape {shape} disagrees with brute at {kk} on {c}"
+
+    def finitely_witnessable(c):
+        if isinstance(theory, BigModelTagTheory) and len(c.positive_preds()) == 1:
+            if theory.decide_cube(c) != theory.decide_cube(witness_tgtnp(theory, c)):
+                return f"witness transform changes satisfiability of {c}"
+
+    # (flag, claimed, per-cube check, verdict when clean) in report order;
+    # shiny has no check of its own, it rests on the rows above it.
+    table = (
+        ("decidable", True, decidable, "pass"),
+        ("CFS", cert.cfs, cfs, "pass"),
+        ("ID", cert.infinitely_decidable, infinitely_decidable, "pass"),
+        ("SI", cert.stably_infinite, stably_infinite, "pass"),
+        ("smooth", cert.smooth, smooth, "probe-pass"),
+        ("FMP", cert.fmp, fmp, "probe-pass"),
+        ("minmod", cert.minmod_computable, minmod, "pass"),
+        ("gentle", cert.gentle, gentle, "pass"),
+        ("n-shiny", cert.n_shiny_param is not None or cert.shiny, n_shiny, "pass"),
+        ("shiny", cert.shiny, None, "probe-pass"),
+        ("finitely-witnessable", cert.finitely_witnessable, finitely_witnessable, "probe-pass"),
+    )
     rows = []
-
-    def run(flag: str, fn, kind: str = "pass"):
+    for flag, claimed, check, clean in table:
+        if not claimed:
+            continue
         try:
-            bad = fn()
+            bad = _first(cubes, check) if check else None
         except CapabilityMissing as e:
-            rows.append(_report(theory, flag, "fail", f"capability error: {e}"))
-            return
-        if bad is None:
-            rows.append(_report(theory, flag, kind, "sampled probe clean"))
-        else:
-            rows.append(_report(theory, flag, "fail", bad))
-
-    def probe_decidable():
-        for c in cubes:
-            got = theory.decide_cube(c)
-            if not got and brute_spectrum(theory, c, bound):
-                return f"decide says unsat but a finite model exists: {c}"
-        return None
-
-    run("decidable", probe_decidable)
-
-    if cert.cfs:
-        def probe_cfs():
-            for c in cubes:
-                w = brute_spectrum(theory, c, bound)
-                for k in range(1, bound + 1):
-                    if theory.spec_finite(c, k) != (k in w):
-                        return f"finite membership of {k} disagrees with brute on {c}"
-            return None
-
-        run("CFS", probe_cfs)
-
-    if cert.infinitely_decidable:
-        def probe_id():
-            for c in cubes:
-                got = theory.spec_inf(c)
-                if got and not theory.decide_cube(c):
-                    return f"infinite member claimed for unsatisfiable {c}"
-                if cert.never_infinite and got:
-                    return f"never-infinite theory claims an infinite model of {c}"
-            return None
-
-        run("ID", probe_id)
-
-    if cert.stably_infinite:
-        def probe_si():
-            for c in cubes:
-                if theory.decide_cube(c) and not theory.spec_inf(c):
-                    return f"satisfiable {c} lacks an infinite model"
-            return None
-
-        run("SI", probe_si)
-
-    if cert.smooth:
-        def probe_smooth():
-            for c in cubes:
-                w = brute_spectrum(theory, c, bound)
-                if w and not all(k in w for k in range(min(w), bound + 1)):
-                    return f"window spectrum of {c} is not upward closed: {sorted(w)}"
-                if w and not theory.spec_inf(c):
-                    return f"{c} has finite models but no infinite one"
-            return None
-
-        run("smooth", probe_smooth, kind="probe-pass")
-
-    if cert.fmp:
-        def probe_fmp():
-            for c in cubes:
-                if theory.decide_cube(c) and not brute_spectrum(theory, c, bound):
-                    return f"satisfiable {c} has no model within the probe bound"
-            return None
-
-        run("FMP", probe_fmp, kind="probe-pass")
-
-    if cert.minmod_computable:
-        def probe_minmod():
-            for c in cubes:
-                w = brute_spectrum(theory, c, bound)
-                if w:
-                    got = view(theory, c).minmod()
-                    if got != min(w):
-                        return f"minimum model of {c}: got {got}, brute says {min(w)}"
-            return None
-
-        run("minmod", probe_minmod)
-
-    if cert.gentle:
-        def probe_gentle():
-            for c in cubes:
-                spec = theory.exact_spectrum(c)
-                if not spec.finite_or_cofinite():
-                    return f"spectrum of {c} is neither finite nor cofinite"
-                w = brute_spectrum(theory, c, bound)
-                for k in range(1, bound + 1):
-                    if spec.finite_part.contains(k) != (k in w):
-                        return f"materialized spectrum of {c} disagrees with brute at {k}"
-            return None
-
-        run("gentle", probe_gentle)
-
-    if cert.n_shiny_param is not None or cert.shiny:
-        def probe_nshiny():
-            n0 = cert.n_shiny_param
-            for c in cubes:
-                shape = theory.nshiny_classify(c)
-                if shape is None:
-                    if theory.decide_cube(c):
-                        return f"no shape for satisfiable {c}"
-                    continue
-                t, k = shape
-                if t not in (0, 1, 2) or k < 1:
-                    return f"bad shape {shape} for {c}"
-                w = brute_spectrum(theory, c, bound)
-                for kk in range(1, bound + 1):
-                    expect = t in (1, 2) and kk >= k
-                    if t in (0, 1) and n0 is not None and kk == n0:
-                        expect = True
-                    if (kk in w) != expect:
-                        return f"shape {shape} disagrees with brute at {kk} on {c}"
-            return None
-
-        run("n-shiny", probe_nshiny)
-
-    if cert.shiny:
-        rows.append(_report(theory, "shiny", "probe-pass", "smooth+FMP+minmod probes above"))
-
-    if cert.finitely_witnessable:
-        def probe_witness():
-            from .catalog import BigModelTagTheory, witness_tgtnp
-
-            if not isinstance(theory, BigModelTagTheory):
-                return None
-            for c in cubes:
-                if len(c.positive_preds()) != 1:
-                    continue
-                w = witness_tgtnp(theory, c)
-                if theory.decide_cube(c) != theory.decide_cube(w):
-                    return f"witness transform changes satisfiability of {c}"
-            return None
-
-        run("finitely-witnessable", probe_witness, kind="probe-pass")
-
+            bad = f"capability error: {e}"
+        evidence = bad or ("sampled probe clean" if check else "smooth+FMP+minmod probes above")
+        verdict = "fail" if bad else clean
+        rows.append({"theory": theory.name, "flag": flag, "verdict": verdict, "evidence": evidence})
     return rows
 
 
 # -- class refutation ----------------------------------------------------------
+
+_WITHHELD = "capability withheld (depends on the undecidable parameters)"
+_NO_SPECTRA = "spectra unavailable without the undecidable parameters"
+
+# Refutation walks the lattice: outside an upper class means outside every
+# class below it.  Per class: the paper-level reason if nothing is found, and
+# the search order, where "own" runs the class's structural search and
+# (upper, prefix) refutes an upper class, prefixing its evidence.  shiny does
+# not try SI: SM+CS tries it first, on the same cubes.
+REFUTATION: dict[str, tuple[str, tuple]] = {
+    **dict.fromkeys(("n-decidable", "CFS", "ID"), (_WITHHELD, ())),
+    "CS": ("computable-spectra components withheld", ()),
+    "SI": ("no bounded satisfiable cube found", ("own",)),
+    "SM+CS": (
+        "smoothness holds on samples; computable-spectra part withheld",
+        (("SI", "not stably infinite"), "own"),
+    ),
+    "gentle": ("exact spectra unavailable without the undecidable parameters", ("own",)),
+    "F-QG": (_NO_SPECTRA, ("own", ("co-F-QG", "not even co-quasi-gentle"))),
+    "co-F-QG": (_NO_SPECTRA, ("own",)),
+    "n-shiny": ("shapes unavailable without the undecidable parameters", ("own",)),
+    "shiny": (
+        "minimal-model computability withheld",
+        (("SM+CS", "outside SM+CS"), ("n-shiny", "outside n-shiny")),
+    ),
+}
 
 
 def refute_class(
@@ -253,72 +217,79 @@ def refute_class(
     ('paper-level', reason) when the separation rests on withheld,
     undecidability-backed capabilities.  Call only on non-member classes.
     """
+    if cls not in REFUTATION:
+        raise ValueError(f"cannot refute membership in {cls!r}")
+    reason, order = REFUTATION[cls]
     filt = filt or frechet()
     bound = DEFAULT_PROBE_BOUND
     cubes = sample_cubes(theory, DEFAULT_PROBE_SAMPLES, random.Random(0))
 
-    def exact_specs():
-        for c in cubes:
-            spec = theory.cube_spectrum_exact(c)
-            if spec is None and theory.certificate.cfs:
-                # A provably bounded spectrum materializes through finite
-                # membership alone: the clique death point caps it.
-                j = _bounded_above(theory, c, bound)
-                if j is not None:
-                    members = [k for k in range(1, j) if theory.spec_finite(c, k)]
-                    spec = ExactSpectrum(finite_set(members), False)
-            if spec is not None:
-                yield c, spec
+    def dies_at(c):
+        """The first clique size that kills the cube, proving its spectrum
+        is bounded (hence misses the infinite cardinality); None if none up
+        to bound + 1 does."""
+        if not theory.decide_cube(c):
+            return None
+        try:
+            return view(theory, c).max_finite(bound) + 1
+        except IterationCapExceeded as e:
+            if e.operation != "max_finite":
+                raise
+            return None
 
-    if cls in ("CFS", "n-decidable", "ID"):
-        return "paper-level", "capability withheld (depends on the undecidable parameters)"
-    if cls == "SI":
-        for c in cubes:
-            j = _bounded_above(theory, c, bound)
+    def exact(c):
+        spec = theory.cube_spectrum_exact(c)
+        if spec is None and theory.certificate.cfs:
+            # A provably bounded spectrum materializes through finite
+            # membership alone: the clique death point caps it.
+            j = dies_at(c)
             if j is not None:
-                return "fail", f"{c} is satisfiable but dies at clique size {j}"
-        return "paper-level", "no bounded satisfiable cube found"
-    if cls == "SM+CS":
-        verdict, ev = refute_class(theory, "SI", n=n, filt=filt)
-        if verdict == "fail":
-            return verdict, f"not stably infinite: {ev}"
-        for c in cubes:
-            w = brute_spectrum(theory, c, bound)
-            if w and not all(k in w for k in range(min(w), bound + 1)):
-                return "fail", f"window spectrum of {c} not upward closed: {sorted(w)}"
-        return "paper-level", "smoothness holds on samples; computable-spectra part withheld"
-    if cls == "gentle":
-        for c, spec in exact_specs():
-            if not spec.finite_or_cofinite():
-                return "fail", f"spectrum of {c} is {spec.to_json()}"
-        return "paper-level", "exact spectra unavailable without the undecidable parameters"
-    if cls == "F-QG":
-        for c, spec in exact_specs():
-            if spec.has_inf and filt.member(spec.finite_part) == NO:
-                return "fail", f"infinite spectrum of {c} has finite part outside the filter"
-        verdict, ev = refute_class(theory, "co-F-QG", n=n, filt=filt)
-        if verdict == "fail":
-            return verdict, f"not even co-quasi-gentle: {ev}"
-        return "paper-level", "spectra unavailable without the undecidable parameters"
-    if cls == "co-F-QG":
-        for c, spec in exact_specs():
-            if spec.has_inf and filt.member(spec.finite_part.complement()) == YES:
-                return "fail", f"infinite spectrum of {c} misses a filter member: {c}"
-        return "paper-level", "spectra unavailable without the undecidable parameters"
-    if cls == "n-shiny":
-        for c, spec in exact_specs():
-            if not _shape_ok_for_nshiny(spec, n):
-                return "fail", f"spectrum of {c} has an invalid shape for {n}-shininess"
-        return "paper-level", "shapes unavailable without the undecidable parameters"
-    if cls == "shiny":
-        for parent in ("SM+CS", "n-shiny", "SI"):
-            verdict, ev = refute_class(theory, parent, n=n, filt=filt)
-            if verdict == "fail":
-                return verdict, f"outside {parent}: {ev}"
-        return "paper-level", "minimal-model computability withheld"
-    if cls == "CS":
-        return "paper-level", "computable-spectra components withheld"
-    raise ValueError(f"cannot refute membership in {cls!r}")
+                members = [k for k in range(1, j) if theory.spec_finite(c, k)]
+                spec = ExactSpectrum(finite_set(members), False)
+        return spec
+
+    def stably_infinite(c):
+        j = dies_at(c)
+        if j is not None:
+            return f"{c} is satisfiable but dies at clique size {j}"
+
+    def smooth(c):
+        w = brute_spectrum(theory, c, bound)
+        if w and not all(k in w for k in range(min(w), bound + 1)):
+            return f"window spectrum of {c} not upward closed: {sorted(w)}"
+
+    def gentle(c):
+        spec = exact(c)
+        if spec is not None and not spec.finite_or_cofinite():
+            return f"spectrum of {c} is {spec.to_json()}"
+
+    def fqg(c):
+        spec = exact(c)
+        if spec is not None and spec.has_inf and filt.member(spec.finite_part) == NO:
+            return f"infinite spectrum of {c} has finite part outside the filter"
+
+    def co_fqg(c):
+        spec = exact(c)
+        if spec is not None and spec.has_inf and filt.member(spec.finite_part.complement()) == YES:
+            return f"infinite spectrum of {c} misses a filter member: {c}"
+
+    def n_shiny(c):
+        spec = exact(c)
+        if spec is not None and not _shape_ok_for_nshiny(spec, n):
+            return f"spectrum of {c} has an invalid shape for {n}-shininess"
+
+    own = {"SI": stably_infinite, "SM+CS": smooth, "gentle": gentle, "F-QG": fqg,
+           "co-F-QG": co_fqg, "n-shiny": n_shiny}
+    for step in order:
+        if step == "own":
+            bad = _first(cubes, own[cls])
+        else:
+            upper, prefix = step
+            verdict, ev = refute_class(theory, upper, n=n, filt=filt)
+            bad = f"{prefix}: {ev}" if verdict == "fail" else None
+        if bad:
+            return "fail", bad
+    return "paper-level", reason
 
 
 # -- lattice -------------------------------------------------------------------

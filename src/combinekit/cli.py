@@ -13,7 +13,7 @@ import random
 import re
 import sys
 
-from .brute import brute_spectrum, random_cube
+from .brute import brute_sat_at, brute_spectrum, random_cube
 from .classify import build_lattice, filter_chain_demo, probe_certificate
 from .combine import METHODS, Method, combine_decide, n_shiny
 from .diagonal import run_rounds
@@ -95,7 +95,7 @@ def cmd_spectrum(args, registry: Registry) -> int:
             try:
                 hit = theory.spec_finite(c, k)
             except CombineKitError:
-                hit = k in brute_spectrum(theory, c, k)
+                hit = brute_sat_at(theory, c, k)
             if hit:
                 finite.add(k)
                 break

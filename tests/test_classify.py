@@ -1,5 +1,6 @@
 import pytest
 
+from combinekit.brute import brute_spectrum
 from combinekit.classify import (
     bitzero_filter,
     build_lattice,
@@ -124,13 +125,27 @@ def test_probe_rows_have_schema(catalog):
     rows = probe_certificate(catalog["T_cs"], samples=20)
     for r in rows:
         assert set(r) == {"theory", "flag", "verdict", "evidence"}
-        assert r["verdict"] in ("pass", "fail", "probe-pass", "unknown")
+        assert r["verdict"] in ("pass", "fail", "probe-pass")
 
 
 def test_whole_catalog_probes_clean(theory_list):
     for t in theory_list:
         for row in probe_certificate(t, samples=20):
             assert row["verdict"] != "fail", row
+
+
+def test_probes_enumerate_each_cube_window_once(theory_list, monkeypatch):
+    calls = []
+
+    def counting(theory, cube, bound):
+        calls.append(cube)
+        return brute_spectrum(theory, cube, bound)
+
+    monkeypatch.setattr("combinekit.classify.brute_spectrum", counting)
+    for t in theory_list:
+        calls.clear()
+        probe_certificate(t, samples=25)
+        assert len(calls) == len(set(calls)), t.name
 
 
 # -- refutations --------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from combinekit.brute import brute_sat_at
 from combinekit.cli import main
 
 
@@ -58,6 +61,31 @@ def test_spectrum_worked_example(capsys):
     assert code == 0
     got = json.loads(out.strip())
     assert got["finite_part"] == [5]
+
+
+def test_spectrum_decides_each_withheld_size_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(theory, cube, k, closure=None):
+        calls.append(k)
+        return brute_sat_at(theory, cube, k, closure)
+
+    monkeypatch.setattr("combinekit.brute.brute_sat_at", counting)
+    monkeypatch.setattr("combinekit.cli.brute_sat_at", counting)
+    code, out, _ = run_cli(capsys, "spectrum", "T_si", "(pred P 1)", "--upto", "12")
+    assert code == 0
+    assert out == '{"finite_part": [], "has_inf": true, "upto": 12}\n'
+    assert len(calls) <= 12  # one cube: at most one brute decision per size
+
+
+def test_readme_cli_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    examples = [shlex.split(line) for line in block.splitlines() if line.startswith("combinekit ")]
+    assert len(examples) == 9
+    for argv in examples:
+        assert main(argv[1:]) == 0, argv
+        capsys.readouterr()
 
 
 def test_lattice_dot_is_parseable_with_15_edges(capsys):

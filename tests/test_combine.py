@@ -18,6 +18,7 @@ from combinekit.catalog import (
 from combinekit.combine import (
     CS,
     GENTLE,
+    METHODS,
     NELSON_OPPEN,
     SHINY,
     SMCS,
@@ -40,6 +41,7 @@ from combinekit.formulas import (
     neq_clique,
     parse_formula,
 )
+from combinekit.properties import CLASSES, LATTICE_EDGES, class_ancestors
 from combinekit.sets import ALEPH0, evens, upfrom
 from combinekit.spectra import view
 
@@ -71,6 +73,20 @@ def test_not_applicable_raises_with_diff():
     with pytest.raises(MethodNotApplicable) as e:
         combine_decide(SizePinTheory(), TaggedInfinityTheory("Q"), f("(= x x)"), SHINY)
     assert "shiny" in str(e.value)
+
+
+def test_method_table_is_a_galois_connection():
+    # Each row pairs its side-1 class with its side-2 class; the pairing
+    # covers every lattice class once and turns the inclusion order around.
+    partner = {}
+    for side1, side2, _ in METHODS.values():
+        assert partner.setdefault(side1, side2) == side2
+        assert partner.setdefault(side2, side1) == side1
+    assert set(partner) == set(CLASSES)
+    assert {cls for cls in CLASSES if partner[cls] == cls} == {"CS", "SI"}
+    assert all(partner[partner[cls]] == cls for cls in CLASSES)
+    for lo, hi in LATTICE_EDGES:
+        assert partner[lo] in class_ancestors(partner[hi]), (lo, hi)
 
 
 def test_auto_select_is_deterministic_and_cheapest_first():
