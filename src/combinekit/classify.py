@@ -219,7 +219,6 @@ def refute_class(
     """
     if cls not in REFUTATION:
         raise ValueError(f"cannot refute membership in {cls!r}")
-    reason, order = REFUTATION[cls]
     filt = filt or frechet()
     bound = DEFAULT_PROBE_BOUND
     cubes = sample_cubes(theory, DEFAULT_PROBE_SAMPLES, random.Random(0))
@@ -237,6 +236,7 @@ def refute_class(
                 raise
             return None
 
+    @functools.cache
     def exact(c):
         spec = theory.cube_spectrum_exact(c)
         if spec is None and theory.certificate.cfs:
@@ -280,16 +280,22 @@ def refute_class(
 
     own = {"SI": stably_infinite, "SM+CS": smooth, "gentle": gentle, "F-QG": fqg,
            "co-F-QG": co_fqg, "n-shiny": n_shiny}
-    for step in order:
-        if step == "own":
-            bad = _first(cubes, own[cls])
-        else:
-            upper, prefix = step
-            verdict, ev = refute_class(theory, upper, n=n, filt=filt)
-            bad = f"{prefix}: {ev}" if verdict == "fail" else None
-        if bad:
-            return "fail", bad
-    return "paper-level", reason
+
+    def walk(cls):
+        """Refute cls on the shared cubes, stepping up the lattice as listed."""
+        reason, order = REFUTATION[cls]
+        for step in order:
+            if step == "own":
+                bad = _first(cubes, own[cls])
+            else:
+                upper, prefix = step
+                verdict, ev = walk(upper)
+                bad = f"{prefix}: {ev}" if verdict == "fail" else None
+            if bad:
+                return "fail", bad
+        return "paper-level", reason
+
+    return walk(cls)
 
 
 # -- lattice -------------------------------------------------------------------

@@ -104,17 +104,18 @@ Literal = PredicateLiteral | EqualityLiteral
 class Cube:
     """A normalized conjunction of literals.
 
-    Literals are sorted and deduplicated; ``contradictory`` is true when
-    the cube contains x != x or a literal together with its negation.
-    Tautological self-equalities x = x are retained (they contribute
-    variables, which matters for witness constructions).
+    Literals are deduplicated in input order, then sorted, so sorted runs
+    (as in a join of two cubes) merge in linear time.  ``contradictory``
+    is true when the cube contains x != x or a literal together with its
+    negation.  Tautological self-equalities x = x are retained (they
+    contribute variables, which matters for witness constructions).
     """
 
     literals: tuple[Literal, ...]
 
     def __post_init__(self):
         object.__setattr__(
-            self, "literals", tuple(sorted(set(self.literals), key=lambda l: l.sort_key))
+            self, "literals", tuple(sorted(dict.fromkeys(self.literals), key=lambda l: l.sort_key))
         )
 
     @cached_property
@@ -386,7 +387,8 @@ def neq_clique(variables: Sequence[str], n: int) -> Cube:
     """The cube of pairwise disequalities over n variables.
 
     Satisfiable exactly in domains of size >= n.  ``n = 1`` yields the
-    empty cube (no pairs).
+    empty cube (no pairs).  Pairs of sorted names come out already in
+    literal order, so normalizing them is one linear pass.
     """
     if n < 1:
         raise ValueError("clique size must be >= 1")
@@ -394,7 +396,7 @@ def neq_clique(variables: Sequence[str], n: int) -> Cube:
         raise ValueError(f"need exactly {n} variables, got {len(variables)}")
     return Cube(
         tuple(
-            EqualityLiteral(x, y, False) for x, y in itertools.combinations(variables, 2)
+            EqualityLiteral(x, y, False) for x, y in itertools.combinations(sorted(variables), 2)
         )
     )
 

@@ -29,6 +29,7 @@ query.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -89,8 +90,10 @@ def minmod_equalities(cube: Cube) -> int | None:
     """Minimum model size of the equality part of a cube; None if inconsistent.
 
     Equalities merge variables into classes; the minimum domain size is
-    the chromatic number of the disequality graph over those classes
-    (1 when there are no variables, since domains are nonempty).
+    the chromatic number of the disequality graph over those classes,
+    taken per connected component; complete components in closed form,
+    any other searched upward from a greedy clique (1 without
+    disequalities, since domains are nonempty).
     """
     parent: dict[str, str] = {}
 
@@ -101,59 +104,62 @@ def minmod_equalities(cube: Cube) -> int | None:
             x = parent[x]
         return x
 
-    def union(a: str, b: str):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
     neqs = []
     for lit in cube.eq_literals():
-        find(lit.left), find(lit.right)
         if lit.positive:
-            union(lit.left, lit.right)
+            parent[find(lit.left)] = find(lit.right)
         else:
-            neqs.append((lit.left, lit.right))
-    edges = set()
-    for a, b in neqs:
-        ra, rb = find(a), find(b)
+            neqs.append(lit)
+    # Only classes on a disequality can need more than one element.
+    adj: defaultdict[str, set[str]] = defaultdict(set)
+    for lit in neqs:
+        ra, rb = find(lit.left), find(lit.right)
         if ra == rb:
             return None
-        edges.add(frozenset((ra, rb)))
-    classes = sorted({find(v) for v in parent})
-    if not classes:
-        return 1
-    adj = {c: set() for c in classes}
-    for e in edges:
-        a, b = tuple(e)
-        adj[a].add(b)
-        adj[b].add(a)
-    order = sorted(classes, key=lambda c: -len(adj[c]))
+        adj[ra].add(rb)
+        adj[rb].add(ra)
 
-    def colorable(k: int) -> bool:
-        colors: dict[str, int] = {}
-
-        def rec(i: int) -> bool:
-            if i == len(order):
+    def colorable(order: list[str], k: int, colors: dict[str, int]) -> bool:
+        """Whether the coloring of a prefix of order extends to k colors."""
+        if len(colors) == len(order):
+            return True
+        v = order[len(colors)]
+        used = {colors[u] for u in adj[v] if u in colors}
+        for c in range(k):
+            if c in used:
+                continue
+            colors[v] = c
+            if colorable(order, k, colors):
                 return True
-            v = order[i]
-            used = {colors[u] for u in adj[v] if u in colors}
-            for c in range(k):
-                if c in used:
-                    continue
-                colors[v] = c
-                if rec(i + 1):
-                    return True
-                del colors[v]
-                if c not in colors.values():
-                    break  # first unused color: symmetric to the rest
-            return False
+            del colors[v]
+            if c not in colors.values():
+                break  # first unused color: symmetric to the rest
+        return False
 
-        return rec(0)
-
-    for k in range(1, len(classes) + 1):
-        if colorable(k):
-            return k
-    return len(classes)
+    best, seen = 1, set()
+    for root in adj:
+        if root in seen:
+            continue
+        seen.add(root)
+        comp = [root]
+        for v in comp:
+            fresh = adj[v] - seen
+            seen |= fresh
+            comp.extend(fresh)
+        if len(comp) <= best:
+            continue
+        if all(len(adj[v]) == len(comp) - 1 for v in comp):
+            best = len(comp)
+            continue
+        order = sorted(comp, key=lambda c: (-len(adj[c]), c))
+        clique: list[str] = []
+        for v in order:
+            if adj[v].issuperset(clique):
+                clique.append(v)
+        best = max(best, len(clique))
+        while not colorable(order, best, {}):
+            best += 1
+    return best
 
 
 # -- spectrum shapes -----------------------------------------------------------

@@ -1,7 +1,9 @@
 import pytest
 
+from combinekit import classify
 from combinekit.brute import brute_spectrum
 from combinekit.classify import (
+    DEFAULT_PROBE_SAMPLES,
     bitzero_filter,
     build_lattice,
     class_ancestors,
@@ -18,6 +20,7 @@ from combinekit.properties import (
     certificate,
 )
 from combinekit.sets import bitzero, evens, finite_set, odds
+from combinekit.theories import Theory
 
 
 # -- certificate closure: all fifteen inclusion edges ---------------------------
@@ -181,6 +184,34 @@ def test_refute_nshiny_structurally(catalog):
 def test_refute_fqg_for_evens_cap(catalog):
     verdict, _ = refute_class(catalog["T_leq_S_evens"], "F-QG")
     assert verdict == "fail"
+
+
+def test_refutation_samples_once_and_reads_each_exact_spectrum_once(theory_list, monkeypatch):
+    samples, exacts = [], []
+    sample_cubes, cube_spectrum_exact = classify.sample_cubes, Theory.cube_spectrum_exact
+
+    def sampling(*args):
+        samples.append(args)
+        return sample_cubes(*args)
+
+    def exact(self, cube):
+        exacts.append(cube)
+        return cube_spectrum_exact(self, cube)
+
+    monkeypatch.setattr(classify, "sample_cubes", sampling)
+    monkeypatch.setattr(Theory, "cube_spectrum_exact", exact)
+    for t in theory_list:
+        for cls in ("F-QG", "shiny", "gentle"):
+            samples.clear()
+            exacts.clear()
+            refute_class(t, cls)
+            assert len(samples) == 1, (t.name, cls)
+            assert len(exacts) == len(set(exacts)), (t.name, cls)
+    # F-QG over T_eq runs its own search and then co-F-QG's on the same cubes.
+    by_name = {t.name: t for t in theory_list}
+    exacts.clear()
+    refute_class(by_name["T_eq"], "F-QG")
+    assert 0 < len(exacts) <= DEFAULT_PROBE_SAMPLES
 
 
 def test_refutations_that_need_the_tag_set_are_paper_level(catalog):

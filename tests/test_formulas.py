@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,42 @@ def test_cube_contradiction_detection():
     assert Cube((P(1), P(1, False))).contradictory
     assert Cube((eq("x", "y"), eq("x", "y", False))).contradictory
     assert not Cube((eq("x", "x"),)).contradictory  # tautology is retained
+
+
+def _seeded_literals(rng, count):
+    vs = ["a", "b", "c", "d", "e"]
+    return [
+        P(rng.randint(1, 4), rng.random() < 0.5)
+        if rng.random() < 0.3
+        else eq(rng.choice(vs), rng.choice(vs), rng.random() < 0.5)
+        for _ in range(count)
+    ]
+
+
+def test_cube_normalization_ignores_order_and_repeats():
+    rng = random.Random(7)
+    for _ in range(300):
+        lits = _seeded_literals(rng, rng.randint(0, 10))
+        shuffled = lits + rng.sample(lits, rng.randint(0, len(lits)))
+        rng.shuffle(shuffled)
+        a, b = Cube(tuple(lits)), Cube(tuple(shuffled))
+        assert a.literals == b.literals
+        clash = any(
+            l.negate() in lits
+            or (isinstance(l, EqualityLiteral) and not l.positive and l.left == l.right)
+            for l in lits
+        )
+        assert a.contradictory == b.contradictory == clash
+        assert list(a.literals) == sorted(set(lits), key=lambda l: l.sort_key)
+
+
+def test_cube_join_equals_cube_of_both_literal_lists():
+    rng = random.Random(8)
+    for _ in range(300):
+        a = Cube(tuple(_seeded_literals(rng, rng.randint(0, 8))))
+        b = Cube(tuple(_seeded_literals(rng, rng.randint(0, 8))))
+        assert a.join(b) == Cube(a.literals + b.literals)
+        assert a.join(b).literals == Cube(b.literals + a.literals).literals
 
 
 def test_self_equalities_contribute_variables():

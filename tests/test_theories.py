@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from combinekit.formulas import (
     EqualityLiteral,
     PredicateId,
     PredicateLiteral,
+    clique_extension,
     neq_clique,
     parse_formula,
     to_dnf,
@@ -50,8 +52,6 @@ def plit(family, *indices, positive=True):
 
 
 def test_minmod_equalities_matches_brute_assignments(rng):
-    import itertools
-
     vs = ["a", "b", "c", "d"]
     for _ in range(200):
         lits = tuple(
@@ -76,6 +76,74 @@ def test_minmod_equalities_matches_brute_assignments(rng):
                 smallest = k
                 break
         assert got == smallest, c
+
+
+def colourings(n):
+    """Every colouring of n vertices, up to renaming colours (restricted growth)."""
+    if n == 0:
+        yield ()
+        return
+    for head in colourings(n - 1):
+        for c in range(max(head, default=-1) + 2):
+            yield head + (c,)
+
+
+def brute_minmod(c):
+    at = {v: i for i, v in enumerate(sorted(c.variables()))}
+    sizes = [
+        max(col, default=0) + 1
+        for col in colourings(len(at))
+        if all((col[at[l.left]] == col[at[l.right]]) == l.positive for l in c.literals)
+    ]
+    return min(sizes, default=None)
+
+
+def component_cube(rng, vs="abcdefg"):
+    """Disjoint cliques and cycles over up to 7 variables, then positive
+    equalities that may merge vertices of the same or different parts."""
+    vs = rng.sample(vs, rng.randint(0, len(vs)))
+    lits, i = [], 0
+    while i < len(vs):
+        part = vs[i : i + rng.randint(1, 5)]
+        i += len(part)
+        if rng.random() < 0.5:
+            pairs = itertools.combinations(part, 2)
+        else:
+            pairs = zip(part, part[1:] + part[:1]) if len(part) > 2 else []
+        lits += [EqualityLiteral(a, b, False) for a, b in pairs]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        if vs:
+            lits.append(EqualityLiteral(rng.choice(vs), rng.choice(vs), True))
+    return Cube(tuple(lits))
+
+
+def test_minmod_equalities_matches_brute_colouring(rng):
+    cycle = [EqualityLiteral(a, b, False) for a, b in zip("abcde", "bcdea")]
+    triangle = list(neq_clique(["f", "g", "h"], 3).literals)
+    for lits, want in [
+        (cycle + triangle, 3),  # two components, neither bipartite
+        (cycle + triangle + [EqualityLiteral("a", "f", True)], 3),  # merged into one
+        (cycle + list(neq_clique(["a", "b", "f", "g"], 4).literals), 4),
+        (triangle + list(neq_clique(["x", "y"], 2).literals), 3),
+        # a later, larger component after one no larger than the best so far
+        ([EqualityLiteral("a", "b", False), EqualityLiteral("c", "d", False)] + triangle, 3),
+    ]:
+        c = Cube(tuple(lits))
+        assert minmod_equalities(c) == brute_minmod(c) == want, c
+    for _ in range(300):
+        c = component_cube(rng)
+        assert minmod_equalities(c) == brute_minmod(c), c
+
+
+def test_minmod_of_clique_extension_is_max_with_clique_size(rng):
+    for k in (1, 2, 3, 150):
+        assert minmod_equalities(clique_extension(TOP, k)) == k
+    for _ in range(40):
+        c = component_cube(rng)
+        k = rng.choice((1, 2, 3, rng.randint(1, 150)))
+        m = minmod_equalities(c)
+        want = None if m is None else max(m, k)
+        assert minmod_equalities(clique_extension(c, k)) == want, (c, k)
 
 
 def test_minmod_non_transitive_disequality_chain():
