@@ -92,7 +92,7 @@ def minmod_equalities(cube: Cube) -> int | None:
     Equalities merge variables into classes; the minimum domain size is
     the chromatic number of the disequality graph over those classes,
     taken per connected component; complete components in closed form,
-    any other searched upward from a greedy clique (1 without
+    any other searched upward from the best so far (1 without
     disequalities, since domains are nonempty).
     """
     parent: dict[str, str] = {}
@@ -152,11 +152,6 @@ def minmod_equalities(cube: Cube) -> int | None:
             best = len(comp)
             continue
         order = sorted(comp, key=lambda c: (-len(adj[c]), c))
-        clique: list[str] = []
-        for v in order:
-            if adj[v].issuperset(clique):
-                clique.append(v)
-        best = max(best, len(clique))
         while not colorable(order, best, {}):
             best += 1
     return best
