@@ -27,11 +27,8 @@ EXIT_UNSAT = 1
 EXIT_ERROR = 2
 
 
-def _emit(obj, fmt: str = "json"):
-    if fmt == "text":
-        print(obj)
-    else:
-        print(json.dumps(obj, sort_keys=True))
+def _emit(obj):
+    print(json.dumps(obj, sort_keys=True))
 
 
 def _parse_for(theory: Theory, text: str):
@@ -70,7 +67,7 @@ def cmd_decide(args, registry: Registry) -> int:
     theory = registry.resolve(args.theory)
     f = _parse_for(theory, args.formula)
     sat = any(theory.decide_cube(c) for c in to_dnf(f))
-    _emit({"sat": sat}, args.format)
+    _emit({"sat": sat})
     return EXIT_SAT if sat else EXIT_UNSAT
 
 
@@ -80,8 +77,8 @@ def cmd_combine(args, registry: Registry) -> int:
     resolver = getattr(t1, "resolver", None) or getattr(t2, "resolver", None)
     f = parse_formula(args.formula, resolver)
     method = _method_from_flag(args.method)
-    verdict = combine_decide(t1, t2, f, method, override=args.override, cap=args.cap)
-    _emit(verdict.to_json(), args.format)
+    verdict = combine_decide(t1, t2, f, method, cap=args.cap)
+    _emit(verdict.to_json())
     return EXIT_SAT if verdict.sat else EXIT_UNSAT
 
 
@@ -102,7 +99,7 @@ def cmd_spectrum(args, registry: Registry) -> int:
     has_inf = None
     if theory.certificate.infinitely_decidable:
         has_inf = any(theory.spec_inf(c) for c in cubes)
-    _emit({"finite_part": sorted(finite), "has_inf": has_inf, "upto": args.upto}, args.format)
+    _emit({"finite_part": sorted(finite), "has_inf": has_inf, "upto": args.upto})
     return EXIT_SAT
 
 
@@ -113,7 +110,7 @@ def cmd_classify(args, registry: Registry) -> int:
         rows.extend(
             probe_certificate(registry.resolve(name), samples=args.samples, bound=args.K, seed=args.seed)
         )
-    _emit(rows, args.format)
+    _emit(rows)
     bad = [r for r in rows if r["verdict"] == "fail"]
     return EXIT_SAT if not bad else EXIT_ERROR
 
@@ -123,7 +120,7 @@ def cmd_lattice(args, registry: Registry) -> int:
     if args.format == "dot":
         print(report.to_dot())
     else:
-        _emit(report.to_json(), args.format)
+        _emit(report.to_json())
     return EXIT_SAT
 
 
@@ -132,9 +129,9 @@ def cmd_diagonal(args, registry: Registry) -> int:
     last = None
     for state in run_rounds(theory, args.rounds):
         last = state
-        _emit(state.to_json(), args.format)
-    if last is not None and args.format != "text":
-        _emit({"digest": last.digest()}, args.format)
+        _emit(state.to_json())
+    if last is not None:
+        _emit({"digest": last.digest()})
     return EXIT_SAT
 
 
@@ -163,6 +160,8 @@ def cmd_brute_check(args, registry: Registry) -> int:
                 mismatches += 1
         if not sat and window:
             mismatches += 1
+        if theory.infinite_only(cube) and window:
+            mismatches += 1
     status = "pass" if mismatches == 0 else "fail"
     _emit(
         {
@@ -172,21 +171,20 @@ def cmd_brute_check(args, registry: Registry) -> int:
             "mismatches": mismatches,
             "withheld_queries": skipped,
             "status": status,
-        },
-        args.format,
+        }
     )
     return EXIT_SAT if mismatches == 0 else EXIT_ERROR
 
 
 def cmd_filters(args, registry: Registry) -> int:
-    _emit(filter_chain_demo(args.depth), args.format)
+    _emit(filter_chain_demo(args.depth))
     return EXIT_SAT
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="combinekit", description=__doc__)
     p.add_argument("--config", help="registry config path (or set COMBINEKIT_CONFIG)")
-    p.add_argument("--format", default="json", choices=["json", "dot", "text"])
+    p.add_argument("--format", default="json", choices=["json", "dot"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--K", type=_positive_int, default=6, help="brute-force size bound")
     p.add_argument("--cap", type=_positive_int, default=10_000, help="iteration cap for unbounded scans")
@@ -202,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("theory2")
     c.add_argument("formula")
     c.add_argument("--method", default="auto", help="auto, a method kind, no, or n-shiny(<n>)")
-    c.add_argument("--override", action="store_true", help="run the method even if its hypotheses fail")
     c.set_defaults(fn=cmd_combine)
 
     s = sub.add_parser("spectrum", help="window view of a formula's spectrum")

@@ -24,21 +24,10 @@ from .formulas import (
     split_by_signature,
     to_dnf,
 )
+from .properties import PARTNER
 from .sets import ALEPH0, Card, card_to_json, is_finite_card
 from .spectra import DEFAULT_ITERATION_CAP, SpectrumView, view
 from .theories import Theory
-
-
-@dataclass
-class _Stats:
-    arrangements_tried: int = 0
-    loop_iterations: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "arrangements_tried": self.arrangements_tried,
-            "loop_iterations": self.loop_iterations,
-        }
 
 
 @dataclass(frozen=True)
@@ -68,26 +57,29 @@ class CombinationVerdict:
 # -- per-method spectrum intersection ----------------------------------------
 #
 # Each runner asks its two views only what the method's hypotheses
-# license; the views refuse anything else with CapabilityMissing.
+# license; the views refuse anything else with CapabilityMissing.  Two
+# queries go to a view's owner directly: `decide_at_least`, which every
+# theory answers, and `nshiny_classify`, which the owner gates on its own
+# certificate.
 
 
-def _run_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
+def _run_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
     if not v1.sat():
         return False, None
     k = v1.minmod(cap)
     if not is_finite_card(k):
         raise CapabilityMissing(v1.owner.name, "minmod", "shiny needs a finite minimal model")
-    stats.loop_iterations += 1
+    stats["loop_iterations"] += 1
     return v2.owner.decide_at_least(v2.cube, k), None
 
 
-def _run_nelson_oppen(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
+def _run_nelson_oppen(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
     if v1.sat() and v2.sat():
         return True, ALEPH0
     return False, None
 
 
-def _run_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
+def _run_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
     spec1 = v1.exact()
     if spec1.is_empty():
         return False, None
@@ -96,7 +88,7 @@ def _run_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, st
     # hole, then ask for anything bigger.
     top = (spec1.finite_part if bounded else spec1.finite_part.complement()).max_element() or 0
     for n in spec1.finite_part.elements(top):
-        stats.loop_iterations += 1
+        stats["loop_iterations"] += 1
         if v2.contains(n):
             return True, n
     if bounded:
@@ -104,31 +96,31 @@ def _run_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, st
     return v2.owner.decide_at_least(v2.cube, top + 1), None
 
 
-def _run_smcs(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
+def _run_smcs(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
     if v2.contains(ALEPH0):
         if v1.sat():
             return True, ALEPH0
         return False, None
     k = v2.max_finite(cap) or 0
-    stats.loop_iterations += k
+    stats["loop_iterations"] += k
     if k and v1.contains(k):
         return True, k
     return False, None
 
 
-def _run_cs(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
+def _run_cs(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
     inf1 = v1.contains(ALEPH0)
     if inf1 and v2.contains(ALEPH0):
         return True, ALEPH0
     k = (v2 if inf1 else v1).max_finite(cap) or 0
-    stats.loop_iterations += k
+    stats["loop_iterations"] += k
     for n in range(1, k + 1):
         if v1.contains(n) and v2.contains(n):
             return True, n
     return False, None
 
 
-def _run_n_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
+def _run_n_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
     n = method.n
     if not v1.sat():
         return False, None
@@ -141,33 +133,34 @@ def _run_n_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, s
     if t == 0:
         # Spectrum is exactly {n}; the n-check above already failed.
         return False, None
-    stats.loop_iterations += 1
+    stats["loop_iterations"] += 1
     return v2.owner.decide_at_least(v2.cube, k), None
 
 
-def _run_quasi_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: _Stats):
+def _run_quasi_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
     n = 1
     while v1.owner.decide_at_least(v1.cube, n) and v2.owner.decide_at_least(v2.cube, n):
         if v1.contains(n) and v2.contains(n):
             return True, n
         n += 1
-        stats.loop_iterations += 1
+        stats["loop_iterations"] += 1
         if n > cap:
             raise IterationCapExceeded("quasi-gentle interleaved scan", cap)
     return False, None
 
 
-# Each method as (side-1 class, side-2 class, runner), in the cheapest-first
-# order auto-selection tries them.  n-shiny reads the method's n, and
-# quasi-gentle its filter, for both memberships.
+# Each method as (side-1 class, runner), in the cheapest-first order
+# auto-selection tries them; side 2 must be in the class's `PARTNER`.
+# n-shiny reads the method's n, and quasi-gentle its filter, for both
+# memberships.
 METHODS = {
-    "nelson-oppen": ("SI", "SI", _run_nelson_oppen),
-    "gentle": ("gentle", "CFS", _run_gentle),
-    "cs": ("CS", "CS", _run_cs),
-    "smcs": ("SM+CS", "ID", _run_smcs),
-    "n-shiny": ("n-shiny", "n-decidable", _run_n_shiny),
-    "quasi-gentle": ("F-QG", "co-F-QG", _run_quasi_gentle),
-    "shiny": ("shiny", "decidable", _run_shiny),
+    "nelson-oppen": ("SI", _run_nelson_oppen),
+    "gentle": ("gentle", _run_gentle),
+    "cs": ("CS", _run_cs),
+    "smcs": ("SM+CS", _run_smcs),
+    "n-shiny": ("n-shiny", _run_n_shiny),
+    "quasi-gentle": ("F-QG", _run_quasi_gentle),
+    "shiny": ("shiny", _run_shiny),
 }
 
 
@@ -214,14 +207,25 @@ def quasi_gentle(filt: FreeFilter | None = None) -> Method:
 def method_applicable(method: Method, t1: Theory, t2: Theory) -> bool:
     """Whether the certificates of (t1, t2), in this order, satisfy the
     method's hypotheses.  The shell additionally tries the swapped order."""
-    side1, side2, _ = METHODS[method.kind]
+    side1 = METHODS[method.kind][0]
     c1, c2 = t1.certificate, t2.certificate
     if not c1.member(side1, n=method.n, filt=method.filt):
         return False
+    side2 = PARTNER[side1]
     if method.kind == "cs" and c1.never_infinite:
         # Side 1 never has an infinite model, so side 2 need not decide it.
         side2 = "CFS"
     return c2.member(side2, n=method.n, filt=method.filt)
+
+
+def _orient(method: Method, t1: Theory, t2: Theory) -> bool | None:
+    """Whether the method needs (t1, t2) swapped to meet its hypotheses;
+    None when it meets them in neither order."""
+    if method_applicable(method, t1, t2):
+        return False
+    if method_applicable(method, t2, t1):
+        return True
+    return None
 
 
 def hypothesis_diff(method: Method, t1: Theory, t2: Theory) -> str:
@@ -238,8 +242,8 @@ def intersect(
 ) -> bool:
     """Whether the two views' spectra meet, by the method's procedure;
     the first view is the side the method's hypotheses are about."""
-    run = METHODS[method.kind][2]
-    return run(method, v1, v2, cap, _Stats())[0]
+    run = METHODS[method.kind][1]
+    return run(method, v1, v2, cap, {"loop_iterations": 0})[0]
 
 
 # -- method selection ---------------------------------------------------------
@@ -259,10 +263,9 @@ def select_method(t1: Theory, t2: Theory) -> tuple[Method, bool] | None:
     whether the theory order had to be swapped."""
     for kind in METHODS:
         for m in _candidate_methods(kind, t1, t2):
-            if method_applicable(m, t1, t2):
-                return m, False
-            if method_applicable(m, t2, t1):
-                return m, True
+            swapped = _orient(m, t1, t2)
+            if swapped is not None:
+                return m, swapped
     return None
 
 
@@ -272,17 +275,15 @@ def combine_decide(
     f: Formula | Cube,
     method: Method | None = None,
     *,
-    override: bool = False,
     cap: int = DEFAULT_ITERATION_CAP,
 ) -> CombinationVerdict:
     """Joint satisfiability of f over the disjoint union of t1 and t2.
 
     Lowers f to cubes, splits each by signature, and runs the method's
     intersection procedure per arrangement of the shared variables; the
-    verdict carries the first witness in canonical order.  With
-    ``override`` the chosen method runs even when its hypotheses fail
-    (mis-certification then surfaces as IterationCapExceeded or
-    CapabilityMissing rather than silently wrong answers).
+    verdict carries the first witness in canonical order.  The method
+    runs only on a theory order whose certificates meet its hypotheses;
+    an explicit method that fits neither order raises MethodNotApplicable.
     """
     if method is None:
         picked = select_method(t1, t2)
@@ -290,34 +291,24 @@ def combine_decide(
             raise MethodNotApplicable(f"no method applies to ({t1.name}, {t2.name})")
         method, swapped = picked
     else:
-        if method_applicable(method, t1, t2):
-            swapped = False
-        elif method_applicable(method, t2, t1):
-            swapped = True
-        elif override:
-            swapped = False
-        else:
+        swapped = _orient(method, t1, t2)
+        if swapped is None:
             raise MethodNotApplicable(hypothesis_diff(method, t1, t2))
+    if swapped:
+        t1, t2 = t2, t1
 
-    run = METHODS[method.kind][2]
-    stats = _Stats()
+    run = METHODS[method.kind][1]
+    stats = {"arrangements_tried": 0, "loop_iterations": 0}
     label = method.label() + (" [sides swapped]" if swapped else "")
     cubes = to_dnf(f) if not isinstance(f, Cube) else ([f] if not f.contradictory else [])
-    witness = None
-    sat = False
     for cube in cubes:
         c1, c2, shared = split_by_signature(cube, t1.signature, t2.signature)
         for arr in enumerate_arrangements(shared):
-            stats.arrangements_tried += 1
+            stats["arrangements_tried"] += 1
             delta = arrangement_to_cube(arr)
             a1, a2 = c1.join(delta), c2.join(delta)
-            first, second = (a2, a1) if swapped else (a1, a2)
-            ft, st = (t2, t1) if swapped else (t1, t2)
-            ok, card = run(method, view(ft, first), view(st, second), cap, stats)
+            ok, card = run(method, view(t1, a1), view(t2, a2), cap, stats)
             if ok:
-                sat = True
                 witness = (arr, card) if card is not None else None
-                break
-        if sat:
-            break
-    return CombinationVerdict(sat, witness, label, stats.to_json())
+                return CombinationVerdict(True, witness, label, stats)
+    return CombinationVerdict(False, None, label, stats)

@@ -53,6 +53,20 @@ LATTICE_EDGES = (
     ("shiny", "SM+CS"),
 )
 
+# The order-reversing involution on the lattice that the paper's Galois
+# connection induces: a combination method whose side-1 theory is in a
+# class needs its side-2 theory in the class's partner.
+_PARTNER_PAIRS = (
+    ("shiny", "decidable"),
+    ("n-shiny", "n-decidable"),
+    ("gentle", "CFS"),
+    ("SM+CS", "ID"),
+    ("F-QG", "co-F-QG"),
+    ("CS", "CS"),
+    ("SI", "SI"),
+)
+PARTNER = {a: b for pair in _PARTNER_PAIRS for a, b in (pair, pair[::-1])}
+
 # Rules for n-decidability: which finite cardinalities k admit an exact
 # "k in spectrum?" answer for every cube.
 NDecRule = tuple  # ('all',) | ('geq', k) | ('except', frozenset) | ('only', frozenset) | ('none',)

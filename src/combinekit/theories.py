@@ -383,21 +383,15 @@ class Theory:
 
     def sample_pred(self, rng) -> PredicateId | None:
         """A random predicate of this signature, for test-cube sampling.
-        None when the signature is empty."""
+        None when the signature is empty.  A theory with a family of
+        arity 2 or more overrides this with its own index ranges."""
         fams = sorted(self.signature.families)
         if not fams:
             return None
         fam, arity = rng.choice(fams)
-        bound = SAMPLE_INDEX_BOUND
         if arity == 0:
             return PredicateId(fam, ())
-        if arity == 1:
-            return PredicateId(fam, (rng.randint(1, bound),))
-        if arity == 2:
-            return PredicateId(fam, (rng.randint(1, bound), rng.randint(1, bound)))
-        i = rng.randint(1, bound - 1)
-        j = rng.randint(i + 1, bound)
-        return PredicateId(fam, (i, j, rng.randint(1, 9)))
+        return PredicateId(fam, (rng.randint(1, SAMPLE_INDEX_BOUND),))
 
     def __repr__(self) -> str:
         return f"<theory {self.name}>"

@@ -392,8 +392,10 @@ def test_criterion_8_degenerate_regressions():
     to = SizeCapTheory(odds(), family="Q")
     with pytest.raises(MethodNotApplicable):
         combine_decide(te, to, parse_formula("(= x x)"), quasi_gentle())
+    te.certificate = certificate(fqg_rule=("all",))
+    to.certificate = certificate(cofqg_rule=("all",))
     with pytest.raises(IterationCapExceeded) as e:
-        combine_decide(te, to, parse_formula("(= x x)"), quasi_gentle(), override=True, cap=40)
+        combine_decide(te, to, parse_formula("(= x x)"), quasi_gentle(), cap=40)
     assert e.value.cap == 40
     report(8, True, "single-size shape answers unsat without a cap; mis-certified pair caps out")
 

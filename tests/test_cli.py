@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from combinekit import cli
 from combinekit.brute import brute_sat_at
+from combinekit.catalog import MaxSizeTheory
 from combinekit.cli import main
+from combinekit.properties import certificate
 
 
 def run_cli(capsys, *argv):
@@ -188,11 +191,52 @@ def test_verdict_json_round_trips(capsys):
     assert json.loads(json.dumps(v)) == v
 
 
-def test_combine_override_outside_certificate_exits_2(capsys):
-    # T_inf has no finite minimal model, so the shiny procedure cannot run.
-    code, _, err = run_cli(capsys, "combine", "T_inf", "T_eq_P", "(= x x)", "--method", "shiny", "--override")
+def test_combine_miscertified_theory_exits_2(capsys, monkeypatch):
+    # A certificate that wrongly calls T_inf shiny: it has no finite
+    # minimal model, so the shiny procedure stops instead of answering.
+    load = cli.load_registry
+
+    def miscertified(path):
+        registry = load(path)
+        registry.resolve("T_inf").certificate = certificate(shiny=True)
+        return registry
+
+    monkeypatch.setattr("combinekit.cli.load_registry", miscertified)
+    code, _, err = run_cli(capsys, "combine", "T_inf", "T_eq_P", "(= x x)", "--method", "shiny")
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "minmod" in err
+
+
+def test_combine_method_outside_certificate_exits_2(capsys):
+    code, out, err = run_cli(capsys, "combine", "T_leq_3", "T_eq_5", "(= x x)", "--method", "shiny")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: (T_leq_3, T_eq_5) fails shiny hypotheses; (T_eq_5, T_leq_3) fails shiny hypotheses\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("combine", "T_leq_3", "T_eq_5", "(= x x)", "--method", "shiny", "--override"),
+        ("--format", "text", "decide", "T_eq_P", "(P 3)"),
+    ],
+)
+def test_removed_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_brute_check_flags_infinite_only_with_finite_models(capsys, monkeypatch):
+    # Claiming that every model is infinite contradicts the finite models
+    # the brute window finds.
+    monkeypatch.setattr(MaxSizeTheory, "infinite_only", lambda self, cube: True)
+    code, out, _ = run_cli(capsys, "brute-check", "--theory", "T_leq_3", "--samples", "20")
+    assert code == 2
+    report = json.loads(out.strip())
+    assert report["status"] == "fail" and report["mismatches"] > 0
 
 
 def _config_run(tmp_path, capsys, config):

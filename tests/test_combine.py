@@ -41,7 +41,7 @@ from combinekit.formulas import (
     neq_clique,
     parse_formula,
 )
-from combinekit.properties import CLASSES, LATTICE_EDGES, class_ancestors
+from combinekit.properties import CLASSES, LATTICE_EDGES, PARTNER, certificate, class_ancestors
 from combinekit.sets import ALEPH0, evens, upfrom
 from combinekit.spectra import view
 
@@ -76,17 +76,16 @@ def test_not_applicable_raises_with_diff():
 
 
 def test_method_table_is_a_galois_connection():
-    # Each row pairs its side-1 class with its side-2 class; the pairing
-    # covers every lattice class once and turns the inclusion order around.
-    partner = {}
-    for side1, side2, _ in METHODS.values():
-        assert partner.setdefault(side1, side2) == side2
-        assert partner.setdefault(side2, side1) == side1
-    assert set(partner) == set(CLASSES)
-    assert {cls for cls in CLASSES if partner[cls] == cls} == {"CS", "SI"}
-    assert all(partner[partner[cls]] == cls for cls in CLASSES)
+    # PARTNER is an involution on the lattice classes that turns the
+    # inclusion order around; the method rows and their partners cover
+    # every class.
+    assert set(PARTNER) == set(CLASSES)
+    assert all(PARTNER[PARTNER[cls]] == cls for cls in CLASSES)
+    assert {cls for cls in CLASSES if PARTNER[cls] == cls} == {"CS", "SI"}
     for lo, hi in LATTICE_EDGES:
-        assert partner[lo] in class_ancestors(partner[hi]), (lo, hi)
+        assert PARTNER[lo] in class_ancestors(PARTNER[hi]), (lo, hi)
+    sides = {cls for side1, _ in METHODS.values() for cls in (side1, PARTNER[side1])}
+    assert sides == set(CLASSES)
 
 
 def test_auto_select_is_deterministic_and_cheapest_first():
@@ -217,8 +216,12 @@ def test_quasi_gentle_miscertified_pair_hits_cap():
     to = SizeCapTheory(odds(), family="Q")
     with pytest.raises(MethodNotApplicable):
         combine_decide(te, to, f("(= x x)"), quasi_gentle())
+    # Certificates that wrongly claim quasi-gentleness for every filter:
+    # the scan over the disjoint even and odd sizes never meets.
+    te.certificate = certificate(fqg_rule=("all",))
+    to.certificate = certificate(cofqg_rule=("all",))
     with pytest.raises(IterationCapExceeded) as e:
-        combine_decide(te, to, f("(= x x)"), quasi_gentle(), override=True, cap=64)
+        combine_decide(te, to, f("(= x x)"), quasi_gentle(), cap=64)
     assert e.value.cap == 64
 
 
