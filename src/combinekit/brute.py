@@ -15,7 +15,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from .formulas import Cube, EqualityLiteral, Formula, PredicateId, PredicateLiteral, eval_formula
+from .formulas import Cube, EqualityLiteral, Formula, PredicateId, PredicateLiteral, eval_formula, formula_atoms
 from .theories import Theory
 
 
@@ -114,30 +114,18 @@ def brute_spectrum(theory: Theory, cube: Cube, max_card: int = 6) -> set[int]:
     return {k for k in range(1, max_card + 1) if brute_sat_at(theory, cube, k)}
 
 
-def brute_combined_sat(
-    t1: Theory, t2: Theory, c1: Cube, c2: Cube, max_card: int = 6
-) -> bool:
-    """Whether both sides have a model of some shared size within the
-    window.  One-sided: cannot certify intersections living only at the
-    infinite cardinality."""
-    return any(
-        brute_sat_at(t1, c1, k) and brute_sat_at(t2, c2, k)
-        for k in range(1, max_card + 1)
-    )
-
-
 def brute_combined_formula_sat(
     t1: Theory, t2: Theory, f: Formula, max_card: int = 6
 ) -> bool:
     """Joint-model satisfiability of a formula over the disjoint union,
     evaluated directly (no DNF, no splitting, no arrangements): some size
     k <= max_card, predicate subsets passing both model checkers, and a
-    variable assignment making the formula true."""
-    from .formulas import formula_atoms, formula_variables
-
+    variable assignment making the formula true.  Each side's closure is
+    `_closure_for`'s plus the formula's predicates that side owns."""
+    atoms = formula_atoms(f)
     preds1: set[PredicateId] = set()
     preds2: set[PredicateId] = set()
-    for atom in formula_atoms(f):
+    for atom in atoms:
         if isinstance(atom, PredicateLiteral):
             if t1.signature.owns(atom.pred):
                 preds1.add(atom.pred)
@@ -145,30 +133,26 @@ def brute_combined_formula_sat(
                 preds2.add(atom.pred)
             else:
                 raise ValueError(f"predicate {atom.pred} owned by neither side")
-    fams1 = t1.signature.families
-    if all(arity == 0 for _, arity in fams1):
-        preds1 |= {PredicateId(fam, ()) for fam, _ in fams1}
-    fams2 = t2.signature.families
-    if all(arity == 0 for _, arity in fams2):
-        preds2 |= {PredicateId(fam, ()) for fam, _ in fams2}
-    variables = tuple(sorted(formula_variables(f)))
+    closure1 = _closure_for(t1, (), None) | preds1
+    closure2 = _closure_for(t2, (), None) | preds2
+    variables = tuple(sorted(set().union(*(atom.variables() for atom in atoms))))
     for k in range(1, max_card + 1):
-        for sub1 in _pred_subsets(frozenset(preds1)):
+        for sub1 in _pred_subsets(closure1):
             if not t1.model_check(k, sub1):
                 continue
-            for sub2 in _pred_subsets(frozenset(preds2)):
+            for sub2 in _pred_subsets(closure2):
                 if not t2.model_check(k, sub2):
                     continue
                 true_preds = sub1 | sub2
                 for assignment in _assignments(variables, k):
-                    atoms = set()
-                    for atom in formula_atoms(f):
+                    true_atoms = set()
+                    for atom in atoms:
                         if isinstance(atom, EqualityLiteral):
                             if assignment[atom.left] == assignment[atom.right]:
-                                atoms.add(atom)
+                                true_atoms.add(atom)
                         elif atom.pred in true_preds:
-                            atoms.add(atom)
-                    if eval_formula(f, frozenset(atoms)):
+                            true_atoms.add(atom)
+                    if eval_formula(f, frozenset(true_atoms)):
                         return True
     return False
 

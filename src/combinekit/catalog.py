@@ -319,10 +319,8 @@ class GapIndexTheory(Theory):
         return not any(self._is_nth_gap(fid, n, m) for m in range(1, mm))
 
     def infinite_only(self, cube: Cube) -> bool:
-        pos = self.read_part(cube)
-        if pos is UNSAT or pos is None or not self.decide_cube(cube):
-            return False
-        return self._gap_value(*pos.indices) is ALEPH0
+        exact = self.cube_spectrum_exact(cube)
+        return exact is not None and exact.has_inf and exact.finite_part.is_empty()
 
     def cube_spectrum_exact(self, cube: Cube):
         pos = self.read_part(cube)
@@ -542,7 +540,15 @@ class OracleFloorTheory(Theory):
 
 # -- composite test theories -------------------------------------------------
 
-_COMPLETE_KINDS = ("shiny-complete", "SI-complete", "ID-complete", "CS-complete", "n-shiny-complete")
+# One row per role: predicate families, whether P takes the ``inf`` index,
+# and the declared certificate.  n-shiny-complete's certificate names its n.
+_COMPLETE_ROLES = {
+    "shiny-complete": ({("P", 1), ("Q", 1), ("R", 3)}, False, certificate()),
+    "SI-complete": ({("B", 2)}, False, certificate(stably_infinite=True, smooth=True, fmp=True)),
+    "ID-complete": ({("P", 1), ("R", 3)}, False, certificate(infinitely_decidable=True)),
+    "CS-complete": ({("P", 1)}, True, certificate(cfs=True, infinitely_decidable=True)),
+    "n-shiny-complete": ({("P", 1), ("Q", 1), ("R", 3)}, False, None),
+}
 
 
 class CompositeTestTheory(Theory):
@@ -557,37 +563,19 @@ class CompositeTestTheory(Theory):
     """
 
     def __init__(self, kind: str, n: int | None = None):
-        if kind not in _COMPLETE_KINDS:
+        if kind not in _COMPLETE_ROLES:
             raise ValueError(f"unknown complete-theory kind {kind!r}")
+        fams, self.allow_inf, self.certificate = _COMPLETE_ROLES[kind]
         self.kind = kind
         self.n = n
         self.f = identity_oracle()
-        fams: set[tuple[str, int]] = set()
-        self.allow_inf = False
-        if kind == "shiny-complete":
-            fams = {("P", 1), ("Q", 1), ("R", 3)}
-            cert = certificate()
-        elif kind == "SI-complete":
-            fams = {("B", 2)}
-            cert = certificate(stably_infinite=True, smooth=True, fmp=True)
-        elif kind == "ID-complete":
-            fams = {("P", 1), ("R", 3)}
-            cert = certificate(infinitely_decidable=True)
-        elif kind == "CS-complete":
-            fams = {("P", 1)}
-            self.allow_inf = True
-            cert = certificate(cfs=True, infinitely_decidable=True)
-        else:  # n-shiny-complete
+        self.name = f"complete_{kind.split('-')[0].lower()}"
+        if kind == "n-shiny-complete":
             if n is None or n < 1:
                 raise ValueError("n-shiny-complete needs a positive n")
-            fams = {("P", 1), ("Q", 1), ("R", 3)}
-            cert = certificate(n_decidable_rule=("only", frozenset({n})))
-        if kind == "n-shiny-complete":
             self.name = f"complete_nshiny_{n}"
-        else:
-            self.name = f"complete_{kind.split('-')[0].lower()}"
+            self.certificate = certificate(n_decidable_rule=("only", frozenset({n})))
         self.signature = Signature(frozenset(fams))
-        self.certificate = cert
 
     def validate_indices(self, pid: PredicateId):
         if pid.family == "R":
@@ -620,12 +608,10 @@ class CompositeTestTheory(Theory):
         fams = sorted(self.signature.families)
         fam, arity = rng.choice(fams)
         bound = SAMPLE_INDEX_BOUND
-        if fam == "P":
-            if self.allow_inf and rng.random() < 0.25:
-                return PredicateId("P", ("inf",))
-            return PredicateId("P", (rng.randint(1, bound),))
-        if fam == "Q":
-            return PredicateId("Q", (rng.randint(1, bound),))
+        if fam == "P" and self.allow_inf and rng.random() < 0.25:
+            return PredicateId("P", ("inf",))
+        if fam in ("P", "Q"):
+            return PredicateId(fam, (rng.randint(1, bound),))
         if fam == "B":
             return PredicateId("B", (rng.randint(1, 3), rng.randint(1, 9)))
         choices = [

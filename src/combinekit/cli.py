@@ -17,7 +17,7 @@ from .brute import brute_sat_at, brute_spectrum, random_cube
 from .classify import build_lattice, filter_chain_demo, probe_certificate
 from .combine import METHODS, Method, combine_decide, n_shiny
 from .diagonal import run_rounds
-from .errors import CombineKitError
+from .errors import CapabilityMissing, CombineKitError
 from .formulas import parse_formula, to_dnf
 from .registry import Registry, load_registry
 from .theories import Theory
@@ -91,7 +91,7 @@ def cmd_spectrum(args, registry: Registry) -> int:
         for c in cubes:
             try:
                 hit = theory.spec_finite(c, k)
-            except CombineKitError:
+            except CapabilityMissing:
                 hit = brute_sat_at(theory, c, k)
             if hit:
                 finite.add(k)
@@ -146,7 +146,7 @@ def cmd_brute_check(args, registry: Registry) -> int:
         for k in range(1, args.K + 1):
             try:
                 got = theory.spec_finite(cube, k)
-            except CombineKitError:
+            except CapabilityMissing:
                 skipped += 1
                 continue
             if got != (k in window):

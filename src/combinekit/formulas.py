@@ -182,17 +182,6 @@ class Not:
 Formula = And | Or | Not | PredicateLiteral | EqualityLiteral
 
 
-def formula_variables(f: Formula) -> frozenset[str]:
-    if isinstance(f, (And, Or)):
-        out: frozenset[str] = frozenset()
-        for c in f.children:
-            out |= formula_variables(c)
-        return out
-    if isinstance(f, Not):
-        return formula_variables(f.child)
-    return f.variables()
-
-
 def formula_atoms(f: Formula) -> frozenset:
     """The distinct atoms of f (literals with polarity stripped)."""
     if isinstance(f, (And, Or)):
@@ -222,7 +211,7 @@ def eval_formula(f: Formula, true_atoms: frozenset) -> bool:
 
 _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 _VAR_RE = re.compile(r"^[a-z][a-zA-Z0-9_]*$")
-_FAMILY_RE = re.compile(r"^[A-Z][A-Za-z0-9]*$")
+FAMILY_RE = re.compile(r"^[A-Z][A-Za-z0-9]*$")
 
 # Resolves symbolic formula references inside (pred FAMILY ...) index lists
 # to registered formula ids.
@@ -259,7 +248,7 @@ def parse_formula(text: str, resolver: Resolver | None = None) -> Formula:
             if n < 1:
                 raise ParseError(f"non-positive index {tok}", off)
             return n
-        if _FAMILY_RE.match(tok):
+        if FAMILY_RE.match(tok):
             if resolver is None:
                 raise ParseError(f"no resolver for formula reference {tok!r}", off)
             try:
@@ -311,9 +300,9 @@ def parse_formula(text: str, resolver: Resolver | None = None) -> Formula:
             return And(tuple(lits)) if len(lits) > 1 else lits[0]
         if head == "pred":
             fam, foff = take()
-            if not _FAMILY_RE.match(fam or ""):
+            if not FAMILY_RE.match(fam or ""):
                 raise ParseError(f"unknown predicate family {fam!r}", foff)
-        elif _FAMILY_RE.match(head or ""):
+        elif FAMILY_RE.match(head or ""):
             fam = head
         else:
             raise ParseError(f"unknown operator {head!r}", hoff)
@@ -413,8 +402,10 @@ def fresh_variables(avoid: frozenset[str], n: int, prefix: str = "f") -> list[st
 
 def clique_extension(cube: Cube, n: int) -> Cube:
     """cube conjoined with a disequality clique over n fresh variables."""
-    vs = fresh_variables(cube.variables(), n)
-    return cube.join(neq_clique(vs, n))
+    if n < 1:
+        raise ValueError("clique size must be >= 1")
+    vs = sorted(fresh_variables(cube.variables(), n))
+    return cube.with_literals(EqualityLiteral(x, y, False) for x, y in itertools.combinations(vs, 2))
 
 
 # -- arrangements ----------------------------------------------------------

@@ -35,6 +35,7 @@ from .catalog import (
     toy_inner_theory,
 )
 from .errors import CombineKitError
+from .formulas import FAMILY_RE
 from .sets import parse_set_literal
 from .theories import FOracle, Theory, doubling_oracle, identity_oracle
 
@@ -62,6 +63,8 @@ def theory_from_json(spec: dict, registry: "Registry | None" = None) -> Theory:
         raise RegistryError(f"a theory definition is a JSON object, not {spec!r}")
     kind = spec.get("kind")
     fam = spec.get("family", "P")
+    if not isinstance(fam, str) or not FAMILY_RE.fullmatch(fam):
+        raise RegistryError(f"family {fam!r} is not an uppercase letter followed by letters or digits")
     if kind in ("T_eq", "Teq"):
         return EqualityTheory()
     if kind == "T_inf":

@@ -146,13 +146,7 @@ class EvPeriodicSet:
     # -- order queries -------------------------------------------------
 
     def min_element(self) -> int | None:
-        for i, b in enumerate(self.preperiod):
-            if b:
-                return i + 1
-        for j, b in enumerate(self.period):
-            if b:
-                return len(self.preperiod) + j + 1
-        return None
+        return self.min_from(1)
 
     def min_from(self, n: int) -> int | None:
         """Least element >= n (n >= 1); None when there is none."""
@@ -167,14 +161,11 @@ class EvPeriodicSet:
         return None
 
     def max_element(self) -> int | None:
-        """Greatest element of a finite set; None when empty or infinite."""
+        """Greatest element of a finite set; None when empty or infinite.
+        A canonical finite set's preperiod ends at its greatest member."""
         if not self.is_finite():
             return None
-        best = None
-        for i, b in enumerate(self.preperiod):
-            if b:
-                best = i + 1
-        return best
+        return len(self.preperiod) or None
 
     def nth_excluded(self, n: int) -> int | None:
         """The n-th element (1-based) of the complement, or None if the
@@ -248,13 +239,12 @@ def universe() -> EvPeriodicSet:
 
 
 def finite_set(members: Iterable[int]) -> EvPeriodicSet:
-    ms = sorted(set(members))
-    if not ms:
+    present = set(members)
+    if not present:
         return empty_set()
-    if ms[0] < 1:
+    if min(present) < 1:
         raise ValueError("members must be positive naturals")
-    p = ms[-1]
-    pre = tuple(n in set(ms) for n in range(1, p + 1))
+    pre = tuple(n in present for n in range(1, max(present) + 1))
     return EvPeriodicSet(pre, (False,))
 
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from combinekit.brute import brute_combined_sat, brute_spectrum, random_cube
+from combinekit.brute import brute_combined_formula_sat, brute_spectrum, random_cube
 from combinekit.catalog import (
     EqualityTheory,
     ExactSizeTheory,
@@ -48,10 +48,7 @@ from combinekit.formulas import (
     EqualityLiteral,
     Or,
     PredicateLiteral,
-    arrangement_to_cube,
     enumerate_arrangements,
-    split_by_signature,
-    to_dnf,
 )
 from combinekit.properties import CLASSES, LATTICE_EDGES, CertificateViolation, certificate
 from combinekit.sets import evens
@@ -130,16 +127,6 @@ def _random_formula(t1, t2, rng):
     return go(2)
 
 
-def _oracle_combined(t1, t2, formula) -> bool:
-    for cube in to_dnf(formula):
-        c1, c2, shared = split_by_signature(cube, t1.signature, t2.signature)
-        for arr in enumerate_arrangements(shared):
-            delta = arrangement_to_cube(arr)
-            if brute_combined_sat(t1, t2, c1.join(delta), c2.join(delta), 6):
-                return True
-    return False
-
-
 SOUNDNESS_TRIPLES = [
     (MaxSizeTheory(3), MaxSizeTheory(2), CS),
     (MaxSizeTheory(3), MaxSizeTheory(2), quasi_gentle()),
@@ -166,7 +153,7 @@ def test_criterion_2_method_soundness():
         for _ in range(200):
             formula = _random_formula(t1, t2, rng)
             got = combine_decide(t1, t2, formula, method).sat
-            want = _oracle_combined(t1, t2, formula)
+            want = brute_combined_formula_sat(t1, t2, formula, 6)
             assert got == want, (t1.name, t2.name, method.label(), formula)
             checked += 1
     report(2, True, f"{len(SOUNDNESS_TRIPLES)} triples x 200 formulas ({checked} checks) agree with the brute window")

@@ -1,6 +1,5 @@
 from combinekit.brute import (
     brute_combined_formula_sat,
-    brute_combined_sat,
     brute_sat_at,
     brute_spectrum,
     random_cube,
@@ -14,7 +13,7 @@ from combinekit.catalog import (
     SizePinTheory,
     StepTheory,
 )
-from combinekit.formulas import Cube, parse_formula, to_dnf
+from combinekit.formulas import And, Cube, parse_formula, to_dnf
 
 TOP = Cube(())
 
@@ -50,9 +49,10 @@ def test_spectrum_examples():
 
 
 def test_combined_examples():
-    assert brute_combined_sat(MaxSizeTheory(3), MinSizeTheory(2), TOP, TOP)
-    assert not brute_combined_sat(MaxSizeTheory(2), MinSizeTheory(3), TOP, TOP)
-    assert brute_combined_sat(SizePinTheory(), ExactSizeTheory(5), cube("(P 5)"), TOP)
+    top = parse_formula("(= x x)")
+    assert brute_combined_formula_sat(MaxSizeTheory(3), MinSizeTheory(2), top)
+    assert not brute_combined_formula_sat(MaxSizeTheory(2), MinSizeTheory(3), top)
+    assert brute_combined_formula_sat(SizePinTheory(), ExactSizeTheory(5), parse_formula("(P 5)"))
 
 
 def test_combined_symmetry(rng):
@@ -60,7 +60,8 @@ def test_combined_symmetry(rng):
     for _ in range(60):
         c1 = random_cube(t1, rng, max_vars=3, max_literals=3)
         c2 = random_cube(t2, rng, max_vars=3, max_literals=3)
-        assert brute_combined_sat(t1, t2, c1, c2) == brute_combined_sat(t2, t1, c2, c1)
+        both = And(c1.literals + c2.literals)
+        assert brute_combined_formula_sat(t1, t2, both) == brute_combined_formula_sat(t2, t1, both)
 
 
 def test_monotone_in_max_card(catalog, rng):

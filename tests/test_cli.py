@@ -81,6 +81,15 @@ def test_spectrum_decides_each_withheld_size_once(capsys, monkeypatch):
     assert len(calls) <= 12  # one cube: at most one brute decision per size
 
 
+@pytest.mark.parametrize("theory", ["T_leq_S_evens", "T_d_4", "T_cfs", "Th_of(toy)", "complete_shiny"])
+def test_spectrum_foreign_predicate_exits_2(capsys, theory):
+    # Only a withheld size falls back to the brute window; a predicate the
+    # theory does not own is an error, not a size with no models.
+    code, out, err = run_cli(capsys, "spectrum", theory, "(pred Z 2)")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "does not own" in err
+
+
 def test_readme_cli_examples_run(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.S | re.M).group(1)

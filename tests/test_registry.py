@@ -1,0 +1,66 @@
+import pytest
+
+from combinekit.formulas import Cube, PredicateId, PredicateLiteral
+from combinekit.registry import Registry, RegistryError, RunConfig, theory_from_json
+
+# Every JSON kind, with the registry name of the handle it should equal
+# (None where the registry has no name for that definition).
+KINDS = [
+    ({"kind": "T_eq"}, "T_eq"),
+    ({"kind": "Teq"}, "T_eq"),
+    ({"kind": "T_inf"}, "T_inf"),
+    ({"kind": "T_eq_n", "n": 3}, "T_eq_3"),
+    ({"kind": "T_leq_n", "n": 3}, "T_leq_3"),
+    ({"kind": "T_geq_n", "n": 2}, "T_geq_2"),
+    ({"kind": "T_eq_P"}, "T_eq_P"),
+    ({"kind": "T_gt_n_P", "n": 2}, "T_gt_2_P"),
+    ({"kind": "T_mn", "m": 2, "n": 5}, "T_mn_2_5"),
+    ({"kind": "T_leq_S", "S": "evens"}, "T_leq_S_evens"),
+    ({"kind": "T_leq_S", "S": "all", "F": {"kind": "identity"}}, "T_leq_S_all"),
+    ({"kind": "T_leq_S", "S": "evens", "F": {"kind": "double"}}, None),
+    ({"kind": "Th_of", "inner": "toy"}, "Th_of(toy)"),
+    ({"kind": "Th_of", "inner": {"kind": "toy"}}, "Th_of(toy)"),
+    ({"kind": "T_d", "n": 4}, "T_d_4"),
+    ({"kind": "T_cfs"}, "T_cfs"),
+    ({"kind": "T_si"}, "T_si"),
+    ({"kind": "T_cs"}, "T_cs"),
+    ({"kind": "T_ns", "n": 4}, "T_ns_4"),
+    ({"kind": "T_step", "pin": 4, "floor": 3}, None),
+    ({"kind": "T_geq_F"}, "T_geq_F"),
+    ({"kind": "toy"}, "toy"),
+    ({"kind": "complete", "role": "shiny-complete"}, "complete_shiny"),
+    ({"kind": "complete", "role": "SI-complete"}, "complete_si"),
+    ({"kind": "complete", "role": "ID-complete"}, "complete_id"),
+    ({"kind": "complete", "role": "CS-complete"}, "complete_cs"),
+    ({"kind": "complete", "role": "n-shiny-complete", "n": 4}, "complete_nshiny_4"),
+]
+
+
+@pytest.mark.parametrize("spec, name", KINDS, ids=[f"{s['kind']}-{i}" for i, (s, _) in enumerate(KINDS)])
+def test_every_json_kind_builds(spec, name):
+    registry = Registry()
+    built = Registry(RunConfig({"mine": spec})).resolve("mine")
+    if name is not None:
+        handle = registry.resolve(name)
+        assert built.name == handle.name
+        assert built.certificate == handle.certificate
+
+
+def test_doubling_oracle_caps_at_twice_the_index():
+    double = theory_from_json({"kind": "T_leq_S", "S": "evens", "F": {"kind": "double"}})
+    identity = theory_from_json({"kind": "T_leq_S", "S": "evens"})
+    p2 = Cube((PredicateLiteral(PredicateId("P", (2,))),))
+    assert double.spec_finite(p2, 4) and not double.spec_finite(p2, 6)
+    assert not identity.spec_finite(p2, 4)
+
+
+def test_family_renames_the_owned_predicates():
+    t = theory_from_json({"kind": "T_eq_P", "family": "Q7"})
+    assert t.name == "T_eq_P[Q7]"
+    assert t.signature.owns(PredicateId("Q7", (3,)))
+
+
+@pytest.mark.parametrize("family", ["p", 5, "", "P Q", "P\n", "7", None, ["P"]])
+def test_family_outside_the_parser_grammar_is_rejected(family):
+    with pytest.raises(RegistryError, match="family"):
+        Registry(RunConfig({"bad": {"kind": "T_eq_P", "family": family}}))

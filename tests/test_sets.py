@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +153,23 @@ def test_minimum_and_cardinality():
     assert evens().cardinality() is None
     assert interval(2, 3) == finite_set([2, 3])
     assert interval(5, 4).is_empty()
+
+
+@given(ev_sets)
+def test_least_and_greatest_elements_match_pointwise(s):
+    members = list(s.elements(pointwise_bound(s)))
+    assert s.min_element() == (members[0] if members else None)
+    if s.is_finite():
+        assert s.max_element() == (members[-1] if members else None)
+    else:
+        assert s.max_element() is None
+
+
+def test_large_interval_builds_in_linear_time():
+    start = time.perf_counter()
+    s = interval(1, 50_000)
+    assert time.perf_counter() - start < 1.0
+    assert (s.min_element(), s.max_element(), s.cardinality()) == (1, 50_000, 50_000)
 
 
 def test_literal_round_trip():
