@@ -280,6 +280,14 @@ class GapIndexTheory(Theory):
     def resolver(self, name: str) -> int:
         return self._names[name]
 
+    def validate_indices(self, pid: PredicateId):
+        super().validate_indices(pid)
+        if pid.indices[0] > self.enumeration.size:
+            raise SignatureError(
+                f"{self.name}: formula id {pid.indices[0]} is past the {self.enumeration.size} "
+                f"cubes of {self.inner.name}"
+            )
+
     def inner_cube(self, fid: int) -> Cube:
         return self.enumeration.cube(fid)
 

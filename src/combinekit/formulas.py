@@ -226,101 +226,89 @@ def parse_formula(text: str, resolver: Resolver | None = None) -> Formula:
     and ``(pred FAMILY i j k)`` for arbitrary families.  Indices are
     positive naturals, ``inf``, or names resolved by `resolver`.
     """
-    tokens = [(m.group(0), m.start()) for m in _TOKEN_RE.finditer(text)]
+    # The (None, len(text)) sentinel marks the end of input.
+    tokens = [(m.group(0), m.start()) for m in _TOKEN_RE.finditer(text)] + [(None, len(text))]
     pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, len(text))
 
     def take():
         nonlocal pos
-        tok = peek()
-        if tok[0] is None:
-            raise ParseError("unexpected end of input", tok[1])
+        tok, off = tokens[pos]
+        if tok is None:
+            raise ParseError("unexpected end of input", off)
         pos += 1
+        return tok, off
+
+    def items(read, at_end="unexpected end of input") -> list:
+        """Read items with `read` up to and including the list's ')'."""
+        nonlocal pos
+        out = []
+        while tokens[pos][0] != ")":
+            if tokens[pos][0] is None:
+                raise ParseError(at_end, len(text))
+            out.append(read())
+        pos += 1
+        return out
+
+    def no_item():
+        tok, off = take()
+        raise ParseError(f"expected ')', got {tok!r}", off)
+
+    def variable(tok: str, off: int) -> str:
+        if not _VAR_RE.match(tok):
+            raise ParseError(f"bad variable {tok!r}", off)
         return tok
 
-    def parse_index(tok: str, off: int) -> Index:
+    def index() -> Index:
+        tok, off = take()
         if tok == "inf":
             return "inf"
         if tok.isdigit():
-            n = int(tok)
-            if n < 1:
+            if int(tok) < 1:
                 raise ParseError(f"non-positive index {tok}", off)
-            return n
-        if FAMILY_RE.match(tok):
-            if resolver is None:
-                raise ParseError(f"no resolver for formula reference {tok!r}", off)
-            try:
-                return resolver(tok)
-            except KeyError:
-                raise ParseError(f"unknown formula reference {tok!r}", off)
-        raise ParseError(f"bad index {tok!r}", off)
+            return int(tok)
+        if not FAMILY_RE.match(tok):
+            raise ParseError(f"bad index {tok!r}", off)
+        if resolver is None:
+            raise ParseError(f"no resolver for formula reference {tok!r}", off)
+        try:
+            return resolver(tok)
+        except KeyError:
+            raise ParseError(f"unknown formula reference {tok!r}", off)
 
-    def parse_expr() -> Formula:
+    def expr() -> Formula:
         tok, off = take()
         if tok != "(":
             raise ParseError(f"expected '(', got {tok!r}", off)
         head, hoff = take()
-        if head == "=":
-            a, aoff = take()
-            b, boff = take()
-            for v, o in ((a, aoff), (b, boff)):
-                if not _VAR_RE.match(v or ""):
-                    raise ParseError(f"bad variable {v!r}", o)
-            expect_close()
-            return EqualityLiteral(a, b, True)
-        if head == "not":
-            inner = parse_expr()
-            expect_close()
-            return Not(inner)
         if head in ("and", "or"):
-            children = []
-            while peek()[0] != ")":
-                if peek()[0] is None:
-                    raise ParseError("unterminated list", peek()[1])
-                children.append(parse_expr())
-            take()
-            if not children:
+            kids = tuple(items(expr, "unterminated list"))
+            if not kids:
                 raise ParseError(f"empty ({head})", hoff)
-            return And(tuple(children)) if head == "and" else Or(tuple(children))
+            return And(kids) if head == "and" else Or(kids)
         if head == "distinct":
-            vs = []
-            while peek()[0] != ")":
-                v, o = take()
-                if not _VAR_RE.match(v or ""):
-                    raise ParseError(f"bad variable {v!r}", o)
-                vs.append(v)
-            take()
+            vs = items(lambda: variable(*take()))
             if len(vs) < 2:
                 raise ParseError("(distinct ...) needs at least two variables", hoff)
-            lits = [
-                EqualityLiteral(x, y, False) for x, y in itertools.combinations(vs, 2)
-            ]
-            return And(tuple(lits)) if len(lits) > 1 else lits[0]
-        if head == "pred":
-            fam, foff = take()
-            if not FAMILY_RE.match(fam or ""):
-                raise ParseError(f"unknown predicate family {fam!r}", foff)
-        elif FAMILY_RE.match(head or ""):
-            fam = head
+            lits = tuple(EqualityLiteral(x, y, False) for x, y in itertools.combinations(vs, 2))
+            return And(lits) if len(lits) > 1 else lits[0]
+        if head == "=":
+            a, b = take(), take()  # both operands are read before either is checked
+            f = EqualityLiteral(variable(*a), variable(*b), True)
+        elif head == "not":
+            f = Not(expr())
         else:
-            raise ParseError(f"unknown operator {head!r}", hoff)
-        indices = []
-        while peek()[0] != ")":
-            t, o = take()
-            indices.append(parse_index(t, o))
-        take()
-        return PredicateLiteral(PredicateId(fam, tuple(indices)))
+            fam, foff = take() if head == "pred" else (head, hoff)
+            if not FAMILY_RE.match(fam):
+                what = "unknown predicate family" if head == "pred" else "unknown operator"
+                raise ParseError(f"{what} {fam!r}", foff)
+            return PredicateLiteral(PredicateId(fam, tuple(items(index))))
+        items(no_item)
+        return f
 
-    def expect_close():
-        tok, off = take()
-        if tok != ")":
-            raise ParseError(f"expected ')', got {tok!r}", off)
-
-    f = parse_expr()
-    if peek()[0] is not None:
-        raise ParseError(f"trailing input {peek()[0]!r}", peek()[1])
+    f = expr()
+    tok, off = tokens[pos]
+    if tok is not None:
+        raise ParseError(f"trailing input {tok!r}", off)
     return f
 
 
@@ -329,9 +317,8 @@ def parse_formula(text: str, resolver: Resolver | None = None) -> Formula:
 
 def to_dnf(f: Formula) -> list[Cube]:
     """Cubes whose disjunction is equivalent to f; contradictory cubes dropped."""
-    cubes = _dnf(_nnf(f, False))
     out, seen = [], set()
-    for c in cubes:
+    for c in _dnf(f, False):
         if c.contradictory or c in seen:
             continue
         seen.add(c)
@@ -339,34 +326,19 @@ def to_dnf(f: Formula) -> list[Cube]:
     return out
 
 
-def _nnf(f: Formula, negate: bool) -> Formula:
+def _dnf(f: Formula, negate: bool) -> list[Cube]:
+    """Cubes of f (of ~f when `negate`), pushing negations down by De Morgan."""
     if isinstance(f, Not):
-        return _nnf(f.child, not negate)
-    if isinstance(f, And):
-        kids = tuple(_nnf(c, negate) for c in f.children)
-        return Or(kids) if negate else And(kids)
-    if isinstance(f, Or):
-        kids = tuple(_nnf(c, negate) for c in f.children)
-        return And(kids) if negate else Or(kids)
-    return f.negate() if negate else f
-
-
-def _dnf(f: Formula) -> list[Cube]:
-    if isinstance(f, (PredicateLiteral, EqualityLiteral)):
-        return [Cube((f,))]
-    if isinstance(f, Or):
-        out = []
-        for c in f.children:
-            out.extend(_dnf(c))
-        return out
-    if isinstance(f, And):
-        parts = [_dnf(c) for c in f.children]
-        out = []
-        for combo in itertools.product(*parts):
-            merged = Cube(tuple(itertools.chain.from_iterable(c.literals for c in combo)))
-            out.append(merged)
-        return out
-    raise AssertionError(f"not in NNF: {f}")
+        return _dnf(f.child, not negate)
+    if not isinstance(f, (And, Or)):
+        return [Cube((f.negate() if negate else f,))]
+    parts = [_dnf(c, negate) for c in f.children]
+    if isinstance(f, Or) != negate:
+        return [c for part in parts for c in part]
+    return [
+        Cube(tuple(itertools.chain.from_iterable(c.literals for c in combo)))
+        for combo in itertools.product(*parts)
+    ]
 
 
 # -- cardinality cliques ---------------------------------------------------
@@ -437,32 +409,22 @@ class Arrangement:
 def enumerate_arrangements(variables: Iterable[str]) -> Iterator[Arrangement]:
     """Every set partition of the variables, in restricted-growth-string order.
 
-    The empty variable set yields the single empty arrangement.  Counts
-    follow the Bell numbers (1, 1, 2, 5, 15, 52, 203, ...).
+    Variables are placed in sorted order; each joins every existing block
+    in turn, then opens a new one.  The empty variable set yields the
+    single empty arrangement.  Counts follow the Bell numbers (1, 1, 2,
+    5, 15, 52, 203, ...).
     """
     vs = sorted(set(variables))
-    if not vs:
-        yield Arrangement(())
-        return
-    n = len(vs)
-    rgs = [0] * n
 
-    def emit() -> Arrangement:
-        nblocks = max(rgs) + 1
-        blocks: list[list[str]] = [[] for _ in range(nblocks)]
-        for i, v in enumerate(vs):
-            blocks[rgs[i]].append(v)
-        return Arrangement(tuple(tuple(b) for b in blocks))
-
-    def rec(i: int, maxused: int) -> Iterator[Arrangement]:
-        if i == n:
-            yield emit()
+    def grow(i: int, blocks: tuple[tuple[str, ...], ...]) -> Iterator[Arrangement]:
+        if i == len(vs):
+            yield Arrangement(blocks)
             return
-        for b in range(maxused + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(maxused, b))
+        for j in range(len(blocks)):
+            yield from grow(i + 1, blocks[:j] + (blocks[j] + (vs[i],),) + blocks[j + 1 :])
+        yield from grow(i + 1, blocks + ((vs[i],),))
 
-    yield from rec(1, 0) if n > 1 else iter([emit()])
+    yield from grow(0, ())
 
 
 def arrangement_to_cube(arr: Arrangement) -> Cube:

@@ -57,6 +57,13 @@ def _oracle_from_json(spec) -> FOracle:
     raise RegistryError(f"unknown oracle kind {kind!r}")
 
 
+def _int_field(spec: dict, key: str) -> int:
+    value = spec[key]
+    if type(value) is not int:  # rejects floats and, since bool subclasses int, true/false
+        raise RegistryError(f"field {key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
 def theory_from_json(spec: dict, registry: "Registry | None" = None) -> Theory:
     """Build a theory handle from its JSON definition."""
     if not isinstance(spec, dict):
@@ -70,17 +77,17 @@ def theory_from_json(spec: dict, registry: "Registry | None" = None) -> Theory:
     if kind == "T_inf":
         return InfiniteOnlyTheory()
     if kind == "T_eq_n":
-        return ExactSizeTheory(int(spec["n"]))
+        return ExactSizeTheory(_int_field(spec, "n"))
     if kind == "T_leq_n":
-        return MaxSizeTheory(int(spec["n"]))
+        return MaxSizeTheory(_int_field(spec, "n"))
     if kind == "T_geq_n":
-        return MinSizeTheory(int(spec["n"]))
+        return MinSizeTheory(_int_field(spec, "n"))
     if kind == "T_eq_P":
         return SizePinTheory(fam)
     if kind == "T_gt_n_P":
-        return BigModelTagTheory(int(spec["n"]), fam)
+        return BigModelTagTheory(_int_field(spec, "n"), fam)
     if kind == "T_mn":
-        return TwoSizeTheory(int(spec["m"]), int(spec["n"]), fam)
+        return TwoSizeTheory(_int_field(spec, "m"), _int_field(spec, "n"), fam)
     if kind == "T_leq_S":
         return SizeCapTheory(parse_set_literal(spec["S"]), _oracle_from_json(spec.get("F")), fam)
     if kind == "Th_of":
@@ -93,7 +100,7 @@ def theory_from_json(spec: dict, registry: "Registry | None" = None) -> Theory:
             inner = theory_from_json(inner_spec, registry)
         return GapIndexTheory(inner, fam)
     if kind == "T_d":
-        return MixedTagTheory(int(spec["n"]), _oracle_from_json(spec.get("F")), fam)
+        return MixedTagTheory(_int_field(spec, "n"), _oracle_from_json(spec.get("F")), fam)
     if kind == "T_cfs":
         return CapOrUnboundedTheory(_oracle_from_json(spec.get("F")), fam)
     if kind == "T_si":
@@ -101,15 +108,15 @@ def theory_from_json(spec: dict, registry: "Registry | None" = None) -> Theory:
     if kind == "T_cs":
         return SingletonOrInfiniteTheory(fam)
     if kind == "T_ns":
-        return StepTheory(int(spec["n"]), int(spec["n"]), fam)
+        return StepTheory(_int_field(spec, "n"), _int_field(spec, "n"), fam)
     if kind == "T_step":
-        return StepTheory(int(spec["pin"]), int(spec["floor"]), fam)
+        return StepTheory(_int_field(spec, "pin"), _int_field(spec, "floor"), fam)
     if kind == "T_geq_F":
         return OracleFloorTheory(_oracle_from_json(spec.get("F")), fam)
     if kind == "toy":
         return toy_inner_theory()
     if kind == "complete":
-        return CompositeTestTheory(spec["role"], n=spec.get("n"))
+        return CompositeTestTheory(spec["role"], n=_int_field(spec, "n") if "n" in spec else None)
     raise RegistryError(f"unknown theory kind {kind!r}")
 
 
@@ -121,6 +128,7 @@ _DYNAMIC_PATTERNS: list[tuple[re.Pattern, callable]] = [
     (re.compile(r"^T_mn_(\d+)_(\d+)$"), lambda m: TwoSizeTheory(int(m.group(1)), int(m.group(2)))),
     (re.compile(r"^T_d_(\d+)$"), lambda m: MixedTagTheory(int(m.group(1)))),
     (re.compile(r"^T_ns_(\d+)$"), lambda m: StepTheory(int(m.group(1)), int(m.group(1)))),
+    (re.compile(r"^T_step_(\d+)_(\d+)$"), lambda m: StepTheory(int(m.group(1)), int(m.group(2)))),
     (re.compile(r"^complete_nshiny_(\d+)$"), lambda m: CompositeTestTheory("n-shiny-complete", n=int(m.group(1)))),
 ]
 

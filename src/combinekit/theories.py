@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
-from .errors import CapabilityMissing, IterationCapExceeded, SignatureError
+from .errors import CapabilityMissing, CombineKitError, IterationCapExceeded, SignatureError
 from .formulas import (
     Cube,
     PredicateId,
@@ -431,13 +431,15 @@ class FormulaEnumeration:
     """
 
     def __init__(self, theory: Theory):
-        self._gen = canonical_cubes(literal_pool_for(theory))
+        pool = set(literal_pool_for(theory))
+        self.size = 2 ** len(pool)  # one cube per subset of the pool
+        self._gen = canonical_cubes(pool)
         self._by_id: list[Cube] = []
         self._ids: dict[Cube, int] = {}
 
     def cube(self, fid: int) -> Cube:
-        if fid < 1:
-            raise ValueError("formula ids are 1-based")
+        if not 1 <= fid <= self.size:
+            raise CombineKitError(f"formula id {fid} is outside the enumeration's ids 1..{self.size}")
         while len(self._by_id) < fid:
             self._advance()
         return self._by_id[fid - 1]

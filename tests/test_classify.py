@@ -2,6 +2,7 @@ import pytest
 
 from combinekit import classify
 from combinekit.brute import brute_spectrum
+from combinekit.catalog import BigModelTagTheory, EqualityTheory, MaxSizeTheory, SizePinTheory, StepTheory
 from combinekit.classify import (
     DEFAULT_PROBE_SAMPLES,
     bitzero_filter,
@@ -12,7 +13,9 @@ from combinekit.classify import (
     probe_certificate,
     refute_class,
 )
+from combinekit.errors import CapabilityMissing
 from combinekit.filters import NO, YES, filter_includes, frechet, generated
+from combinekit.formulas import EqualityLiteral
 from combinekit.properties import (
     CLASSES,
     LATTICE_EDGES,
@@ -20,6 +23,7 @@ from combinekit.properties import (
     certificate,
 )
 from combinekit.sets import bitzero, evens, finite_set, odds
+from combinekit.spectra import ExactSpectrum
 from combinekit.theories import Theory
 
 
@@ -149,6 +153,59 @@ def test_probes_enumerate_each_cube_window_once(theory_list, monkeypatch):
         calls.clear()
         probe_certificate(t, samples=25)
         assert len(calls) == len(set(calls)), t.name
+
+
+def _missing(*args):
+    raise CapabilityMissing("T_leq_3", "spec_finite")
+
+
+# (flag, catalog theory, instance patches that make its claim false, evidence).
+# The empty cube is sampled first, so most failures name {}.
+FALSE_CLAIMS = [
+    ("decidable", MaxSizeTheory(3), {"decide_cube": lambda c: False},
+     "decide says unsat but a finite model exists: {}"),
+    ("CFS", MaxSizeTheory(3), {"spec_finite": lambda c, k: False},
+     "finite membership of 1 disagrees with brute on {}"),
+    ("CFS", MaxSizeTheory(3), {"spec_finite": _missing},
+     "capability error: T_leq_3 does not support spec_finite"),
+    ("ID", SizePinTheory(), {"spec_inf": lambda c: True, "decide_cube": lambda c: False},
+     "infinite member claimed for unsatisfiable {}"),
+    ("ID", MaxSizeTheory(3), {"spec_inf": lambda c: True},
+     "never-infinite theory claims an infinite model of {}"),
+    ("SI", EqualityTheory(), {"spec_inf": lambda c: False}, "satisfiable {} lacks an infinite model"),
+    ("smooth", EqualityTheory(), {"model_check": lambda size, preds: size != 2},
+     "window spectrum of {} is not upward closed: [1, 3, 4, 5, 6]"),
+    ("smooth", EqualityTheory(), {"spec_inf": lambda c: False}, "{} has finite models but no infinite one"),
+    ("FMP", EqualityTheory(), {"model_check": lambda size, preds: False},
+     "satisfiable {} has no model within the probe bound"),
+    ("minmod", EqualityTheory(), {"minmod_cube": lambda c: 99}, "minimum model of {}: got 99, brute says 1"),
+    ("gentle", MaxSizeTheory(3), {"exact_spectrum": lambda c: ExactSpectrum(evens(), True)},
+     "spectrum of {} is neither finite nor cofinite"),
+    ("gentle", MaxSizeTheory(3), {"model_check": lambda size, preds: size <= 2},
+     "materialized spectrum of {} disagrees with brute at 3"),
+    ("n-shiny", StepTheory(4, 4), {"nshiny_classify": lambda c: None}, "no shape for satisfiable {}"),
+    ("n-shiny", StepTheory(4, 4), {"nshiny_classify": lambda c: (3, 1)}, "bad shape (3, 1) for {}"),
+    ("n-shiny", StepTheory(4, 4), {"nshiny_classify": lambda c: (2, 1)},
+     "shape (2, 1) disagrees with brute at 1 on {}"),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, theory, patches, evidence", FALSE_CLAIMS, ids=[f"{row[0]}-{i}" for i, row in enumerate(FALSE_CLAIMS)]
+)
+def test_probe_reports_each_false_claim(flag, theory, patches, evidence, monkeypatch):
+    for name, fake in patches.items():
+        monkeypatch.setattr(theory, name, fake)
+    (row,) = [r for r in probe_certificate(theory, samples=20) if r["flag"] == flag]
+    assert (row["verdict"], row["evidence"]) == ("fail", evidence)
+
+
+def test_probe_reports_a_witness_transform_that_changes_satisfiability(monkeypatch):
+    # An unsatisfiable "witness" for every cube with one positive predicate.
+    monkeypatch.setattr(classify, "witness_tgtnp", lambda t, c: c.with_literals([EqualityLiteral("x", "x", False)]))
+    (row,) = [r for r in probe_certificate(BigModelTagTheory(2), samples=20) if r["flag"] == "finitely-witnessable"]
+    assert row["verdict"] == "fail"
+    assert row["evidence"].startswith("witness transform changes satisfiability of {P_")
 
 
 # -- refutations --------------------------------------------------------------------

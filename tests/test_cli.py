@@ -33,6 +33,20 @@ def test_decide_unknown_theory_exits_2(capsys):
     assert "unknown theory" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "Th_of(toy)", "(pred P 999999 1)"],
+        ["decide", "Th_of(toy)", "(and (pred P 999999 1) (distinct x y))"],
+        ["spectrum", "Th_of(toy)", "(pred P 999999 1)"],
+    ],
+)
+def test_formula_id_past_the_inner_enumeration_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "formula id 999999 is past the 16384 cubes of toy" in err
+
+
 def test_decide_parse_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "decide", "T_eq", "(= x")
     assert code == 2

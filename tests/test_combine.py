@@ -147,6 +147,9 @@ def test_intersect_smcs_examples():
     assert intersect(SMCS, view(MinSizeTheory(2), TOP), view(ExactSizeTheory(3), TOP))
     assert not intersect(SMCS, view(MinSizeTheory(4), TOP), view(ExactSizeTheory(3), TOP))
     assert intersect(SMCS, view(MinSizeTheory(2), TOP), view(InfiniteOnlyTheory(), TOP))
+    # Side 2 has an infinite model, but side 1 has no model at all.
+    bad = Cube((EqualityLiteral("x", "x", False),))
+    assert not intersect(SMCS, view(MinSizeTheory(2), bad), view(InfiniteOnlyTheory(), TOP))
 
 
 def test_intersect_cs_examples():

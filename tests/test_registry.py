@@ -25,7 +25,7 @@ KINDS = [
     ({"kind": "T_si"}, "T_si"),
     ({"kind": "T_cs"}, "T_cs"),
     ({"kind": "T_ns", "n": 4}, "T_ns_4"),
-    ({"kind": "T_step", "pin": 4, "floor": 3}, None),
+    ({"kind": "T_step", "pin": 4, "floor": 3}, "T_step_4_3"),
     ({"kind": "T_geq_F"}, "T_geq_F"),
     ({"kind": "toy"}, "toy"),
     ({"kind": "complete", "role": "shiny-complete"}, "complete_shiny"),
@@ -58,6 +58,23 @@ def test_family_renames_the_owned_predicates():
     t = theory_from_json({"kind": "T_eq_P", "family": "Q7"})
     assert t.name == "T_eq_P[Q7]"
     assert t.signature.owns(PredicateId("Q7", (3,)))
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"kind": "T_leq_n", "n": 3.7}, "n"),
+        ({"kind": "T_leq_n", "n": True}, "n"),
+        ({"kind": "T_eq_n", "n": "3"}, "n"),
+        ({"kind": "T_mn", "m": 2.0, "n": 5}, "m"),
+        ({"kind": "T_step", "pin": 4, "floor": None}, "floor"),
+        ({"kind": "T_step", "pin": [4], "floor": 3}, "pin"),
+        ({"kind": "complete", "role": "n-shiny-complete", "n": 4.5}, "n"),
+    ],
+)
+def test_integer_fields_must_be_json_integers(spec, field):
+    with pytest.raises(RegistryError, match=f"field '{field}' must be a JSON integer"):
+        Registry(RunConfig({"bad": spec}))
 
 
 @pytest.mark.parametrize("family", ["p", 5, "", "P Q", "P\n", "7", None, ["P"]])

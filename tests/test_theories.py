@@ -18,7 +18,7 @@ from combinekit.catalog import (
     toy_inner_theory,
     witness_tgtnp,
 )
-from combinekit.errors import CapabilityMissing, SignatureError
+from combinekit.errors import CapabilityMissing, CombineKitError, SignatureError
 from combinekit.formulas import (
     Cube,
     EqualityLiteral,
@@ -30,7 +30,7 @@ from combinekit.formulas import (
     to_dnf,
 )
 from combinekit.sets import evens, odds
-from combinekit.theories import minmod_equalities
+from combinekit.theories import FormulaEnumeration, minmod_equalities
 
 TOP = Cube(())
 
@@ -383,6 +383,27 @@ def test_gap_index_worked_example():
 def test_gap_index_requires_cfs_inner():
     with pytest.raises(ValueError):
         GapIndexTheory(TaggedInfinityTheory())
+
+
+@pytest.mark.parametrize("extra", [TOP, neq_clique(["x", "y"], 2)])
+def test_gap_index_rejects_formula_ids_past_the_enumeration(extra):
+    th = GapIndexTheory(toy_inner_theory())
+    assert th.enumeration.size == 2**14
+    # The last inner cube holds a literal and its negation, so its first gap is size 1.
+    assert th.decide_cube(Cube((plit("P", 2**14, 1),)).join(extra)) is (extra == TOP)
+    beyond = Cube((plit("P", 2**14 + 1, 1),)).join(extra)
+    for query in (th.decide_cube, th.cube_spectrum_exact, lambda c: th.spec_finite(c, 3)):
+        with pytest.raises(SignatureError, match="past the 16384 cubes"):
+            query(beyond)
+
+
+def test_formula_enumeration_ids_stop_at_its_size():
+    enum = FormulaEnumeration(StepTheory(4, 4))
+    assert enum.size == 2**14  # six variable pairs, each equal or not, and P or not
+    assert len(enum.cube(enum.size).literals) == 14  # the last cube is the whole pool
+    for fid in (0, enum.size + 1):
+        with pytest.raises(CombineKitError, match="outside the enumeration"):
+            enum.cube(fid)
 
 
 def test_gap_index_minmod_blocks_unsatisfiable_pins():
