@@ -3,9 +3,11 @@
 The shell lowers a formula over the union signature to cubes, routes
 each cube's literals to its owning side, and enumerates arrangements of
 the shared variables; a cube is jointly satisfiable exactly when some
-arrangement gives the two sides overlapping spectra.  The per-method
-intersection procedures below decide that overlap using only the
-queries their hypotheses license.
+arrangement gives the two sides overlapping spectra.  Only arrangements
+consistent with the cube's equalities are visited, and the method runs
+once per block count among them.  The per-method intersection
+procedures below decide that overlap using only the queries their
+hypotheses license.
 """
 
 from __future__ import annotations
@@ -279,11 +281,17 @@ def combine_decide(
 ) -> CombinationVerdict:
     """Joint satisfiability of f over the disjoint union of t1 and t2.
 
-    Lowers f to cubes, splits each by signature, and runs the method's
-    intersection procedure per arrangement of the shared variables; the
-    verdict carries the first witness in canonical order.  The method
-    runs only on a theory order whose certificates meet its hypotheses;
-    an explicit method that fits neither order raises MethodNotApplicable.
+    Lowers f to cubes, splits each by signature, and visits the
+    arrangements of the shared variables that are consistent with the
+    cube, in canonical order; any other arrangement contradicts the cube.
+    Every catalog theory's spectrum depends only on a cube's predicate
+    part and its equality minimum, which a consistent arrangement fixes
+    at its block count, so the method's intersection procedure runs once
+    per block count: on the first arrangement with that count.  The
+    verdict carries the first witness in canonical order, as a walk over
+    every arrangement would.  The method runs only on a theory order
+    whose certificates meet its hypotheses; an explicit method that fits
+    neither order raises MethodNotApplicable.
     """
     if method is None:
         picked = select_method(t1, t2)
@@ -303,8 +311,13 @@ def combine_decide(
     cubes = to_dnf(f) if not isinstance(f, Cube) else ([f] if not f.contradictory else [])
     for cube in cubes:
         c1, c2, shared = split_by_signature(cube, t1.signature, t2.signature)
-        for arr in enumerate_arrangements(shared):
+        # A block count seen before has already failed: a success returns.
+        tried_blocks: set[int] = set()
+        for arr in enumerate_arrangements(shared, cube):
             stats["arrangements_tried"] += 1
+            if len(arr.blocks) in tried_blocks:
+                continue
+            tried_blocks.add(len(arr.blocks))
             delta = arrangement_to_cube(arr)
             a1, a2 = c1.join(delta), c2.join(delta)
             ok, card = run(method, view(t1, a1), view(t2, a2), cap, stats)

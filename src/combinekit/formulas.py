@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
@@ -262,7 +263,7 @@ def parse_formula(text: str, resolver: Resolver | None = None) -> Formula:
         tok, off = take()
         if tok == "inf":
             return "inf"
-        if tok.isdigit():
+        if tok.isascii() and tok.isdigit():  # str.isdigit alone admits digits like '²'
             if int(tok) < 1:
                 raise ParseError(f"non-positive index {tok}", off)
             return int(tok)
@@ -271,9 +272,14 @@ def parse_formula(text: str, resolver: Resolver | None = None) -> Formula:
         if resolver is None:
             raise ParseError(f"no resolver for formula reference {tok!r}", off)
         try:
-            return resolver(tok)
+            ix = resolver(tok)
         except KeyError:
             raise ParseError(f"unknown formula reference {tok!r}", off)
+        if type(ix) is not int or ix < 1:
+            raise ParseError(
+                f"formula reference {tok!r} resolved to {ix!r}, not a positive id", off
+            )
+        return ix
 
     def expr() -> Formula:
         tok, off = take()
@@ -406,25 +412,85 @@ class Arrangement:
         return [list(b) for b in self.blocks]
 
 
-def enumerate_arrangements(variables: Iterable[str]) -> Iterator[Arrangement]:
+def equality_classes(
+    cube: Cube,
+) -> tuple[Callable[[str], str], defaultdict[str, set[str]]] | None:
+    """The classes the cube's positive equalities merge its variables into,
+    and the disequality graph over them; None when a disequality falls
+    inside a class.
+
+    Returns ``(find, apart)``: ``find`` maps a variable to its class
+    representative, and ``apart`` maps a class to the classes the cube
+    keeps it from.  Only classes on a disequality have an entry.
+    """
+    parent: dict[str, str] = {}
+
+    def find(x: str) -> str:
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    neqs = []
+    for lit in cube.eq_literals():
+        if lit.positive:
+            parent[find(lit.left)] = find(lit.right)
+        else:
+            neqs.append(lit)
+    apart: defaultdict[str, set[str]] = defaultdict(set)
+    for lit in neqs:
+        ra, rb = find(lit.left), find(lit.right)
+        if ra == rb:
+            return None
+        apart[ra].add(rb)
+        apart[rb].add(ra)
+    return find, apart
+
+
+def enumerate_arrangements(
+    variables: Iterable[str], cube: Cube | None = None
+) -> Iterator[Arrangement]:
     """Every set partition of the variables, in restricted-growth-string order.
 
     Variables are placed in sorted order; each joins every existing block
     in turn, then opens a new one.  The empty variable set yields the
     single empty arrangement.  Counts follow the Bell numbers (1, 1, 2,
     5, 15, 52, 203, ...).
+
+    With a cube, only the arrangements consistent with its equality part
+    are yielded, in the same order.  The cube's positive equalities merge
+    variables into classes: a variable whose class is already placed must
+    join that block, and a block may not take a class the cube keeps
+    apart from one it holds.  An equality-inconsistent cube yields nothing.
     """
     vs = sorted(set(variables))
+    find, apart = (lambda v: v), defaultdict(set)  # every variable its own class
+    if cube is not None:
+        graph = equality_classes(cube)
+        if graph is None:
+            return
+        find, apart = graph
+    classes = [find(v) for v in vs]
 
-    def grow(i: int, blocks: tuple[tuple[str, ...], ...]) -> Iterator[Arrangement]:
+    def grow(i: int, blocks: tuple[tuple[str, ...], ...], held: tuple[frozenset[str], ...]):
+        """Place vs[i:] given `blocks` and the classes each block holds."""
         if i == len(vs):
             yield Arrangement(blocks)
             return
-        for j in range(len(blocks)):
-            yield from grow(i + 1, blocks[:j] + (blocks[j] + (vs[i],),) + blocks[j + 1 :])
-        yield from grow(i + 1, blocks + ((vs[i],),))
+        c = classes[i]
+        placed = any(c in h for h in held)
+        for j, h in enumerate(held):
+            if (c in h) if placed else apart[c].isdisjoint(h):
+                yield from grow(
+                    i + 1,
+                    blocks[:j] + (blocks[j] + (vs[i],),) + blocks[j + 1 :],
+                    held[:j] + (h | {c},) + held[j + 1 :],
+                )
+        if not placed:
+            yield from grow(i + 1, blocks + ((vs[i],),), held + (frozenset((c,)),))
 
-    yield from grow(0, ())
+    yield from grow(0, (), ())
 
 
 def arrangement_to_cube(arr: Arrangement) -> Cube:

@@ -29,7 +29,6 @@ query.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -42,6 +41,7 @@ from .formulas import (
     Signature,
     canonical_cubes,
     clique_extension,
+    equality_classes,
     equality_literal_pool,
 )
 from .properties import PropertyCertificate
@@ -95,29 +95,11 @@ def minmod_equalities(cube: Cube) -> int | None:
     any other searched upward from the best so far (1 without
     disequalities, since domains are nonempty).
     """
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    neqs = []
-    for lit in cube.eq_literals():
-        if lit.positive:
-            parent[find(lit.left)] = find(lit.right)
-        else:
-            neqs.append(lit)
+    graph = equality_classes(cube)
+    if graph is None:
+        return None
     # Only classes on a disequality can need more than one element.
-    adj: defaultdict[str, set[str]] = defaultdict(set)
-    for lit in neqs:
-        ra, rb = find(lit.left), find(lit.right)
-        if ra == rb:
-            return None
-        adj[ra].add(rb)
-        adj[rb].add(ra)
+    adj = graph[1]
 
     def colorable(order: list[str], k: int, colors: dict[str, int]) -> bool:
         """Whether the coloring of a prefix of order extends to k colors."""

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from combinekit.brute import brute_combined_formula_sat, brute_sat_at
+from combinekit.brute import brute_combined_formula_sat, brute_sat_at, random_cube
 from combinekit.catalog import (
     EqualityTheory,
     ExactSizeTheory,
@@ -30,7 +30,12 @@ from combinekit.combine import (
     quasi_gentle,
     select_method,
 )
-from combinekit.errors import IterationCapExceeded, MethodNotApplicable, SignatureError
+from combinekit.errors import (
+    CombineKitError,
+    IterationCapExceeded,
+    MethodNotApplicable,
+    SignatureError,
+)
 from combinekit.formulas import (
     And,
     Cube,
@@ -38,12 +43,15 @@ from combinekit.formulas import (
     Or,
     PredicateId,
     PredicateLiteral,
+    arrangement_to_cube,
+    enumerate_arrangements,
     neq_clique,
     parse_formula,
+    split_by_signature,
 )
 from combinekit.properties import CLASSES, LATTICE_EDGES, PARTNER, certificate, class_ancestors
-from combinekit.sets import ALEPH0, evens, upfrom
-from combinekit.spectra import view
+from combinekit.sets import ALEPH0, card_to_json, evens, upfrom
+from combinekit.spectra import DEFAULT_ITERATION_CAP, view
 
 TOP = Cube(())
 XY = Cube((EqualityLiteral("x", "y", False),))
@@ -299,6 +307,89 @@ def test_agreement_with_independent_joint_models(rng):
             got = combine_decide(t1, t2, formula, method).sat
             want = brute_combined_formula_sat(t1, t2, formula, 6)
             assert got == want, (t1.name, t2.name, method.label(), formula)
+
+
+def _bell(n: int) -> int:
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
+def _bell_loop_json(t1, t2, cube):
+    """Reference: the method run on every set partition of the shared
+    variables, the way the shell did before it skipped inconsistent
+    arrangements and repeated block counts."""
+    method, swapped = select_method(t1, t2)
+    if swapped:
+        t1, t2 = t2, t1
+    run = METHODS[method.kind][1]
+    label = method.label() + (" [sides swapped]" if swapped else "")
+    if not cube.contradictory:
+        c1, c2, shared = split_by_signature(cube, t1.signature, t2.signature)
+        for arr in enumerate_arrangements(shared):
+            delta = arrangement_to_cube(arr)
+            v1, v2 = view(t1, c1.join(delta)), view(t2, c2.join(delta))
+            ok, card = run(method, v1, v2, DEFAULT_ITERATION_CAP, {"loop_iterations": 0})
+            if ok:
+                w = None
+                if card is not None:
+                    w = {"arrangement": arr.to_json(), "card": card_to_json(card)}
+                return {"sat": True, "method": label, "witness": w}
+    return {"sat": False, "method": label, "witness": None}
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except CombineKitError as e:
+        return (type(e).__name__, str(e))
+
+
+def test_consistent_arrangements_give_the_bell_loop_verdicts(theory_list):
+    """Over every covered ordered catalog pair, visiting only cube-consistent
+    arrangements and running each block count once changes no verdict,
+    method, witness arrangement or card."""
+    rng = random.Random(11)
+    names = ["x", "y", "z", "w", "u"]
+    pairs = 0
+    for t1 in theory_list:
+        for t2 in theory_list:
+            if t1 is t2 or select_method(t1, t2) is None:
+                continue
+            pairs += 1
+            cubes = 0
+            while cubes < 4:
+                vs = names[: rng.randint(2, 5)]
+                extra = tuple(
+                    EqualityLiteral(*rng.sample(vs, 2), rng.random() < 0.3)
+                    for _ in range(rng.randint(0, 4))
+                )
+                cube = random_cube(t1, rng).join(random_cube(t2, rng)).with_literals(extra)
+                if cube.contradictory:
+                    continue
+                cubes += 1
+                want = _outcome(lambda: _bell_loop_json(t1, t2, cube))
+                verdict = _outcome(lambda: combine_decide(t1, t2, cube))
+                if isinstance(verdict, tuple):
+                    assert verdict == want, (t1.name, t2.name, str(cube))
+                    continue
+                got = verdict.to_json()
+                assert got.pop("stats")["arrangements_tried"] <= _bell(len(cube.variables()))
+                assert got == want, (t1.name, t2.name, str(cube))
+    assert pairs == 292
+
+
+def test_gentle_distinct_cube_tries_one_arrangement():
+    # Bell(10) = 115,975 arrangements, of which only the all-apart one is
+    # consistent with the cube.
+    xs = " ".join(f"x{i}" for i in range(1, 11))
+    v = combine_decide(MaxSizeTheory(3), SizePinTheory(), f(f"(and (P 2) (distinct {xs}))"))
+    assert (v.sat, v.method_used) == (False, "gentle")
+    assert v.stats["arrangements_tried"] == 1
 
 
 def _random_formula(t1, t2, rng: random.Random):

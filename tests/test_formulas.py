@@ -26,6 +26,7 @@ from combinekit.formulas import (
     split_by_signature,
     to_dnf,
 )
+from combinekit.theories import minmod_equalities
 
 SIG_P = Signature(frozenset({("P", 1)}))
 SIG_Q = Signature(frozenset({("Q", 1)}))
@@ -117,6 +118,22 @@ def test_parse_errors_carry_offsets():
         parse_formula("(= x y) trailing")
     with pytest.raises(ParseError):
         parse_formula("(and (= x y)")
+
+
+def test_parse_rejects_non_ascii_digit_index():
+    # '²' passes str.isdigit but not int(); it is a bad index, not a crash.
+    with pytest.raises(ParseError) as e:
+        parse_formula("(P ²)")
+    assert str(e.value).startswith("bad index '²'")
+    assert e.value.offset == 3
+
+
+@pytest.mark.parametrize("value", [0, -2, "7", 2.0, True, None])
+def test_parse_rejects_resolver_values_that_are_not_positive_ids(value):
+    with pytest.raises(ParseError) as e:
+        parse_formula("(pred P 1 Q)", resolver={"Q": value}.__getitem__)
+    assert "resolved to" in str(e.value)
+    assert e.value.offset == 10
 
 
 # -- cubes ---------------------------------------------------------------------
@@ -261,6 +278,37 @@ def test_arrangement_order_is_deterministic():
     second = list(enumerate_arrangements(["c", "b", "a"]))
     assert first == second
     assert first[0].blocks == (("a", "b", "c"),)  # all merged comes first
+
+
+def _consistent(cube, arr) -> bool:
+    return minmod_equalities(cube.join(arrangement_to_cube(arr))) is not None
+
+
+def test_arrangements_under_a_cube_are_the_consistent_ones_in_order():
+    rng = random.Random(11)
+    pool = ["a", "b", "c", "d", "e"]
+    cubes = [
+        Cube(()),
+        Cube((eq("a", "a", False),)),  # contradictory
+        Cube((eq("a", "b"), eq("a", "b", False))),  # contradictory
+        Cube((eq("a", "b"), eq("b", "c"), eq("a", "c", False))),  # equality-inconsistent
+        Cube((eq("a", "z"), eq("z", "b"), eq("b", "c", False))),  # z is not enumerated
+    ]
+    for _ in range(120):
+        lits = [
+            eq(rng.choice(pool), rng.choice(pool), rng.random() < 0.4)
+            for _ in range(rng.randint(0, 7))
+        ]
+        cubes.append(Cube(tuple(lits) + (P(1),)))
+    empty = 0
+    for cube in cubes:
+        for vs in (pool[:3], pool, sorted(cube.variables())):
+            got = list(enumerate_arrangements(vs, cube))
+            assert got == [a for a in enumerate_arrangements(vs) if _consistent(cube, a)]
+        empty += not got
+    for cube in cubes[1:4]:
+        assert list(enumerate_arrangements(pool, cube)) == []
+    assert 5 <= empty < len(cubes) // 2
 
 
 def test_arrangement_to_cube_examples():
