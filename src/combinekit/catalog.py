@@ -18,7 +18,7 @@ from __future__ import annotations
 from .errors import SignatureError
 from .formulas import Cube, EqualityLiteral, PredicateId, PredicateLiteral, Signature, fresh_variables
 from .properties import certificate
-from .sets import ALEPH0, EvPeriodicSet, evens, finite_set, interval, upfrom
+from .sets import EvPeriodicSet, evens, finite_set, interval, upfrom
 from .spectra import ExactSpectrum
 from .theories import (
     ALL,
@@ -35,6 +35,9 @@ from .theories import (
     identity_oracle,
     minmod_equalities,
 )
+
+# The default size-bound oracle F(k) = k, shared: an oracle keeps no state.
+_IDENTITY = identity_oracle()
 
 
 class EqualityTheory(Theory):
@@ -96,10 +99,7 @@ class MaxSizeTheory(Theory):
         self.name = f"T_leq_{n}"
         self.signature = Signature(frozenset())
         self.certificate = certificate(
-            never_infinite=True,
-            cfs=True,
-            gentle=True,
-            n_shiny_param=1 if n == 1 else None,
+            never_infinite=True, cfs=True, gentle=True, n_shiny_param=1 if n == 1 else None
         )
 
     def shape(self, part):
@@ -155,15 +155,13 @@ class BigModelTagTheory(Theory):
     depends on the tag set, so those queries are withheld.
     """
 
-    def __init__(self, n: int, family: str = "P", u_standin: EvPeriodicSet | None = None):
+    def __init__(self, n: int, family: str = "P", u_standin: EvPeriodicSet = DEFAULT_U_STANDIN):
         if n < 1:
             raise ValueError("threshold must be positive")
         self.n = n
-        self.u_standin = u_standin if u_standin is not None else DEFAULT_U_STANDIN
+        self.u_standin = u_standin
         self._declare_family(f"T_gt_{n}_P", family, 1)
-        self.certificate = certificate(
-            smooth=True, fmp=True, finitely_witnessable=True
-        )
+        self.certificate = certificate(smooth=True, fmp=True, finitely_witnessable=True)
 
     def shape(self, pos):
         if pos is None:
@@ -186,15 +184,15 @@ class TwoSizeTheory(Theory):
     (it would need the tag set); everything else is exact.
     """
 
-    def __init__(self, m: int, n: int, family: str = "P", u_standin: EvPeriodicSet | None = None):
+    def __init__(
+        self, m: int, n: int, family: str = "P", u_standin: EvPeriodicSet = DEFAULT_U_STANDIN
+    ):
         if not (1 <= m < n):
             raise ValueError("need 1 <= m < n")
         self.m, self.n = m, n
-        self.u_standin = u_standin if u_standin is not None else DEFAULT_U_STANDIN
+        self.u_standin = u_standin
         self._declare_family(f"T_mn_{m}_{n}", family, 1)
-        self.certificate = certificate(
-            never_infinite=True, n_decidable_rule=("except", frozenset({m}))
-        )
+        self.certificate = certificate(never_infinite=True, n_decidable_rule=("except", frozenset({m})))
 
     def shape(self, pos):
         if pos is None:
@@ -219,11 +217,11 @@ class SizeCapTheory(Theory):
     avoiding S's complement.
     """
 
-    def __init__(self, s: EvPeriodicSet, f: FOracle | None = None, family: str = "P"):
+    def __init__(self, s: EvPeriodicSet, f: FOracle = _IDENTITY, family: str = "P"):
         if not s.is_infinite():
             raise ValueError("the size set must be infinite")
         self.s = s
-        self.f = f if f is not None else identity_oracle()
+        self.f = f
         self._declare_family(f"T_leq_S({s.to_literal()})", family, 1)
         self.certificate = certificate(
             cfs=True,
@@ -262,13 +260,10 @@ class GapIndexTheory(Theory):
         self.enumeration = FormulaEnumeration(inner)
         self._declare_family(f"Th_of({inner.name})", family, 2)
         self.certificate = certificate(cfs=True)
-        self._names: dict[str, int] = {}
-        self._register_names()
-
-    def _register_names(self):
         # Friendly references for the inner theory's bare predicates:
         # "Q" is the cube {Q}, "NOTQ" the cube {~Q}.
-        for fam, arity in sorted(self.inner.signature.families):
+        self._names: dict[str, int] = {}
+        for fam, arity in sorted(inner.signature.families):
             if arity != 0:
                 continue
             pid = PredicateId(fam, ())
@@ -298,16 +293,6 @@ class GapIndexTheory(Theory):
         gaps = sum(1 for j in range(1, k + 1) if not self.inner.spec_finite(phi, j))
         return gaps == n
 
-    def _gap_value(self, fid: int, n: int):
-        """Exact gap value when the inner theory materializes spectra;
-        None when that knowledge is unavailable."""
-        phi = self.inner_cube(fid)
-        exact = self.inner.cube_spectrum_exact(phi)
-        if exact is None:
-            return None
-        v = exact.finite_part.nth_excluded(n)
-        return ALEPH0 if v is None else v
-
     def shape(self, pos):
         if pos is None:
             return Shape(ALL, True)
@@ -323,8 +308,11 @@ class GapIndexTheory(Theory):
             return False
         if pos is None:
             return True
+        # Sat unless the n-th gap lies below the equality minimum: one
+        # pass counts the gaps there.
         fid, n = pos.indices
-        return not any(self._is_nth_gap(fid, n, m) for m in range(1, mm))
+        phi = self.inner_cube(fid)
+        return sum(not self.inner.spec_finite(phi, m) for m in range(1, mm)) < n
 
     def infinite_only(self, cube: Cube) -> bool:
         exact = self.cube_spectrum_exact(cube)
@@ -337,10 +325,12 @@ class GapIndexTheory(Theory):
             return ExactSpectrum(EMPTY, False)
         if pos is None:
             return ExactSpectrum(upfrom(mm), True)
-        v = self._gap_value(*pos.indices)
-        if v is None:
+        fid, n = pos.indices
+        inner = self.inner.cube_spectrum_exact(self.inner_cube(fid))
+        if inner is None:
             return None
-        if v is ALEPH0:
+        v = inner.finite_part.nth_excluded(n)  # None: no n-th gap, so only infinite models
+        if v is None:
             return ExactSpectrum(EMPTY, True)
         return ExactSpectrum(finite_set([v]) if v >= mm else EMPTY, False)
 
@@ -368,15 +358,15 @@ class MixedTagTheory(Theory):
     def __init__(
         self,
         n: int,
-        f: FOracle | None = None,
+        f: FOracle = _IDENTITY,
         family: str = "P",
-        u_standin: EvPeriodicSet | None = None,
+        u_standin: EvPeriodicSet = DEFAULT_U_STANDIN,
     ):
         if n < 1:
             raise ValueError("threshold must be positive")
         self.n = n
-        self.f = f if f is not None else identity_oracle()
-        self.u_standin = u_standin if u_standin is not None else DEFAULT_U_STANDIN
+        self.f = f
+        self.u_standin = u_standin
         self._declare_family(f"T_d_{n}", family, 1)
         self.certificate = certificate(n_decidable_rule=("geq", n + 1))
 
@@ -410,8 +400,8 @@ class CapOrUnboundedTheory(Theory):
     capped cubes is withheld.
     """
 
-    def __init__(self, f: FOracle | None = None, family: str = "P"):
-        self.f = f if f is not None else identity_oracle()
+    def __init__(self, f: FOracle = _IDENTITY, family: str = "P"):
+        self.f = f
         self._declare_family("T_cfs", family, 1)
         self.certificate = certificate(cfs=True)
 
@@ -441,8 +431,8 @@ class TaggedInfinityTheory(Theory):
     cubes is withheld (it is exactly the tag-set complement).
     """
 
-    def __init__(self, family: str = "P", u_standin: EvPeriodicSet | None = None):
-        self.u_standin = u_standin if u_standin is not None else DEFAULT_U_STANDIN
+    def __init__(self, family: str = "P", u_standin: EvPeriodicSet = DEFAULT_U_STANDIN):
+        self.u_standin = u_standin
         self._declare_family("T_si", family, 1)
         self.certificate = certificate(stably_infinite=True, smooth=True)
 
@@ -527,8 +517,8 @@ class OracleFloorTheory(Theory):
     (that would reveal whether a floor is finite).
     """
 
-    def __init__(self, f: FOracle | None = None, family: str = "P"):
-        self.f = f if f is not None else identity_oracle()
+    def __init__(self, f: FOracle = _IDENTITY, family: str = "P"):
+        self.f = f
         self._declare_family("T_geq_F", family, 1)
         self.certificate = certificate(cfs=True, smooth=True)
 
@@ -576,7 +566,7 @@ class CompositeTestTheory(Theory):
         fams, self.allow_inf, self.certificate = _COMPLETE_ROLES[kind]
         self.kind = kind
         self.n = n
-        self.f = identity_oracle()
+        self.f = _IDENTITY
         self.name = f"complete_{kind.split('-')[0].lower()}"
         if kind == "n-shiny-complete":
             if n is None or n < 1:
@@ -680,7 +670,6 @@ def witness_tgtnp(theory: BigModelTagTheory, cube: Cube) -> Cube:
 
 def default_catalog() -> list[Theory]:
     """The standard theory lineup used by the CLI and the test suites."""
-    f = identity_oracle()
     return [
         EqualityTheory(),
         InfiniteOnlyTheory(),
@@ -692,17 +681,17 @@ def default_catalog() -> list[Theory]:
         BigModelTagTheory(2),
         TwoSizeTheory(2, 5),
         TwoSizeTheory(4, 5),
-        SizeCapTheory(evens(), f),
-        SizeCapTheory(upfrom(1), f),
+        SizeCapTheory(evens()),
+        SizeCapTheory(upfrom(1)),
         GapIndexTheory(toy_inner_theory()),
-        MixedTagTheory(4, f),
-        MixedTagTheory(3, f),
-        CapOrUnboundedTheory(f),
+        MixedTagTheory(4),
+        MixedTagTheory(3),
+        CapOrUnboundedTheory(),
         TaggedInfinityTheory(),
         SingletonOrInfiniteTheory(),
         StepTheory(4, 4),
         toy_inner_theory(),
-        OracleFloorTheory(f),
+        OracleFloorTheory(),
         CompositeTestTheory("shiny-complete"),
         CompositeTestTheory("SI-complete"),
         CompositeTestTheory("ID-complete"),

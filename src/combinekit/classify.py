@@ -403,32 +403,18 @@ def filter_chain_demo(depth: int = 5) -> dict:
     """
     if depth > 12:
         raise ValueError("depth is capped at 12")
-    chain_rows = []
-    for t1 in range(0, depth + 1):
-        for t2 in range(0, depth + 1):
-            f1 = bitzero_filter(set(range(1, t1 + 1)))
-            f2 = bitzero_filter(set(range(1, t2 + 1)))
-            got = filter_includes(f1, f2)
-            expected = YES if t1 <= t2 else NO
-            chain_rows.append(
-                {"left": f1.name, "right": f2.name, "verdict": got, "expected": expected}
-            )
-    anti_rows = []
-    for i in range(1, depth + 1):
-        for j in range(1, depth + 1):
-            if i == j:
-                continue
-            fi, fj = bitzero_filter({i}), bitzero_filter({j})
-            anti_rows.append(
-                {
-                    "left": fi.name,
-                    "right": fj.name,
-                    "verdict": filter_includes(fi, fj),
-                    "expected": NO,
-                }
-            )
-    ok = all(r["verdict"] == r["expected"] for r in chain_rows + anti_rows)
-    return {"depth": depth, "chain": chain_rows, "antichain": anti_rows, "ok": ok}
+
+    def row(s1: set[int], s2: set[int]) -> dict:
+        f1, f2 = bitzero_filter(s1), bitzero_filter(s2)
+        verdict, expected = filter_includes(f1, f2), YES if s1 <= s2 else NO
+        return {"left": f1.name, "right": f2.name, "verdict": verdict, "expected": expected}
+
+    prefixes = [set(range(1, t + 1)) for t in range(depth + 1)]
+    chain = [row(a, b) for a in prefixes for b in prefixes]
+    bits = range(1, depth + 1)
+    antichain = [row({i}, {j}) for i in bits for j in bits if i != j]
+    ok = all(r["verdict"] == r["expected"] for r in chain + antichain)
+    return {"depth": depth, "chain": chain, "antichain": antichain, "ok": ok}
 
 
 def generated_filter_inclusion(s1: set[int], s2: set[int]) -> str:

@@ -1,9 +1,10 @@
 """Theory registry: resolve names and JSON definitions to theory handles.
 
 The default catalog is always available; a JSON config (see
-``RunConfig``) can add parameterized entries.  Names follow the
-catalog's own naming (``T_eq_P``, ``T_leq_3``, ``T_mn_2_5``, ...), with
-a few spellings normalized (``T=P``, ``Teq``, ``Th_of(toy)``).
+``read_config``) can add parameterized entries.  Every other theory is
+built from its JSON definition through one table, ``_KINDS``; an integer
+name such as ``T_step_6_2`` is the definition its ``_NAMES`` row spells.
+``T=P``, ``Teq`` and ``Tinf`` are aliases.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
 
 from .catalog import (
     BigModelTagTheory,
@@ -36,7 +36,7 @@ from .catalog import (
 )
 from .errors import CombineKitError
 from .formulas import FAMILY_RE
-from .sets import parse_set_literal
+from .sets import evens, parse_set_literal, upfrom
 from .theories import FOracle, Theory, doubling_oracle, identity_oracle
 
 CONFIG_ENV_VAR = "COMBINEKIT_CONFIG"
@@ -46,10 +46,10 @@ class RegistryError(CombineKitError):
     pass
 
 
-def _oracle_from_json(spec) -> FOracle:
-    if spec is None:
-        return identity_oracle()
-    kind = spec.get("kind", "identity")
+def _oracle(spec: dict) -> FOracle:
+    """The definition's size-bound oracle ``F``; identity when absent."""
+    f = spec.get("F")
+    kind = "identity" if f is None else f.get("kind", "identity")
     if kind == "identity":
         return identity_oracle()
     if kind == "double":
@@ -64,6 +64,59 @@ def _int_field(spec: dict, key: str) -> int:
     return value
 
 
+def _inner(spec: dict, registry: "Registry | None") -> Theory:
+    """A ``Th_of`` inner theory: a registry name or a nested definition."""
+    inner = spec["inner"]
+    if not isinstance(inner, str):
+        return theory_from_json(inner, registry)
+    if registry is None:
+        raise RegistryError("inner theory reference needs a registry")
+    return registry.resolve(inner)
+
+
+# Each JSON kind and its constructor, called with (definition, family, registry).
+_KINDS = {
+    "T_eq": lambda s, fam, reg: EqualityTheory(),
+    "T_inf": lambda s, fam, reg: InfiniteOnlyTheory(),
+    "T_eq_n": lambda s, fam, reg: ExactSizeTheory(_int_field(s, "n")),
+    "T_leq_n": lambda s, fam, reg: MaxSizeTheory(_int_field(s, "n")),
+    "T_geq_n": lambda s, fam, reg: MinSizeTheory(_int_field(s, "n")),
+    "T_eq_P": lambda s, fam, reg: SizePinTheory(fam),
+    "T_gt_n_P": lambda s, fam, reg: BigModelTagTheory(_int_field(s, "n"), fam),
+    "T_mn": lambda s, fam, reg: TwoSizeTheory(_int_field(s, "m"), _int_field(s, "n"), fam),
+    "T_leq_S": lambda s, fam, reg: SizeCapTheory(parse_set_literal(s["S"]), _oracle(s), fam),
+    "Th_of": lambda s, fam, reg: GapIndexTheory(_inner(s, reg), fam),
+    "T_d": lambda s, fam, reg: MixedTagTheory(_int_field(s, "n"), _oracle(s), fam),
+    "T_cfs": lambda s, fam, reg: CapOrUnboundedTheory(_oracle(s), fam),
+    "T_si": lambda s, fam, reg: TaggedInfinityTheory(fam),
+    "T_cs": lambda s, fam, reg: SingletonOrInfiniteTheory(fam),
+    "T_ns": lambda s, fam, reg: StepTheory(_int_field(s, "n"), _int_field(s, "n"), fam),
+    "T_step": lambda s, fam, reg: StepTheory(_int_field(s, "pin"), _int_field(s, "floor"), fam),
+    "T_geq_F": lambda s, fam, reg: OracleFloorTheory(_oracle(s), fam),
+    "toy": lambda s, fam, reg: toy_inner_theory(),
+    "complete": lambda s, fam, reg: CompositeTestTheory(
+        s["role"], n=_int_field(s, "n") if "n" in s else None
+    ),
+}
+_KINDS["Teq"] = _KINDS["T_eq"]
+
+# Integer names: each is the JSON definition of its kind, with the
+# named groups as its integer fields.
+_NAMES = [
+    (r"T_eq_(?P<n>\d+)", {"kind": "T_eq_n"}),
+    (r"T_leq_(?P<n>\d+)", {"kind": "T_leq_n"}),
+    (r"T_geq_(?P<n>\d+)", {"kind": "T_geq_n"}),
+    (r"T_gt_(?P<n>\d+)_P", {"kind": "T_gt_n_P"}),
+    (r"T_mn_(?P<m>\d+)_(?P<n>\d+)", {"kind": "T_mn"}),
+    (r"T_d_(?P<n>\d+)", {"kind": "T_d"}),
+    (r"T_ns_(?P<n>\d+)", {"kind": "T_ns"}),
+    (r"T_step_(?P<pin>\d+)_(?P<floor>\d+)", {"kind": "T_step"}),
+    (r"complete_nshiny_(?P<n>\d+)", {"kind": "complete", "role": "n-shiny-complete"}),
+]
+
+_ALIASES = {"T=P": "T_eq_P", "Teq": "T_eq", "Tinf": "T_inf"}
+
+
 def theory_from_json(spec: dict, registry: "Registry | None" = None) -> Theory:
     """Build a theory handle from its JSON definition."""
     if not isinstance(spec, dict):
@@ -72,114 +125,44 @@ def theory_from_json(spec: dict, registry: "Registry | None" = None) -> Theory:
     fam = spec.get("family", "P")
     if not isinstance(fam, str) or not FAMILY_RE.fullmatch(fam):
         raise RegistryError(f"family {fam!r} is not an uppercase letter followed by letters or digits")
-    if kind in ("T_eq", "Teq"):
-        return EqualityTheory()
-    if kind == "T_inf":
-        return InfiniteOnlyTheory()
-    if kind == "T_eq_n":
-        return ExactSizeTheory(_int_field(spec, "n"))
-    if kind == "T_leq_n":
-        return MaxSizeTheory(_int_field(spec, "n"))
-    if kind == "T_geq_n":
-        return MinSizeTheory(_int_field(spec, "n"))
-    if kind == "T_eq_P":
-        return SizePinTheory(fam)
-    if kind == "T_gt_n_P":
-        return BigModelTagTheory(_int_field(spec, "n"), fam)
-    if kind == "T_mn":
-        return TwoSizeTheory(_int_field(spec, "m"), _int_field(spec, "n"), fam)
-    if kind == "T_leq_S":
-        return SizeCapTheory(parse_set_literal(spec["S"]), _oracle_from_json(spec.get("F")), fam)
-    if kind == "Th_of":
-        inner_spec = spec["inner"]
-        if isinstance(inner_spec, str):
-            if registry is None:
-                raise RegistryError("inner theory reference needs a registry")
-            inner = registry.resolve(inner_spec)
-        else:
-            inner = theory_from_json(inner_spec, registry)
-        return GapIndexTheory(inner, fam)
-    if kind == "T_d":
-        return MixedTagTheory(_int_field(spec, "n"), _oracle_from_json(spec.get("F")), fam)
-    if kind == "T_cfs":
-        return CapOrUnboundedTheory(_oracle_from_json(spec.get("F")), fam)
-    if kind == "T_si":
-        return TaggedInfinityTheory(fam)
-    if kind == "T_cs":
-        return SingletonOrInfiniteTheory(fam)
-    if kind == "T_ns":
-        return StepTheory(_int_field(spec, "n"), _int_field(spec, "n"), fam)
-    if kind == "T_step":
-        return StepTheory(_int_field(spec, "pin"), _int_field(spec, "floor"), fam)
-    if kind == "T_geq_F":
-        return OracleFloorTheory(_oracle_from_json(spec.get("F")), fam)
-    if kind == "toy":
-        return toy_inner_theory()
-    if kind == "complete":
-        return CompositeTestTheory(spec["role"], n=_int_field(spec, "n") if "n" in spec else None)
-    raise RegistryError(f"unknown theory kind {kind!r}")
+    build = _KINDS.get(kind) if isinstance(kind, str) else None
+    if build is None:
+        raise RegistryError(f"unknown theory kind {kind!r}")
+    return build(spec, fam, registry)
 
 
-_DYNAMIC_PATTERNS: list[tuple[re.Pattern, callable]] = [
-    (re.compile(r"^T_eq_(\d+)$"), lambda m: ExactSizeTheory(int(m.group(1)))),
-    (re.compile(r"^T_leq_(\d+)$"), lambda m: MaxSizeTheory(int(m.group(1)))),
-    (re.compile(r"^T_geq_(\d+)$"), lambda m: MinSizeTheory(int(m.group(1)))),
-    (re.compile(r"^T_gt_(\d+)_P$"), lambda m: BigModelTagTheory(int(m.group(1)))),
-    (re.compile(r"^T_mn_(\d+)_(\d+)$"), lambda m: TwoSizeTheory(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"^T_d_(\d+)$"), lambda m: MixedTagTheory(int(m.group(1)))),
-    (re.compile(r"^T_ns_(\d+)$"), lambda m: StepTheory(int(m.group(1)), int(m.group(1)))),
-    (re.compile(r"^T_step_(\d+)_(\d+)$"), lambda m: StepTheory(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"^complete_nshiny_(\d+)$"), lambda m: CompositeTestTheory("n-shiny-complete", n=int(m.group(1)))),
-]
-
-_ALIASES = {
-    "T=P": "T_eq_P",
-    "Teq": "T_eq",
-    "Tinf": "T_inf",
-}
-
-
-@dataclass
-class RunConfig:
-    """A JSON registry config: ``{"theories": {name: definition, ...}}``.
-    Run settings (``--K``, ``--cap``, ``--seed``, ``--format``) are CLI
-    flags only."""
-
-    theories: dict = field(default_factory=dict)
-
-    @staticmethod
-    def from_file(path: str) -> "RunConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise RegistryError(f"{path}: the config must be a JSON object")
-        unknown = sorted(set(raw) - {"theories"})
-        if unknown:
-            raise RegistryError(f"{path}: unknown config keys {unknown}; only 'theories' is read")
-        theories = raw.get("theories", {})
-        if not isinstance(theories, dict):
-            raise RegistryError(f"{path}: 'theories' must map names to theory definitions")
-        return RunConfig(theories)
+def read_config(path: str) -> dict:
+    """The theory definitions of a JSON registry config,
+    ``{"theories": {name: definition, ...}}``.  Run settings (``--K``,
+    ``--cap``, ``--seed``, ``--format``) are CLI flags only."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise RegistryError(f"{path}: the config must be a JSON object")
+    unknown = sorted(set(raw) - {"theories"})
+    if unknown:
+        raise RegistryError(f"{path}: unknown config keys {unknown}; only 'theories' is read")
+    theories = raw.get("theories", {})
+    if not isinstance(theories, dict):
+        raise RegistryError(f"{path}: 'theories' must map names to theory definitions")
+    return theories
 
 
 class Registry:
     """Named theory handles: default catalog + config additions."""
 
-    def __init__(self, config: RunConfig | None = None):
-        self.config = config or RunConfig()
+    def __init__(self, theories: dict | None = None):
         self._theories: dict[str, Theory] = {}
         for t in default_catalog():
             self._theories[t.name] = t
         # Convenience spellings for the size-cap entries.
-        from .sets import evens, upfrom
-
         for t in list(self._theories.values()):
             if isinstance(t, SizeCapTheory):
                 if t.s == evens():
                     self._theories["T_leq_S_evens"] = t
                 elif t.s == upfrom(1):
                     self._theories["T_leq_S_all"] = t
-        for name, spec in self.config.theories.items():
+        for name, spec in (theories or {}).items():
             try:
                 self._theories[name] = theory_from_json(spec, self)
             except KeyError as e:
@@ -195,26 +178,20 @@ class Registry:
         name = _ALIASES.get(name, name)
         if name in self._theories:
             return self._theories[name]
-        for pattern, build in _DYNAMIC_PATTERNS:
-            m = pattern.match(name)
+        for pattern, kind in _NAMES:
+            m = re.fullmatch(pattern, name)
             if m:
-                t = build(m)
+                fields = {key: int(value) for key, value in m.groupdict().items()}
+                t = theory_from_json({**kind, **fields}, self)
                 self._theories[t.name] = t
                 return t
         raise RegistryError(f"unknown theory {name!r}; known: {', '.join(self.names())}")
 
     def all_theories(self) -> list[Theory]:
-        seen: set[int] = set()
-        out = []
-        for name in sorted(self._theories):
-            t = self._theories[name]
-            if id(t) not in seen:
-                seen.add(id(t))
-                out.append(t)
-        return out
+        """Each handle once, in the order of its first name."""
+        return list({id(t): t for _, t in sorted(self._theories.items())}.values())
 
 
 def load_registry(config_path: str | None = None) -> Registry:
     path = config_path or os.environ.get(CONFIG_ENV_VAR)
-    config = RunConfig.from_file(path) if path else RunConfig()
-    return Registry(config)
+    return Registry(read_config(path) if path else None)

@@ -229,6 +229,16 @@ def _canonicalize(pre: tuple[bool, ...], per: tuple[bool, ...]):
 
 # -- factories ----------------------------------------------------------
 
+# The largest member and the longest period a factory builds: a set is a
+# dense bitmap, and this is far above any scan (capped at 10,000 steps).
+BOUND = 2**20
+
+
+def _within_bound(n: int) -> int:
+    if n > BOUND:
+        raise ValueError(f"member {n} is past the set bound {BOUND}")
+    return n
+
 
 def empty_set() -> EvPeriodicSet:
     return EvPeriodicSet((), (False,))
@@ -244,7 +254,7 @@ def finite_set(members: Iterable[int]) -> EvPeriodicSet:
         return empty_set()
     if min(present) < 1:
         raise ValueError("members must be positive naturals")
-    pre = tuple(n in present for n in range(1, max(present) + 1))
+    pre = tuple(n in present for n in range(1, _within_bound(max(present)) + 1))
     return EvPeriodicSet(pre, (False,))
 
 
@@ -256,14 +266,14 @@ def upfrom(n: int) -> EvPeriodicSet:
     """All naturals >= n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return EvPeriodicSet((False,) * (n - 1), (True,))
+    return EvPeriodicSet((False,) * (_within_bound(n) - 1), (True,))
 
 
 def interval(a: int, b: int) -> EvPeriodicSet:
     """The finite interval [a, b]; empty if b < a."""
     if b < a:
         return empty_set()
-    return finite_set(range(max(a, 1), b + 1))
+    return finite_set(range(max(a, 1), _within_bound(b) + 1))
 
 
 def evens() -> EvPeriodicSet:
@@ -283,6 +293,8 @@ def bitzero(i: int) -> EvPeriodicSet:
     """
     if i < 1:
         raise ValueError("bit index must be >= 1")
+    if i >= BOUND.bit_length():  # checked before 2**i is built
+        raise ValueError(f"period length 2**{i} is past the set bound {BOUND}")
     q = 2**i
     per = tuple(((n >> (i - 1)) & 1) == 0 for n in range(1, q + 1))
     return EvPeriodicSet((), per)

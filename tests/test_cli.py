@@ -47,6 +47,16 @@ def test_formula_id_past_the_inner_enumeration_exits_2(capsys, argv):
     assert "formula id 999999 is past the 16384 cubes of toy" in err
 
 
+@pytest.mark.parametrize(
+    "theory, formula",
+    [("T_eq_P", "(P 1048577)"), ("T_leq_1048577", "(= x x)"), ("T_geq_1048577", "(= x x)")],
+)
+def test_a_size_past_the_set_bound_exits_2(capsys, theory, formula):
+    code, out, err = run_cli(capsys, "decide", theory, formula)
+    assert code == 2 and out == ""
+    assert "past the set bound 1048576" in err
+
+
 def test_decide_parse_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "decide", "T_eq", "(= x")
     assert code == 2

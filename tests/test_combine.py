@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -94,6 +95,31 @@ def test_method_table_is_a_galois_connection():
         assert PARTNER[lo] in class_ancestors(PARTNER[hi]), (lo, hi)
     sides = {cls for side1, _ in METHODS.values() for cls in (side1, PARTNER[side1])}
     assert sides == set(CLASSES)
+    # The classes form a lattice (every pair has a meet and a join, with
+    # decidable on top and shiny at the bottom), and PARTNER turns meets
+    # into joins.
+    up = {cls: class_ancestors(cls) for cls in CLASSES}
+
+    def least(bounds):  # the bound below every other one
+        (lo,) = [b for b in bounds if up[b] >= bounds]
+        return lo
+
+    def greatest(bounds):  # the bound above every other one
+        (hi,) = [b for b in bounds if all(b in up[c] for c in bounds)]
+        return hi
+
+    def join(a, b):
+        return least(up[a] & up[b])
+
+    def meet(a, b):
+        return greatest({c for c in CLASSES if {a, b} <= up[c]})
+
+    assert greatest(set(CLASSES)) == "decidable"
+    assert least(set(CLASSES)) == "shiny"
+    pairs = list(itertools.combinations(CLASSES, 2))
+    assert len(pairs) == 66
+    for a, b in pairs:
+        assert PARTNER[meet(a, b)] == join(PARTNER[a], PARTNER[b]), (a, b)
 
 
 def test_auto_select_is_deterministic_and_cheapest_first():

@@ -1,7 +1,7 @@
 import pytest
 
 from combinekit.formulas import Cube, PredicateId, PredicateLiteral
-from combinekit.registry import Registry, RegistryError, RunConfig, theory_from_json
+from combinekit.registry import Registry, RegistryError, theory_from_json
 
 # Every JSON kind, with the registry name of the handle it should equal
 # (None where the registry has no name for that definition).
@@ -33,17 +33,37 @@ KINDS = [
     ({"kind": "complete", "role": "ID-complete"}, "complete_id"),
     ({"kind": "complete", "role": "CS-complete"}, "complete_cs"),
     ({"kind": "complete", "role": "n-shiny-complete", "n": 4}, "complete_nshiny_4"),
+    # Integer names outside the default catalog, built from the name's kind and fields.
+    ({"kind": "T_eq_n", "n": 7}, "T_eq_7"),
+    ({"kind": "T_leq_n", "n": 9}, "T_leq_9"),
+    ({"kind": "T_geq_n", "n": 4}, "T_geq_4"),
+    ({"kind": "T_gt_n_P", "n": 3}, "T_gt_3_P"),
+    ({"kind": "T_mn", "m": 3, "n": 7}, "T_mn_3_7"),
+    ({"kind": "T_d", "n": 5}, "T_d_5"),
+    ({"kind": "T_ns", "n": 6}, "T_ns_6"),
+    ({"kind": "T_step", "pin": 6, "floor": 2}, "T_step_6_2"),
+    ({"kind": "complete", "role": "n-shiny-complete", "n": 2}, "complete_nshiny_2"),
 ]
+INTEGER_NAMES = [name for _, name in KINDS[-9:]]
 
 
 @pytest.mark.parametrize("spec, name", KINDS, ids=[f"{s['kind']}-{i}" for i, (s, _) in enumerate(KINDS)])
 def test_every_json_kind_builds(spec, name):
     registry = Registry()
-    built = Registry(RunConfig({"mine": spec})).resolve("mine")
+    built = Registry({"mine": spec}).resolve("mine")
     if name is not None:
         handle = registry.resolve(name)
         assert built.name == handle.name
+        assert built.signature == handle.signature
         assert built.certificate == handle.certificate
+
+
+def test_integer_names_are_built_on_demand():
+    registry = Registry()
+    assert not set(INTEGER_NAMES) & set(registry.names())
+    for name in INTEGER_NAMES:
+        assert registry.resolve(name) is registry.resolve(name)
+    assert set(INTEGER_NAMES) <= set(registry.names())
 
 
 def test_doubling_oracle_caps_at_twice_the_index():
@@ -74,10 +94,10 @@ def test_family_renames_the_owned_predicates():
 )
 def test_integer_fields_must_be_json_integers(spec, field):
     with pytest.raises(RegistryError, match=f"field '{field}' must be a JSON integer"):
-        Registry(RunConfig({"bad": spec}))
+        Registry({"bad": spec})
 
 
 @pytest.mark.parametrize("family", ["p", 5, "", "P Q", "P\n", "7", None, ["P"]])
 def test_family_outside_the_parser_grammar_is_rejected(family):
     with pytest.raises(RegistryError, match="family"):
-        Registry(RunConfig({"bad": {"kind": "T_eq_P", "family": family}}))
+        Registry({"bad": {"kind": "T_eq_P", "family": family}})

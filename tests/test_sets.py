@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from combinekit.sets import (
     ALEPH0,
+    BOUND,
     EvPeriodicSet,
     bitzero,
     cofinite_excluding,
@@ -200,3 +201,24 @@ def test_literal_rejects_garbage():
 def test_aleph0_is_singleton():
     assert ALEPH0 is type(ALEPH0)()
     assert odds().complement() == evens()
+
+
+def test_factories_refuse_sizes_past_the_bound():
+    # A set is a dense bitmap: past BOUND a factory raises instead of
+    # allocating without limit.
+    assert BOUND == 2**20
+    assert finite_set([BOUND]).max_element() == BOUND
+    assert upfrom(BOUND).min_element() == BOUND
+    assert interval(BOUND - 1, BOUND).cardinality() == 2
+    assert len(bitzero(20).period) == BOUND
+    for build in (
+        lambda: finite_set([3, BOUND + 1]),
+        lambda: cofinite_excluding([BOUND + 1]),
+        lambda: upfrom(BOUND + 1),
+        lambda: interval(1, BOUND + 1),
+        lambda: bitzero(21),
+        lambda: parse_set_literal(f"upfrom:{BOUND + 1}"),
+        lambda: parse_set_literal("bitzero:21"),
+    ):
+        with pytest.raises(ValueError, match="past the set bound"):
+            build()

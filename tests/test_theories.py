@@ -414,6 +414,23 @@ def test_gap_index_minmod_blocks_unsatisfiable_pins():
     assert not th.decide_cube(c)
 
 
+@pytest.mark.parametrize("m", [2, 5, 30])
+@pytest.mark.parametrize("n", [1, 3, 4, 50])
+def test_gap_index_decide_counts_the_gaps_once(monkeypatch, m, n):
+    # With equality minimum m, decide_cube asks the inner theory about
+    # each smaller size once: at most m - 1 spec_finite calls.
+    th = GapIndexTheory(toy_inner_theory())
+    calls = []
+    inner_spec_finite = th.inner.spec_finite
+    monkeypatch.setattr(th.inner, "spec_finite", lambda c, k: calls.append(k) or inner_spec_finite(c, k))
+    xs = " ".join(f"x{i}" for i in range(m))
+    c = cube(f"(and (pred P Q {n}) (distinct {xs}))", th.resolver)
+    sat = th.decide_cube(c)
+    assert len(calls) <= m - 1
+    exact = th.cube_spectrum_exact(c)
+    assert sat == (exact.has_inf or not exact.finite_part.is_empty())
+
+
 # -- step theory shapes ---------------------------------------------------------------
 
 
