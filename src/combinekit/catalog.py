@@ -2,13 +2,14 @@
 
 Each theory constrains finite domain cardinalities through indexed
 nullary predicates (or not at all, for the empty-signature theories).
-A theory declares the spectrum shape each predicate part of a cube
-allows; the :class:`~combinekit.theories.Theory` base derives the exact
-decision and spectrum procedures from it.  The model checkers, written
-separately from the shapes, back the independent brute-force oracle.
+A theory declares ``shape(part)``, the spectrum shape each predicate
+part of a cube allows, from which the :class:`~combinekit.theories.Theory`
+base derives the exact decision and spectrum procedures; and, written
+separately, ``admits(size, part)``, the model axiom for one predicate
+part, on which the base ``model_check`` backs the brute-force oracle.
 
 Theories parameterized by an undecidable tag set take a decidable
-stand-in (default: the odd numbers) that only the model checker reads;
+stand-in (default: the odd numbers) that only ``admits`` reads;
 shapes stay tag-blind and withhold the sizes the tags decide, which
 keeps them faithful to their capability certificates.
 """
@@ -52,8 +53,8 @@ class EqualityTheory(Theory):
     def shape(self, part):
         return Shape(ALL, True)
 
-    def model_check(self, size, true_preds):
-        return not true_preds
+    def admits(self, size, part):
+        return True
 
 
 class InfiniteOnlyTheory(Theory):
@@ -67,7 +68,7 @@ class InfiniteOnlyTheory(Theory):
     def shape(self, part):
         return Shape(EMPTY, True)
 
-    def model_check(self, size, true_preds):
+    def admits(self, size, part):
         return False
 
 
@@ -85,8 +86,8 @@ class ExactSizeTheory(Theory):
     def shape(self, part):
         return Shape(finite_set([self.n]), False)
 
-    def model_check(self, size, true_preds):
-        return size == self.n and not true_preds
+    def admits(self, size, part):
+        return size == self.n
 
 
 class MaxSizeTheory(Theory):
@@ -105,8 +106,8 @@ class MaxSizeTheory(Theory):
     def shape(self, part):
         return Shape(interval(1, self.n), False)
 
-    def model_check(self, size, true_preds):
-        return size <= self.n and not true_preds
+    def admits(self, size, part):
+        return size <= self.n
 
 
 class MinSizeTheory(Theory):
@@ -123,8 +124,8 @@ class MinSizeTheory(Theory):
     def shape(self, part):
         return Shape(upfrom(self.n), True)
 
-    def model_check(self, size, true_preds):
-        return size >= self.n and not true_preds
+    def admits(self, size, part):
+        return size >= self.n
 
 
 class SizePinTheory(Theory):
@@ -144,8 +145,8 @@ class SizePinTheory(Theory):
             return Shape(ALL, True)
         return Shape(finite_set([pos.indices[0]]), False)
 
-    def model_check(self, size, true_preds):
-        return all(pid.indices[0] == size for pid in true_preds)
+    def admits(self, size, pos):
+        return pos is None or pos.indices[0] == size
 
 
 class BigModelTagTheory(Theory):
@@ -168,13 +169,8 @@ class BigModelTagTheory(Theory):
             return Shape(ALL, True)
         return Shape(upfrom(self.n + 1), True, withheld=interval(1, self.n), why=TAGGED)
 
-    def model_check(self, size, true_preds):
-        if len(true_preds) > 1:
-            return False
-        for pid in true_preds:
-            if self.u_standin.contains(pid.indices[0]) and size <= self.n:
-                return False
-        return True
+    def admits(self, size, pos):
+        return pos is None or size > self.n or not self.u_standin.contains(pos.indices[0])
 
 
 class TwoSizeTheory(Theory):
@@ -199,13 +195,9 @@ class TwoSizeTheory(Theory):
             return Shape(finite_set([self.m, self.n]), False)
         return Shape(finite_set([self.n]), False, withheld=finite_set([self.m]), why=TAGGED)
 
-    def model_check(self, size, true_preds):
-        if size not in (self.m, self.n) or len(true_preds) > 1:
-            return False
-        for pid in true_preds:
-            if self.u_standin.contains(pid.indices[0]) and size != self.n:
-                return False
-        return True
+    def admits(self, size, pos):
+        tagged = pos is not None and self.u_standin.contains(pos.indices[0])
+        return size == self.n or (size == self.m and not tagged)
 
 
 class SizeCapTheory(Theory):
@@ -235,10 +227,8 @@ class SizeCapTheory(Theory):
         j = pos.indices[0]
         return Shape(self.s, None, allow=lambda k: self.f.geq(j, k), why=CAPPED)
 
-    def model_check(self, size, true_preds):
-        if not self.s.contains(size) or len(true_preds) > 1:
-            return False
-        return all(self.f.geq(pid.indices[0], size) for pid in true_preds)
+    def admits(self, size, pos):
+        return self.s.contains(size) and (pos is None or self.f.geq(pos.indices[0], size))
 
 
 class GapIndexTheory(Theory):
@@ -286,12 +276,13 @@ class GapIndexTheory(Theory):
     def inner_cube(self, fid: int) -> Cube:
         return self.enumeration.cube(fid)
 
+    def _gaps(self, phi: Cube, k: int) -> int:
+        """How many of the sizes 1..k the inner spectrum of phi misses."""
+        return sum(not self.inner.spec_finite(phi, j) for j in range(1, k + 1))
+
     def _is_nth_gap(self, fid: int, n: int, k: int) -> bool:
         phi = self.inner_cube(fid)
-        if self.inner.spec_finite(phi, k):
-            return False
-        gaps = sum(1 for j in range(1, k + 1) if not self.inner.spec_finite(phi, j))
-        return gaps == n
+        return not self.inner.spec_finite(phi, k) and self._gaps(phi, k - 1) == n - 1
 
     def shape(self, pos):
         if pos is None:
@@ -308,11 +299,9 @@ class GapIndexTheory(Theory):
             return False
         if pos is None:
             return True
-        # Sat unless the n-th gap lies below the equality minimum: one
-        # pass counts the gaps there.
+        # Sat unless the n-th gap lies below the equality minimum.
         fid, n = pos.indices
-        phi = self.inner_cube(fid)
-        return sum(not self.inner.spec_finite(phi, m) for m in range(1, mm)) < n
+        return self._gaps(self.inner_cube(fid), mm - 1) < n
 
     def infinite_only(self, cube: Cube) -> bool:
         exact = self.cube_spectrum_exact(cube)
@@ -334,14 +323,8 @@ class GapIndexTheory(Theory):
             return ExactSpectrum(EMPTY, True)
         return ExactSpectrum(finite_set([v]) if v >= mm else EMPTY, False)
 
-    def model_check(self, size, true_preds):
-        if len(true_preds) > 1:
-            return False
-        for pid in true_preds:
-            fid, n = pid.indices
-            if not self._is_nth_gap(fid, n, size):
-                return False
-        return True
+    def admits(self, size, pos):
+        return pos is None or self._is_nth_gap(*pos.indices, size)
 
     def sample_pred(self, rng):
         # Small formula ids keep the inner enumeration cheap.
@@ -378,19 +361,11 @@ class MixedTagTheory(Theory):
             return Shape(ALL, None, allow=lambda k: self.f.geq(j // 2, k), why=CAPPED)
         return Shape(upfrom(self.n + 1), True, withheld=interval(1, self.n), why=TAGGED)
 
-    def model_check(self, size, true_preds):
-        if len(true_preds) > 1:
-            return False
-        for pid in true_preds:
-            j = pid.indices[0]
-            if j == 1:
-                continue
-            if j % 2 == 0:
-                if not self.f.geq(j // 2, size):
-                    return False
-            elif self.u_standin.contains((j - 1) // 2) and size <= self.n:
-                return False
-        return True
+    def admits(self, size, pos):
+        j = 1 if pos is None else pos.indices[0]
+        if j % 2 == 0:
+            return self.f.geq(j // 2, size)
+        return j == 1 or size > self.n or not self.u_standin.contains((j - 1) // 2)
 
 
 class CapOrUnboundedTheory(Theory):
@@ -413,15 +388,8 @@ class CapOrUnboundedTheory(Theory):
             return Shape(EMPTY, True)
         return Shape(ALL, None, allow=lambda k: self.f.geq(j, k), why=CAPPED)
 
-    def model_check(self, size, true_preds):
-        if len(true_preds) > 1:
-            return False
-        for pid in true_preds:
-            if pid.indices[0] == 1:
-                return False
-            if not self.f.geq(pid.indices[0], size):
-                return False
-        return True
+    def admits(self, size, pos):
+        return pos is None or (pos.indices[0] != 1 and self.f.geq(pos.indices[0], size))
 
 
 class TaggedInfinityTheory(Theory):
@@ -441,15 +409,14 @@ class TaggedInfinityTheory(Theory):
             return Shape(ALL, True)
         return Shape(EMPTY, True, withheld=ALL, why=TAGGED)
 
-    def model_check(self, size, true_preds):
-        if len(true_preds) > 1:
-            return False
-        return not any(self.u_standin.contains(pid.indices[0]) for pid in true_preds)
+    def admits(self, size, pos):
+        return pos is None or not self.u_standin.contains(pos.indices[0])
 
 
 class _BarePredicateTheory(Theory):
     """One bare predicate; a cube's predicate part is its polarity
-    (True, False, or None when the cube does not mention it)."""
+    (True, False, or None when the cube does not mention it), and a
+    model's part is whether the predicate is true."""
 
     def read_part(self, cube: Cube):
         polarity = None
@@ -457,6 +424,9 @@ class _BarePredicateTheory(Theory):
             self.check_pred(lit.pred)
             polarity = lit.positive
         return UNSAT if cube.contradictory else polarity
+
+    def model_check(self, size, true_preds):
+        return self.admits(size, self._pid in true_preds)
 
 
 class SingletonOrInfiniteTheory(_BarePredicateTheory):
@@ -474,10 +444,8 @@ class SingletonOrInfiniteTheory(_BarePredicateTheory):
         # True pins one element; left unmentioned, it may also be false.
         return Shape(finite_set([1]), polarity is None)
 
-    def model_check(self, size, true_preds):
-        if self._pid in true_preds:
-            return size == 1
-        return False
+    def admits(self, size, polarity):
+        return polarity and size == 1
 
 
 class StepTheory(_BarePredicateTheory):
@@ -503,10 +471,8 @@ class StepTheory(_BarePredicateTheory):
             return Shape(upfrom(self.floor), True)
         return Shape(finite_set([self.pin]).union(upfrom(self.floor)), True)
 
-    def model_check(self, size, true_preds):
-        if self._pid in true_preds:
-            return size == self.pin
-        return size >= self.floor
+    def admits(self, size, polarity):
+        return size == self.pin if polarity else size >= self.floor
 
 
 class OracleFloorTheory(Theory):
@@ -621,29 +587,18 @@ class CompositeTestTheory(Theory):
         i, j = rng.choice(choices)
         return PredicateId("R", (i, j, rng.randint(1, 9)))
 
-    def model_check(self, size, true_preds):
-        if len(true_preds) > 1:
-            return False
-        for pid in true_preds:
-            self.validate_indices(pid)
-            if pid.family == "P":
-                idx = pid.indices[0]
-                if idx == "inf" or size != idx:
-                    return False
-            elif pid.family == "Q":
-                if not self.f.geq(pid.indices[0], size):
-                    return False
-            elif pid.family == "R":
-                i, j, tag = pid.indices
-                if size not in (i, j):
-                    return False
-                if DEFAULT_U_STANDIN.contains(tag) and size != j:
-                    return False
-            else:  # B_(n, tag)
-                thresh, tag = pid.indices
-                if DEFAULT_U_STANDIN.contains(tag) and size <= thresh:
-                    return False
-        return True
+    def admits(self, size, pos):
+        if pos is None:
+            return True
+        self.validate_indices(pos)
+        ix = pos.indices
+        if pos.family == "P":
+            return size == ix[0]  # never, for the infinite index
+        if pos.family == "Q":
+            return self.f.geq(ix[0], size)
+        if pos.family == "R":  # R_(i,j,tag): size j, or i when untagged
+            return size == ix[1] or (size == ix[0] and not DEFAULT_U_STANDIN.contains(ix[2]))
+        return size > ix[0] or not DEFAULT_U_STANDIN.contains(ix[1])  # B_(n,tag)
 
 
 def toy_inner_theory() -> StepTheory:

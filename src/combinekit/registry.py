@@ -103,15 +103,15 @@ _KINDS["Teq"] = _KINDS["T_eq"]
 # Integer names: each is the JSON definition of its kind, with the
 # named groups as its integer fields.
 _NAMES = [
-    (r"T_eq_(?P<n>\d+)", {"kind": "T_eq_n"}),
-    (r"T_leq_(?P<n>\d+)", {"kind": "T_leq_n"}),
-    (r"T_geq_(?P<n>\d+)", {"kind": "T_geq_n"}),
-    (r"T_gt_(?P<n>\d+)_P", {"kind": "T_gt_n_P"}),
-    (r"T_mn_(?P<m>\d+)_(?P<n>\d+)", {"kind": "T_mn"}),
-    (r"T_d_(?P<n>\d+)", {"kind": "T_d"}),
-    (r"T_ns_(?P<n>\d+)", {"kind": "T_ns"}),
-    (r"T_step_(?P<pin>\d+)_(?P<floor>\d+)", {"kind": "T_step"}),
-    (r"complete_nshiny_(?P<n>\d+)", {"kind": "complete", "role": "n-shiny-complete"}),
+    (r"T_eq_(?P<n>[0-9]+)", {"kind": "T_eq_n"}),
+    (r"T_leq_(?P<n>[0-9]+)", {"kind": "T_leq_n"}),
+    (r"T_geq_(?P<n>[0-9]+)", {"kind": "T_geq_n"}),
+    (r"T_gt_(?P<n>[0-9]+)_P", {"kind": "T_gt_n_P"}),
+    (r"T_mn_(?P<m>[0-9]+)_(?P<n>[0-9]+)", {"kind": "T_mn"}),
+    (r"T_d_(?P<n>[0-9]+)", {"kind": "T_d"}),
+    (r"T_ns_(?P<n>[0-9]+)", {"kind": "T_ns"}),
+    (r"T_step_(?P<pin>[0-9]+)_(?P<floor>[0-9]+)", {"kind": "T_step"}),
+    (r"complete_nshiny_(?P<n>[0-9]+)", {"kind": "complete", "role": "n-shiny-complete"}),
 ]
 
 _ALIASES = {"T=P": "T_eq_P", "Teq": "T_eq", "Tinf": "T_inf"}

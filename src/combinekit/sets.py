@@ -301,7 +301,7 @@ def bitzero(i: int) -> EvPeriodicSet:
 
 
 _LITERAL_RE = re.compile(
-    r"^periodic:p=(\d+),q=(\d+),pre=([01]*),per=([01]+)$"
+    r"^periodic:p=([0-9]+),q=([0-9]+),pre=([01]*),per=([01]+)$"
 )
 
 
@@ -343,6 +343,8 @@ def _int_list(body: str, src: str) -> list[int]:
     body = body.strip()
     if not body:
         return []
+    if not body.isascii():  # int() alone admits digits like '٣'
+        raise ParseError(f"bad integer list in {src!r}")
     try:
         return [int(tok) for tok in body.split(",")]
     except ValueError as e:
@@ -350,6 +352,8 @@ def _int_list(body: str, src: str) -> list[int]:
 
 
 def _positive(body: str, src: str) -> int:
+    if not body.isascii():  # int() alone admits digits like '٣'
+        raise ParseError(f"bad number in {src!r}")
     try:
         n = int(body)
     except ValueError as e:

@@ -10,19 +10,21 @@ query from it.  A concrete theory declares:
 * ``shape(part)`` -- the :class:`Shape` one predicate part of a cube
   allows: by default the part is the cube's unique positive predicate,
   or None when it has none;
-* ``model_check`` -- the finite-model axiom check backing the brute
-  oracle.  It is written by hand, apart from the shape, so that the
-  oracle can referee the derived queries.
+* ``admits(size, part)`` -- the model axiom for one predicate part,
+  written by hand apart from the shape so that the brute oracle can
+  referee the derived queries.
 
-The base reads a cube's predicate literals once (ownership, index
+The base states predicate exclusivity once on each side.  For the
+procedures it reads a cube's predicate literals once (ownership, index
 grammar, contradiction, exclusivity), caches one shape per part, and
 derives ``decide_cube``, ``spec_finite``, ``spec_inf``, ``minmod_cube``,
 ``exact_spectrum``, ``cube_spectrum_exact``, ``nshiny_classify``,
 ``infinite_only`` and ``decide_at_least``.  Queries the certificate
-withholds raise CapabilityMissing.
+withholds raise CapabilityMissing.  For the oracle, ``model_check``
+rejects a model with two true predicates and asks ``admits`` otherwise.
 
 Decision and spectrum procedures never consult the model checker's
-undecidable-set stand-in; only ``model_check`` sees it.  The external
+undecidable-set stand-in; only ``admits`` sees it.  The external
 parameter F is only reachable through :class:`FOracle`'s single ``geq``
 query.
 """
@@ -203,10 +205,18 @@ class Theory:
     # oracle default unmentioned predicates to false.  Finite-signature
     # theories may constrain negatively; the oracle enumerates their whole
     # signature instead.
+    def admits(self, size: int, part) -> bool:
+        """Whether a finite model of this size whose one true predicate is
+        ``part`` (None: no predicate is true) satisfies every axiom."""
+        raise NotImplementedError
+
     def model_check(self, size: int, true_preds: frozenset[PredicateId]) -> bool:
         """Whether a finite model of this size with exactly these true
-        predicates satisfies every (non-vacuous) axiom."""
-        raise NotImplementedError
+        predicates satisfies every (non-vacuous) axiom.  Distinct
+        predicates exclude each other, so at most one may be true."""
+        if len(true_preds) > 1:
+            return False
+        return self.admits(size, next(iter(true_preds), None))
 
     def _declare_family(self, base: str, family: str, arity: int):
         """Own the one predicate family ``family`` of this arity; the name
@@ -356,7 +366,7 @@ class Theory:
         """True when the procedure knows every model of the cube is infinite.
         Consumed by oracle-agreement suites; never a public capability."""
         shape = self._shape(cube)
-        if shape is None or shape.inf is not True or not shape.known or shape.finite.is_infinite():
+        if shape is None or shape.inf is not True or not shape.known:
             return False
         mm = minmod_equalities(cube)
         return mm is not None and shape.finite.min_from(mm) is None

@@ -4,14 +4,16 @@ Hashes every catalog theory's answers (and the class of every exception
 raised) on seeded random cubes, plus the auto-method verdicts over every
 disjoint catalog pair.  A change that moves any answer or raise point
 changes the digest.  Witnesses and combination stats are left out: they
-may change without changing a verdict.
+may change without changing a verdict.  A second digest hashes the
+brute oracle's ``model_check`` on every catalog theory's models with at
+most two true predicates.
 """
 
 import hashlib
 import itertools
 import random
 
-from combinekit.brute import random_cube
+from combinekit.brute import _closure_for, random_cube
 from combinekit.catalog import default_catalog
 from combinekit.combine import combine_decide
 from combinekit.formulas import And, EqualityLiteral, Or, PredicateLiteral, clique_extension
@@ -97,3 +99,31 @@ def surface_digest() -> str:
 
 def test_theory_query_surface_digest():
     assert surface_digest() == GOLDEN
+
+
+MODEL_CHECK_GOLDEN = "2f3af54d076e"
+
+
+def _model_check_lines(t, index: int):
+    rng = random.Random(2000 + index)
+    preds = {t.sample_pred(rng) for _ in range(8)} - {None}
+    preds |= _closure_for(t, (), None)
+    ordered = sorted(preds, key=lambda p: p.sort_key)
+    for r in range(3):
+        for subset in itertools.combinations(ordered, r):
+            answers = (_answer(t.model_check, size, frozenset(subset)) for size in range(1, 9))
+            yield f"{t.name}|{';'.join(map(str, subset))}|" + "|".join(answers)
+
+
+def model_check_digest() -> str:
+    h = hashlib.sha256()
+    for index, t in enumerate(default_catalog()):
+        for line in _model_check_lines(t, index):
+            h.update(line.encode() + b"\n")
+    return h.hexdigest()[:12]
+
+
+def test_model_check_digest():
+    """The brute oracle's axiom checks on every subset of at most two
+    sampled predicates, two-predicate models included."""
+    assert model_check_digest() == MODEL_CHECK_GOLDEN

@@ -101,3 +101,9 @@ def test_integer_fields_must_be_json_integers(spec, field):
 def test_family_outside_the_parser_grammar_is_rejected(family):
     with pytest.raises(RegistryError, match="family"):
         Registry({"bad": {"kind": "T_eq_P", "family": family}})
+
+
+def test_integer_names_take_ascii_digits_only():
+    # A name like T_leq_٣ would otherwise build T_leq_3 and answer for it.
+    with pytest.raises(RegistryError, match="unknown theory"):
+        Registry().resolve("T_leq_٣")

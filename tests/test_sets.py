@@ -193,7 +193,10 @@ def test_literal_round_trip():
 def test_literal_rejects_garbage():
     from combinekit.errors import ParseError
 
-    for bad in ["finite:[a]", "bitzero:0", "periodic:p=2,q=1,pre=1,per=1", "wat"]:
+    # int() and \d take non-ASCII digits such as '٣'; the literals do not.
+    non_ascii = ["upfrom:٣", "bitzero:٢", "finite:[١,2]", "cofinite-excluding:[٣]",
+                 "periodic:p=١,q=1,pre=1,per=1"]
+    for bad in ["finite:[a]", "bitzero:0", "periodic:p=2,q=1,pre=1,per=1", "wat", *non_ascii]:
         with pytest.raises(ParseError):
             parse_set_literal(bad)
 
