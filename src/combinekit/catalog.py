@@ -292,16 +292,18 @@ class GapIndexTheory(Theory):
             ALL, None, allow=lambda k: self._is_nth_gap(fid, n, k), why="the gap may or may not exist"
         )
 
-    def decide_cube(self, cube: Cube) -> bool:
+    def decide_at_least(self, cube: Cube, k: int) -> bool:
+        if k < 1:
+            raise ValueError("clique size must be >= 1")
         pos = self.read_part(cube)
         mm = None if pos is UNSAT else minmod_equalities(cube)
         if mm is None:
             return False
         if pos is None:
             return True
-        # Sat unless the n-th gap lies below the equality minimum.
+        # Sat unless the n-th gap lies below max(equality minimum, k).
         fid, n = pos.indices
-        return self._gaps(self.inner_cube(fid), mm - 1) < n
+        return self._gaps(self.inner_cube(fid), max(mm, k) - 1) < n
 
     def infinite_only(self, cube: Cube) -> bool:
         exact = self.cube_spectrum_exact(cube)

@@ -88,7 +88,8 @@ class SpectrumView:
         return self.owner.spec_finite(self.cube, c)
 
     def max_finite(self, cap: int = DEFAULT_ITERATION_CAP) -> int | None:
-        """Greatest finite spectrum element via the growing-clique loop.
+        """Greatest finite spectrum element: ask ``decide_at_least`` for
+        k = 1, 2, ... until it fails.
 
         The caller certifies the spectrum has no infinite member; a
         mis-declared certificate shows up as IterationCapExceeded.

@@ -17,10 +17,14 @@ query from it.  A concrete theory declares:
 The base states predicate exclusivity once on each side.  For the
 procedures it reads a cube's predicate literals once (ownership, index
 grammar, contradiction, exclusivity), caches one shape per part, and
-derives ``decide_cube``, ``spec_finite``, ``spec_inf``, ``minmod_cube``,
-``exact_spectrum``, ``cube_spectrum_exact``, ``nshiny_classify``,
-``infinite_only`` and ``decide_at_least``.  Queries the certificate
-withholds raise CapabilityMissing.  For the oracle, ``model_check``
+derives ``decide_at_least``, ``spec_finite``, ``spec_inf``,
+``minmod_cube``, ``exact_spectrum``, ``cube_spectrum_exact``,
+``nshiny_classify`` and ``infinite_only``.  ``decide_at_least(cube, k)``
+is the primary satisfiability query: a disequality clique over k fresh
+variables would raise the equality minimum to max(minmod, k), so it
+scans from there without building one; ``decide_cube`` is
+``decide_at_least(cube, 1)``.  Queries the certificate withholds raise
+CapabilityMissing.  For the oracle, ``model_check``
 rejects a model with two true predicates and asks ``admits`` otherwise.
 
 Decision and spectrum procedures never consult the model checker's
@@ -42,7 +46,6 @@ from .formulas import (
     PredicateLiteral,
     Signature,
     canonical_cubes,
-    clique_extension,
     equality_classes,
     equality_literal_pool,
 )
@@ -270,6 +273,17 @@ class Theory:
 
     def decide_cube(self, cube: Cube) -> bool:
         """Exact quantifier-free satisfiability of the cube."""
+        return self.decide_at_least(cube, 1)
+
+    def decide_at_least(self, cube: Cube, k: int) -> bool:
+        """Whether the cube has a model of at least k elements.
+
+        The same as deciding the cube conjoined with a disequality clique
+        over k fresh variables: that clique is a complete component of its
+        own, so it raises the equality minimum to max(minmod, k).
+        """
+        if k < 1:
+            raise ValueError("clique size must be >= 1")
         shape = self._shape(cube)
         if shape is None:
             return False
@@ -278,20 +292,17 @@ class Theory:
             return False
         if shape.inf:
             return True
+        mm = max(mm, k)
         if shape.allow is None:
             return shape.finite.min_from(mm) is not None
-        k = mm
-        while shape.allow(k):
-            if k in shape.finite:
+        size = mm
+        while shape.allow(size):
+            if size in shape.finite:
                 return True
-            k += 1
-            if k - mm > DEFAULT_ITERATION_CAP:
+            size += 1
+            if size - mm > DEFAULT_ITERATION_CAP:
                 raise IterationCapExceeded("satisfiability scan", DEFAULT_ITERATION_CAP)
         return False
-
-    def decide_at_least(self, cube: Cube, k: int) -> bool:
-        """Whether the cube has a model of at least k elements."""
-        return self.decide_cube(clique_extension(cube, k))
 
     def spec_finite(self, cube: Cube, k: int) -> bool:
         """Finite spectrum membership; CapabilityMissing on a withheld size."""

@@ -164,3 +164,16 @@ def test_intersect_from_run_agrees_with_brute_recomputation():
             assert not hits_set, fid
         else:
             assert hits_set, fid
+
+
+def test_whole_enumeration_on_t_leq_2_is_refereed():
+    # Every cube of T_leq_2's enumeration is classified, one round each.
+    t = MaxSizeTheory(2)
+    enum = FormulaEnumeration(t)
+    state = run_diagonalization(t, enum.size, enum)
+    assert (len(state.sat), len(state.unsat), len(state.prom)) == (64, 4032, 0)
+    assert len(state.skipped) == enum.size == 4096
+    assert state.s_prefix.isdisjoint(state.skipped)
+    for fid in range(1, enum.size + 1):
+        spectrum = brute_spectrum(t, enum.cube(fid), 6)  # all spectra live in [1,2]
+        assert bool(spectrum & state.s_prefix) == (fid in state.sat), fid

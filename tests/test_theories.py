@@ -7,7 +7,10 @@ from combinekit.brute import brute_sat_at, brute_spectrum, random_cube
 from combinekit.catalog import (
     BigModelTagTheory,
     CompositeTestTheory,
+    ExactSizeTheory,
     GapIndexTheory,
+    MaxSizeTheory,
+    MinSizeTheory,
     MixedTagTheory,
     SingletonOrInfiniteTheory,
     SizeCapTheory,
@@ -144,6 +147,32 @@ def test_minmod_of_clique_extension_is_max_with_clique_size(rng):
         m = minmod_equalities(c)
         want = None if m is None else max(m, k)
         assert minmod_equalities(clique_extension(c, k)) == want, (c, k)
+
+
+def _answer_or_error(query, *args):
+    try:
+        return query(*args)
+    except Exception as e:  # compared by type only
+        return type(e)
+
+
+def test_decide_at_least_matches_deciding_the_literal_clique(theory_list):
+    # decide_at_least answers symbolically; deciding the cube conjoined
+    # with a literal clique over k fresh variables is the reference.
+    theories = list(theory_list)
+    theories += [MaxSizeTheory(n) for n in (1, 2, 5)]
+    theories += [ExactSizeTheory(n) for n in (1, 3, 6)]
+    theories += [MinSizeTheory(m) for m in (2, 4, 7)]
+    rng = random.Random(1414)
+    for t in theories:
+        for _ in range(12):
+            c = random_cube(t, rng)
+            for k in (1, 2, 3, 4, 5, 6, 40):
+                got = _answer_or_error(t.decide_at_least, c, k)
+                want = _answer_or_error(t.decide_cube, clique_extension(c, k))
+                assert got == want, (t.name, c, k)
+            with pytest.raises(ValueError):
+                t.decide_at_least(c, 0)
 
 
 def test_minmod_non_transitive_disequality_chain():
