@@ -34,7 +34,6 @@ from .theories import (
     Shape,
     Theory,
     identity_oracle,
-    minmod_equalities,
 )
 
 # The default size-bound oracle F(k) = k, shared: an oracle keeps no state.
@@ -296,7 +295,7 @@ class GapIndexTheory(Theory):
         if k < 1:
             raise ValueError("clique size must be >= 1")
         pos = self.read_part(cube)
-        mm = None if pos is UNSAT else minmod_equalities(cube)
+        mm = None if pos is UNSAT else cube.minmod
         if mm is None:
             return False
         if pos is None:
@@ -311,7 +310,7 @@ class GapIndexTheory(Theory):
 
     def cube_spectrum_exact(self, cube: Cube):
         pos = self.read_part(cube)
-        mm = None if pos is UNSAT else minmod_equalities(cube)
+        mm = None if pos is UNSAT else cube.minmod
         if mm is None:
             return ExactSpectrum(EMPTY, False)
         if pos is None:

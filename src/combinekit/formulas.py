@@ -108,8 +108,10 @@ class Cube:
     Literals are deduplicated in input order, then sorted, so sorted runs
     (as in a join of two cubes) merge in linear time.  ``contradictory``
     is true when the cube contains x != x or a literal together with its
-    negation.  Tautological self-equalities x = x are retained (they
-    contribute variables, which matters for witness constructions).
+    negation.  ``minmod`` is the equality minimum
+    (:func:`minmod_equalities`), computed at most once per cube.
+    Tautological self-equalities x = x are retained (they contribute
+    variables, which matters for witness constructions).
     """
 
     literals: tuple[Literal, ...]
@@ -136,6 +138,10 @@ class Cube:
                     return True
             prev = lit
         return False
+
+    @cached_property
+    def minmod(self) -> int | None:
+        return minmod_equalities(self)
 
     def variables(self) -> frozenset[str]:
         out: set[str] = set()
@@ -451,6 +457,59 @@ def equality_classes(
         apart[ra].add(rb)
         apart[rb].add(ra)
     return find, apart
+
+
+def minmod_equalities(cube: Cube) -> int | None:
+    """Minimum model size of the equality part of a cube; None if inconsistent.
+
+    Equalities merge variables into classes; the minimum domain size is
+    the chromatic number of the disequality graph over those classes,
+    taken per connected component; complete components in closed form,
+    any other searched upward from the best so far (1 without
+    disequalities, since domains are nonempty).
+    """
+    graph = equality_classes(cube)
+    if graph is None:
+        return None
+    # Only classes on a disequality can need more than one element.
+    adj = graph[1]
+
+    def colorable(order: list[str], k: int, colors: dict[str, int]) -> bool:
+        """Whether the coloring of a prefix of order extends to k colors."""
+        if len(colors) == len(order):
+            return True
+        v = order[len(colors)]
+        used = {colors[u] for u in adj[v] if u in colors}
+        for c in range(k):
+            if c in used:
+                continue
+            colors[v] = c
+            if colorable(order, k, colors):
+                return True
+            del colors[v]
+            if c not in colors.values():
+                break  # first unused color: symmetric to the rest
+        return False
+
+    best, seen = 1, set()
+    for root in adj:
+        if root in seen:
+            continue
+        seen.add(root)
+        comp = [root]
+        for v in comp:
+            fresh = adj[v] - seen
+            seen |= fresh
+            comp.extend(fresh)
+        if len(comp) <= best:
+            continue
+        if all(len(adj[v]) == len(comp) - 1 for v in comp):
+            best = len(comp)
+            continue
+        order = sorted(comp, key=lambda c: (-len(adj[c]), c))
+        while not colorable(order, best, {}):
+            best += 1
+    return best
 
 
 def enumerate_arrangements(

@@ -2,7 +2,8 @@
 
 Every catalog theory constrains only domain cardinalities.  So the
 spectrum of a cube is the set of sizes its predicate literals allow, cut
-off below at the cube's equality minimum (:func:`minmod_equalities`).  A
+off below at the cube's equality minimum, which ``Cube.minmod`` computes
+once per cube (:func:`~combinekit.formulas.minmod_equalities`).  A
 theory declares exactly that, and the :class:`Theory` base derives every
 query from it.  A concrete theory declares:
 
@@ -46,8 +47,8 @@ from .formulas import (
     PredicateLiteral,
     Signature,
     canonical_cubes,
-    equality_classes,
     equality_literal_pool,
+    minmod_equalities,  # noqa: F401  (re-exported)
 )
 from .properties import PropertyCertificate
 from .sets import ALEPH0, Card, EvPeriodicSet, empty_set, odds, upfrom
@@ -86,62 +87,6 @@ def identity_oracle() -> FOracle:
 
 def doubling_oracle() -> FOracle:
     return FOracle("double", lambda m, n: 2 * m >= n)
-
-
-# -- equality reasoning -----------------------------------------------------
-
-
-def minmod_equalities(cube: Cube) -> int | None:
-    """Minimum model size of the equality part of a cube; None if inconsistent.
-
-    Equalities merge variables into classes; the minimum domain size is
-    the chromatic number of the disequality graph over those classes,
-    taken per connected component; complete components in closed form,
-    any other searched upward from the best so far (1 without
-    disequalities, since domains are nonempty).
-    """
-    graph = equality_classes(cube)
-    if graph is None:
-        return None
-    # Only classes on a disequality can need more than one element.
-    adj = graph[1]
-
-    def colorable(order: list[str], k: int, colors: dict[str, int]) -> bool:
-        """Whether the coloring of a prefix of order extends to k colors."""
-        if len(colors) == len(order):
-            return True
-        v = order[len(colors)]
-        used = {colors[u] for u in adj[v] if u in colors}
-        for c in range(k):
-            if c in used:
-                continue
-            colors[v] = c
-            if colorable(order, k, colors):
-                return True
-            del colors[v]
-            if c not in colors.values():
-                break  # first unused color: symmetric to the rest
-        return False
-
-    best, seen = 1, set()
-    for root in adj:
-        if root in seen:
-            continue
-        seen.add(root)
-        comp = [root]
-        for v in comp:
-            fresh = adj[v] - seen
-            seen |= fresh
-            comp.extend(fresh)
-        if len(comp) <= best:
-            continue
-        if all(len(adj[v]) == len(comp) - 1 for v in comp):
-            best = len(comp)
-            continue
-        order = sorted(comp, key=lambda c: (-len(adj[c]), c))
-        while not colorable(order, best, {}):
-            best += 1
-    return best
 
 
 # -- spectrum shapes -----------------------------------------------------------
@@ -287,7 +232,7 @@ class Theory:
         shape = self._shape(cube)
         if shape is None:
             return False
-        mm = minmod_equalities(cube)
+        mm = cube.minmod
         if mm is None:
             return False
         if shape.inf:
@@ -312,7 +257,7 @@ class Theory:
         withheld = shape.withheld is not None and k in shape.withheld
         if not withheld and k not in shape.finite:
             return False
-        mm = minmod_equalities(cube)
+        mm = cube.minmod
         if mm is None or k < mm:
             return False
         if withheld:
@@ -322,7 +267,7 @@ class Theory:
     def spec_inf(self, cube: Cube) -> bool:
         """Infinite spectrum membership; CapabilityMissing when withheld."""
         shape = self._shape(cube)
-        if shape is None or shape.inf is False or minmod_equalities(cube) is None:
+        if shape is None or shape.inf is False or cube.minmod is None:
             return False
         if shape.inf is None:
             raise CapabilityMissing(self.name, "spec_inf", shape.why)
@@ -334,7 +279,7 @@ class Theory:
         shape = self._shape(cube)
         if shape is None or not shape.known:
             return None
-        mm = minmod_equalities(cube)
+        mm = cube.minmod
         if mm is None:
             return None
         first = shape.finite.min_from(mm)
@@ -346,7 +291,7 @@ class Theory:
         """Exact spectrum when computable without undecidable queries;
         None otherwise.  Powers structural probes only."""
         shape = self._shape(cube)
-        mm = None if shape is None else minmod_equalities(cube)
+        mm = None if shape is None else cube.minmod
         if mm is None:
             return ExactSpectrum(EMPTY, False)
         if not shape.known:
@@ -367,7 +312,7 @@ class Theory:
         if not self.certificate.shiny and self.certificate.n_shiny_param is None:
             raise CapabilityMissing(self.name, "nshiny_classify")
         shape = self._shape(cube)
-        mm = None if shape is None else minmod_equalities(cube)
+        mm = None if shape is None else cube.minmod
         first = None if mm is None else shape.finite.min_from(mm)
         if first is None:
             return None
@@ -379,7 +324,7 @@ class Theory:
         shape = self._shape(cube)
         if shape is None or shape.inf is not True or not shape.known:
             return False
-        mm = minmod_equalities(cube)
+        mm = cube.minmod
         return mm is not None and shape.finite.min_from(mm) is None
 
     # -- sampling -----------------------------------------------------------

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 from combinekit.brute import (
     brute_combined_formula_sat,
     brute_sat_at,
@@ -93,3 +96,37 @@ def test_formula_level_joint_models():
     assert brute_combined_formula_sat(t1, t2, f)
     g = parse_formula("(and (P 4) (distinct x y))")
     assert not brute_combined_formula_sat(t1, t2, g)
+
+
+# The oracle referees the theories' closed forms, so it must not use them.
+CLOSED_FORM_NAMES = {
+    "minmod_equalities",
+    "equality_classes",
+    "decide_at_least",
+    "decide_cube",
+    "spec_finite",
+    "spec_inf",
+    "minmod_cube",
+    "cube_spectrum_exact",
+    "exact_spectrum",
+}
+
+
+def test_brute_oracle_never_reads_the_closed_forms():
+    import combinekit.brute
+
+    tree = ast.parse(Path(combinekit.brute.__file__).read_text())
+    used = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            used.append(node.attr)
+        elif isinstance(node, ast.Name):
+            used.append(node.id)
+        elif isinstance(node, ast.alias):
+            used += [node.name, node.asname]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            used.append(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.append(node.value)  # getattr(cube, "minmod") and the like
+    assert "minmod" not in used
+    assert not CLOSED_FORM_NAMES & set(used)

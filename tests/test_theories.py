@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from combinekit.brute import brute_sat_at, brute_spectrum, random_cube
+from combinekit import formulas
+from combinekit.brute import _min_satisfying_blocks, brute_sat_at, brute_spectrum, random_cube
 from combinekit.catalog import (
     BigModelTagTheory,
     CompositeTestTheory,
@@ -21,6 +22,7 @@ from combinekit.catalog import (
     toy_inner_theory,
     witness_tgtnp,
 )
+from combinekit.combine import combine_decide, quasi_gentle
 from combinekit.errors import CapabilityMissing, CombineKitError, SignatureError
 from combinekit.formulas import (
     Cube,
@@ -33,6 +35,7 @@ from combinekit.formulas import (
     to_dnf,
 )
 from combinekit.sets import evens, odds
+from combinekit.spectra import view
 from combinekit.theories import FormulaEnumeration, minmod_equalities
 
 TOP = Cube(())
@@ -185,6 +188,60 @@ def test_minmod_odd_cycle_needs_three():
     vs = ["a", "b", "c", "d", "e"]
     lits = [EqualityLiteral(vs[i], vs[(i + 1) % 5], False) for i in range(5)]
     assert minmod_equalities(Cube(tuple(lits))) == 3
+
+
+
+def test_cached_minmod_matches_a_fresh_computation_and_brute(theory_list, rng):
+    cubes = [random_cube(t, rng) for t in theory_list for _ in range(8)]
+    cubes += [component_cube(rng) for _ in range(60)]
+    cubes += [neq_clique(list("abcdefg"[:n]), n) for n in range(1, 8)]
+    for c in cubes:
+        first = c.minmod
+        assert c.minmod == first
+        assert first == minmod_equalities(Cube(c.literals)) == _min_satisfying_blocks(c), c
+        twin = Cube(tuple(reversed(c.literals)))  # built separately, equal
+        assert twin == c and hash(twin) == hash(c)
+        assert twin.minmod == first
+
+
+def _count_minmod_computations(monkeypatch) -> list:
+    """Count (and keep) the cubes whose equality minimum is computed."""
+    seen = []
+    real = formulas.minmod_equalities
+
+    def counting(cube):
+        seen.append(cube)
+        return real(cube)
+
+    monkeypatch.setattr(formulas, "minmod_equalities", counting)
+    return seen
+
+
+def test_max_finite_computes_the_equality_minimum_once(monkeypatch):
+    seen = _count_minmod_computations(monkeypatch)
+    c = Cube((EqualityLiteral("x", "y", False), EqualityLiteral("y", "z", False)))
+    assert view(MaxSizeTheory(20), c).max_finite() == 20
+    assert seen == [c]
+
+
+def test_quasi_gentle_scan_computes_each_side_minimum_once(monkeypatch):
+    sides = []
+
+    def recording_view(theory, cube):
+        sides.append(cube)
+        return view(theory, cube)
+
+    monkeypatch.setattr("combinekit.combine.view", recording_view)
+    seen = _count_minmod_computations(monkeypatch)
+    # T_geq_9 against T_eq_8 scans n = 1..9 before failing; T_geq_3 meets at 8.
+    for m, sat in ((9, False), (3, True)):
+        sides.clear()
+        seen.clear()
+        f = parse_formula("(= x x)")
+        v = combine_decide(MinSizeTheory(m), ExactSizeTheory(8), f, quasi_gentle())
+        assert v.sat is sat and v.stats["loop_iterations"] >= 7
+        assert len(sides) == 2
+        assert sorted(map(id, seen)) == sorted({id(c) for c in sides})
 
 
 # -- decision procedure examples -----------------------------------------------
