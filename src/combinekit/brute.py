@@ -58,12 +58,12 @@ def _assignments(variables: tuple[str, ...], k: int):
 
 
 @lru_cache(maxsize=100_000)
-def _min_satisfying_blocks(cube: Cube) -> int | None:
+def _min_satisfying_blocks(eq_lits: tuple[EqualityLiteral, ...]) -> int | None:
     """Smallest number of equality classes over all canonical assignments
-    satisfying the cube's equality literals; None when none does.
-    Exhaustive over every first-occurrence assignment of the variables."""
-    variables = tuple(sorted(cube.variables()))
-    eq_lits = cube.eq_literals()
+    satisfying a cube's equality literals (keyed by them alone, so the
+    cache keeps no cube alive); None when none does.  Exhaustive over
+    every first-occurrence assignment of their variables."""
+    variables = tuple(sorted({v for l in eq_lits for v in l.variables()}))
     best = None
     for assignment in _assignments(variables, len(variables) or 1):
         if all(
@@ -90,7 +90,7 @@ def brute_sat_at(
     """
     if cube.contradictory:
         return False
-    blocks = _min_satisfying_blocks(cube)
+    blocks = _min_satisfying_blocks(cube.eq_literals())
     if blocks is None or blocks > k:
         return False
     preds = _closure_for(theory, (cube,), closure)

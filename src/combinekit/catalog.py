@@ -294,14 +294,14 @@ class GapIndexTheory(Theory):
     def decide_at_least(self, cube: Cube, k: int) -> bool:
         if k < 1:
             raise ValueError("clique size must be >= 1")
-        pos = self.read_part(cube)
-        mm = None if pos is UNSAT else cube.minmod
-        if mm is None:
+        reading = self._reading(cube)
+        if reading is None:
             return False
-        if pos is None:
+        shape, mm = reading
+        if shape.inf:  # no predicate
             return True
         # Sat unless the n-th gap lies below max(equality minimum, k).
-        fid, n = pos.indices
+        fid, n = cube.positive_preds()[0].indices  # the one positive predicate
         return self._gaps(self.inner_cube(fid), max(mm, k) - 1) < n
 
     def infinite_only(self, cube: Cube) -> bool:
@@ -309,13 +309,13 @@ class GapIndexTheory(Theory):
         return exact is not None and exact.has_inf and exact.finite_part.is_empty()
 
     def cube_spectrum_exact(self, cube: Cube):
-        pos = self.read_part(cube)
-        mm = None if pos is UNSAT else cube.minmod
-        if mm is None:
+        reading = self._reading(cube)
+        if reading is None:
             return ExactSpectrum(EMPTY, False)
-        if pos is None:
+        shape, mm = reading
+        if shape.inf:  # no predicate
             return ExactSpectrum(upfrom(mm), True)
-        fid, n = pos.indices
+        fid, n = cube.positive_preds()[0].indices  # the one positive predicate
         inner = self.inner.cube_spectrum_exact(self.inner_cube(fid))
         if inner is None:
             return None

@@ -112,9 +112,6 @@ class EvPeriodicSet:
             tuple(not b for b in self.preperiod), tuple(not b for b in self.period)
         )
 
-    def is_superset(self, other: "EvPeriodicSet") -> bool:
-        return other.difference(self).is_empty()
-
     # -- size classification ------------------------------------------
 
     def is_empty(self) -> bool:
@@ -128,14 +125,6 @@ class EvPeriodicSet:
 
     def is_cofinite(self) -> bool:
         return all(self.period)
-
-    def classify_size(self) -> str:
-        """One of 'finite', 'cofinite', 'infinite-coinfinite'."""
-        if self.is_finite():
-            return "finite"
-        if self.is_cofinite():
-            return "cofinite"
-        return "infinite-coinfinite"
 
     def cardinality(self) -> int | None:
         """Number of elements if finite, else None."""

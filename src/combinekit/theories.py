@@ -15,18 +15,19 @@ query from it.  A concrete theory declares:
   written by hand apart from the shape so that the brute oracle can
   referee the derived queries.
 
-The base states predicate exclusivity once on each side.  For the
-procedures it reads a cube's predicate literals once (ownership, index
-grammar, contradiction, exclusivity), caches one shape per part, and
-derives ``decide_at_least``, ``spec_finite``, ``spec_inf``,
-``minmod_cube``, ``exact_spectrum``, ``cube_spectrum_exact``,
-``nshiny_classify`` and ``infinite_only``.  ``decide_at_least(cube, k)``
-is the primary satisfiability query: a disequality clique over k fresh
-variables would raise the equality minimum to max(minmod, k), so it
-scans from there without building one; ``decide_cube`` is
-``decide_at_least(cube, 1)``.  Queries the certificate withholds raise
-CapabilityMissing.  For the oracle, ``model_check``
-rejects a model with two true predicates and asks ``admits`` otherwise.
+The base states predicate exclusivity once on each side.  Its one reader,
+``_reading``, checks a cube's predicate literals once (ownership, index
+grammar, contradiction, exclusivity) and pairs the cached shape of its
+part with ``Cube.minmod``; from that pair it derives ``decide_at_least``,
+``spec_finite``, ``spec_inf``, ``minmod_cube``, ``exact_spectrum``,
+``cube_spectrum_exact``, ``nshiny_classify`` and ``infinite_only``.
+``decide_at_least(cube, k)`` is the primary satisfiability query: a
+disequality clique over k fresh variables would raise the equality
+minimum to max(minmod, k), so it asks a cap about the least allowed size
+from there; ``decide_cube`` is ``decide_at_least(cube, 1)``.  Queries the
+certificate withholds raise CapabilityMissing.  For the oracle,
+``model_check`` rejects a model with two true predicates and asks
+``admits`` otherwise.
 
 Decision and spectrum procedures never consult the model checker's
 undecidable-set stand-in; only ``admits`` sees it.  The external
@@ -38,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable
 
-from .errors import CapabilityMissing, CombineKitError, IterationCapExceeded, SignatureError
+from .errors import CapabilityMissing, CombineKitError, SignatureError
 from .formulas import (
     Cube,
     PredicateId,
@@ -52,7 +53,7 @@ from .formulas import (
 )
 from .properties import PropertyCertificate
 from .sets import ALEPH0, Card, EvPeriodicSet, empty_set, odds, upfrom
-from .spectra import DEFAULT_ITERATION_CAP, ExactSpectrum
+from .spectra import ExactSpectrum
 
 
 class FOracle:
@@ -69,13 +70,6 @@ class FOracle:
         if m < 1 or n < 1:
             raise ValueError("oracle arguments are positive naturals")
         return self._geq(m, n)
-
-    def check_downward_consistency(self, samples: Iterable[tuple[int, int]]) -> bool:
-        """Sampled sanity check: geq(m, n) implies geq(m, n') for n' <= n."""
-        for m, n in samples:
-            if self.geq(m, n) and any(not self.geq(m, k) for k in range(1, n)):
-                return False
-        return True
 
     def __repr__(self) -> str:
         return f"FOracle({self.name})"
@@ -104,10 +98,11 @@ class Shape:
     ``finite`` holds the finite sizes the part allows, each subject to
     ``allow`` when that oracle test is set.  ``withheld`` holds the finite
     sizes whose membership depends on the tag set (None when there are
-    none); it is disjoint from ``finite``.  ``inf`` says whether the infinite cardinality is allowed,
-    None when that is withheld.  ``why`` explains the withheld queries.
-    Where ``inf`` is not True, ``allow`` must be downward closed (a cap):
-    satisfiability scans upward from the equality minimum until it fails.
+    none); it is disjoint from ``finite``.  ``inf`` says whether the
+    infinite cardinality is allowed, None when that is withheld.  ``why``
+    explains the withheld queries.  Where ``inf`` is not True, ``allow``
+    must be downward closed (a cap), so satisfiability asks it only about
+    the least allowed size at or above the equality minimum.
     """
 
     finite: EvPeriodicSet
@@ -204,15 +199,15 @@ class Theory:
         # One shape per predicate part, built on first use.
         return {}
 
-    def _shape(self, cube: Cube) -> Shape | None:
-        """The shape of the cube's predicate part; None when it is UNSAT."""
+    def _reading(self, cube: Cube) -> tuple[Shape, int] | None:
+        """The shape of the cube's predicate part and its equality minimum;
+        None when its literals clash or its equalities are inconsistent."""
         part = self.read_part(cube)
         if part is UNSAT:
             return None
-        shape = self._shapes.get(part)
-        if shape is None:
-            shape = self._shapes[part] = self.shape(part)
-        return shape
+        shape = self._shapes.get(part) or self._shapes.setdefault(part, self.shape(part))
+        mm = cube.minmod
+        return None if mm is None else (shape, mm)
 
     # -- derived queries --------------------------------------------------
 
@@ -229,36 +224,23 @@ class Theory:
         """
         if k < 1:
             raise ValueError("clique size must be >= 1")
-        shape = self._shape(cube)
-        if shape is None:
+        reading = self._reading(cube)
+        if reading is None:
             return False
-        mm = cube.minmod
-        if mm is None:
-            return False
+        shape, mm = reading
         if shape.inf:
             return True
-        mm = max(mm, k)
-        if shape.allow is None:
-            return shape.finite.min_from(mm) is not None
-        size = mm
-        while shape.allow(size):
-            if size in shape.finite:
-                return True
-            size += 1
-            if size - mm > DEFAULT_ITERATION_CAP:
-                raise IterationCapExceeded("satisfiability scan", DEFAULT_ITERATION_CAP)
-        return False
+        first = shape.finite.min_from(max(mm, k))
+        return first is not None and (shape.allow is None or shape.allow(first))
 
     def spec_finite(self, cube: Cube, k: int) -> bool:
         """Finite spectrum membership; CapabilityMissing on a withheld size."""
-        shape = self._shape(cube)
-        if shape is None or k < 1:
+        reading = self._reading(cube)
+        if reading is None or k < 1:
             return False
+        shape, mm = reading
         withheld = shape.withheld is not None and k in shape.withheld
-        if not withheld and k not in shape.finite:
-            return False
-        mm = cube.minmod
-        if mm is None or k < mm:
+        if k < mm or not (withheld or k in shape.finite):
             return False
         if withheld:
             raise CapabilityMissing(self.name, "spec_finite", f"membership of {k} {shape.why}")
@@ -266,22 +248,18 @@ class Theory:
 
     def spec_inf(self, cube: Cube) -> bool:
         """Infinite spectrum membership; CapabilityMissing when withheld."""
-        shape = self._shape(cube)
-        if shape is None or shape.inf is False or cube.minmod is None:
-            return False
-        if shape.inf is None:
-            raise CapabilityMissing(self.name, "spec_inf", shape.why)
-        return True
+        reading = self._reading(cube)
+        if reading is not None and reading[0].inf is None:
+            raise CapabilityMissing(self.name, "spec_inf", reading[0].why)
+        return reading is not None and reading[0].inf
 
     def minmod_cube(self, cube: Cube) -> Card | None:
         """Closed-form minimum spectrum element, or None when the theory
         has no certified closed form (the view then falls back to search)."""
-        shape = self._shape(cube)
-        if shape is None or not shape.known:
+        reading = self._reading(cube)
+        if reading is None or not reading[0].known:
             return None
-        mm = cube.minmod
-        if mm is None:
-            return None
+        shape, mm = reading
         first = shape.finite.min_from(mm)
         if first is not None:
             return first
@@ -290,10 +268,10 @@ class Theory:
     def cube_spectrum_exact(self, cube: Cube) -> ExactSpectrum | None:
         """Exact spectrum when computable without undecidable queries;
         None otherwise.  Powers structural probes only."""
-        shape = self._shape(cube)
-        mm = None if shape is None else cube.minmod
-        if mm is None:
+        reading = self._reading(cube)
+        if reading is None:
             return ExactSpectrum(EMPTY, False)
+        shape, mm = reading
         if not shape.known:
             return None
         return ExactSpectrum(shape.finite.intersect(upfrom(mm)), shape.inf)
@@ -311,21 +289,19 @@ class Theory:
         singletons and tails, so (1, k) does not arise."""
         if not self.certificate.shiny and self.certificate.n_shiny_param is None:
             raise CapabilityMissing(self.name, "nshiny_classify")
-        shape = self._shape(cube)
-        mm = None if shape is None else cube.minmod
-        first = None if mm is None else shape.finite.min_from(mm)
+        reading = self._reading(cube)
+        first = None if reading is None else reading[0].finite.min_from(reading[1])
         if first is None:
             return None
-        return (2, first) if shape.inf else (0, first)
+        return (2, first) if reading[0].inf else (0, first)
 
     def infinite_only(self, cube: Cube) -> bool:
         """True when the procedure knows every model of the cube is infinite.
         Consumed by oracle-agreement suites; never a public capability."""
-        shape = self._shape(cube)
-        if shape is None or shape.inf is not True or not shape.known:
+        reading = self._reading(cube)
+        if reading is None or not reading[0].known:
             return False
-        mm = cube.minmod
-        return mm is not None and shape.finite.min_from(mm) is None
+        return reading[0].inf and reading[0].finite.min_from(reading[1]) is None
 
     # -- sampling -----------------------------------------------------------
 

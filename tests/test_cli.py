@@ -217,6 +217,15 @@ def test_config_file_adds_theories(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("formula, code, sat", [("(P 50000)", 0, True), ("(P 15000)", 1, False)])
+def test_a_far_size_cap_decides_without_a_scan(tmp_path, capsys, formula, code, sat):
+    cfg = tmp_path / "cap_far.json"
+    cfg.write_text(json.dumps({"theories": {"cap_far": {"kind": "T_leq_S", "S": "upfrom:20000"}}}))
+    got, out, err = run_cli(capsys, "--config", str(cfg), "decide", "cap_far", formula)
+    assert (got, err) == (code, "")
+    assert json.loads(out) == {"sat": sat}
+
+
 def test_verdict_json_round_trips(capsys):
     _, out, _ = run_cli(capsys, "combine", "T_leq_3", "T_eq_P", "(pred P 2)")
     v = json.loads(out.strip())

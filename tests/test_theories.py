@@ -34,9 +34,9 @@ from combinekit.formulas import (
     parse_formula,
     to_dnf,
 )
-from combinekit.sets import evens, odds
+from combinekit.sets import evens, odds, upfrom
 from combinekit.spectra import view
-from combinekit.theories import FormulaEnumeration, minmod_equalities
+from combinekit.theories import FormulaEnumeration, Theory, doubling_oracle, minmod_equalities
 
 TOP = Cube(())
 
@@ -198,7 +198,7 @@ def test_cached_minmod_matches_a_fresh_computation_and_brute(theory_list, rng):
     for c in cubes:
         first = c.minmod
         assert c.minmod == first
-        assert first == minmod_equalities(Cube(c.literals)) == _min_satisfying_blocks(c), c
+        assert first == minmod_equalities(Cube(c.literals)) == _min_satisfying_blocks(c.eq_literals()), c
         twin = Cube(tuple(reversed(c.literals)))  # built separately, equal
         assert twin == c and hash(twin) == hash(c)
         assert twin.minmod == first
@@ -276,6 +276,44 @@ def test_size_cap_examples():
     with pytest.raises(CapabilityMissing):
         t.spec_inf(c)
     assert t.spec_inf(cube("(distinct x y)"))
+
+
+def test_a_far_cap_is_decided_at_its_least_member():
+    # Sizes start at 20,000: far past any size-by-size scan's reach.
+    t = SizeCapTheory(upfrom(20000))
+    sat, unsat = cube("(P 50000)"), cube("(P 15000)")
+    assert t.decide_cube(sat)
+    assert not t.decide_cube(unsat)
+    for c in (sat, unsat):
+        assert t.decide_at_least(c, 20000) == t.spec_finite(c, 20000) == (c == sat)
+    assert t.decide_at_least(sat, 50000)
+    assert not t.decide_at_least(sat, 50001)
+
+
+def test_every_cap_is_downward_closed(theory_list, rng):
+    # decide_at_least asks a cap only about the least allowed size, which
+    # is sound only if a cap that rejects a size rejects every larger one.
+    theories = list(theory_list) + [
+        MixedTagTheory(3, doubling_oracle()),
+        SizeCapTheory(evens(), doubling_oracle()),
+    ]
+    capped = set()
+    for t in theories:
+        if isinstance(t, GapIndexTheory):
+            # Its allow is a point test (the n-th gap), not a cap, so it
+            # decides satisfiability by its own gap count.
+            assert type(t).decide_at_least is not Theory.decide_at_least
+            continue
+        parts = [None] + [t.sample_pred(rng) for _ in range(40)]
+        for p in parts:
+            c = TOP if p is None else Cube((PredicateLiteral(p, True),))
+            shape = t.shape(t.read_part(c))
+            if shape.allow is None or shape.inf is True:
+                continue
+            capped.add(type(t).__name__)
+            for k in range(1, 65):
+                assert shape.allow(k) or not shape.allow(k + 1), (t, p, k)
+    assert capped == {"SizeCapTheory", "MixedTagTheory", "CapOrUnboundedTheory", "CompositeTestTheory"}
 
 
 def test_singleton_or_infinite_examples():
@@ -542,18 +580,6 @@ def test_step_theory_finite_membership():
     assert tns.spec_finite(p, 4)
     assert not tns.spec_finite(p, 3)
     assert not tns.spec_inf(p)
-
-
-def test_oracle_downward_consistency_sampled(rng):
-    from combinekit.theories import doubling_oracle, identity_oracle
-
-    samples = [(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(100)]
-    assert identity_oracle().check_downward_consistency(samples)
-    assert doubling_oracle().check_downward_consistency(samples)
-    from combinekit.theories import FOracle
-
-    broken = FOracle("broken", lambda m, n: n == 3)
-    assert not broken.check_downward_consistency([(2, 3)])
 
 
 # -- certificate spot checks ------------------------------------------------------------
