@@ -1,7 +1,9 @@
 """The built-in theory catalog.
 
 Each theory constrains finite domain cardinalities through indexed
-nullary predicates (or not at all, for the empty-signature theories).
+nullary predicates (or not at all, for the empty-signature theories,
+which keep the base class's empty signature).  A theory is placed by
+its spectra alone, so T_eq is T_geq_1 under its own name.
 A theory declares ``shape(part)``, the spectrum shape each predicate
 part of a cube allows, from which the :class:`~combinekit.theories.Theory`
 base derives the exact decision and spectrum procedures; and, written
@@ -40,28 +42,11 @@ from .theories import (
 _IDENTITY = identity_oracle()
 
 
-class EqualityTheory(Theory):
-    """Free equality over the empty signature; every consistent cube has
-    models of all sizes from its minimum up, including infinite ones."""
-
-    def __init__(self):
-        self.name = "T_eq"
-        self.signature = Signature(frozenset())
-        self.certificate = certificate(shiny=True)
-
-    def shape(self, part):
-        return Shape(ALL, True)
-
-    def admits(self, size, part):
-        return True
-
-
 class InfiniteOnlyTheory(Theory):
     """Empty signature, models forced infinite; spectra are {inf} or empty."""
 
     def __init__(self):
         self.name = "T_inf"
-        self.signature = Signature(frozenset())
         self.certificate = certificate(cfs=True, smooth=True)
 
     def shape(self, part):
@@ -79,7 +64,6 @@ class ExactSizeTheory(Theory):
             raise ValueError("size must be positive")
         self.n = n
         self.name = f"T_eq_{n}"
-        self.signature = Signature(frozenset())
         self.certificate = certificate(never_infinite=True, cfs=True, n_shiny_param=n)
 
     def shape(self, part):
@@ -97,7 +81,6 @@ class MaxSizeTheory(Theory):
             raise ValueError("size cap must be positive")
         self.n = n
         self.name = f"T_leq_{n}"
-        self.signature = Signature(frozenset())
         self.certificate = certificate(
             never_infinite=True, cfs=True, gentle=True, n_shiny_param=1 if n == 1 else None
         )
@@ -117,7 +100,6 @@ class MinSizeTheory(Theory):
             raise ValueError("size floor must be positive")
         self.n = n
         self.name = f"T_geq_{n}"
-        self.signature = Signature(frozenset())
         self.certificate = certificate(shiny=True)
 
     def shape(self, part):
@@ -125,6 +107,16 @@ class MinSizeTheory(Theory):
 
     def admits(self, size, part):
         return size >= self.n
+
+
+class EqualityTheory(MinSizeTheory):
+    """Free equality over the empty signature: T_geq_1 under its own name,
+    since every consistent cube has models of all sizes from its minimum
+    up, including infinite ones."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.name = "T_eq"
 
 
 class SizePinTheory(Theory):
@@ -275,21 +267,23 @@ class GapIndexTheory(Theory):
     def inner_cube(self, fid: int) -> Cube:
         return self.enumeration.cube(fid)
 
-    def _gaps(self, phi: Cube, k: int) -> int:
-        """How many of the sizes 1..k the inner spectrum of phi misses."""
-        return sum(not self.inner.spec_finite(phi, j) for j in range(1, k + 1))
-
-    def _is_nth_gap(self, fid: int, n: int, k: int) -> bool:
+    def _nth_gap(self, fid: int, n: int, below: int) -> int | None:
+        """The n-th size the inner spectrum of formula fid misses, or None
+        when fewer than n sizes below ``below`` are missed."""
         phi = self.inner_cube(fid)
-        return not self.inner.spec_finite(phi, k) and self._gaps(phi, k - 1) == n - 1
+        for k in range(1, below):
+            if not self.inner.spec_finite(phi, k):
+                n -= 1
+                if n == 0:
+                    return k
+        return None
 
     def shape(self, pos):
         if pos is None:
             return Shape(ALL, True)
         fid, n = pos.indices
-        return Shape(
-            ALL, None, allow=lambda k: self._is_nth_gap(fid, n, k), why="the gap may or may not exist"
-        )
+        why = "the gap may or may not exist"
+        return Shape(ALL, None, allow=lambda k: self._nth_gap(fid, n, k + 1) == k, why=why)
 
     def decide_at_least(self, cube: Cube, k: int) -> bool:
         if k < 1:
@@ -302,7 +296,7 @@ class GapIndexTheory(Theory):
             return True
         # Sat unless the n-th gap lies below max(equality minimum, k).
         fid, n = cube.positive_preds()[0].indices  # the one positive predicate
-        return self._gaps(self.inner_cube(fid), max(mm, k) - 1) < n
+        return self._nth_gap(fid, n, max(mm, k)) is None
 
     def infinite_only(self, cube: Cube) -> bool:
         exact = self.cube_spectrum_exact(cube)
@@ -325,7 +319,7 @@ class GapIndexTheory(Theory):
         return ExactSpectrum(finite_set([v]) if v >= mm else EMPTY, False)
 
     def admits(self, size, pos):
-        return pos is None or self._is_nth_gap(*pos.indices, size)
+        return pos is None or self._nth_gap(*pos.indices, size + 1) == size
 
     def sample_pred(self, rng):
         # Small formula ids keep the inner enumeration cheap.
@@ -427,7 +421,7 @@ class _BarePredicateTheory(Theory):
         return UNSAT if cube.contradictory else polarity
 
     def model_check(self, size, true_preds):
-        return self.admits(size, self._pid in true_preds)
+        return self.admits(size, PredicateId(self.family, ()) in true_preds)
 
 
 class SingletonOrInfiniteTheory(_BarePredicateTheory):
@@ -437,7 +431,6 @@ class SingletonOrInfiniteTheory(_BarePredicateTheory):
     def __init__(self, family: str = "P"):
         self._declare_family("T_cs", family, 0)
         self.certificate = certificate(cfs=True, infinitely_decidable=True)
-        self._pid = PredicateId(family, ())
 
     def shape(self, polarity):
         if polarity is False:
@@ -463,7 +456,6 @@ class StepTheory(_BarePredicateTheory):
         self._declare_family(f"T_ns_{pin}" if pin == floor else f"T_step_{pin}_{floor}", family, 0)
         self.name = name or self.name
         self.certificate = certificate(cfs=True, n_shiny_param=pin)
-        self._pid = PredicateId(family, ())
 
     def shape(self, polarity):
         if polarity is True:

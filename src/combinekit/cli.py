@@ -237,6 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.format == "dot" and args.command != "lattice":
+            raise CombineKitError("--format dot applies only to lattice")
         registry = load_registry(args.config)
         return args.fn(args, registry)
     except (CombineKitError, ValueError, OSError) as e:

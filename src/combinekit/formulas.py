@@ -385,16 +385,13 @@ def fresh_variables(avoid: frozenset[str], n: int, prefix: str = "f") -> list[st
 
 
 def clique_extension(cube: Cube, n: int) -> Cube:
-    """cube conjoined with a disequality clique over n fresh variables.
+    """cube conjoined with ``neq_clique`` over n fresh variables.
 
     A literal reference that tests decide and the brute oracle can
     referee; no query path builds it, because ``Theory.decide_at_least``
     answers the same question symbolically.
     """
-    if n < 1:
-        raise ValueError("clique size must be >= 1")
-    vs = sorted(fresh_variables(cube.variables(), n))
-    return cube.with_literals(EqualityLiteral(x, y, False) for x, y in itertools.combinations(vs, 2))
+    return cube.join(neq_clique(fresh_variables(cube.variables(), n), n))
 
 
 # -- arrangements ----------------------------------------------------------

@@ -126,12 +126,6 @@ class EvPeriodicSet:
     def is_cofinite(self) -> bool:
         return all(self.period)
 
-    def cardinality(self) -> int | None:
-        """Number of elements if finite, else None."""
-        if not self.is_finite():
-            return None
-        return sum(self.preperiod)
-
     # -- order queries -------------------------------------------------
 
     def min_element(self) -> int | None:
@@ -162,27 +156,15 @@ class EvPeriodicSet:
         if n < 1:
             raise ValueError("index must be >= 1")
         comp = self.complement()
-        count = 0
-        p = len(comp.preperiod)
-        for i, b in enumerate(comp.preperiod):
-            if b:
-                count += 1
-                if count == n:
-                    return i + 1
-        per_cycle = sum(comp.period)
-        if per_cycle == 0:
+        p, q = len(comp.preperiod), len(comp.period)
+        head = list(comp.elements(p))
+        if n <= len(head):
+            return head[n - 1]
+        cycle = [m for m in range(p + 1, p + q + 1) if comp.contains(m)]
+        if not cycle:
             return None
-        q = len(comp.period)
-        remaining = n - count
-        cycles = (remaining - 1) // per_cycle
-        remaining -= cycles * per_cycle
-        base = p + cycles * q
-        for j, b in enumerate(comp.period):
-            if b:
-                remaining -= 1
-                if remaining == 0:
-                    return base + j + 1
-        raise AssertionError("unreachable")
+        laps, i = divmod(n - len(head) - 1, len(cycle))
+        return cycle[i] + laps * q
 
     # -- serialization --------------------------------------------------
 

@@ -7,7 +7,7 @@ once per cube (:func:`~combinekit.formulas.minmod_equalities`).  A
 theory declares exactly that, and the :class:`Theory` base derives every
 query from it.  A concrete theory declares:
 
-* ``signature`` and ``certificate``;
+* ``certificate``, and ``signature`` unless it is the empty one;
 * ``shape(part)`` -- the :class:`Shape` one predicate part of a cube
   allows: by default the part is the cube's unique positive predicate,
   or None when it has none;
@@ -135,7 +135,7 @@ class Theory:
     """Base class: derives every query from ``shape`` and the equality minimum."""
 
     name: str
-    signature: Signature
+    signature: Signature = Signature(frozenset())  # the empty signature, unless declared
     certificate: PropertyCertificate
 
     # -- declared by each theory ----------------------------------------

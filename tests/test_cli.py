@@ -271,6 +271,22 @@ def test_removed_flags_exit_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("combine", "T_leq_3", "T_eq_P", "(P 2)"),
+        ("decide", "T_eq_P", "(P 3)"),
+        ("spectrum", "T_eq_P", "(P 3)"),
+        ("filters",),
+    ],
+)
+def test_format_dot_outside_lattice_exits_2(capsys, argv):
+    # Only lattice has a DOT rendering; elsewhere the flag would be ignored.
+    code, out, err = run_cli(capsys, "--format", "dot", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --format dot applies only to lattice\n"
+
+
 def test_brute_check_flags_infinite_only_with_finite_models(capsys, monkeypatch):
     # Claiming that every model is infinite contradicts the finite models
     # the brute window finds.

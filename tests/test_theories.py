@@ -8,6 +8,7 @@ from combinekit.brute import _min_satisfying_blocks, brute_sat_at, brute_spectru
 from combinekit.catalog import (
     BigModelTagTheory,
     CompositeTestTheory,
+    EqualityTheory,
     ExactSizeTheory,
     GapIndexTheory,
     MaxSizeTheory,
@@ -34,6 +35,7 @@ from combinekit.formulas import (
     parse_formula,
     to_dnf,
 )
+from combinekit.registry import Registry
 from combinekit.sets import evens, odds, upfrom
 from combinekit.spectra import view
 from combinekit.theories import FormulaEnumeration, Theory, doubling_oracle, minmod_equalities
@@ -555,6 +557,18 @@ def test_gap_index_decide_counts_the_gaps_once(monkeypatch, m, n):
     assert sat == (exact.has_inf or not exact.finite_part.is_empty())
 
 
+def test_nth_gap_matches_a_direct_count_of_inner_gaps():
+    th = GapIndexTheory(toy_inner_theory())
+    for fid in range(1, 65):
+        phi = th.inner_cube(fid)
+        gaps = [k for k in range(1, 12) if not th.inner.spec_finite(phi, k)]
+        for below in range(1, 13):
+            under = [k for k in gaps if k < below]
+            for n in range(1, 7):
+                want = under[n - 1] if n <= len(under) else None
+                assert th._nth_gap(fid, n, below) == want, (fid, n, below)
+
+
 # -- step theory shapes ---------------------------------------------------------------
 
 
@@ -580,6 +594,27 @@ def test_step_theory_finite_membership():
     assert tns.spec_finite(p, 4)
     assert not tns.spec_finite(p, 3)
     assert not tns.spec_inf(p)
+
+
+# -- the free equality theory ---------------------------------------------------------
+
+
+def test_equality_theory_is_t_geq_1_by_name(rng):
+    teq, geq1 = EqualityTheory(), MinSizeTheory(1)
+    assert (teq.name, geq1.name) == ("T_eq", "T_geq_1")
+    assert Registry().resolve("Teq").name == "T_eq"
+
+    def answers(t, c):
+        return (
+            [_answer_or_error(q, c) for q in (t.decide_cube, t.spec_inf, t.exact_spectrum, t.nshiny_classify)]
+            + [_answer_or_error(t.spec_finite, c, k) for k in range(1, 9)]
+            + [_answer_or_error(view(t, c).minmod)]
+            + [t.model_check(size, frozenset()) for size in range(1, 7)]
+        )
+
+    for _ in range(200):
+        c = random_cube(teq, rng)
+        assert answers(teq, c) == answers(geq1, c), c
 
 
 # -- certificate spot checks ------------------------------------------------------------
