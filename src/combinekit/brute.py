@@ -75,6 +75,34 @@ def _min_satisfying_blocks(eq_lits: tuple[EqualityLiteral, ...]) -> int | None:
     return best
 
 
+# The last cube the oracle read: (theory, cube, closure, blocks, fits).
+# Compared by identity, so a size scan over one cube enumerates its
+# candidate models once, no cube is hashed and at most one is held.
+_last_read = (None, None, None, None, ())
+
+
+def _candidate_models(theory: Theory, cube: Cube, closure) -> tuple[int | None, tuple]:
+    """The size-independent half of a cube's candidate models: the fewest
+    equality classes its equality literals allow (None when none does),
+    and the predicate subsets of the closure that agree with its
+    predicate literals."""
+    global _last_read
+    t, c, cl, blocks, fits = _last_read
+    if t is theory and c is cube and cl is closure:
+        return blocks, fits
+    blocks = None if cube.contradictory else _min_satisfying_blocks(cube.eq_literals())
+    fits = ()
+    if blocks is not None:
+        lits = cube.pred_literals()
+        fits = tuple(
+            subset
+            for subset in _pred_subsets(_closure_for(theory, (cube,), closure))
+            if all((lit.pred in subset) == lit.positive for lit in lits)
+        )
+    _last_read = (theory, cube, closure, blocks, fits)
+    return blocks, fits
+
+
 def brute_sat_at(
     theory: Theory,
     cube: Cube,
@@ -86,20 +114,11 @@ def brute_sat_at(
     The predicate side (which predicate subsets pass the model checker
     and the cube's predicate literals) and the equality side (which
     variable assignments satisfy the equality literals) are independent,
-    so each is enumerated exhaustively on its own.
+    so each is enumerated exhaustively on its own.  Only the model
+    checker depends on k; the rest is read once per cube.
     """
-    if cube.contradictory:
-        return False
-    blocks = _min_satisfying_blocks(cube.eq_literals())
-    if blocks is None or blocks > k:
-        return False
-    preds = _closure_for(theory, (cube,), closure)
-    for subset in _pred_subsets(preds):
-        if not theory.model_check(k, subset):
-            continue
-        if all((lit.pred in subset) == lit.positive for lit in cube.pred_literals()):
-            return True
-    return False
+    blocks, fits = _candidate_models(theory, cube, closure)
+    return blocks is not None and blocks <= k and any(theory.model_check(k, s) for s in fits)
 
 
 def _pred_subsets(preds: frozenset[PredicateId]):

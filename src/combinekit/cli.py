@@ -181,13 +181,22 @@ def cmd_filters(args, registry: Registry) -> int:
     return EXIT_SAT
 
 
+# Global flags only some subcommands read, with those subcommands and the
+# flag's default.  The parser's default is None, so that a flag given to a
+# subcommand that would ignore it can be refused.
+SCOPED_FLAGS = {
+    "K": (("classify", "brute-check"), 6),
+    "cap": (("combine",), 10_000),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="combinekit", description=__doc__)
     p.add_argument("--config", help="registry config path (or set COMBINEKIT_CONFIG)")
     p.add_argument("--format", default="json", choices=["json", "dot"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--K", type=_positive_int, default=6, help="brute-force size bound")
-    p.add_argument("--cap", type=_positive_int, default=10_000, help="iteration cap for unbounded scans")
+    p.add_argument("--K", type=_positive_int, help="brute-force size bound")
+    p.add_argument("--cap", type=_positive_int, help="iteration cap for unbounded scans")
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("decide", help="satisfiability of a formula in one theory")
@@ -239,6 +248,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.format == "dot" and args.command != "lattice":
             raise CombineKitError("--format dot applies only to lattice")
+        for flag, (commands, default) in SCOPED_FLAGS.items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
+            elif args.command not in commands:
+                raise CombineKitError(f"--{flag} applies only to {', '.join(commands)}")
         registry = load_registry(args.config)
         return args.fn(args, registry)
     except (CombineKitError, ValueError, OSError) as e:

@@ -18,8 +18,10 @@ query from it.  A concrete theory declares:
 The base states predicate exclusivity once on each side.  Its one reader,
 ``_reading``, checks a cube's predicate literals once (ownership, index
 grammar, contradiction, exclusivity) and pairs the cached shape of its
-part with ``Cube.minmod``; from that pair it derives ``decide_at_least``,
-``spec_finite``, ``spec_inf``, ``minmod_cube``, ``exact_spectrum``,
+part with ``Cube.minmod``.  A theory keeps the reading of the last cube
+it read, so consecutive queries on one cube read it once.  From that
+pair the base derives ``decide_at_least``, ``spec_finite``,
+``spec_inf``, ``minmod_cube``, ``exact_spectrum``,
 ``cube_spectrum_exact``, ``nshiny_classify`` and ``infinite_only``.
 ``decide_at_least(cube, k)`` is the primary satisfiability query: a
 disequality clique over k fresh variables would raise the equality
@@ -199,15 +201,24 @@ class Theory:
         # One shape per predicate part, built on first use.
         return {}
 
+    # The last cube read and its reading, compared by identity: a run of
+    # queries on one cube reads it once.
+    _last_reading: tuple = (None, None)
+
     def _reading(self, cube: Cube) -> tuple[Shape, int] | None:
         """The shape of the cube's predicate part and its equality minimum;
         None when its literals clash or its equalities are inconsistent."""
-        part = self.read_part(cube)
-        if part is UNSAT:
-            return None
-        shape = self._shapes.get(part) or self._shapes.setdefault(part, self.shape(part))
-        mm = cube.minmod
-        return None if mm is None else (shape, mm)
+        last, reading = self._last_reading
+        if last is cube:
+            return reading
+        part = self.read_part(cube)  # a SignatureError is raised, never kept
+        reading = None
+        if part is not UNSAT:
+            shape = self._shapes.get(part) or self._shapes.setdefault(part, self.shape(part))
+            mm = cube.minmod
+            reading = None if mm is None else (shape, mm)
+        self._last_reading = (cube, reading)
+        return reading
 
     # -- derived queries --------------------------------------------------
 

@@ -1,7 +1,12 @@
 import ast
+import random
 from pathlib import Path
 
+from combinekit import brute
 from combinekit.brute import (
+    _closure_for,
+    _min_satisfying_blocks,
+    _pred_subsets,
     brute_combined_formula_sat,
     brute_sat_at,
     brute_spectrum,
@@ -16,6 +21,7 @@ from combinekit.catalog import (
     SizePinTheory,
     StepTheory,
 )
+from combinekit.errors import SignatureError
 from combinekit.formulas import And, Cube, parse_formula, to_dnf
 
 TOP = Cube(())
@@ -90,6 +96,63 @@ def test_enlarging_closure_never_flips_true_to_false(catalog, rng):
                 assert brute_sat_at(t, c, k, closure=base | extra)
 
 
+def _per_size_loop(theory, cube, k, closure=None):
+    """The oracle as one loop per size: every predicate subset of the
+    closure, the model checker, then the cube's predicate literals."""
+    if cube.contradictory:
+        return False
+    blocks = _min_satisfying_blocks(cube.eq_literals())
+    if blocks is None or blocks > k:
+        return False
+    for subset in _pred_subsets(_closure_for(theory, (cube,), closure)):
+        if theory.model_check(k, subset) and all(
+            (lit.pred in subset) == lit.positive for lit in cube.pred_literals()
+        ):
+            return True
+    return False
+
+
+def _accepts(theory, cube):
+    """Whether the theory owns every predicate of the cube, indices included."""
+    try:
+        for lit in cube.pred_literals():
+            theory.check_pred(lit.pred)
+    except SignatureError:
+        return False
+    return True
+
+
+def test_reading_each_cube_once_matches_the_per_size_loop(theory_list):
+    # Interleaves another theory, an equal but distinct cube and explicit
+    # closures on each cube, so an oracle that kept a reading under the
+    # wrong key would answer for the wrong question.
+    rng = random.Random(19)
+    for t in theory_list:
+        for _ in range(200):
+            c = random_cube(t, rng)
+            owners = [o for o in theory_list if _accepts(o, c)]
+            other = rng.choice([o for o in owners if o is not t] or owners)
+            base = frozenset(c.positive_preds())
+            extra = base | {p for p in (t.sample_pred(rng), t.sample_pred(rng)) if p is not None}
+            twin = Cube(c.literals)
+            for k in range(7, 0, -1):
+                assert brute_sat_at(t, c, k) == _per_size_loop(t, c, k), (t, c, k)
+                assert brute_sat_at(other, c, k) == _per_size_loop(other, c, k), (other, c, k)
+                assert brute_sat_at(t, twin, k) == _per_size_loop(t, twin, k), (t, c, k)
+                for closure in (base, extra):
+                    assert brute_sat_at(t, c, k, closure) == _per_size_loop(t, c, k, closure), (t, c, k)
+            assert brute_spectrum(t, c, 6) == {k for k in range(1, 7) if _per_size_loop(t, c, k)}
+
+
+def test_a_size_scan_enumerates_the_cube_once(monkeypatch, catalog):
+    calls = []
+    real = brute._pred_subsets
+    monkeypatch.setattr(brute, "_pred_subsets", lambda preds: calls.append(preds) or real(preds))
+    c = cube("(and (P 2) (= x y))")
+    assert brute_spectrum(catalog["T_eq_P"], c, 6) == {2}
+    assert len(calls) == 1
+
+
 def test_formula_level_joint_models():
     t1, t2 = MaxSizeTheory(3), SizePinTheory()
     f = parse_formula("(and (or (P 2) (P 4)) (distinct x y))")
@@ -109,6 +172,11 @@ CLOSED_FORM_NAMES = {
     "minmod_cube",
     "cube_spectrum_exact",
     "exact_spectrum",
+    "_reading",
+    "read_part",
+    "shape",
+    "nshiny_classify",
+    "infinite_only",
 }
 
 

@@ -287,6 +287,36 @@ def test_format_dot_outside_lattice_exits_2(capsys, argv):
     assert err == "error: --format dot applies only to lattice\n"
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("--K", "2", "spectrum", "T_eq_P", "(P 3)"), "--K applies only to classify, brute-check"),
+        (("--K", "6", "decide", "T_leq_3", "(= x x)"), "--K applies only to classify, brute-check"),
+        (("--K", "3", "combine", "T_leq_3", "T_eq_P", "(P 2)"), "--K applies only to classify, brute-check"),
+        (("--cap", "1", "decide", "T_leq_3", "(= x x)"), "--cap applies only to combine"),
+        (("--cap", "10000", "brute-check", "--theory", "T_cs"), "--cap applies only to combine"),
+        (("--cap", "5", "diagonal", "--rounds", "1"), "--cap applies only to combine"),
+    ],
+)
+def test_a_global_flag_the_subcommand_ignores_exits_2(capsys, argv, err):
+    # Even the default value is refused when given: the subcommand never reads it.
+    code, out, got = run_cli(capsys, *argv)
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
+def test_scoped_flags_keep_their_defaults(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "brute-check", "--theory", "T_cs", "--samples", "5")
+    assert code == 0 and json.loads(out)["K"] == 6
+    code, out, _ = run_cli(capsys, "--K", "3", "brute-check", "--theory", "T_cs", "--samples", "5")
+    assert code == 0 and json.loads(out)["K"] == 3
+    caps = []
+    real = cli.combine_decide
+    monkeypatch.setattr(cli, "combine_decide", lambda *a, cap: caps.append(cap) or real(*a, cap=cap))
+    assert run_cli(capsys, "combine", "T_leq_3", "T_eq_P", "(P 2)")[0] == 0
+    assert run_cli(capsys, "--cap", "7", "combine", "T_leq_3", "T_eq_P", "(P 2)")[0] == 0
+    assert caps == [10_000, 7]
+
+
 def test_brute_check_flags_infinite_only_with_finite_models(capsys, monkeypatch):
     # Claiming that every model is infinite contradicts the finite models
     # the brute window finds.

@@ -350,6 +350,26 @@ def test_foreign_predicate_rejected(catalog):
         catalog["T_eq"].decide_cube(cube("(P 1)"))
     with pytest.raises(SignatureError):
         catalog["T_eq_P"].decide_cube(cube("(pred P inf)"))
+    # A refused reading is not kept, so a repeated query raises again.
+    t, c = EqualityTheory(), cube("(P 1)")
+    for query in (t.decide_cube, t.decide_cube, lambda c: t.spec_finite(c, 1)):
+        with pytest.raises(SignatureError):
+            query(c)
+
+
+def test_a_run_of_queries_on_one_cube_reads_it_once(monkeypatch):
+    t = SizePinTheory()
+    calls = []
+    real = Theory.read_part
+    monkeypatch.setattr(SizePinTheory, "read_part", lambda self, c: calls.append(c) or real(self, c))
+    c, d = cube("(and (P 3) (distinct x y))"), cube("(P 4)")
+    assert t.decide_cube(c)
+    assert [t.spec_finite(c, k) for k in range(1, 7)] == [k == 3 for k in range(1, 7)]
+    assert not t.spec_inf(c)
+    assert calls == [c]
+    # Another cube in between: each is read again, by identity, not equality.
+    assert t.decide_cube(d) and t.decide_cube(c) and t.decide_cube(Cube(c.literals))
+    assert len(calls) == 4
 
 
 # -- model checking ---------------------------------------------------------------
