@@ -38,6 +38,7 @@ from .formulas import (
     Signature,
     arrangement_to_cube,
     enumerate_arrangements,
+    iter_dnf,
     neq_clique,
     parse_formula,
     split_by_signature,
@@ -45,7 +46,7 @@ from .formulas import (
 )
 from .sets import ALEPH0, Card, EvPeriodicSet, bitzero, evens, parse_set_literal, upfrom
 from .spectra import ExactSpectrum, SpectrumView, view
-from .theories import FOracle, Theory, identity_oracle
+from .theories import FOracle, Reading, Theory, identity_oracle
 
 __version__ = "0.1.0"
 
@@ -70,6 +71,7 @@ __all__ = [
     "ParseError",
     "PredicateId",
     "PredicateLiteral",
+    "Reading",
     "SHINY",
     "SMCS",
     "SignatureError",
@@ -82,6 +84,7 @@ __all__ = [
     "enumerate_arrangements",
     "evens",
     "identity_oracle",
+    "iter_dnf",
     "method_applicable",
     "n_shiny",
     "neq_clique",

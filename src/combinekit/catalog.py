@@ -33,6 +33,7 @@ from .theories import (
     UNSAT,
     FOracle,
     FormulaEnumeration,
+    Readable,
     Shape,
     Theory,
     identity_oracle,
@@ -239,6 +240,7 @@ class GapIndexTheory(Theory):
             raise ValueError("inner theory must have computable finite spectra")
         self.inner = inner
         self.enumeration = FormulaEnumeration(inner)
+        self._scans: dict[int, tuple[list[int], int]] = {}
         self._declare_family(f"Th_of({inner.name})", family, 2)
         self.certificate = certificate(cfs=True)
         # Friendly references for the inner theory's bare predicates:
@@ -269,14 +271,17 @@ class GapIndexTheory(Theory):
 
     def _nth_gap(self, fid: int, n: int, below: int) -> int | None:
         """The n-th size the inner spectrum of formula fid misses, or None
-        when fewer than n sizes below ``below`` are missed."""
+        when fewer than n sizes below ``below`` are missed.  The inner
+        spectrum is asked about each size once: per formula id, the gaps
+        found so far and the last size scanned are kept."""
+        gaps, scanned = self._scans.get(fid, ([], 0))
         phi = self.inner_cube(fid)
-        for k in range(1, below):
-            if not self.inner.spec_finite(phi, k):
-                n -= 1
-                if n == 0:
-                    return k
-        return None
+        while len(gaps) < n and scanned < below - 1:
+            scanned += 1
+            if not self.inner.spec_finite(phi, scanned):
+                gaps.append(scanned)
+        self._scans[fid] = (gaps, scanned)
+        return gaps[n - 1] if len(gaps) >= n and gaps[n - 1] < below else None
 
     def shape(self, pos):
         if pos is None:
@@ -285,38 +290,36 @@ class GapIndexTheory(Theory):
         why = "the gap may or may not exist"
         return Shape(ALL, None, allow=lambda k: self._nth_gap(fid, n, k + 1) == k, why=why)
 
-    def decide_at_least(self, cube: Cube, k: int) -> bool:
+    def decide_at_least(self, cube: Readable, k: int) -> bool:
         if k < 1:
             raise ValueError("clique size must be >= 1")
-        reading = self._reading(cube)
-        if reading is None:
+        r = self._reading(cube)
+        if r is None:
             return False
-        shape, mm = reading
-        if shape.inf:  # no predicate
+        if r.part is None:  # no predicate
             return True
         # Sat unless the n-th gap lies below max(equality minimum, k).
-        fid, n = cube.positive_preds()[0].indices  # the one positive predicate
-        return self._nth_gap(fid, n, max(mm, k)) is None
+        fid, n = r.part.indices
+        return self._nth_gap(fid, n, max(r.floor, k)) is None
 
-    def infinite_only(self, cube: Cube) -> bool:
+    def infinite_only(self, cube: Readable) -> bool:
         exact = self.cube_spectrum_exact(cube)
         return exact is not None and exact.has_inf and exact.finite_part.is_empty()
 
-    def cube_spectrum_exact(self, cube: Cube):
-        reading = self._reading(cube)
-        if reading is None:
+    def cube_spectrum_exact(self, cube: Readable):
+        r = self._reading(cube)
+        if r is None:
             return ExactSpectrum(EMPTY, False)
-        shape, mm = reading
-        if shape.inf:  # no predicate
-            return ExactSpectrum(upfrom(mm), True)
-        fid, n = cube.positive_preds()[0].indices  # the one positive predicate
+        if r.part is None:  # no predicate
+            return ExactSpectrum(upfrom(r.floor), True)
+        fid, n = r.part.indices
         inner = self.inner.cube_spectrum_exact(self.inner_cube(fid))
         if inner is None:
             return None
         v = inner.finite_part.nth_excluded(n)  # None: no n-th gap, so only infinite models
         if v is None:
             return ExactSpectrum(EMPTY, True)
-        return ExactSpectrum(finite_set([v]) if v >= mm else EMPTY, False)
+        return ExactSpectrum(finite_set([v]) if v >= r.floor else EMPTY, False)
 
     def admits(self, size, pos):
         return pos is None or self._nth_gap(*pos.indices, size + 1) == size
@@ -558,7 +561,7 @@ class CompositeTestTheory(Theory):
         # B_(n,tag): a big enough model always exists; below n the tag decides.
         return Shape(upfrom(ix[0] + 1), True, withheld=interval(1, ix[0]), why=TAGGED)
 
-    def cube_spectrum_exact(self, cube: Cube):
+    def cube_spectrum_exact(self, cube: Readable):
         return None
 
     def sample_pred(self, rng):

@@ -18,7 +18,7 @@ from .classify import build_lattice, filter_chain_demo, probe_certificate
 from .combine import METHODS, Method, combine_decide, n_shiny
 from .diagonal import run_rounds
 from .errors import CapabilityMissing, CombineKitError
-from .formulas import parse_formula, to_dnf
+from .formulas import iter_dnf, parse_formula, to_dnf
 from .registry import Registry, load_registry
 from .theories import Theory
 
@@ -66,7 +66,7 @@ def _method_from_flag(name: str) -> Method | None:
 def cmd_decide(args, registry: Registry) -> int:
     theory = registry.resolve(args.theory)
     f = _parse_for(theory, args.formula)
-    sat = any(theory.decide_cube(c) for c in to_dnf(f))
+    sat = any(theory.decide_cube(c) for c in iter_dnf(f))
     _emit({"sat": sat})
     return EXIT_SAT if sat else EXIT_UNSAT
 

@@ -1,13 +1,16 @@
 """Disjoint combination of two theories over spectrum intersections.
 
-The shell lowers a formula over the union signature to cubes, routes
-each cube's literals to its owning side, and enumerates arrangements of
-the shared variables; a cube is jointly satisfiable exactly when some
-arrangement gives the two sides overlapping spectra.  Only arrangements
-consistent with the cube's equalities are visited, and the method runs
-once per block count among them.  The per-method intersection
-procedures below decide that overlap using only the queries their
-hypotheses license.
+The shell lowers a formula over the union signature to cubes lazily,
+routes each cube's literals to its owning side, and enumerates
+arrangements of the shared variables; a cube is jointly satisfiable
+exactly when some arrangement gives the two sides overlapping spectra.
+Only arrangements consistent with the cube's equalities are visited.
+Each side's theory reads its predicate part once per cube
+(:class:`~combinekit.theories.Reading`); an arrangement with b blocks
+fixes both sides' equality minimum at max(1, b), so the method runs once
+per block count, on views over the two readings at that floor.  The
+per-method intersection procedures below decide that overlap using only
+the queries their hypotheses license.
 """
 
 from __future__ import annotations
@@ -17,15 +20,7 @@ from typing import Iterator
 
 from .errors import CapabilityMissing, IterationCapExceeded, MethodNotApplicable
 from .filters import FreeFilter, frechet
-from .formulas import (
-    Arrangement,
-    Cube,
-    Formula,
-    arrangement_to_cube,
-    enumerate_arrangements,
-    split_by_signature,
-    to_dnf,
-)
+from .formulas import Arrangement, Cube, Formula, enumerate_arrangements, iter_dnf, split_by_signature
 from .properties import PARTNER
 from .sets import ALEPH0, Card, card_to_json, is_finite_card
 from .spectra import DEFAULT_ITERATION_CAP, SpectrumView, view
@@ -72,7 +67,7 @@ def _run_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, sta
     if not is_finite_card(k):
         raise CapabilityMissing(v1.owner.name, "minmod", "shiny needs a finite minimal model")
     stats["loop_iterations"] += 1
-    return v2.owner.decide_at_least(v2.cube, k), None
+    return v2.owner.decide_at_least(v2.subject, k), None
 
 
 def _run_nelson_oppen(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
@@ -95,7 +90,7 @@ def _run_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, st
             return True, n
     if bounded:
         return False, None
-    return v2.owner.decide_at_least(v2.cube, top + 1), None
+    return v2.owner.decide_at_least(v2.subject, top + 1), None
 
 
 def _run_smcs(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
@@ -128,7 +123,7 @@ def _run_n_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, s
         return False, None
     if v1.contains(n) and v2.contains(n):
         return True, n
-    shape = v1.owner.nshiny_classify(v1.cube)
+    shape = v1.owner.nshiny_classify(v1.subject)
     if shape is None:
         raise CapabilityMissing(v1.owner.name, "nshiny_classify", "no shape for a satisfiable cube")
     t, k = shape
@@ -136,12 +131,12 @@ def _run_n_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, s
         # Spectrum is exactly {n}; the n-check above already failed.
         return False, None
     stats["loop_iterations"] += 1
-    return v2.owner.decide_at_least(v2.cube, k), None
+    return v2.owner.decide_at_least(v2.subject, k), None
 
 
 def _run_quasi_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
     n = 1
-    while v1.owner.decide_at_least(v1.cube, n) and v2.owner.decide_at_least(v2.cube, n):
+    while v1.owner.decide_at_least(v1.subject, n) and v2.owner.decide_at_least(v2.subject, n):
         if v1.contains(n) and v2.contains(n):
             return True, n
         n += 1
@@ -281,17 +276,21 @@ def combine_decide(
 ) -> CombinationVerdict:
     """Joint satisfiability of f over the disjoint union of t1 and t2.
 
-    Lowers f to cubes, splits each by signature, and visits the
-    arrangements of the shared variables that are consistent with the
-    cube, in canonical order; any other arrangement contradicts the cube.
-    Every catalog theory's spectrum depends only on a cube's predicate
-    part and its equality minimum, which a consistent arrangement fixes
-    at its block count, so the method's intersection procedure runs once
-    per block count: on the first arrangement with that count.  The
-    verdict carries the first witness in canonical order, as a walk over
-    every arrangement would.  The method runs only on a theory order
-    whose certificates meet its hypotheses; an explicit method that fits
-    neither order raises MethodNotApplicable.
+    Lowers f to cubes one at a time, stopping at the first satisfiable
+    one, splits each by signature, and visits the arrangements of the
+    shared variables that are consistent with the cube, in canonical
+    order; any other arrangement contradicts the cube.  Every catalog
+    theory's spectrum depends only on a cube's predicate part and its
+    equality minimum, which a consistent arrangement with b blocks fixes
+    at max(1, b).  So each side is read once per cube, before any
+    arrangement (a predicate its owner rejects raises SignatureError
+    whether or not the method would ask about it), and the method's
+    intersection procedure runs once per block count, on the first
+    arrangement with that count.  The verdict carries the first witness
+    in canonical order, as a walk over every arrangement would.  The
+    method runs only on a theory order whose certificates meet its
+    hypotheses; an explicit method that fits neither order raises
+    MethodNotApplicable.
     """
     if method is None:
         picked = select_method(t1, t2)
@@ -308,19 +307,23 @@ def combine_decide(
     run = METHODS[method.kind][1]
     stats = {"arrangements_tried": 0, "loop_iterations": 0}
     label = method.label() + (" [sides swapped]" if swapped else "")
-    cubes = to_dnf(f) if not isinstance(f, Cube) else ([f] if not f.contradictory else [])
+    cubes = iter_dnf(f) if not isinstance(f, Cube) else ([f] if not f.contradictory else [])
     for cube in cubes:
         c1, c2, shared = split_by_signature(cube, t1.signature, t2.signature)
+        # Read both sides once, before any arrangement; each block count
+        # then only sets both floors.
+        r1, r2 = t1.read(c1, 1), t2.read(c2, 1)
         # A block count seen before has already failed: a success returns.
         tried_blocks: set[int] = set()
         for arr in enumerate_arrangements(shared, cube):
             stats["arrangements_tried"] += 1
-            if len(arr.blocks) in tried_blocks:
+            b = max(1, len(arr.blocks))
+            if b in tried_blocks:
                 continue
-            tried_blocks.add(len(arr.blocks))
-            delta = arrangement_to_cube(arr)
-            a1, a2 = c1.join(delta), c2.join(delta)
-            ok, card = run(method, view(t1, a1), view(t2, a2), cap, stats)
+            tried_blocks.add(b)
+            v1 = view(t1, r1 and r1._replace(floor=b))
+            v2 = view(t2, r2 and r2._replace(floor=b))
+            ok, card = run(method, v1, v2, cap, stats)
             if ok:
                 witness = (arr, card) if card is not None else None
                 return CombinationVerdict(True, witness, label, stats)

@@ -3,7 +3,8 @@
 The only atoms are equalities between variables and indexed nullary
 predicates.  Cubes (conjunctions of literals) are the currency of every
 decision procedure; general formulas are And/Or/Not trees over literals
-and are lowered to cubes with :func:`to_dnf`.
+and are lowered to cubes lazily with :func:`iter_dnf` (:func:`to_dnf` is
+its list).
 
 Variables are plain lowercase identifiers.  Predicates carry a family
 tag (an uppercase name) and a tuple of indices; indices are positive
@@ -233,124 +234,174 @@ def parse_formula(text: str, resolver: Resolver | None = None) -> Formula:
     and ``(pred FAMILY i j k)`` for arbitrary families.  Indices are
     positive naturals, ``inf``, or names resolved by `resolver`.
     """
-    # The (None, len(text)) sentinel marks the end of input.
-    tokens = [(m.group(0), m.start()) for m in _TOKEN_RE.finditer(text)] + [(None, len(text))]
+    # Tokens are read by index; the None sentinel marks the end of input.
+    toks: list = _TOKEN_RE.findall(text)
+    toks.append(None)
     pos = 0
 
-    def take():
+    def fail(message: str, i: int) -> ParseError:
+        """The error at token i, whose offset is recovered only here."""
+        off = len(text)
+        if toks[i] is not None:
+            off = next(itertools.islice(_TOKEN_RE.finditer(text), i, None)).start()
+        return ParseError(message, off)
+
+    def take() -> int:
+        """The index of the next token, which must exist."""
         nonlocal pos
-        tok, off = tokens[pos]
-        if tok is None:
-            raise ParseError("unexpected end of input", off)
+        if toks[pos] is None:
+            raise fail("unexpected end of input", pos)
         pos += 1
-        return tok, off
+        return pos - 1
 
     def items(read, at_end="unexpected end of input") -> list:
         """Read items with `read` up to and including the list's ')'."""
         nonlocal pos
         out = []
-        while tokens[pos][0] != ")":
-            if tokens[pos][0] is None:
-                raise ParseError(at_end, len(text))
+        while toks[pos] != ")":
+            if toks[pos] is None:
+                raise fail(at_end, pos)
             out.append(read())
         pos += 1
         return out
 
     def no_item():
-        tok, off = take()
-        raise ParseError(f"expected ')', got {tok!r}", off)
+        i = take()
+        raise fail(f"expected ')', got {toks[i]!r}", i)
 
-    def variable(tok: str, off: int) -> str:
-        if not _VAR_RE.match(tok):
-            raise ParseError(f"bad variable {tok!r}", off)
-        return tok
+    def variable(i: int) -> str:
+        if not _VAR_RE.match(toks[i]):
+            raise fail(f"bad variable {toks[i]!r}", i)
+        return toks[i]
 
     def index() -> Index:
-        tok, off = take()
+        i = take()
+        tok = toks[i]
         if tok == "inf":
             return "inf"
         if tok.isascii() and tok.isdigit():  # str.isdigit alone admits digits like '²'
             if int(tok) < 1:
-                raise ParseError(f"non-positive index {tok}", off)
+                raise fail(f"non-positive index {tok}", i)
             return int(tok)
         if not FAMILY_RE.match(tok):
-            raise ParseError(f"bad index {tok!r}", off)
+            raise fail(f"bad index {tok!r}", i)
         if resolver is None:
-            raise ParseError(f"no resolver for formula reference {tok!r}", off)
+            raise fail(f"no resolver for formula reference {tok!r}", i)
         try:
             ix = resolver(tok)
         except KeyError:
-            raise ParseError(f"unknown formula reference {tok!r}", off)
+            raise fail(f"unknown formula reference {tok!r}", i)
         if type(ix) is not int or ix < 1:
-            raise ParseError(
-                f"formula reference {tok!r} resolved to {ix!r}, not a positive id", off
-            )
+            raise fail(f"formula reference {tok!r} resolved to {ix!r}, not a positive id", i)
         return ix
 
     def expr() -> Formula:
-        tok, off = take()
-        if tok != "(":
-            raise ParseError(f"expected '(', got {tok!r}", off)
-        head, hoff = take()
+        i = take()
+        if toks[i] != "(":
+            raise fail(f"expected '(', got {toks[i]!r}", i)
+        h = take()
+        head = toks[h]
         if head in ("and", "or"):
             kids = tuple(items(expr, "unterminated list"))
             if not kids:
-                raise ParseError(f"empty ({head})", hoff)
+                raise fail(f"empty ({head})", h)
             return And(kids) if head == "and" else Or(kids)
         if head == "distinct":
-            vs = items(lambda: variable(*take()))
+            vs = items(lambda: variable(take()))
             if len(vs) < 2:
-                raise ParseError("(distinct ...) needs at least two variables", hoff)
+                raise fail("(distinct ...) needs at least two variables", h)
             lits = tuple(EqualityLiteral(x, y, False) for x, y in itertools.combinations(vs, 2))
             return And(lits) if len(lits) > 1 else lits[0]
         if head == "=":
             a, b = take(), take()  # both operands are read before either is checked
-            f = EqualityLiteral(variable(*a), variable(*b), True)
+            f = EqualityLiteral(variable(a), variable(b), True)
         elif head == "not":
             f = Not(expr())
         else:
-            fam, foff = take() if head == "pred" else (head, hoff)
-            if not FAMILY_RE.match(fam):
+            fi = take() if head == "pred" else h
+            if not FAMILY_RE.match(toks[fi]):
                 what = "unknown predicate family" if head == "pred" else "unknown operator"
-                raise ParseError(f"{what} {fam!r}", foff)
-            return PredicateLiteral(PredicateId(fam, tuple(items(index))))
+                raise fail(f"{what} {toks[fi]!r}", fi)
+            return PredicateLiteral(PredicateId(toks[fi], tuple(items(index))))
         items(no_item)
         return f
 
     f = expr()
-    tok, off = tokens[pos]
-    if tok is not None:
-        raise ParseError(f"trailing input {tok!r}", off)
+    if toks[pos] is not None:
+        raise fail(f"trailing input {toks[pos]!r}", pos)
     return f
 
 
 # -- DNF -----------------------------------------------------------------
 
 
-def to_dnf(f: Formula) -> list[Cube]:
-    """Cubes whose disjunction is equivalent to f; contradictory cubes dropped."""
-    out, seen = [], set()
-    for c in _dnf(f, False):
+def iter_dnf(f: Formula) -> Iterator[Cube]:
+    """The cubes of :func:`to_dnf`, in the same order, each built and
+    normalized only when it is reached: a caller that stops at its first
+    answer never pays for the cubes after it."""
+    seen = set()
+    for lits in _dnf(f, False):
+        c = Cube(lits)
         if c.contradictory or c in seen:
             continue
         seen.add(c)
-        out.append(c)
-    return out
+        yield c
 
 
-def _dnf(f: Formula, negate: bool) -> list[Cube]:
-    """Cubes of f (of ~f when `negate`), pushing negations down by De Morgan."""
-    if isinstance(f, Not):
-        return _dnf(f.child, not negate)
+def to_dnf(f: Formula) -> list[Cube]:
+    """Cubes whose disjunction is equivalent to f; contradictory cubes dropped."""
+    return list(iter_dnf(f))
+
+
+def _dnf(f: Formula, negate: bool) -> Iterator[tuple[Literal, ...]]:
+    """The literals of each cube of f (of ~f when `negate`), pushing
+    negations down by De Morgan.  A conjunction's cubes are the product
+    of its conjuncts' cubes, first conjunct slowest; a cube's literals are
+    normalized by whoever builds the :class:`Cube`, once."""
+    lits: list[Literal] = []
+    choices: list[tuple[Formula, bool]] = []
+    _conjuncts(f, negate, lits, choices)
+    if not choices:
+        yield tuple(lits)
+        return
+    # An odometer over the disjunctive conjuncts: each one's cubes are
+    # streamed afresh for every choice made before it, so nothing past the
+    # current cube is built.  prefix[i] holds the literals chosen before
+    # choices[i].
+    prefix = [tuple(lits)]
+    streams = [_disjuncts(*choices[0])]
+    while streams:
+        lits = next(streams[-1], None)
+        if lits is None:
+            streams.pop()
+            prefix.pop()
+            continue
+        chosen = prefix[len(streams) - 1] + lits
+        if len(streams) == len(choices):
+            yield chosen
+            continue
+        prefix.append(chosen)
+        streams.append(_disjuncts(*choices[len(streams)]))
+
+
+def _conjuncts(f: Formula, negate: bool, lits: list, choices: list):
+    """Flatten the conjunction f (~f when `negate`): its literals go to
+    `lits`, its disjunctive parts to `choices` as (formula, negate)."""
+    while isinstance(f, Not):
+        f, negate = f.child, not negate
     if not isinstance(f, (And, Or)):
-        return [Cube((f.negate() if negate else f,))]
-    parts = [_dnf(c, negate) for c in f.children]
-    if isinstance(f, Or) != negate:
-        return [c for part in parts for c in part]
-    return [
-        Cube(tuple(itertools.chain.from_iterable(c.literals for c in combo)))
-        for combo in itertools.product(*parts)
-    ]
+        lits.append(f.negate() if negate else f)
+    elif isinstance(f, Or) == negate:
+        for c in f.children:
+            _conjuncts(c, negate, lits, choices)
+    else:
+        choices.append((f, negate))
+
+
+def _disjuncts(f: Formula, negate: bool) -> Iterator[tuple[Literal, ...]]:
+    """The cubes of a disjunctive f: each child's cubes in turn."""
+    for c in f.children:
+        yield from _dnf(c, negate)
 
 
 # -- cardinality cliques ---------------------------------------------------
@@ -588,7 +639,10 @@ def split_by_signature(
 ) -> tuple[Cube, Cube, frozenset[str]]:
     """Route predicate literals to their owning side; equalities go to both.
 
-    Returns (side1 cube, side2 cube, shared variables).  Raises
+    Returns (side1 cube, side2 cube, shared variables).  Each side is a
+    subsequence of the cube's literals, so it is already normalized, and
+    it is consistent when the cube is.  Every variable sits on an
+    equality, so the sides share all of the cube's variables.  Raises
     SignatureError for predicates owned by neither side or overlapping
     signatures.
     """
@@ -607,8 +661,17 @@ def split_by_signature(
             lits2.append(lit)
         else:
             raise SignatureError(f"predicate {lit.pred} owned by neither signature")
-    c1, c2 = Cube(tuple(lits1)), Cube(tuple(lits2))
-    return c1, c2, c1.variables() & c2.variables()
+    return _subcube(cube, lits1), _subcube(cube, lits2), cube.variables()
+
+
+def _subcube(cube: Cube, literals: list[Literal]) -> Cube:
+    """The cube of a subsequence of a cube's literals, without sorting them
+    again; a consistent cube's subsequence is consistent."""
+    sub = object.__new__(Cube)
+    object.__setattr__(sub, "literals", tuple(literals))
+    if not cube.contradictory:
+        sub.__dict__["contradictory"] = False
+    return sub
 
 
 # -- canonical cube enumeration --------------------------------------------

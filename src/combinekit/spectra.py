@@ -2,8 +2,9 @@
 
 The spectrum of a cube in a theory is the set of domain cardinalities
 (finite or countably infinite) of its models.  A :class:`SpectrumView`
-binds a theory and a cube and exposes exactly the queries the theory's
-certificate supports; asking for more raises
+binds a theory and a cube, or the theory's reading of one
+(:class:`~combinekit.theories.Reading`), and exposes exactly the
+queries the theory's certificate supports; asking for more raises
 :class:`~combinekit.errors.CapabilityMissing` instead of guessing.
 """
 
@@ -16,8 +17,7 @@ from .errors import CapabilityMissing, IterationCapExceeded
 from .sets import ALEPH0, Card, EvPeriodicSet, is_finite_card
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .formulas import Cube
-    from .theories import Theory
+    from .theories import Readable, Theory
 
 DEFAULT_ITERATION_CAP = 10_000
 
@@ -59,7 +59,8 @@ class ExactSpectrum:
 
 @dataclass(frozen=True)
 class SpectrumView:
-    """A theory/cube pair with its supported spectrum queries.
+    """A theory and a cube (or its reading) with the supported spectrum
+    queries.
 
     Finite membership is answered where the certificate makes the
     theory n-decidable at that cardinality (every cardinality under CFS),
@@ -69,23 +70,23 @@ class SpectrumView:
     """
 
     owner: "Theory"
-    cube: "Cube"
+    subject: "Readable"
 
     # -- queries ---------------------------------------------------------
 
     def sat(self) -> bool:
-        return self.owner.decide_cube(self.cube)
+        return self.owner.decide_cube(self.subject)
 
     def contains(self, c: Card) -> bool:
         if c is ALEPH0:
             if not self.owner.certificate.infinitely_decidable:
                 raise CapabilityMissing(self.owner.name, "spec_inf")
-            return self.owner.spec_inf(self.cube)
+            return self.owner.spec_inf(self.subject)
         if not is_finite_card(c) or c < 1:
             raise ValueError(f"bad cardinality {c!r}")
         if not self.owner.certificate.is_n_decidable(c):
             raise CapabilityMissing(self.owner.name, "spec_finite", f"at cardinality {c}")
-        return self.owner.spec_finite(self.cube, c)
+        return self.owner.spec_finite(self.subject, c)
 
     def max_finite(self, cap: int = DEFAULT_ITERATION_CAP) -> int | None:
         """Greatest finite spectrum element: ask ``decide_at_least`` for
@@ -96,7 +97,7 @@ class SpectrumView:
         Returns None when the cube is unsatisfiable.
         """
         k = 0
-        while self.owner.decide_at_least(self.cube, k + 1):
+        while self.owner.decide_at_least(self.subject, k + 1):
             k += 1
             if k > cap:
                 raise IterationCapExceeded("max_finite", cap)
@@ -111,22 +112,22 @@ class SpectrumView:
         """
         if not self.sat():
             return None
-        closed = self.owner.minmod_cube(self.cube)
+        closed = self.owner.minmod_cube(self.subject)
         if closed is not None:
             return closed
-        if self.owner.infinite_only(self.cube):
+        if self.owner.infinite_only(self.subject):
             return ALEPH0
         if not self.owner.certificate.cfs:
             raise CapabilityMissing(self.owner.name, "minmod")
         for k in range(1, cap + 1):
-            if self.owner.spec_finite(self.cube, k):
+            if self.owner.spec_finite(self.subject, k):
                 return k
         raise IterationCapExceeded("minmod", cap)
 
     def exact(self) -> ExactSpectrum:
-        return self.owner.exact_spectrum(self.cube)
+        return self.owner.exact_spectrum(self.subject)
 
 
-def view(theory: "Theory", cube: "Cube") -> SpectrumView:
-    return SpectrumView(theory, cube)
+def view(theory: "Theory", subject: "Readable") -> SpectrumView:
+    return SpectrumView(theory, subject)
 

@@ -16,13 +16,16 @@ query from it.  A concrete theory declares:
   referee the derived queries.
 
 The base states predicate exclusivity once on each side.  Its one reader,
-``_reading``, checks a cube's predicate literals once (ownership, index
-grammar, contradiction, exclusivity) and pairs the cached shape of its
-part with ``Cube.minmod``.  A theory keeps the reading of the last cube
-it read, so consecutive queries on one cube read it once.  From that
-pair the base derives ``decide_at_least``, ``spec_finite``,
+``read``, checks a cube's predicate literals once (ownership, index
+grammar, contradiction, exclusivity) and returns a :class:`Reading`: the
+part, the part's cached shape, and a floor, which is ``Cube.minmod``
+unless the caller fixes it (the combination shell reads a side once per
+cube and sets the floor to each arrangement's block count).  From one
+reading the base derives ``decide_at_least``, ``spec_finite``,
 ``spec_inf``, ``minmod_cube``, ``exact_spectrum``,
-``cube_spectrum_exact``, ``nshiny_classify`` and ``infinite_only``.
+``cube_spectrum_exact``, ``nshiny_classify`` and ``infinite_only``; each
+takes a cube or a reading.  Given a cube, a theory keeps the reading of
+the last cube it read, so consecutive queries on one cube read it once.
 ``decide_at_least(cube, k)`` is the primary satisfiability query: a
 disequality clique over k fresh variables would raise the equality
 minimum to max(minmod, k), so it asks a cap about the least allowed size
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import CapabilityMissing, CombineKitError, SignatureError
 from .formulas import (
@@ -126,6 +129,21 @@ ALL = upfrom(1)
 # The predicate part of a cube whose literals clash.
 UNSAT = object()
 
+
+class Reading(NamedTuple):
+    """What the derived queries read of a cube: its predicate part, the
+    :class:`Shape` of that part, and the floor the cube's equalities put
+    under a model's size (its equality minimum)."""
+
+    part: object
+    shape: Shape
+    floor: int
+
+
+# What a derived query takes: a cube, or this theory's reading of one
+# (None for a cube with no models).
+Readable = Cube | Reading | None
+
 # Largest predicate index drawn when sampling random test cubes.
 SAMPLE_INDEX_BOUND = 6
 
@@ -201,32 +219,41 @@ class Theory:
         # One shape per predicate part, built on first use.
         return {}
 
+    def read(self, cube: Cube, floor: int | None = None) -> Reading | None:
+        """The cube's reading, with ``floor`` in place of its equality
+        minimum when given; None when its literals clash or its equalities
+        are inconsistent.  Raises SignatureError for a predicate this
+        theory does not own or whose indices its grammar rejects."""
+        part = self.read_part(cube)
+        if part is UNSAT:
+            return None
+        shape = self._shapes.get(part) or self._shapes.setdefault(part, self.shape(part))
+        if floor is None:
+            floor = cube.minmod
+        return None if floor is None else Reading(part, shape, floor)
+
     # The last cube read and its reading, compared by identity: a run of
     # queries on one cube reads it once.
     _last_reading: tuple = (None, None)
 
-    def _reading(self, cube: Cube) -> tuple[Shape, int] | None:
-        """The shape of the cube's predicate part and its equality minimum;
-        None when its literals clash or its equalities are inconsistent."""
+    def _reading(self, cube: Readable) -> Reading | None:
+        """What a query reads: a reading as given, or the cube's own."""
         last, reading = self._last_reading
         if last is cube:
             return reading
-        part = self.read_part(cube)  # a SignatureError is raised, never kept
-        reading = None
-        if part is not UNSAT:
-            shape = self._shapes.get(part) or self._shapes.setdefault(part, self.shape(part))
-            mm = cube.minmod
-            reading = None if mm is None else (shape, mm)
+        if cube is None or type(cube) is Reading:
+            return cube
+        reading = self.read(cube)  # a SignatureError is raised, never kept
         self._last_reading = (cube, reading)
         return reading
 
     # -- derived queries --------------------------------------------------
 
-    def decide_cube(self, cube: Cube) -> bool:
+    def decide_cube(self, cube: Readable) -> bool:
         """Exact quantifier-free satisfiability of the cube."""
         return self.decide_at_least(cube, 1)
 
-    def decide_at_least(self, cube: Cube, k: int) -> bool:
+    def decide_at_least(self, cube: Readable, k: int) -> bool:
         """Whether the cube has a model of at least k elements.
 
         The same as deciding the cube conjoined with a disequality clique
@@ -235,84 +262,82 @@ class Theory:
         """
         if k < 1:
             raise ValueError("clique size must be >= 1")
-        reading = self._reading(cube)
-        if reading is None:
+        r = self._reading(cube)
+        if r is None:
             return False
-        shape, mm = reading
+        _, shape, floor = r
         if shape.inf:
             return True
-        first = shape.finite.min_from(max(mm, k))
+        first = shape.finite.min_from(max(floor, k))
         return first is not None and (shape.allow is None or shape.allow(first))
 
-    def spec_finite(self, cube: Cube, k: int) -> bool:
+    def spec_finite(self, cube: Readable, k: int) -> bool:
         """Finite spectrum membership; CapabilityMissing on a withheld size."""
-        reading = self._reading(cube)
-        if reading is None or k < 1:
+        r = self._reading(cube)
+        if r is None or k < 1:
             return False
-        shape, mm = reading
+        _, shape, floor = r
         withheld = shape.withheld is not None and k in shape.withheld
-        if k < mm or not (withheld or k in shape.finite):
+        if k < floor or not (withheld or k in shape.finite):
             return False
         if withheld:
             raise CapabilityMissing(self.name, "spec_finite", f"membership of {k} {shape.why}")
         return shape.allow is None or shape.allow(k)
 
-    def spec_inf(self, cube: Cube) -> bool:
+    def spec_inf(self, cube: Readable) -> bool:
         """Infinite spectrum membership; CapabilityMissing when withheld."""
-        reading = self._reading(cube)
-        if reading is not None and reading[0].inf is None:
-            raise CapabilityMissing(self.name, "spec_inf", reading[0].why)
-        return reading is not None and reading[0].inf
+        r = self._reading(cube)
+        if r is not None and r.shape.inf is None:
+            raise CapabilityMissing(self.name, "spec_inf", r.shape.why)
+        return r is not None and r.shape.inf
 
-    def minmod_cube(self, cube: Cube) -> Card | None:
+    def minmod_cube(self, cube: Readable) -> Card | None:
         """Closed-form minimum spectrum element, or None when the theory
         has no certified closed form (the view then falls back to search)."""
-        reading = self._reading(cube)
-        if reading is None or not reading[0].known:
+        r = self._reading(cube)
+        if r is None or not r.shape.known:
             return None
-        shape, mm = reading
-        first = shape.finite.min_from(mm)
+        first = r.shape.finite.min_from(r.floor)
         if first is not None:
             return first
-        return ALEPH0 if shape.inf else None
+        return ALEPH0 if r.shape.inf else None
 
-    def cube_spectrum_exact(self, cube: Cube) -> ExactSpectrum | None:
+    def cube_spectrum_exact(self, cube: Readable) -> ExactSpectrum | None:
         """Exact spectrum when computable without undecidable queries;
         None otherwise.  Powers structural probes only."""
-        reading = self._reading(cube)
-        if reading is None:
+        r = self._reading(cube)
+        if r is None:
             return ExactSpectrum(EMPTY, False)
-        shape, mm = reading
-        if not shape.known:
+        if not r.shape.known:
             return None
-        return ExactSpectrum(shape.finite.intersect(upfrom(mm)), shape.inf)
+        return ExactSpectrum(r.shape.finite.intersect(upfrom(r.floor)), r.shape.inf)
 
-    def exact_spectrum(self, cube: Cube) -> ExactSpectrum:
+    def exact_spectrum(self, cube: Readable) -> ExactSpectrum:
         """Full materialization, for gentle theories."""
         if not self.certificate.gentle:
             raise CapabilityMissing(self.name, "exact_spectrum")
         return self.cube_spectrum_exact(cube)
 
-    def nshiny_classify(self, cube: Cube) -> tuple[int, int] | None:
+    def nshiny_classify(self, cube: Readable) -> tuple[int, int] | None:
         """Spectrum shape for n-shiny owners: (0, n) for {n}; (1, k) for
         {n} plus the tail from k; (2, k) for the tail from k.  None when
         the cube is unsatisfiable.  The catalog's n-shiny shapes are
         singletons and tails, so (1, k) does not arise."""
         if not self.certificate.shiny and self.certificate.n_shiny_param is None:
             raise CapabilityMissing(self.name, "nshiny_classify")
-        reading = self._reading(cube)
-        first = None if reading is None else reading[0].finite.min_from(reading[1])
+        r = self._reading(cube)
+        first = None if r is None else r.shape.finite.min_from(r.floor)
         if first is None:
             return None
-        return (2, first) if reading[0].inf else (0, first)
+        return (2, first) if r.shape.inf else (0, first)
 
-    def infinite_only(self, cube: Cube) -> bool:
+    def infinite_only(self, cube: Readable) -> bool:
         """True when the procedure knows every model of the cube is infinite.
         Consumed by oracle-agreement suites; never a public capability."""
-        reading = self._reading(cube)
-        if reading is None or not reading[0].known:
+        r = self._reading(cube)
+        if r is None or not r.shape.known:
             return False
-        return reading[0].inf and reading[0].finite.min_from(reading[1]) is None
+        return r.shape.inf and r.shape.finite.min_from(r.floor) is None
 
     # -- sampling -----------------------------------------------------------
 

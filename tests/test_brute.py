@@ -173,6 +173,8 @@ CLOSED_FORM_NAMES = {
     "cube_spectrum_exact",
     "exact_spectrum",
     "_reading",
+    "read",
+    "Reading",
     "read_part",
     "shape",
     "nshiny_classify",

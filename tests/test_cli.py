@@ -63,6 +63,22 @@ def test_decide_parse_error_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "formula",
+    [
+        # Gentle finds side 1 empty (four distinct elements under a cap of 3)
+        # and never asks side 2 about its predicate.
+        "(and (distinct x y z w) (P inf))",
+        # The cube's equalities are inconsistent, so it has no arrangement.
+        "(and (= x y) (= y z) (not (= x z)) (P inf))",
+    ],
+)
+def test_a_malformed_predicate_is_an_error_whatever_the_method_reads(capsys, formula):
+    code, out, err = run_cli(capsys, "combine", "T_leq_3", "T_eq_P", formula)
+    assert code == 2 and out == ""
+    assert "T_eq_P has no infinite-index predicate P_inf" in err
+
+
 def test_combine_subcommand_examples(capsys):
     code, out, _ = run_cli(
         capsys, "combine", "T_leq_3", "T_eq_P", "(and (pred P 2) (distinct x y))", "--method", "gentle"

@@ -46,6 +46,7 @@ from combinekit.formulas import (
     PredicateLiteral,
     arrangement_to_cube,
     enumerate_arrangements,
+    iter_dnf,
     neq_clique,
     parse_formula,
     split_by_signature,
@@ -407,6 +408,16 @@ def test_consistent_arrangements_give_the_bell_loop_verdicts(theory_list):
                 assert got.pop("stats")["arrangements_tried"] <= _bell(len(cube.variables()))
                 assert got == want, (t1.name, t2.name, str(cube))
     assert pairs == 292
+
+
+def test_a_sat_first_cube_stops_the_lowering():
+    # 2**22 cubes; the first is sat on its first arrangement, so no other
+    # cube is built.
+    pairs = " ".join(f"(or (= x{i} y{i}) (distinct x{i} y{i}))" for i in range(1, 23))
+    formula = f(f"(and (P 2) {pairs})")
+    v = combine_decide(MaxSizeTheory(3), SizePinTheory(), formula)
+    assert (v.sat, v.witness[1], v.stats["arrangements_tried"]) == (True, 2, 1)
+    assert SizePinTheory().decide_cube(next(iter_dnf(formula)))
 
 
 def test_gentle_distinct_cube_tries_one_arrangement():

@@ -21,6 +21,7 @@ from combinekit.formulas import (
     enumerate_arrangements,
     eval_formula,
     formula_atoms,
+    iter_dnf,
     neq_clique,
     parse_formula,
     split_by_signature,
@@ -205,6 +206,18 @@ def test_to_dnf_distribution_example():
     assert to_dnf(f) == [
         Cube((P(1), eq("x", "y", False))),
         Cube((P(2), eq("x", "y", False))),
+    ]
+
+
+def test_iter_dnf_builds_only_the_cubes_it_reaches():
+    # 2**40 cubes in all: an eager lowering could not return the first three.
+    f = And((P(1),) + tuple(Or((eq(f"x{i}", f"y{i}"), Q(i))) for i in range(1, 41)))
+    first = list(itertools.islice(iter_dnf(f), 3))
+    all_eq = tuple(eq(f"x{i}", f"y{i}") for i in range(1, 41))
+    assert first == [
+        Cube((P(1),) + all_eq),
+        Cube((P(1),) + all_eq[:-1] + (Q(40),)),
+        Cube((P(1),) + all_eq[:-2] + (Q(39),) + all_eq[-1:]),
     ]
 
 

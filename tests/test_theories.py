@@ -38,7 +38,13 @@ from combinekit.formulas import (
 from combinekit.registry import Registry
 from combinekit.sets import evens, odds, upfrom
 from combinekit.spectra import view
-from combinekit.theories import FormulaEnumeration, Theory, doubling_oracle, minmod_equalities
+from combinekit.theories import (
+    FormulaEnumeration,
+    Reading,
+    Theory,
+    doubling_oracle,
+    minmod_equalities,
+)
 
 TOP = Cube(())
 
@@ -226,12 +232,15 @@ def test_max_finite_computes_the_equality_minimum_once(monkeypatch):
     assert seen == [c]
 
 
-def test_quasi_gentle_scan_computes_each_side_minimum_once(monkeypatch):
+def test_quasi_gentle_scan_computes_no_side_minimum(monkeypatch):
+    # The block count of an arrangement is both sides' equality minimum,
+    # so the shell's views are readings at that floor and no side cube's
+    # minimum is ever computed.
     sides = []
 
-    def recording_view(theory, cube):
-        sides.append(cube)
-        return view(theory, cube)
+    def recording_view(theory, subject):
+        sides.append(subject)
+        return view(theory, subject)
 
     monkeypatch.setattr("combinekit.combine.view", recording_view)
     seen = _count_minmod_computations(monkeypatch)
@@ -242,8 +251,10 @@ def test_quasi_gentle_scan_computes_each_side_minimum_once(monkeypatch):
         f = parse_formula("(= x x)")
         v = combine_decide(MinSizeTheory(m), ExactSizeTheory(8), f, quasi_gentle())
         assert v.sat is sat and v.stats["loop_iterations"] >= 7
+        assert v.stats["arrangements_tried"] == 1  # one method run
         assert len(sides) == 2
-        assert sorted(map(id, seen)) == sorted({id(c) for c in sides})
+        assert [(type(r), r.part, r.floor) for r in sides] == [(Reading, None, 1)] * 2
+        assert seen == []
 
 
 # -- decision procedure examples -----------------------------------------------
@@ -575,6 +586,31 @@ def test_gap_index_decide_counts_the_gaps_once(monkeypatch, m, n):
     assert len(calls) <= m - 1
     exact = th.cube_spectrum_exact(c)
     assert sat == (exact.has_inf or not exact.finite_part.is_empty())
+
+
+@pytest.mark.parametrize("n, calls", [(4, 5), (50, 24)])
+def test_gap_index_scans_each_inner_size_once(monkeypatch, n, calls):
+    # spec_finite over k = 1..24 asks the inner theory about each size at
+    # most once, in ascending order, and stops at the n-th gap.
+    th = GapIndexTheory(toy_inner_theory())
+    asked = []
+    inner_spec_finite = th.inner.spec_finite
+    monkeypatch.setattr(th.inner, "spec_finite", lambda c, k: asked.append(k) or inner_spec_finite(c, k))
+    c = cube(f"(pred P Q {n})", th.resolver)
+    window = [k for k in range(1, 25) if th.spec_finite(c, k)]
+    assert window == ([5] if n == 4 else [])
+    assert asked == list(range(1, calls + 1))
+
+
+def test_nth_gap_answers_in_any_order():
+    rng = random.Random(17)
+    queries = [(fid, n, below) for fid in range(1, 33) for n in range(1, 7) for below in range(1, 13)]
+    rng.shuffle(queries)
+    th, reference = GapIndexTheory(toy_inner_theory()), toy_inner_theory()
+    for fid, n, below in queries:
+        phi = th.inner_cube(fid)
+        gaps = [k for k in range(1, below) if not reference.spec_finite(phi, k)]
+        assert th._nth_gap(fid, n, below) == (gaps[n - 1] if n <= len(gaps) else None)
 
 
 def test_nth_gap_matches_a_direct_count_of_inner_gaps():
