@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from .brute import brute_spectrum, random_cube
 from .catalog import BigModelTagTheory, witness_tgtnp
 from .errors import CapabilityMissing, IterationCapExceeded
-from .filters import NO, YES, FreeFilter, filter_includes, frechet, generated
+from .filters import NO, YES, FreeFilter, filter_includes, frechet
 from .formulas import Cube, PredicateLiteral
 from .properties import CLASSES, LATTICE_EDGES
-from .properties import class_ancestors  # noqa: F401  (re-exported)
 from .sets import bitzero, finite_set, upfrom
 from .spectra import ExactSpectrum, view
 from .theories import Theory
@@ -325,7 +324,6 @@ class LatticeReport:
     edges: tuple[tuple[str, str], ...]
     witnesses: dict
     placements: dict
-    inconsistent: tuple[str, ...]
 
     def to_json(self) -> dict:
         return {
@@ -335,7 +333,6 @@ class LatticeReport:
             "edges": [list(e) for e in self.edges],
             "witnesses": dict(sorted(self.witnesses.items())),
             "placements": dict(sorted(self.placements.items())),
-            "inconsistent": list(self.inconsistent),
         }
 
     def to_dot(self) -> str:
@@ -357,13 +354,7 @@ def build_lattice(
     the catalog: each edge is annotated with a theory placed exactly at
     its upper class (so provably outside the lower one)."""
     filt = filt or frechet()
-    placements: dict[str, list[str]] = {}
-    inconsistent: list[str] = []
-    for t in catalog:
-        try:
-            placements[t.name] = strongest_classes(t, n=n, filt=filt)
-        except Exception as e:  # certificate closure violations surface here
-            inconsistent.append(f"{t.name}: {e}")
+    placements = {t.name: strongest_classes(t, n=n, filt=filt) for t in catalog}
     witnesses: dict[str, str] = {}
     for lo, hi in LATTICE_EDGES:
         for t in catalog:
@@ -378,7 +369,6 @@ def build_lattice(
         edges=LATTICE_EDGES,
         witnesses=witnesses,
         placements=placements,
-        inconsistent=tuple(inconsistent),
     )
 
 
@@ -389,9 +379,8 @@ def bitzero_filter(indices: frozenset[int] | set[int]) -> FreeFilter:
     """The free filter generated by the chosen zero-bit sets; the empty
     index set gives the Fréchet filter."""
     idx = sorted(indices)
-    if not idx:
-        return frechet()
-    return generated(tuple(bitzero(i) for i in idx), name="F{" + ",".join(map(str, idx)) + "}")
+    name = "F{" + ",".join(map(str, idx)) + "}" if idx else "frechet"
+    return FreeFilter(tuple(bitzero(i) for i in idx), name)
 
 
 def filter_chain_demo(depth: int = 5) -> dict:

@@ -14,12 +14,13 @@ import re
 import sys
 
 from .brute import brute_sat_at, brute_spectrum, random_cube
-from .classify import build_lattice, filter_chain_demo, probe_certificate
+from .classify import DEFAULT_PROBE_BOUND, build_lattice, filter_chain_demo, probe_certificate
 from .combine import METHODS, Method, combine_decide, n_shiny
 from .diagonal import run_rounds
 from .errors import CapabilityMissing, CombineKitError
 from .formulas import iter_dnf, parse_formula, to_dnf
 from .registry import Registry, load_registry
+from .spectra import DEFAULT_ITERATION_CAP
 from .theories import Theory
 
 EXIT_SAT = 0
@@ -185,8 +186,8 @@ def cmd_filters(args, registry: Registry) -> int:
 # flag's default.  The parser's default is None, so that a flag given to a
 # subcommand that would ignore it can be refused.
 SCOPED_FLAGS = {
-    "K": (("classify", "brute-check"), 6),
-    "cap": (("combine",), 10_000),
+    "K": (("classify", "brute-check"), DEFAULT_PROBE_BOUND),
+    "cap": (("combine",), DEFAULT_ITERATION_CAP),
 }
 
 

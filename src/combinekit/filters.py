@@ -1,14 +1,15 @@
 """Free filters over the decidable-set algebra.
 
-Two constructive kinds are supported: the Fréchet filter (all cofinite
-sets) and filters generated by a finite family of eventually periodic
-sets with the strong finite intersection property, closed under
-supersets and cofinite refinement.
+One constructive kind is supported: the filter generated by a finite
+family of eventually periodic sets with the strong finite intersection
+property, closed under supersets and cofinite refinement.  With no
+generators it is the Fréchet filter (all cofinite sets).
 
-Membership is a yes/no verdict, decided exactly for a generated filter:
-intersections only shrink as the generator subset grows, so ``A``
-belongs to the filter iff ``(intersection of all generators) \\ A`` is
-finite.
+Membership is a yes/no verdict, decided exactly: intersections only
+shrink as the generator subset grows, so ``A`` belongs to the filter iff
+``(intersection of all generators) \\ A`` is finite.  The intersection of
+no generators is every size, so the Fréchet filter's members are exactly
+the cofinite sets.
 
 Ultrafilters are deliberately absent: they are non-constructive, and the
 self-dual quasi-gentle case they would induce stays uninstantiated.
@@ -20,27 +21,14 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 
-from .sets import EvPeriodicSet, universe
+from .sets import EvPeriodicSet, upfrom
 
 YES = "yes"
 NO = "no"
 
 
 @dataclass(frozen=True)
-class FrechetFilter:
-    """The filter of cofinite subsets of the positive naturals."""
-
-    name: str = "frechet"
-
-    def member(self, s: EvPeriodicSet) -> str:
-        return YES if s.is_cofinite() else NO
-
-    def generator_sets(self) -> tuple[EvPeriodicSet, ...]:
-        return ()
-
-
-@dataclass(frozen=True)
-class GeneratedFilter:
+class FreeFilter:
     """The free filter generated by finitely many infinite-intersection sets."""
 
     generators: tuple[EvPeriodicSet, ...]
@@ -56,29 +44,19 @@ class GeneratedFilter:
                     )
 
     def member(self, s: EvPeriodicSet) -> str:
-        core = reduce(lambda a, b: a.intersect(b), self.generators, universe())
+        core = reduce(lambda a, b: a.intersect(b), self.generators, upfrom(1))
         return YES if core.difference(s).is_finite() else NO
 
-    def generator_sets(self) -> tuple[EvPeriodicSet, ...]:
-        return self.generators
 
-
-FreeFilter = FrechetFilter | GeneratedFilter
-
-
-def frechet() -> FrechetFilter:
-    return FrechetFilter()
-
-
-def generated(generators: tuple[EvPeriodicSet, ...], name: str = "generated") -> GeneratedFilter:
-    return GeneratedFilter(generators, name)
+def frechet() -> FreeFilter:
+    return FreeFilter((), "frechet")
 
 
 def filter_includes(f1: FreeFilter, f2: FreeFilter) -> str:
     """Whether every member of f1 is a member of f2.
 
     Decided through generators: f1 is included in f2 iff each of f1's
-    generators belongs to f2 (the Fréchet filter has no generators beyond
-    the cofinite sets, which every free filter contains).
+    generators belongs to f2 (cofinite refinement needs no check: every
+    free filter contains the cofinite sets).
     """
-    return YES if all(f2.member(g) == YES for g in f1.generator_sets()) else NO
+    return YES if all(f2.member(g) == YES for g in f1.generators) else NO

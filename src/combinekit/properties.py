@@ -4,7 +4,9 @@ A certificate records which combination-relevant properties a theory's
 implementation actually supports.  Construction closes the declared
 classes upward along the inclusion lattice (`LATTICE_EDGES`, 15 edges):
 every implied property is filled in, and an explicit denial of an
-implied property is rejected.  `MEMBERSHIP` is the one test per class.
+implied property is rejected.  `CLASS_TABLE` states each class's facts
+once: the parameter its membership needs, its membership test, and the
+declared field that membership forces.
 
 Parameterized properties are rule-valued: n-decidability is a rule over
 cardinalities, quasi-gentleness (and its co-variant) a rule over free
@@ -17,22 +19,6 @@ from dataclasses import dataclass
 from functools import cache
 
 from .filters import NO, YES, FreeFilter
-
-# Lattice node names, top to bottom.
-CLASSES = (
-    "decidable",
-    "n-decidable",
-    "CFS",
-    "ID",
-    "co-F-QG",
-    "CS",
-    "SI",
-    "F-QG",
-    "gentle",
-    "SM+CS",
-    "n-shiny",
-    "shiny",
-)
 
 # (lower, upper) inclusion edges of the property lattice.
 LATTICE_EDGES = (
@@ -141,43 +127,34 @@ class PropertyCertificate:
     def member(self, cls: str, *, n: int | None = None, filt: FreeFilter | None = None) -> bool:
         """Membership of this theory in a lattice class; n-decidable and
         n-shiny need ``n``, F-QG and co-F-QG need ``filt``."""
-        if cls not in MEMBERSHIP:
+        if cls not in CLASS_TABLE:
             raise ValueError(f"unknown class {cls!r}")
-        param, test = MEMBERSHIP[cls]
+        param, test, _ = CLASS_TABLE[cls]
         arg = {"n": n, "filt": filt}.get(param)
         if param is not None and arg is None:
             raise ValueError(f"membership in {cls} needs {param}")
         return test(self, arg)
 
 
-# Each lattice class as (the parameter its membership needs, its test).
-MEMBERSHIP = {
-    "decidable": (None, lambda c, _: True),
-    "n-decidable": ("n", PropertyCertificate.is_n_decidable),
-    "CFS": (None, lambda c, _: c.cfs),
-    "ID": (None, lambda c, _: c.infinitely_decidable),
-    "co-F-QG": ("filt", PropertyCertificate.is_cofqg),
-    "CS": (None, lambda c, _: c.cs),
-    "SI": (None, lambda c, _: c.stably_infinite),
-    "F-QG": ("filt", PropertyCertificate.is_fqg),
-    "gentle": (None, lambda c, _: c.gentle),
-    "SM+CS": (None, lambda c, _: c.sm_cs),
-    "n-shiny": ("n", PropertyCertificate.is_n_shiny),
-    "shiny": (None, lambda c, _: c.shiny),
-}
-
-# The declared field behind each class that has one, and the value that
-# membership forces on it.  co-F-QG membership reads "F-QG, or the
+# Each lattice class, top to bottom, as (the parameter its membership
+# needs, its test, the declared field that membership forces with the
+# value it forces, or None).  co-F-QG membership reads "F-QG, or the
 # co-rule", so forcing it only rejects an explicit ("none",).
-FORCED_FIELDS = {
-    "CFS": ("cfs", True),
-    "ID": ("infinitely_decidable", True),
-    "SI": ("stably_infinite", True),
-    "SM+CS": ("smooth", True),
-    "gentle": ("gentle", True),
-    "F-QG": ("fqg_rule", ("all",)),
-    "co-F-QG": ("cofqg_rule", None),
+CLASS_TABLE = {
+    "decidable": (None, lambda c, _: True, None),
+    "n-decidable": ("n", PropertyCertificate.is_n_decidable, None),
+    "CFS": (None, lambda c, _: c.cfs, ("cfs", True)),
+    "ID": (None, lambda c, _: c.infinitely_decidable, ("infinitely_decidable", True)),
+    "co-F-QG": ("filt", PropertyCertificate.is_cofqg, ("cofqg_rule", None)),
+    "CS": (None, lambda c, _: c.cs, None),
+    "SI": (None, lambda c, _: c.stably_infinite, ("stably_infinite", True)),
+    "F-QG": ("filt", PropertyCertificate.is_fqg, ("fqg_rule", ("all",))),
+    "gentle": (None, lambda c, _: c.gentle, ("gentle", True)),
+    "SM+CS": (None, lambda c, _: c.sm_cs, ("smooth", True)),
+    "n-shiny": ("n", PropertyCertificate.is_n_shiny, None),
+    "shiny": (None, lambda c, _: c.shiny, None),
 }
+CLASSES = tuple(CLASS_TABLE)  # lattice node names, top to bottom
 
 
 @cache
@@ -260,9 +237,9 @@ def certificate(
         "CFS": cfs or partial_rule,
     }
     closed = frozenset().union(*(class_ancestors(c) for c, on in stated.items() if on))
-    for cls, (name, value) in FORCED_FIELDS.items():
-        if cls in closed:
-            force(name, value, f"{cls} in the lattice")
+    for cls, (_, _, forced) in CLASS_TABLE.items():
+        if forced and cls in closed:
+            force(*forced, f"{cls} in the lattice")
     if never_infinite and "SI" in closed:
         raise CertificateViolation("never_infinite contradicts stable infiniteness (and smoothness)")
 

@@ -215,10 +215,6 @@ def empty_set() -> EvPeriodicSet:
     return EvPeriodicSet((), (False,))
 
 
-def universe() -> EvPeriodicSet:
-    return EvPeriodicSet((), (True,))
-
-
 def finite_set(members: Iterable[int]) -> EvPeriodicSet:
     present = set(members)
     if not present:
@@ -289,7 +285,7 @@ def parse_set_literal(text: str) -> EvPeriodicSet:
     if t == "odds":
         return odds()
     if t == "all":
-        return universe()
+        return upfrom(1)
     if t == "empty":
         return empty_set()
     if t.startswith("finite:[") and t.endswith("]"):

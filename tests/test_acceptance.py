@@ -21,7 +21,6 @@ from combinekit.catalog import (
     toy_inner_theory,
 )
 from combinekit.classify import (
-    class_ancestors,
     generated_filter_inclusion,
     filter_chain_demo,
     probe_certificate,
@@ -50,7 +49,13 @@ from combinekit.formulas import (
     PredicateLiteral,
     enumerate_arrangements,
 )
-from combinekit.properties import CLASSES, LATTICE_EDGES, CertificateViolation, certificate
+from combinekit.properties import (
+    CLASSES,
+    LATTICE_EDGES,
+    CertificateViolation,
+    certificate,
+    class_ancestors,
+)
 from combinekit.sets import evens
 from combinekit.theories import FormulaEnumeration
 

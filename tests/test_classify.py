@@ -1,28 +1,43 @@
+import random
+from dataclasses import dataclass
+from types import SimpleNamespace
+
 import pytest
 
 from combinekit import classify
 from combinekit.brute import brute_spectrum
+from combinekit.cli import main
 from combinekit.catalog import BigModelTagTheory, EqualityTheory, MaxSizeTheory, SizePinTheory, StepTheory
 from combinekit.classify import (
     DEFAULT_PROBE_SAMPLES,
     bitzero_filter,
     build_lattice,
-    class_ancestors,
     filter_chain_demo,
     generated_filter_inclusion,
     probe_certificate,
     refute_class,
 )
 from combinekit.errors import CapabilityMissing
-from combinekit.filters import NO, YES, filter_includes, frechet, generated
+from combinekit.filters import NO, YES, FreeFilter, filter_includes, frechet
 from combinekit.formulas import EqualityLiteral
 from combinekit.properties import (
     CLASSES,
     LATTICE_EDGES,
     CertificateViolation,
     certificate,
+    class_ancestors,
 )
-from combinekit.sets import bitzero, evens, finite_set, odds
+from combinekit.registry import Registry
+from combinekit.sets import (
+    bitzero,
+    cofinite_excluding,
+    empty_set,
+    evens,
+    finite_set,
+    odds,
+    parse_set_literal,
+    upfrom,
+)
 from combinekit.spectra import ExactSpectrum
 from combinekit.theories import Theory
 
@@ -291,7 +306,26 @@ def test_lattice_has_15_edges_with_witnesses(theory_list):
     rep = build_lattice(theory_list)
     assert len(rep.edges) == 15
     assert set(rep.witnesses) == {f"{lo}<{hi}" for lo, hi in rep.edges}
-    assert not rep.inconsistent
+
+
+class _FaultyCertificate:
+    """A certificate whose membership test itself fails."""
+
+    def member(self, cls, **_):
+        raise RuntimeError(f"membership test for {cls} failed")
+
+
+def test_lattice_membership_fault_raises_and_exits_2(theory_list, monkeypatch, capsys):
+    # Last in the catalog: every edge finds its witness before it, so only
+    # the placement step reads its membership.
+    faulty = SimpleNamespace(name="faulty", certificate=_FaultyCertificate())
+    with pytest.raises(RuntimeError, match="membership test for decidable failed"):
+        build_lattice([*theory_list, faulty])
+    all_theories = Registry.all_theories
+    monkeypatch.setattr(Registry, "all_theories", lambda self: [*all_theories(self), faulty])
+    assert main(["lattice"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "membership test for decidable failed" in out.err
 
 
 def test_lattice_placements_match_expected(theory_list):
@@ -355,7 +389,7 @@ def test_generated_filter_membership_exact():
 
 def test_generators_must_have_infinite_intersections():
     with pytest.raises(ValueError):
-        generated((evens(), odds()))
+        FreeFilter((evens(), odds()))
 
 
 def test_filter_inclusion_examples():
@@ -389,3 +423,42 @@ def test_filter_chain_demo_report():
     assert report["ok"]
     assert len(report["chain"]) == 36
     assert len(report["antichain"]) == 20
+
+
+@dataclass(frozen=True)
+class _ReferenceFrechet:
+    """The Fréchet filter as a type of its own: exactly the cofinite sets,
+    and no generators."""
+
+    name: str = "frechet"
+    generators: tuple = ()
+
+    def member(self, s):
+        return YES if s.is_cofinite() else NO
+
+
+def _eventually_periodic_samples(rng):
+    sets = [evens(), odds(), empty_set(), *(bitzero(i) for i in range(1, 5))]
+    sets += [upfrom(n) for n in (1, 2, 7, 40)]
+    for _ in range(40):
+        sets.append(finite_set(rng.sample(range(1, 30), rng.randint(0, 5))))
+        sets.append(cofinite_excluding(rng.sample(range(1, 30), rng.randint(0, 5))))
+        p, q = rng.randint(0, 5), rng.randint(1, 6)
+        pre = "".join(rng.choice("01") for _ in range(p))
+        per = "".join(rng.choice("01") for _ in range(q))
+        sets.append(parse_set_literal(f"periodic:p={p},q={q},pre={pre},per={per}"))
+    return sets
+
+
+def test_frechet_is_the_free_filter_without_generators():
+    samples = _eventually_periodic_samples(random.Random(23))
+    ref = _ReferenceFrechet()
+    for s in samples:
+        assert frechet().member(s) == ref.member(s), s
+    filters = [frechet(), ref, *(bitzero_filter(i) for i in ({1}, {2, 3}, {1, 2, 4}))]
+    filters += [FreeFilter((s,)) for s in samples if not s.is_finite()]
+    assert any(filter_includes(f, ref) == YES for f in filters[5:])
+    assert any(filter_includes(f, ref) == NO for f in filters[5:])
+    for f in filters:
+        assert filter_includes(frechet(), f) == filter_includes(ref, f) == YES, f
+        assert filter_includes(f, frechet()) == filter_includes(f, ref), f
