@@ -19,6 +19,18 @@ from .formulas import Cube, EqualityLiteral, Formula, PredicateId, PredicateLite
 from .theories import Theory
 
 
+@lru_cache(maxsize=256)
+def _finite_signature(
+    families: frozenset[tuple[str, int]],
+) -> tuple[frozenset[PredicateId], tuple[frozenset[PredicateId], ...]] | None:
+    """A finite (all nullary) signature's whole closure and every subset
+    of it, enumerated once per signature; None for an infinite one."""
+    if not all(arity == 0 for _, arity in families):
+        return None
+    closure = frozenset(PredicateId(fam, ()) for fam, _ in families)
+    return closure, tuple(_pred_subsets(closure))
+
+
 def _closure_for(theory: Theory, cubes: tuple[Cube, ...], explicit) -> frozenset[PredicateId]:
     """Predicates allowed to be true: the whole signature when it is
     finite, else the predicates occurring positively in the cubes.
@@ -28,9 +40,9 @@ def _closure_for(theory: Theory, cubes: tuple[Cube, ...], explicit) -> frozenset
     predicates off never loses a model."""
     if explicit is not None:
         return frozenset(explicit)
-    fams = theory.signature.families
-    if all(arity == 0 for _, arity in fams):
-        return frozenset(PredicateId(fam, ()) for fam, _ in fams)
+    finite = _finite_signature(theory.signature.families)
+    if finite is not None:
+        return finite[0]
     out: set[PredicateId] = set()
     for cube in cubes:
         out.update(cube.positive_preds())
@@ -85,19 +97,16 @@ def _candidate_models(theory: Theory, cube: Cube, closure) -> tuple[int | None, 
     """The size-independent half of a cube's candidate models: the fewest
     equality classes its equality literals allow (None when none does),
     and the predicate subsets of the closure that agree with its
-    predicate literals."""
+    predicate literals.  Kept in ``_last_read``."""
     global _last_read
-    t, c, cl, blocks, fits = _last_read
-    if t is theory and c is cube and cl is closure:
-        return blocks, fits
     blocks = None if cube.contradictory else _min_satisfying_blocks(cube.eq_literals())
     fits = ()
     if blocks is not None:
+        finite = _finite_signature(theory.signature.families) if closure is None else None
+        subsets = finite[1] if finite else _pred_subsets(_closure_for(theory, (cube,), closure))
         lits = cube.pred_literals()
         fits = tuple(
-            subset
-            for subset in _pred_subsets(_closure_for(theory, (cube,), closure))
-            if all((lit.pred in subset) == lit.positive for lit in lits)
+            subset for subset in subsets if all((lit.pred in subset) == lit.positive for lit in lits)
         )
     _last_read = (theory, cube, closure, blocks, fits)
     return blocks, fits
@@ -115,10 +124,19 @@ def brute_sat_at(
     and the cube's predicate literals) and the equality side (which
     variable assignments satisfy the equality literals) are independent,
     so each is enumerated exhaustively on its own.  Only the model
-    checker depends on k; the rest is read once per cube.
+    checker depends on k; the rest is read once per cube (the last cube
+    read is kept in ``_last_read``), and a finite signature's closure and
+    its subsets once per signature.
     """
-    blocks, fits = _candidate_models(theory, cube, closure)
-    return blocks is not None and blocks <= k and any(theory.model_check(k, s) for s in fits)
+    t, c, cl, blocks, fits = _last_read
+    if not (t is theory and c is cube and cl is closure):
+        blocks, fits = _candidate_models(theory, cube, closure)
+    if blocks is None or blocks > k:
+        return False
+    for s in fits:
+        if theory.model_check(k, s):
+            return True
+    return False
 
 
 def _pred_subsets(preds: frozenset[PredicateId]):

@@ -18,7 +18,7 @@ import itertools
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError, SignatureError
@@ -110,7 +110,8 @@ class Cube:
     (as in a join of two cubes) merge in linear time.  ``contradictory``
     is true when the cube contains x != x or a literal together with its
     negation.  ``minmod`` is the equality minimum
-    (:func:`minmod_equalities`), computed at most once per cube.
+    (:func:`minmod_equalities`), read at most once per cube; cubes with
+    the same equality literals share one computation of it.
     Tautological self-equalities x = x are retained (they contribute
     variables, which matters for witness constructions).
     """
@@ -472,11 +473,11 @@ class Arrangement:
 
 
 def equality_classes(
-    cube: Cube,
+    eq_lits: Iterable[EqualityLiteral],
 ) -> tuple[Callable[[str], str], defaultdict[str, set[str]]] | None:
-    """The classes the cube's positive equalities merge its variables into,
+    """The classes a cube's positive equalities merge its variables into,
     and the disequality graph over them; None when a disequality falls
-    inside a class.
+    inside a class.  Reads only the cube's equality literals.
 
     Returns ``(find, apart)``: ``find`` maps a variable to its class
     representative, and ``apart`` maps a class to the classes the cube
@@ -492,7 +493,7 @@ def equality_classes(
         return x
 
     neqs = []
-    for lit in cube.eq_literals():
+    for lit in eq_lits:
         if lit.positive:
             parent[find(lit.left)] = find(lit.right)
         else:
@@ -507,6 +508,14 @@ def equality_classes(
     return find, apart
 
 
+# The memo of equality minima keeps at most EQUALITY_MINIMA_KEPT parts,
+# least recently used dropped first, and only parts of at most
+# EQUALITY_PART_KEPT_LITERALS literals: a k-clique's part has k(k-1)/2
+# literals and is rarely seen twice, so keeping those would hold megabytes.
+EQUALITY_MINIMA_KEPT = 256
+EQUALITY_PART_KEPT_LITERALS = 8
+
+
 def minmod_equalities(cube: Cube) -> int | None:
     """Minimum model size of the equality part of a cube; None if inconsistent.
 
@@ -514,9 +523,18 @@ def minmod_equalities(cube: Cube) -> int | None:
     the chromatic number of the disequality graph over those classes,
     taken per connected component; complete components in closed form,
     any other searched upward from the best so far (1 without
-    disequalities, since domains are nonempty).
+    disequalities, since domains are nonempty).  A short part's minimum
+    is computed once and memoized by ``cube.eq_literals()``, which is
+    normalized and sorted and is the only input the minimum reads.
     """
-    graph = equality_classes(cube)
+    eq_lits = cube.eq_literals()
+    if len(eq_lits) > EQUALITY_PART_KEPT_LITERALS:
+        return _equality_minimum(eq_lits)
+    return _kept_equality_minimum(eq_lits)
+
+
+def _equality_minimum(eq_lits: tuple[EqualityLiteral, ...]) -> int | None:
+    graph = equality_classes(eq_lits)
     if graph is None:
         return None
     # Only classes on a disequality can need more than one element.
@@ -560,6 +578,9 @@ def minmod_equalities(cube: Cube) -> int | None:
     return best
 
 
+_kept_equality_minimum = lru_cache(maxsize=EQUALITY_MINIMA_KEPT)(_equality_minimum)
+
+
 def enumerate_arrangements(
     variables: Iterable[str], cube: Cube | None = None
 ) -> Iterator[Arrangement]:
@@ -579,7 +600,7 @@ def enumerate_arrangements(
     vs = sorted(set(variables))
     find, apart = (lambda v: v), defaultdict(set)  # every variable its own class
     if cube is not None:
-        graph = equality_classes(cube)
+        graph = equality_classes(cube.eq_literals())
         if graph is None:
             return
         find, apart = graph

@@ -2,9 +2,10 @@
 
 Every catalog theory constrains only domain cardinalities.  So the
 spectrum of a cube is the set of sizes its predicate literals allow, cut
-off below at the cube's equality minimum, which ``Cube.minmod`` computes
-once per cube (:func:`~combinekit.formulas.minmod_equalities`).  A
-theory declares exactly that, and the :class:`Theory` base derives every
+off below at the cube's equality minimum, which ``Cube.minmod`` reads
+once per cube (:func:`~combinekit.formulas.minmod_equalities`, which
+computes it once per distinct short equality part).  A theory declares
+exactly that, and the :class:`Theory` base derives every
 query from it.  A concrete theory declares:
 
 * ``certificate``, and ``signature`` unless it is the empty one;

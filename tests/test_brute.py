@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 from pathlib import Path
 
@@ -6,7 +7,6 @@ from combinekit import brute
 from combinekit.brute import (
     _closure_for,
     _min_satisfying_blocks,
-    _pred_subsets,
     brute_combined_formula_sat,
     brute_sat_at,
     brute_spectrum,
@@ -22,7 +22,7 @@ from combinekit.catalog import (
     StepTheory,
 )
 from combinekit.errors import SignatureError
-from combinekit.formulas import And, Cube, parse_formula, to_dnf
+from combinekit.formulas import And, Cube, PredicateId, parse_formula, to_dnf
 
 TOP = Cube(())
 
@@ -85,8 +85,6 @@ def test_monotone_in_max_card(catalog, rng):
 
 def test_enlarging_closure_never_flips_true_to_false(catalog, rng):
     t = catalog["T_eq_P"]
-    from combinekit.formulas import PredicateId
-
     extra = frozenset({PredicateId("P", (6,)), PredicateId("P", (2,))})
     for _ in range(60):
         c = random_cube(t, rng, max_vars=3, max_literals=3)
@@ -94,6 +92,44 @@ def test_enlarging_closure_never_flips_true_to_false(catalog, rng):
         for k in range(1, 5):
             if brute_sat_at(t, c, k, closure=base):
                 assert brute_sat_at(t, c, k, closure=base | extra)
+
+
+def _reference_closure(theory, cube, explicit):
+    """The oracle's closure, rebuilt on every call: the whole signature
+    when it is finite, else the cube's positive predicates."""
+    if explicit is not None:
+        return frozenset(explicit)
+    fams = theory.signature.families
+    if all(arity == 0 for _, arity in fams):
+        return frozenset(PredicateId(fam, ()) for fam, _ in fams)
+    return frozenset(cube.positive_preds())
+
+
+def _reference_subsets(preds):
+    ordered = sorted(preds, key=lambda p: p.sort_key)
+    for r in range(len(ordered) + 1):
+        for combo in itertools.combinations(ordered, r):
+            yield frozenset(combo)
+
+
+def _reference_candidates(theory, cube, closure):
+    """A cube's fewest equality classes and fitting predicate subsets,
+    enumerated afresh on every call."""
+    blocks = None if cube.contradictory else _min_satisfying_blocks(cube.eq_literals())
+    fits = ()
+    if blocks is not None:
+        lits = cube.pred_literals()
+        fits = tuple(
+            subset
+            for subset in _reference_subsets(_reference_closure(theory, cube, closure))
+            if all((lit.pred in subset) == lit.positive for lit in lits)
+        )
+    return blocks, fits
+
+
+def _reference_sat_at(theory, cube, k, closure=None):
+    blocks, fits = _reference_candidates(theory, cube, closure)
+    return blocks is not None and blocks <= k and any(theory.model_check(k, s) for s in fits)
 
 
 def _per_size_loop(theory, cube, k, closure=None):
@@ -104,7 +140,7 @@ def _per_size_loop(theory, cube, k, closure=None):
     blocks = _min_satisfying_blocks(cube.eq_literals())
     if blocks is None or blocks > k:
         return False
-    for subset in _pred_subsets(_closure_for(theory, (cube,), closure)):
+    for subset in _reference_subsets(_reference_closure(theory, cube, closure)):
         if theory.model_check(k, subset) and all(
             (lit.pred in subset) == lit.positive for lit in cube.pred_literals()
         ):
@@ -144,6 +180,27 @@ def test_reading_each_cube_once_matches_the_per_size_loop(theory_list):
             assert brute_spectrum(t, c, 6) == {k for k in range(1, 7) if _per_size_loop(t, c, k)}
 
 
+def test_oracle_matches_a_fresh_enumeration_per_cube(theory_list):
+    # A finite signature's closure and subsets are enumerated once per
+    # signature; a fresh enumeration per cube and size is the reference.
+    assert "Th_of(toy)" in {t.name for t in theory_list}
+    rng = random.Random(2429)
+    for t in theory_list:
+        for _ in range(40):
+            c = random_cube(t, rng)
+            base = frozenset(c.positive_preds())
+            extra = base | {p for p in (t.sample_pred(rng), t.sample_pred(rng)) if p is not None}
+            for closure in (None, base, extra):
+                for k in range(1, 7):
+                    assert brute_sat_at(t, c, k, closure) == _reference_sat_at(t, c, k, closure), (t, c, k)
+            assert brute_spectrum(t, c, 6) == {k for k in range(1, 7) if _reference_sat_at(t, c, k)}, (t, c)
+    for t in theory_list:
+        assert _closure_for(t, (), None) == _reference_closure(t, TOP, None)
+        finite = brute._finite_signature(t.signature.families)
+        if finite is not None:
+            assert finite == (_reference_closure(t, TOP, None), tuple(_reference_subsets(finite[0])))
+
+
 def test_a_size_scan_enumerates_the_cube_once(monkeypatch, catalog):
     calls = []
     real = brute._pred_subsets
@@ -151,6 +208,11 @@ def test_a_size_scan_enumerates_the_cube_once(monkeypatch, catalog):
     c = cube("(and (P 2) (= x y))")
     assert brute_spectrum(catalog["T_eq_P"], c, 6) == {2}
     assert len(calls) == 1
+    # A finite signature's subsets are enumerated once for all its cubes.
+    brute._finite_signature.cache_clear()
+    for text in ("(= x y)", "(distinct x y)", "(and (pred P) (= x x))"):
+        brute_spectrum(catalog["T_ns_4"], cube(text), 6)
+    assert len(calls) == 2
 
 
 def test_formula_level_joint_models():
@@ -164,6 +226,8 @@ def test_formula_level_joint_models():
 # The oracle referees the theories' closed forms, so it must not use them.
 CLOSED_FORM_NAMES = {
     "minmod_equalities",
+    "_equality_minimum",
+    "_kept_equality_minimum",
     "equality_classes",
     "decide_at_least",
     "decide_cube",
@@ -200,3 +264,5 @@ def test_brute_oracle_never_reads_the_closed_forms():
             used.append(node.value)  # getattr(cube, "minmod") and the like
     assert "minmod" not in used
     assert not CLOSED_FORM_NAMES & set(used)
+    # The walk reaches every helper the oracle defines.
+    assert {"_finite_signature", "_closure_for", "_candidate_models", "_pred_subsets", "brute_sat_at"} <= set(used)

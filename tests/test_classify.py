@@ -405,19 +405,6 @@ def test_filter_inclusion_examples():
     assert filter_includes(frechet(), bitzero_filter({3})) == YES
 
 
-def test_filter_inclusion_matches_index_inclusion_exhaustively():
-    import itertools
-
-    universe = [1, 2, 3, 4, 5]
-    subsets = []
-    for r in range(len(universe) + 1):
-        subsets.extend(set(c) for c in itertools.combinations(universe, r))
-    for s1 in subsets:
-        for s2 in subsets:
-            want = YES if s1 <= s2 else NO
-            assert generated_filter_inclusion(s1, s2) == want, (s1, s2)
-
-
 def test_filter_chain_demo_report():
     report = filter_chain_demo(5)
     assert report["ok"]

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -197,6 +198,125 @@ def test_minmod_odd_cycle_needs_three():
     lits = [EqualityLiteral(vs[i], vs[(i + 1) % 5], False) for i in range(5)]
     assert minmod_equalities(Cube(tuple(lits))) == 3
 
+
+
+def _uncached_minmod(cube):
+    """The equality minimum as computed before it was memoized: one union
+    find and colouring per call, reading the cube's equality literals."""
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    neqs = []
+    for lit in cube.eq_literals():
+        if lit.positive:
+            parent[find(lit.left)] = find(lit.right)
+        else:
+            neqs.append(lit)
+    adj = collections.defaultdict(set)
+    for lit in neqs:
+        ra, rb = find(lit.left), find(lit.right)
+        if ra == rb:
+            return None
+        adj[ra].add(rb)
+        adj[rb].add(ra)
+
+    def colorable(order, k, colors):
+        if len(colors) == len(order):
+            return True
+        v = order[len(colors)]
+        used = {colors[u] for u in adj[v] if u in colors}
+        for c in range(k):
+            if c in used:
+                continue
+            colors[v] = c
+            if colorable(order, k, colors):
+                return True
+            del colors[v]
+            if c not in colors.values():
+                break
+        return False
+
+    best, seen = 1, set()
+    for root in adj:
+        if root in seen:
+            continue
+        seen.add(root)
+        comp = [root]
+        for v in comp:
+            fresh = adj[v] - seen
+            seen |= fresh
+            comp.extend(fresh)
+        if len(comp) <= best:
+            continue
+        if all(len(adj[v]) == len(comp) - 1 for v in comp):
+            best = len(comp)
+            continue
+        order = sorted(comp, key=lambda c: (-len(adj[c]), c))
+        while not colorable(order, best, {}):
+            best += 1
+    return best
+
+
+def _scan_cube(rng, c):
+    """As the scan workload builds them: a disequality clique over c class
+    representatives plus extra variables placed in those classes."""
+    reps = [f"a{i}" for i in range(1, c + 1)]
+    lits = [EqualityLiteral(a, b, False) for a, b in itertools.combinations(reps, 2)]
+    for j in range(rng.randint(0, 3)):
+        home = rng.choice(reps)
+        lits.append(EqualityLiteral(f"b{j}", home, True))
+        other = [r for r in reps if r != home]
+        if other:
+            lits.append(EqualityLiteral(f"b{j}", rng.choice(other), False))
+    return Cube(tuple(lits) or (EqualityLiteral("a1", "a1", True),))
+
+
+def test_memoized_minimum_matches_the_uncached_computation(theory_list):
+    rng = random.Random(2424)
+    assert "Th_of(toy)" in {t.name for t in theory_list}
+    cubes = [random_cube(t, rng) for t in theory_list for _ in range(60)]
+    for t in theory_list:
+        enum = FormulaEnumeration(t)
+        cubes += [enum.cube(fid) for fid in range(1, min(enum.size, 300) + 1)]
+    for _ in range(150):
+        base = _scan_cube(rng, rng.randint(1, 6))
+        cubes += [base] + [clique_extension(base, k) for k in range(1, rng.randint(2, 12))]
+    cubes += [component_cube(rng) for _ in range(200)]
+    assert any(len(c.eq_literals()) > formulas.EQUALITY_PART_KEPT_LITERALS for c in cubes)
+    for _ in range(2):  # the second pass answers from the memo
+        for c in cubes:
+            assert minmod_equalities(c) == _uncached_minmod(c), c
+            twin = Cube(c.pred_literals()[:1] + c.eq_literals())
+            assert minmod_equalities(twin) == _uncached_minmod(c), c
+
+
+def test_equality_minimum_is_computed_once_per_equality_part(monkeypatch):
+    computed = []
+    real = formulas.equality_classes
+    monkeypatch.setattr(formulas, "equality_classes", lambda lits: computed.append(lits) or real(lits))
+    part = (EqualityLiteral("memo_a", "memo_b", False), EqualityLiteral("memo_b", "memo_c", False))
+    one = Cube(part + (plit("P", 2),))
+    other = Cube(part + (plit("P", 3, positive=False), plit("Q")))
+    assert one is not other and one.eq_literals() == other.eq_literals()
+    assert one.minmod == other.minmod == 2
+    assert len(computed) == 1
+    # A part past the literal bound is not kept: each cube computes it.
+    clique = neq_clique([f"memo_{i}" for i in range(6)], 6)
+    assert len(clique.eq_literals()) > formulas.EQUALITY_PART_KEPT_LITERALS
+    assert Cube(clique.literals).minmod == Cube(clique.literals).minmod == 6
+    assert len(computed) == 3
+    # More distinct parts than the bound: the memo holds at most the bound.
+    bound = formulas.EQUALITY_MINIMA_KEPT
+    for i in range(bound + 50):
+        assert Cube((EqualityLiteral(f"memo_x{i}", f"memo_y{i}", False),)).minmod == 2
+    info = formulas._kept_equality_minimum.cache_info()
+    assert info.maxsize == bound and info.currsize <= bound
 
 
 def test_cached_minmod_matches_a_fresh_computation_and_brute(theory_list, rng):
