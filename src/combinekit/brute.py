@@ -19,34 +19,20 @@ from .formulas import Cube, EqualityLiteral, Formula, PredicateId, PredicateLite
 from .theories import Theory
 
 
-@lru_cache(maxsize=256)
-def _finite_signature(
-    families: frozenset[tuple[str, int]],
-) -> tuple[frozenset[PredicateId], tuple[frozenset[PredicateId], ...]] | None:
-    """A finite (all nullary) signature's whole closure and every subset
-    of it, enumerated once per signature; None for an infinite one."""
-    if not all(arity == 0 for _, arity in families):
-        return None
-    closure = frozenset(PredicateId(fam, ()) for fam, _ in families)
-    return closure, tuple(_pred_subsets(closure))
-
-
-def _closure_for(theory: Theory, cubes: tuple[Cube, ...], explicit) -> frozenset[PredicateId]:
+def _closure_for(theory: Theory, pred_lits, explicit) -> frozenset[PredicateId]:
     """Predicates allowed to be true: the whole signature when it is
-    finite, else the predicates occurring positively in the cubes.
+    finite (all nullary), else the predicates occurring positively in
+    ``pred_lits``.
 
     Sound because the infinite-signature theories in the catalog only
     constrain models through positively guarded axioms, so turning extra
     predicates off never loses a model."""
     if explicit is not None:
         return frozenset(explicit)
-    finite = _finite_signature(theory.signature.families)
-    if finite is not None:
-        return finite[0]
-    out: set[PredicateId] = set()
-    for cube in cubes:
-        out.update(cube.positive_preds())
-    return frozenset(out)
+    families = theory.signature.families
+    if all(arity == 0 for _, arity in families):
+        return frozenset(PredicateId(fam, ()) for fam, _ in families)
+    return frozenset(lit.pred for lit in pred_lits if lit.positive)
 
 
 def _assignments(variables: tuple[str, ...], k: int):
@@ -69,7 +55,13 @@ def _assignments(variables: tuple[str, ...], k: int):
     yield from rec(0, 0)
 
 
-@lru_cache(maxsize=100_000)
+# Memo bounds, least recently used dropped first: equality parts, and
+# (theory, predicate part, closure) keys.
+EQUALITY_PARTS_KEPT = 100_000
+PRED_PARTS_KEPT = 256
+
+
+@lru_cache(maxsize=EQUALITY_PARTS_KEPT)
 def _min_satisfying_blocks(eq_lits: tuple[EqualityLiteral, ...]) -> int | None:
     """Smallest number of equality classes over all canonical assignments
     satisfying a cube's equality literals (keyed by them alone, so the
@@ -87,29 +79,20 @@ def _min_satisfying_blocks(eq_lits: tuple[EqualityLiteral, ...]) -> int | None:
     return best
 
 
-# The last cube the oracle read: (theory, cube, closure, blocks, fits).
-# Compared by identity, so a size scan over one cube enumerates its
-# candidate models once, no cube is hashed and at most one is held.
-_last_read = (None, None, None, None, ())
+@lru_cache(maxsize=PRED_PARTS_KEPT)
+def _fitting_subsets(theory: Theory, pred_lits: tuple[PredicateLiteral, ...], closure) -> tuple:
+    """The predicate subsets of the closure that agree with a cube's
+    predicate literals, and the model checker's verdict on them per size,
+    filled in as sizes are asked."""
+    subsets = _pred_subsets(_closure_for(theory, pred_lits, closure))
+    fits = tuple(s for s in subsets if all((lit.pred in s) == lit.positive for lit in pred_lits))
+    return fits, {}
 
 
-def _candidate_models(theory: Theory, cube: Cube, closure) -> tuple[int | None, tuple]:
-    """The size-independent half of a cube's candidate models: the fewest
-    equality classes its equality literals allow (None when none does),
-    and the predicate subsets of the closure that agree with its
-    predicate literals.  Kept in ``_last_read``."""
-    global _last_read
-    blocks = None if cube.contradictory else _min_satisfying_blocks(cube.eq_literals())
-    fits = ()
-    if blocks is not None:
-        finite = _finite_signature(theory.signature.families) if closure is None else None
-        subsets = finite[1] if finite else _pred_subsets(_closure_for(theory, (cube,), closure))
-        lits = cube.pred_literals()
-        fits = tuple(
-            subset for subset in subsets if all((lit.pred in subset) == lit.positive for lit in lits)
-        )
-    _last_read = (theory, cube, closure, blocks, fits)
-    return blocks, fits
+# The last cube the oracle read: (theory, cube, closure, blocks, fits,
+# verdicts).  Compared by identity, so a size scan over one cube hashes
+# none of its parts, and at most one cube is held.
+_last_read = (None, None, None, None, (), {})
 
 
 def brute_sat_at(
@@ -123,20 +106,23 @@ def brute_sat_at(
     The predicate side (which predicate subsets pass the model checker
     and the cube's predicate literals) and the equality side (which
     variable assignments satisfy the equality literals) are independent,
-    so each is enumerated exhaustively on its own.  Only the model
-    checker depends on k; the rest is read once per cube (the last cube
-    read is kept in ``_last_read``), and a finite signature's closure and
-    its subsets once per signature.
+    so each is enumerated exhaustively on its own, from the cube's
+    predicate part and equality part: once per part while its memo keeps
+    it (and the last cube read in ``_last_read``), asking the model
+    checker once per predicate part and size.
     """
-    t, c, cl, blocks, fits = _last_read
+    global _last_read
+    t, c, cl, blocks, fits, verdicts = _last_read
     if not (t is theory and c is cube and cl is closure):
-        blocks, fits = _candidate_models(theory, cube, closure)
+        blocks = None if cube.contradictory else _min_satisfying_blocks(cube.eq_part)
+        fits, verdicts = ((), {}) if blocks is None else _fitting_subsets(theory, cube.pred_part, closure)
+        _last_read = (theory, cube, closure, blocks, fits, verdicts)
     if blocks is None or blocks > k:
         return False
-    for s in fits:
-        if theory.model_check(k, s):
-            return True
-    return False
+    sat = verdicts.get(k)
+    if sat is None:
+        sat = verdicts[k] = any(theory.model_check(k, s) for s in fits)
+    return sat
 
 
 def _pred_subsets(preds: frozenset[PredicateId]):

@@ -30,7 +30,6 @@ from .theories import (
     EMPTY,
     SAMPLE_INDEX_BOUND,
     TAGGED,
-    UNSAT,
     FOracle,
     FormulaEnumeration,
     Readable,
@@ -416,12 +415,8 @@ class _BarePredicateTheory(Theory):
     (True, False, or None when the cube does not mention it), and a
     model's part is whether the predicate is true."""
 
-    def read_part(self, cube: Cube):
-        polarity = None
-        for lit in cube.pred_literals():
-            self.check_pred(lit.pred)
-            polarity = lit.positive
-        return UNSAT if cube.contradictory else polarity
+    def read_part(self, pred_part):
+        return pred_part[-1].positive if pred_part else None
 
     def model_check(self, size, true_preds):
         return self.admits(size, PredicateId(self.family, ()) in true_preds)
@@ -484,10 +479,8 @@ class OracleFloorTheory(Theory):
         self._declare_family("T_geq_F", family, 1)
         self.certificate = certificate(cfs=True, smooth=True)
 
-    def read_part(self, cube: Cube):
-        for lit in cube.pred_literals():
-            self.check_pred(lit.pred)
-        return UNSAT if cube.contradictory else cube.positive_preds()
+    def read_part(self, pred_part):
+        return tuple(lit.pred for lit in pred_part if lit.positive)
 
     def shape(self, pos):
         if not pos:

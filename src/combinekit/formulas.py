@@ -15,10 +15,11 @@ parser.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError, SignatureError
@@ -26,7 +27,7 @@ from .errors import ParseError, SignatureError
 Index = int | str  # positive int, or the "inf" marker
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredicateId:
     """An indexed nullary predicate, e.g. P_3, P_(7,2) or R_(2,5,9)."""
 
@@ -43,7 +44,7 @@ class PredicateId:
 
     @property
     def sort_key(self):
-        return (self.family, tuple((1, "") if ix == "inf" else (0, ix) for ix in self.indices))
+        return (self.family, tuple([(1, "") if ix == "inf" else (0, ix) for ix in self.indices]))
 
     def __str__(self) -> str:
         if not self.indices:
@@ -51,7 +52,7 @@ class PredicateId:
         return self.family + "_" + ",".join(str(ix) for ix in self.indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredicateLiteral:
     pred: PredicateId
     positive: bool = True
@@ -70,7 +71,7 @@ class PredicateLiteral:
         return str(self.pred) if self.positive else f"~{self.pred}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EqualityLiteral:
     """x = y or x != y, with endpoints stored in lexicographic order."""
 
@@ -102,16 +103,34 @@ class EqualityLiteral:
 Literal = PredicateLiteral | EqualityLiteral
 
 
+_sort_key = operator.attrgetter("sort_key")
+
+
+class _computed_once:
+    """``functools.cached_property`` without the lock that Python 3.11
+    takes on each first read."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Cube:
     """A normalized conjunction of literals.
 
-    Literals are deduplicated in input order, then sorted, so sorted runs
-    (as in a join of two cubes) merge in linear time.  ``contradictory``
-    is true when the cube contains x != x or a literal together with its
-    negation.  ``minmod`` is the equality minimum
-    (:func:`minmod_equalities`), read at most once per cube; cubes with
-    the same equality literals share one computation of it.
+    Literals are deduplicated in input order, then sorted, predicates
+    first, so sorted runs (as in a join of two cubes) merge in linear
+    time.  ``pred_part`` and ``eq_part`` are the two slices of the sorted
+    literals at that boundary; verdicts read the parts apart, so memos key
+    on a part, not on the cube.  ``contradictory`` (x != x, or a literal
+    with its negation) and ``minmod``, the equality minimum
+    (:func:`minmod_equalities`), are computed at most once per cube.
     Tautological self-equalities x = x are retained (they contribute
     variables, which matters for witness constructions).
     """
@@ -119,11 +138,11 @@ class Cube:
     literals: tuple[Literal, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "literals", tuple(sorted(dict.fromkeys(self.literals), key=lambda l: l.sort_key))
-        )
+        lits = sorted(dict.fromkeys(self.literals), key=_sort_key)
+        cut = sum(type(l) is PredicateLiteral for l in lits)
+        vars(self).update(literals=tuple(lits), pred_part=tuple(lits[:cut]), eq_part=tuple(lits[cut:]))
 
-    @cached_property
+    @_computed_once
     def contradictory(self) -> bool:
         # Sorting puts each negative literal right after its positive twin.
         prev = None
@@ -141,24 +160,19 @@ class Cube:
             prev = lit
         return False
 
-    @cached_property
+    @_computed_once
     def minmod(self) -> int | None:
         return minmod_equalities(self)
 
     def variables(self) -> frozenset[str]:
         out: set[str] = set()
-        for lit in self.literals:
-            out |= lit.variables()
+        for lit in self.eq_part:
+            out.add(lit.left)
+            out.add(lit.right)
         return frozenset(out)
 
-    def pred_literals(self) -> tuple[PredicateLiteral, ...]:
-        return tuple(l for l in self.literals if isinstance(l, PredicateLiteral))
-
-    def eq_literals(self) -> tuple[EqualityLiteral, ...]:
-        return tuple(l for l in self.literals if isinstance(l, EqualityLiteral))
-
     def positive_preds(self) -> tuple[PredicateId, ...]:
-        return tuple(l.pred for l in self.pred_literals() if l.positive)
+        return tuple(l.pred for l in self.pred_part if l.positive)
 
     def join(self, other: "Cube") -> "Cube":
         return Cube(self.literals + other.literals)
@@ -524,10 +538,10 @@ def minmod_equalities(cube: Cube) -> int | None:
     taken per connected component; complete components in closed form,
     any other searched upward from the best so far (1 without
     disequalities, since domains are nonempty).  A short part's minimum
-    is computed once and memoized by ``cube.eq_literals()``, which is
+    is computed once and memoized by ``cube.eq_part``, which is
     normalized and sorted and is the only input the minimum reads.
     """
-    eq_lits = cube.eq_literals()
+    eq_lits = cube.eq_part
     if len(eq_lits) > EQUALITY_PART_KEPT_LITERALS:
         return _equality_minimum(eq_lits)
     return _kept_equality_minimum(eq_lits)
@@ -600,7 +614,7 @@ def enumerate_arrangements(
     vs = sorted(set(variables))
     find, apart = (lambda v: v), defaultdict(set)  # every variable its own class
     if cube is not None:
-        graph = equality_classes(cube.eq_literals())
+        graph = equality_classes(cube.eq_part)
         if graph is None:
             return
         find, apart = graph
@@ -662,36 +676,33 @@ def split_by_signature(
 
     Returns (side1 cube, side2 cube, shared variables).  Each side is a
     subsequence of the cube's literals, so it is already normalized, and
-    it is consistent when the cube is.  Every variable sits on an
-    equality, so the sides share all of the cube's variables.  Raises
-    SignatureError for predicates owned by neither side or overlapping
-    signatures.
+    it is consistent when the cube is.  Both sides share the cube's
+    equality part, and so all of its variables.  Raises SignatureError
+    for predicates owned by neither side or overlapping signatures.
     """
     if not sig1.disjoint_from(sig2):
         overlap = sorted(sig1.families & sig2.families)
         raise SignatureError(f"signatures overlap on {overlap}; rename a family")
     lits1: list[Literal] = []
     lits2: list[Literal] = []
-    for lit in cube.literals:
-        if isinstance(lit, EqualityLiteral):
-            lits1.append(lit)
-            lits2.append(lit)
-        elif sig1.owns(lit.pred):
+    for lit in cube.pred_part:
+        if sig1.owns(lit.pred):
             lits1.append(lit)
         elif sig2.owns(lit.pred):
             lits2.append(lit)
         else:
             raise SignatureError(f"predicate {lit.pred} owned by neither signature")
-    return _subcube(cube, lits1), _subcube(cube, lits2), cube.variables()
+    return _subcube(cube, tuple(lits1)), _subcube(cube, tuple(lits2)), cube.variables()
 
 
-def _subcube(cube: Cube, literals: list[Literal]) -> Cube:
-    """The cube of a subsequence of a cube's literals, without sorting them
-    again; a consistent cube's subsequence is consistent."""
+def _subcube(cube: Cube, pred_part: tuple[PredicateLiteral, ...]) -> Cube:
+    """The cube of a subsequence of a cube's predicate literals and all of
+    its equality literals, without sorting them again; a consistent cube's
+    subsequence is consistent."""
     sub = object.__new__(Cube)
-    object.__setattr__(sub, "literals", tuple(literals))
+    vars(sub).update(literals=pred_part + cube.eq_part, pred_part=pred_part, eq_part=cube.eq_part)
     if not cube.contradictory:
-        sub.__dict__["contradictory"] = False
+        vars(sub)["contradictory"] = False
     return sub
 
 
@@ -706,7 +717,7 @@ def canonical_cubes(literal_pool: Sequence[Literal]) -> Iterator[Cube]:
     Formula ids elsewhere in the library are 1-based positions in this
     stream (id 1 is the empty cube).
     """
-    pool = sorted(set(literal_pool), key=lambda l: l.sort_key)
+    pool = sorted(set(literal_pool), key=_sort_key)
     for size in range(len(pool) + 1):
         for combo in itertools.combinations(pool, size):
             yield Cube(combo)

@@ -46,10 +46,20 @@ class RegistryError(CombineKitError):
     pass
 
 
+def _field(spec: dict, key: str, kind: type = int):
+    """The field ``key``, present and of exactly this JSON type."""
+    if key not in spec:
+        raise RegistryError(f"missing field {key!r}")
+    value = spec[key]
+    if type(value) is not kind:  # rejects floats and, since bool subclasses int, true/false
+        what = {int: "integer", str: "string", dict: "object"}[kind]
+        raise RegistryError(f"field {key!r} must be a JSON {what}, got {value!r}")
+    return value
+
+
 def _oracle(spec: dict) -> FOracle:
     """The definition's size-bound oracle ``F``; identity when absent."""
-    f = spec.get("F")
-    kind = "identity" if f is None else f.get("kind", "identity")
+    kind = "identity" if spec.get("F") is None else _field(spec, "F", dict).get("kind", "identity")
     if kind == "identity":
         return identity_oracle()
     if kind == "double":
@@ -57,18 +67,11 @@ def _oracle(spec: dict) -> FOracle:
     raise RegistryError(f"unknown oracle kind {kind!r}")
 
 
-def _int_field(spec: dict, key: str) -> int:
-    value = spec[key]
-    if type(value) is not int:  # rejects floats and, since bool subclasses int, true/false
-        raise RegistryError(f"field {key!r} must be a JSON integer, got {value!r}")
-    return value
-
-
 def _inner(spec: dict, registry: "Registry | None") -> Theory:
     """A ``Th_of`` inner theory: a registry name or a nested definition."""
-    inner = spec["inner"]
+    inner = spec.get("inner")
     if not isinstance(inner, str):
-        return theory_from_json(inner, registry)
+        return theory_from_json(_field(spec, "inner", dict), registry)
     if registry is None:
         raise RegistryError("inner theory reference needs a registry")
     return registry.resolve(inner)
@@ -78,24 +81,24 @@ def _inner(spec: dict, registry: "Registry | None") -> Theory:
 _KINDS = {
     "T_eq": lambda s, fam, reg: EqualityTheory(),
     "T_inf": lambda s, fam, reg: InfiniteOnlyTheory(),
-    "T_eq_n": lambda s, fam, reg: ExactSizeTheory(_int_field(s, "n")),
-    "T_leq_n": lambda s, fam, reg: MaxSizeTheory(_int_field(s, "n")),
-    "T_geq_n": lambda s, fam, reg: MinSizeTheory(_int_field(s, "n")),
+    "T_eq_n": lambda s, fam, reg: ExactSizeTheory(_field(s, "n")),
+    "T_leq_n": lambda s, fam, reg: MaxSizeTheory(_field(s, "n")),
+    "T_geq_n": lambda s, fam, reg: MinSizeTheory(_field(s, "n")),
     "T_eq_P": lambda s, fam, reg: SizePinTheory(fam),
-    "T_gt_n_P": lambda s, fam, reg: BigModelTagTheory(_int_field(s, "n"), fam),
-    "T_mn": lambda s, fam, reg: TwoSizeTheory(_int_field(s, "m"), _int_field(s, "n"), fam),
-    "T_leq_S": lambda s, fam, reg: SizeCapTheory(parse_set_literal(s["S"]), _oracle(s), fam),
+    "T_gt_n_P": lambda s, fam, reg: BigModelTagTheory(_field(s, "n"), fam),
+    "T_mn": lambda s, fam, reg: TwoSizeTheory(_field(s, "m"), _field(s, "n"), fam),
+    "T_leq_S": lambda s, fam, reg: SizeCapTheory(parse_set_literal(_field(s, "S", str)), _oracle(s), fam),
     "Th_of": lambda s, fam, reg: GapIndexTheory(_inner(s, reg), fam),
-    "T_d": lambda s, fam, reg: MixedTagTheory(_int_field(s, "n"), _oracle(s), fam),
+    "T_d": lambda s, fam, reg: MixedTagTheory(_field(s, "n"), _oracle(s), fam),
     "T_cfs": lambda s, fam, reg: CapOrUnboundedTheory(_oracle(s), fam),
     "T_si": lambda s, fam, reg: TaggedInfinityTheory(fam),
     "T_cs": lambda s, fam, reg: SingletonOrInfiniteTheory(fam),
-    "T_ns": lambda s, fam, reg: StepTheory(_int_field(s, "n"), _int_field(s, "n"), fam),
-    "T_step": lambda s, fam, reg: StepTheory(_int_field(s, "pin"), _int_field(s, "floor"), fam),
+    "T_ns": lambda s, fam, reg: StepTheory(_field(s, "n"), _field(s, "n"), fam),
+    "T_step": lambda s, fam, reg: StepTheory(_field(s, "pin"), _field(s, "floor"), fam),
     "T_geq_F": lambda s, fam, reg: OracleFloorTheory(_oracle(s), fam),
     "toy": lambda s, fam, reg: toy_inner_theory(),
     "complete": lambda s, fam, reg: CompositeTestTheory(
-        s["role"], n=_int_field(s, "n") if "n" in s else None
+        _field(s, "role", str), n=_field(s, "n") if "n" in s else None
     ),
 }
 _KINDS["Teq"] = _KINDS["T_eq"]
@@ -118,7 +121,8 @@ _ALIASES = {"T=P": "T_eq_P", "Teq": "T_eq", "Tinf": "T_inf"}
 
 
 def theory_from_json(spec: dict, registry: "Registry | None" = None) -> Theory:
-    """Build a theory handle from its JSON definition."""
+    """Build a theory handle from its JSON definition; RegistryError for
+    a missing or mistyped field or a value the theory rejects."""
     if not isinstance(spec, dict):
         raise RegistryError(f"a theory definition is a JSON object, not {spec!r}")
     kind = spec.get("kind")
@@ -128,7 +132,10 @@ def theory_from_json(spec: dict, registry: "Registry | None" = None) -> Theory:
     build = _KINDS.get(kind) if isinstance(kind, str) else None
     if build is None:
         raise RegistryError(f"unknown theory kind {kind!r}")
-    return build(spec, fam, registry)
+    try:
+        return build(spec, fam, registry)
+    except ValueError as e:
+        raise RegistryError(f"{kind}: {e}") from e
 
 
 def read_config(path: str) -> dict:
@@ -165,9 +172,7 @@ class Registry:
         for name, spec in (theories or {}).items():
             try:
                 self._theories[name] = theory_from_json(spec, self)
-            except KeyError as e:
-                raise RegistryError(f"theory {name!r}: missing key {e}") from e
-            except (CombineKitError, TypeError, ValueError) as e:
+            except CombineKitError as e:
                 raise RegistryError(f"theory {name!r}: {e}") from e
 
     def names(self) -> list[str]:

@@ -17,16 +17,19 @@ query from it.  A concrete theory declares:
   referee the derived queries.
 
 The base states predicate exclusivity once on each side.  Its one reader,
-``read``, checks a cube's predicate literals once (ownership, index
-grammar, contradiction, exclusivity) and returns a :class:`Reading`: the
-part, the part's cached shape, and a floor, which is ``Cube.minmod``
-unless the caller fixes it (the combination shell reads a side once per
-cube and sets the floor to each arrangement's block count).  From one
-reading the base derives ``decide_at_least``, ``spec_finite``,
-``spec_inf``, ``minmod_cube``, ``exact_spectrum``,
+``read``, returns a :class:`Reading`: the part, the part's shape, and a
+floor, which is ``Cube.minmod`` unless the caller fixes it (the
+combination shell reads a side once per cube and sets the floor to each
+arrangement's block count), or None when the cube clashes.  It checks
+the cube's predicate part (ownership, index grammar, exclusivity) and
+builds its shape once per (theory, ``Cube.pred_part``) while a bounded
+memo keeps it, so cubes that share a predicate part share one reading of
+it.  From one reading the base derives ``decide_at_least``,
+``spec_finite``, ``spec_inf``, ``minmod_cube``, ``exact_spectrum``,
 ``cube_spectrum_exact``, ``nshiny_classify`` and ``infinite_only``; each
-takes a cube or a reading.  Given a cube, a theory keeps the reading of
-the last cube it read, so consecutive queries on one cube read it once.
+takes a cube or a reading.  Given a cube, a theory also keeps its
+reading of the last cube it read, compared by identity, so consecutive
+queries on one cube hash neither part.
 ``decide_at_least(cube, k)`` is the primary satisfiability query: a
 disequality clique over k fresh variables would raise the equality
 minimum to max(minmod, k), so it asks a cap about the least allowed size
@@ -44,7 +47,7 @@ query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .errors import CapabilityMissing, CombineKitError, SignatureError
@@ -127,7 +130,7 @@ class Shape:
 EMPTY = empty_set()
 ALL = upfrom(1)
 
-# The predicate part of a cube whose literals clash.
+# The part of predicate literals with two distinct positive predicates.
 UNSAT = object()
 
 
@@ -139,6 +142,21 @@ class Reading(NamedTuple):
     part: object
     shape: Shape
     floor: int
+
+
+# A theory's readings of predicate parts are kept per (theory, part), at
+# most READINGS_KEPT of them, least recently used dropped first.
+READINGS_KEPT = 256
+
+
+@lru_cache(maxsize=READINGS_KEPT)
+def _read_pred_part(theory: "Theory", pred_part: tuple[PredicateLiteral, ...]) -> tuple:
+    """The theory's part of a cube's predicate literals and that part's
+    shape (None for UNSAT).  A SignatureError is raised, never kept."""
+    for lit in pred_part:
+        theory.check_pred(lit.pred)
+    part = theory.read_part(pred_part)
+    return part, None if part is UNSAT else theory.shape(part)
 
 
 # What a derived query takes: a cube, or this theory's reading of one
@@ -202,39 +220,26 @@ class Theory:
         if "inf" in pid.indices:
             raise SignatureError(f"{self.name} has no infinite-index predicate {pid}")
 
-    def read_part(self, cube: Cube):
-        """The cube's predicate part: its unique positive predicate, or None.
-        UNSAT when its literals clash or two distinct predicates are
-        positive, since distinct predicates exclude each other."""
-        positive = []
-        for lit in cube.pred_literals():
-            self.check_pred(lit.pred)
-            if lit.positive:
-                positive.append(lit.pred)
-        if cube.contradictory or len(positive) > 1:
-            return UNSAT
-        return positive[0] if positive else None
-
-    @cached_property
-    def _shapes(self) -> dict:
-        # One shape per predicate part, built on first use.
-        return {}
+    def read_part(self, pred_part: tuple[PredicateLiteral, ...]):
+        """The part of a cube's owned predicate literals: its unique
+        positive predicate, or None.  UNSAT when two distinct predicates
+        are positive, since distinct predicates exclude each other."""
+        positive = [lit.pred for lit in pred_part if lit.positive]
+        return UNSAT if len(positive) > 1 else next(iter(positive), None)
 
     def read(self, cube: Cube, floor: int | None = None) -> Reading | None:
         """The cube's reading, with ``floor`` in place of its equality
         minimum when given; None when its literals clash or its equalities
         are inconsistent.  Raises SignatureError for a predicate this
         theory does not own or whose indices its grammar rejects."""
-        part = self.read_part(cube)
-        if part is UNSAT:
+        part, shape = _read_pred_part(self, cube.pred_part)
+        if part is UNSAT or cube.contradictory:
             return None
-        shape = self._shapes.get(part) or self._shapes.setdefault(part, self.shape(part))
-        if floor is None:
-            floor = cube.minmod
+        floor = cube.minmod if floor is None else floor
         return None if floor is None else Reading(part, shape, floor)
 
     # The last cube read and its reading, compared by identity: a run of
-    # queries on one cube reads it once.
+    # queries on one cube reads it without hashing it.
     _last_reading: tuple = (None, None)
 
     def _reading(self, cube: Readable) -> Reading | None:

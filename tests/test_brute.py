@@ -22,7 +22,7 @@ from combinekit.catalog import (
     StepTheory,
 )
 from combinekit.errors import SignatureError
-from combinekit.formulas import And, Cube, PredicateId, parse_formula, to_dnf
+from combinekit.formulas import And, Cube, EqualityLiteral, PredicateId, parse_formula, to_dnf
 
 TOP = Cube(())
 
@@ -115,10 +115,10 @@ def _reference_subsets(preds):
 def _reference_candidates(theory, cube, closure):
     """A cube's fewest equality classes and fitting predicate subsets,
     enumerated afresh on every call."""
-    blocks = None if cube.contradictory else _min_satisfying_blocks(cube.eq_literals())
+    blocks = None if cube.contradictory else _min_satisfying_blocks(cube.eq_part)
     fits = ()
     if blocks is not None:
-        lits = cube.pred_literals()
+        lits = cube.pred_part
         fits = tuple(
             subset
             for subset in _reference_subsets(_reference_closure(theory, cube, closure))
@@ -137,12 +137,12 @@ def _per_size_loop(theory, cube, k, closure=None):
     closure, the model checker, then the cube's predicate literals."""
     if cube.contradictory:
         return False
-    blocks = _min_satisfying_blocks(cube.eq_literals())
+    blocks = _min_satisfying_blocks(cube.eq_part)
     if blocks is None or blocks > k:
         return False
     for subset in _reference_subsets(_reference_closure(theory, cube, closure)):
         if theory.model_check(k, subset) and all(
-            (lit.pred in subset) == lit.positive for lit in cube.pred_literals()
+            (lit.pred in subset) == lit.positive for lit in cube.pred_part
         ):
             return True
     return False
@@ -151,7 +151,7 @@ def _per_size_loop(theory, cube, k, closure=None):
 def _accepts(theory, cube):
     """Whether the theory owns every predicate of the cube, indices included."""
     try:
-        for lit in cube.pred_literals():
+        for lit in cube.pred_part:
             theory.check_pred(lit.pred)
     except SignatureError:
         return False
@@ -181,8 +181,8 @@ def test_reading_each_cube_once_matches_the_per_size_loop(theory_list):
 
 
 def test_oracle_matches_a_fresh_enumeration_per_cube(theory_list):
-    # A finite signature's closure and subsets are enumerated once per
-    # signature; a fresh enumeration per cube and size is the reference.
+    # Subsets are enumerated once per predicate part; a fresh enumeration
+    # per cube and size is the reference.
     assert "Th_of(toy)" in {t.name for t in theory_list}
     rng = random.Random(2429)
     for t in theory_list:
@@ -196,23 +196,70 @@ def test_oracle_matches_a_fresh_enumeration_per_cube(theory_list):
             assert brute_spectrum(t, c, 6) == {k for k in range(1, 7) if _reference_sat_at(t, c, k)}, (t, c)
     for t in theory_list:
         assert _closure_for(t, (), None) == _reference_closure(t, TOP, None)
-        finite = brute._finite_signature(t.signature.families)
-        if finite is not None:
-            assert finite == (_reference_closure(t, TOP, None), tuple(_reference_subsets(finite[0])))
 
 
 def test_a_size_scan_enumerates_the_cube_once(monkeypatch, catalog):
     calls = []
     real = brute._pred_subsets
     monkeypatch.setattr(brute, "_pred_subsets", lambda preds: calls.append(preds) or real(preds))
+    brute._fitting_subsets.cache_clear()
     c = cube("(and (P 2) (= x y))")
     assert brute_spectrum(catalog["T_eq_P"], c, 6) == {2}
     assert len(calls) == 1
-    # A finite signature's subsets are enumerated once for all its cubes.
-    brute._finite_signature.cache_clear()
-    for text in ("(= x y)", "(distinct x y)", "(and (pred P) (= x x))"):
+    # Cubes with one predicate part enumerate its subsets once.
+    assert brute_spectrum(catalog["T_eq_P"], cube("(and (P 2) (distinct x y))"), 6) == {2}
+    assert brute_spectrum(catalog["T_eq_P"], cube("(and (P 2) (distinct x y z))"), 6) == set()
+    assert len(calls) == 1
+    # A finite signature's closure is the whole signature, whatever the
+    # cube: its subsets are enumerated once per predicate part too.
+    for text in ("(= x y)", "(distinct x y)", "(and (pred P) (= x x))", "(pred P)"):
         brute_spectrum(catalog["T_ns_4"], cube(text), 6)
-    assert len(calls) == 2
+    assert calls[1:] == [frozenset({PredicateId("P", ())})] * 2
+
+
+def test_a_predicate_part_asks_the_model_checker_once_per_size():
+    t = SizePinTheory()
+    asked = []
+    real = t.model_check
+    t.model_check = lambda k, s: asked.append(k) or real(k, s)
+    for text in ("(and (P 3) (distinct x y))", "(and (P 3) (= x y))", "(and (P 3) (not (P 4)))"):
+        assert brute_spectrum(t, cube(text), 6) == {3}
+    # The second cube's part has two classes fewer; the third is new.
+    assert asked == [2, 3, 4, 5, 6, 1, 1, 2, 3, 4, 5, 6]
+
+
+def test_oracle_memos_by_part_match_an_uncached_enumeration(theory_list):
+    # Twins share a predicate part or an equality part with the cube just
+    # read, closures are explicit or not, and theories interleave, so a
+    # memo kept under the wrong key would answer for the wrong question.
+    assert len(theory_list) == 26
+    rng = random.Random(2929)
+    for t in theory_list:
+        cubes = [random_cube(t, rng) for _ in range(30)]
+        for c in cubes:
+            o = rng.choice(cubes)
+            owners = [x for x in theory_list if _accepts(x, c)]
+            other = rng.choice([x for x in owners if x is not t] or owners)
+            base = frozenset(c.positive_preds())
+            closures = (None, base, base | {p for p in (t.sample_pred(rng),) if p is not None})
+            for d in (c, Cube(c.pred_part + o.eq_part), Cube(o.pred_part + c.eq_part), c):
+                for closure in closures:
+                    for k in range(1, 7):
+                        assert brute_sat_at(t, d, k, closure) == _reference_sat_at(t, d, k, closure), (t, d, k)
+                        assert brute_sat_at(other, c, k) == _reference_sat_at(other, c, k), (other, c, k)
+
+
+def test_the_oracle_memos_stay_within_their_bounds():
+    t = SizePinTheory()
+    for memo, bound, part in (
+        (brute._fitting_subsets, brute.PRED_PARTS_KEPT, lambda i: cube(f"(P {i})")),
+        (brute._min_satisfying_blocks, brute.EQUALITY_PARTS_KEPT, lambda i: Cube((EqualityLiteral(f"x{i}", "y"),))),
+    ):
+        for i in range(1, bound + 51):
+            brute_sat_at(t, part(i), 1)
+        info = memo.cache_info()
+        assert info.maxsize == bound and info.currsize <= bound
+        memo.cache_clear()
 
 
 def test_formula_level_joint_models():
@@ -264,5 +311,20 @@ def test_brute_oracle_never_reads_the_closed_forms():
             used.append(node.value)  # getattr(cube, "minmod") and the like
     assert "minmod" not in used
     assert not CLOSED_FORM_NAMES & set(used)
+    # Of a theory, the oracle reads its signature and sampling hints and
+    # asks only the model checker.
+    asked = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in {"theory", "t1", "t2"}:
+                asked.add(node.attr)
+    assert asked == {"signature", "sample_pred", "model_check"}
     # The walk reaches every helper the oracle defines.
-    assert {"_finite_signature", "_closure_for", "_candidate_models", "_pred_subsets", "brute_sat_at"} <= set(used)
+    assert {
+        "_closure_for",
+        "_assignments",
+        "_min_satisfying_blocks",
+        "_fitting_subsets",
+        "_pred_subsets",
+        "brute_sat_at",
+    } <= set(used)

@@ -97,7 +97,7 @@ def test_parse_or_with_negation():
 def test_parse_bare_and_multi_index_predicates():
     f = parse_formula("(and (pred P) (pred R 2 5 9))")
     (cube,) = to_dnf(f)
-    preds = {l.pred for l in cube.pred_literals()}
+    preds = {l.pred for l in cube.pred_part}
     assert PredicateId("P", ()) in preds
     assert PredicateId("R", (2, 5, 9)) in preds
 
@@ -395,7 +395,7 @@ def test_split_agrees_with_combined_model_check():
                 all(
                     (dict(zip(vs, values))[l.left] == dict(zip(vs, values))[l.right])
                     == l.positive
-                    for l in c.eq_literals()
+                    for l in c.eq_part
                 )
                 for values in itertools.product(range(k), repeat=len(vs))
             )

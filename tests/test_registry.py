@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from combinekit.formulas import Cube, PredicateId, PredicateLiteral
@@ -107,3 +109,48 @@ def test_integer_names_take_ascii_digits_only():
     # A name like T_leq_٣ would otherwise build T_leq_3 and answer for it.
     with pytest.raises(RegistryError, match="unknown theory"):
         Registry().resolve("T_leq_٣")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "T_leq_S", "S": 5},
+        {"kind": "T_leq_S", "S": "evens", "F": 3},
+        {"kind": "T_d", "n": 2, "F": ["double"]},
+        {"kind": "T_cfs", "F": "double"},
+        {"kind": "T_geq_F", "F": {"kind": "triple"}},
+        {"kind": "T_eq_n"},
+        {"kind": "T_leq_n"},
+        {"kind": "T_geq_n"},
+        {"kind": "T_gt_n_P"},
+        {"kind": "T_mn", "n": 5},
+        {"kind": "T_d"},
+        {"kind": "T_ns"},
+        {"kind": "T_step", "pin": 3},
+        {"kind": "Th_of"},
+        {"kind": "Th_of", "inner": 3},
+        {"kind": "Th_of", "inner": {"kind": "T_si"}},
+        {"kind": "Th_of", "inner": {"kind": "T_leq_n", "n": 0}},
+        {"kind": "complete"},
+        {"kind": "complete", "role": 3},
+        {"kind": "complete", "role": "bogus"},
+        {"kind": "complete", "role": "n-shiny-complete"},
+        {"kind": "T_eq_n", "n": 0},
+        {"kind": "T_leq_n", "n": 0},
+        {"kind": "T_geq_n", "n": 0},
+        {"kind": "T_gt_n_P", "n": 0},
+        {"kind": "T_mn", "m": 5, "n": 5},
+        {"kind": "T_d", "n": 0},
+        {"kind": "T_ns", "n": 0},
+        {"kind": "T_step", "pin": 0, "floor": 1},
+        {"kind": "T_step", "pin": 2, "floor": 3},
+    ],
+    ids=lambda spec: json.dumps(spec, sort_keys=True),
+)
+def test_a_bad_field_is_a_registry_error(spec):
+    # Missing, mistyped and rejected fields alike, for a library caller
+    # and through a config.
+    with pytest.raises(RegistryError):
+        theory_from_json(spec, Registry())
+    with pytest.raises(RegistryError, match="theory 'bad'"):
+        Registry({"bad": spec})

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from combinekit import formulas
+from combinekit import formulas, theories
 from combinekit.brute import _min_satisfying_blocks, brute_sat_at, brute_spectrum, random_cube
 from combinekit.catalog import (
     BigModelTagTheory,
@@ -40,6 +40,7 @@ from combinekit.registry import Registry
 from combinekit.sets import evens, odds, upfrom
 from combinekit.spectra import view
 from combinekit.theories import (
+    UNSAT,
     FormulaEnumeration,
     Reading,
     Theory,
@@ -80,7 +81,7 @@ def test_minmod_equalities_matches_brute_assignments(rng):
             ok = any(
                 all(
                     (asg[l.left] == asg[l.right]) == l.positive
-                    for l in c.eq_literals()
+                    for l in c.eq_part
                 )
                 for asg in (
                     dict(zip(vs, values))
@@ -213,7 +214,7 @@ def _uncached_minmod(cube):
         return x
 
     neqs = []
-    for lit in cube.eq_literals():
+    for lit in cube.eq_part:
         if lit.positive:
             parent[find(lit.left)] = find(lit.right)
         else:
@@ -288,11 +289,11 @@ def test_memoized_minimum_matches_the_uncached_computation(theory_list):
         base = _scan_cube(rng, rng.randint(1, 6))
         cubes += [base] + [clique_extension(base, k) for k in range(1, rng.randint(2, 12))]
     cubes += [component_cube(rng) for _ in range(200)]
-    assert any(len(c.eq_literals()) > formulas.EQUALITY_PART_KEPT_LITERALS for c in cubes)
+    assert any(len(c.eq_part) > formulas.EQUALITY_PART_KEPT_LITERALS for c in cubes)
     for _ in range(2):  # the second pass answers from the memo
         for c in cubes:
             assert minmod_equalities(c) == _uncached_minmod(c), c
-            twin = Cube(c.pred_literals()[:1] + c.eq_literals())
+            twin = Cube(c.pred_part[:1] + c.eq_part)
             assert minmod_equalities(twin) == _uncached_minmod(c), c
 
 
@@ -303,12 +304,12 @@ def test_equality_minimum_is_computed_once_per_equality_part(monkeypatch):
     part = (EqualityLiteral("memo_a", "memo_b", False), EqualityLiteral("memo_b", "memo_c", False))
     one = Cube(part + (plit("P", 2),))
     other = Cube(part + (plit("P", 3, positive=False), plit("Q")))
-    assert one is not other and one.eq_literals() == other.eq_literals()
+    assert one is not other and one.eq_part == other.eq_part
     assert one.minmod == other.minmod == 2
     assert len(computed) == 1
     # A part past the literal bound is not kept: each cube computes it.
     clique = neq_clique([f"memo_{i}" for i in range(6)], 6)
-    assert len(clique.eq_literals()) > formulas.EQUALITY_PART_KEPT_LITERALS
+    assert len(clique.eq_part) > formulas.EQUALITY_PART_KEPT_LITERALS
     assert Cube(clique.literals).minmod == Cube(clique.literals).minmod == 6
     assert len(computed) == 3
     # More distinct parts than the bound: the memo holds at most the bound.
@@ -326,7 +327,7 @@ def test_cached_minmod_matches_a_fresh_computation_and_brute(theory_list, rng):
     for c in cubes:
         first = c.minmod
         assert c.minmod == first
-        assert first == minmod_equalities(Cube(c.literals)) == _min_satisfying_blocks(c.eq_literals()), c
+        assert first == minmod_equalities(Cube(c.literals)) == _min_satisfying_blocks(c.eq_part), c
         twin = Cube(tuple(reversed(c.literals)))  # built separately, equal
         assert twin == c and hash(twin) == hash(c)
         assert twin.minmod == first
@@ -440,7 +441,7 @@ def test_every_cap_is_downward_closed(theory_list, rng):
         parts = [None] + [t.sample_pred(rng) for _ in range(40)]
         for p in parts:
             c = TOP if p is None else Cube((PredicateLiteral(p, True),))
-            shape = t.shape(t.read_part(c))
+            shape = t.shape(t.read_part(c.pred_part))
             if shape.allow is None or shape.inf is True:
                 continue
             capped.add(type(t).__name__)
@@ -488,19 +489,85 @@ def test_foreign_predicate_rejected(catalog):
             query(c)
 
 
+def test_an_unowned_predicate_raises_on_every_read(catalog):
+    # A refused predicate part is never kept: a twin cube with the same
+    # part, and the same cube after another was read, raise again.
+    t = catalog["T_eq_P"]
+    bad = cube("(and (P 2) (pred Q) (= x y))")
+    for c in (bad, Cube(bad.literals), cube("(and (P 2) (pred Q) (distinct x y))"), bad):
+        for query in (t.decide_cube, t.spec_inf, lambda c: t.spec_finite(c, 2)):
+            with pytest.raises(SignatureError):
+                query(c)
+        assert t.decide_cube(TOP)  # another cube is read in between
+
+
 def test_a_run_of_queries_on_one_cube_reads_it_once(monkeypatch):
     t = SizePinTheory()
     calls = []
     real = Theory.read_part
-    monkeypatch.setattr(SizePinTheory, "read_part", lambda self, c: calls.append(c) or real(self, c))
+    monkeypatch.setattr(SizePinTheory, "read_part", lambda self, part: calls.append(part) or real(self, part))
     c, d = cube("(and (P 3) (distinct x y))"), cube("(P 4)")
     assert t.decide_cube(c)
     assert [t.spec_finite(c, k) for k in range(1, 7)] == [k == 3 for k in range(1, 7)]
     assert not t.spec_inf(c)
-    assert calls == [c]
-    # Another cube in between: each is read again, by identity, not equality.
-    assert t.decide_cube(d) and t.decide_cube(c) and t.decide_cube(Cube(c.literals))
-    assert len(calls) == 4
+    assert calls == [c.pred_part]
+    # Cubes with one predicate part read it once, whatever their equality
+    # parts and whichever cube was read in between; each keeps its floor.
+    twin, wide = cube("(and (P 3) (= x y))"), cube("(and (P 3) (distinct x y z w))")
+    assert t.decide_cube(d) and t.decide_cube(c) and t.decide_cube(Cube(c.literals)) and t.decide_cube(twin)
+    assert t.spec_finite(twin, 3) and not t.decide_cube(wide) and t.decide_at_least(twin, 3)
+    assert calls == [c.pred_part, d.pred_part]
+
+
+def _uncached_reading(t, c):
+    """A theory's reading of a cube built afresh: no memo, no last cube."""
+    for lit in c.pred_part:
+        t.check_pred(lit.pred)
+    part = t.read_part(c.pred_part)
+    if part is UNSAT or c.contradictory:
+        return None
+    floor = formulas._equality_minimum(c.eq_part)
+    return None if floor is None else Reading(part, t.shape(part), floor)
+
+
+def _query_answers(t, c):
+    """Every derived query on a cube or a reading, errors compared by type."""
+    return (
+        [_answer_or_error(t.decide_at_least, c, k) for k in (1, 2, 3, 5, 7)]
+        + [_answer_or_error(t.spec_finite, c, k) for k in range(1, 7)]
+        + [_answer_or_error(q, c) for q in (t.spec_inf, t.minmod_cube, t.cube_spectrum_exact, t.infinite_only)]
+    )
+
+
+def test_readings_by_predicate_part_match_an_uncached_reading(theory_list):
+    # Twins share a predicate part or an equality part with the cube just
+    # read, and another theory reads in between, so a reading kept under
+    # the wrong key would answer for the wrong cube.
+    assert len(theory_list) == 26
+    rng = random.Random(2911)
+    for t in theory_list:
+        cubes = [random_cube(t, rng) for _ in range(60)]
+        for c in cubes:
+            o = rng.choice(cubes)
+            other = rng.choice(theory_list)
+            for d in (c, Cube(c.pred_part + o.eq_part), Cube(o.pred_part + c.eq_part), Cube(c.literals), c):
+                assert _query_answers(t, d) == _query_answers(t, _uncached_reading(t, d)), (t, d)
+                try:
+                    want = _uncached_reading(other, d)
+                except SignatureError:
+                    with pytest.raises(SignatureError):
+                        other.decide_cube(d)
+                    continue
+                assert _query_answers(other, d) == _query_answers(other, want), (other, d)
+
+
+def test_the_reading_memo_stays_within_its_bound():
+    t = SizePinTheory()
+    bound = theories.READINGS_KEPT
+    for i in range(1, bound + 51):
+        assert t.spec_finite(Cube((plit("P", i),)), i)
+    info = theories._read_pred_part.cache_info()
+    assert info.maxsize == bound and info.currsize <= bound
 
 
 # -- model checking ---------------------------------------------------------------
@@ -583,14 +650,14 @@ def _has_surjective_model(theory, c, k):
     for subset in _pred_subsets_for(theory, c):
         if not theory.model_check(k, subset):
             continue
-        if not all((l.pred in subset) == l.positive for l in c.pred_literals()):
+        if not all((l.pred in subset) == l.positive for l in c.pred_part):
             continue
         for values in itertools.product(range(1, k + 1), repeat=len(vs)):
             if set(values) != set(range(1, k + 1)):
                 continue
             asg = dict(zip(vs, values))
             if all(
-                (asg[l.left] == asg[l.right]) == l.positive for l in c.eq_literals()
+                (asg[l.left] == asg[l.right]) == l.positive for l in c.eq_part
             ):
                 return True
     return False
