@@ -27,6 +27,7 @@ from .errors import (
     IterationCapExceeded,
     MethodNotApplicable,
     ParseError,
+    SetBoundExceeded,
     SignatureError,
 )
 from .formulas import (
@@ -74,6 +75,7 @@ __all__ = [
     "Reading",
     "SHINY",
     "SMCS",
+    "SetBoundExceeded",
     "SignatureError",
     "Signature",
     "SpectrumView",

@@ -15,6 +15,7 @@ import itertools
 import random
 from functools import lru_cache
 
+from .errors import SignatureError
 from .formulas import Cube, EqualityLiteral, Formula, PredicateId, PredicateLiteral, eval_formula, formula_atoms
 from .theories import Theory
 
@@ -38,26 +39,25 @@ def _closure_for(theory: Theory, pred_lits, explicit) -> frozenset[PredicateId]:
 def _assignments(variables: tuple[str, ...], k: int):
     """Canonical assignments of the variables into [1..k]: each fresh
     value is the smallest unused one, covering all equality patterns."""
-    n = len(variables)
-    if n == 0:
+    if not variables:
         yield {}
         return
-    values = [0] * n
+    yield from _assign(variables, k, [0] * len(variables), 0, 0)
 
-    def rec(i: int, used: int):
-        if i == n:
-            yield {v: values[j] for j, v in enumerate(variables)}
-            return
-        for val in range(1, min(used + 1, k) + 1):
-            values[i] = val
-            yield from rec(i + 1, max(used, val))
 
-    yield from rec(0, 0)
+def _assign(variables: tuple[str, ...], k: int, values: list[int], i: int, used: int):
+    """The assignments that extend values[:i], which use values 1..used."""
+    if i == len(variables):
+        yield dict(zip(variables, values))
+        return
+    for val in range(1, min(used + 1, k) + 1):
+        values[i] = val
+        yield from _assign(variables, k, values, i + 1, max(used, val))
 
 
 # Memo bounds, least recently used dropped first: equality parts, and
 # (theory, predicate part, closure) keys.
-EQUALITY_PARTS_KEPT = 100_000
+EQUALITY_PARTS_KEPT = 4_096
 PRED_PARTS_KEPT = 256
 
 
@@ -155,7 +155,7 @@ def brute_combined_formula_sat(
             elif t2.signature.owns(atom.pred):
                 preds2.add(atom.pred)
             else:
-                raise ValueError(f"predicate {atom.pred} owned by neither side")
+                raise SignatureError(f"predicate {atom.pred} owned by neither side")
     closure1 = _closure_for(t1, (), None) | preds1
     closure2 = _closure_for(t2, (), None) | preds2
     variables = tuple(sorted(set().union(*(atom.variables() for atom in atoms))))

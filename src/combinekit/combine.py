@@ -6,11 +6,12 @@ arrangements of the shared variables; a cube is jointly satisfiable
 exactly when some arrangement gives the two sides overlapping spectra.
 Only arrangements consistent with the cube's equalities are visited.
 Each side's theory reads its predicate part once per cube
-(:class:`~combinekit.theories.Reading`); an arrangement with b blocks
-fixes both sides' equality minimum at max(1, b), so the method runs once
-per block count, on views over the two readings at that floor.  The
-per-method intersection procedures below decide that overlap using only
-the queries their hypotheses license.
+(:class:`~combinekit.theories.Reading`); a cube that either side reads
+as having no model is unsat without a walk.  An arrangement with b
+blocks fixes both sides' equality minimum at max(1, b), so the method
+runs once per block count, on views over the two readings at that
+floor.  The per-method intersection procedures below decide that
+overlap using only the queries their hypotheses license.
 """
 
 from __future__ import annotations
@@ -284,13 +285,15 @@ def combine_decide(
     equality minimum, which a consistent arrangement with b blocks fixes
     at max(1, b).  So each side is read once per cube, before any
     arrangement (a predicate its owner rejects raises SignatureError
-    whether or not the method would ask about it), and the method's
-    intersection procedure runs once per block count, on the first
-    arrangement with that count.  The verdict carries the first witness
-    in canonical order, as a walk over every arrangement would.  The
-    method runs only on a theory order whose certificates meet its
-    hypotheses; an explicit method that fits neither order raises
-    MethodNotApplicable.
+    whether or not the method would ask about it).  A cube that either
+    side reads as having no model is unsat at every arrangement, so its
+    walk is skipped, and ``arrangements_tried`` counts only the walks of
+    the other cubes.  The method's intersection procedure runs once per
+    block count, on the first arrangement with that count.  The verdict
+    carries the first witness in canonical order, as a walk over every
+    arrangement would.  The method runs only on a theory order whose
+    certificates meet its hypotheses; an explicit method that fits
+    neither order raises MethodNotApplicable.
     """
     if method is None:
         picked = select_method(t1, t2)
@@ -313,6 +316,8 @@ def combine_decide(
         # Read both sides once, before any arrangement; each block count
         # then only sets both floors.
         r1, r2 = t1.read(c1, 1), t2.read(c2, 1)
+        if r1 is None or r2 is None:
+            continue  # a side refutes the cube at every size: no walk
         # A block count seen before has already failed: a success returns.
         tried_blocks: set[int] = set()
         for arr in enumerate_arrangements(shared, cube):
@@ -321,8 +326,7 @@ def combine_decide(
             if b in tried_blocks:
                 continue
             tried_blocks.add(b)
-            v1 = view(t1, r1 and r1._replace(floor=b))
-            v2 = view(t2, r2 and r2._replace(floor=b))
+            v1, v2 = view(t1, r1._replace(floor=b)), view(t2, r2._replace(floor=b))
             ok, card = run(method, v1, v2, cap, stats)
             if ok:
                 witness = (arr, card) if card is not None else None

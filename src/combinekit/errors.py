@@ -49,5 +49,9 @@ class IterationCapExceeded(CombineKitError):
         self.cap = cap
 
 
+class SetBoundExceeded(CombineKitError, ValueError):
+    """A set member or period past the bound of the dense bitmap sets."""
+
+
 class MethodNotApplicable(CombineKitError):
     """The chosen combination method's hypotheses fail for the theory pair."""

@@ -249,102 +249,108 @@ def parse_formula(text: str, resolver: Resolver | None = None) -> Formula:
     and ``(pred FAMILY i j k)`` for arbitrary families.  Indices are
     positive naturals, ``inf``, or names resolved by `resolver`.
     """
-    # Tokens are read by index; the None sentinel marks the end of input.
-    toks: list = _TOKEN_RE.findall(text)
-    toks.append(None)
-    pos = 0
+    p = _Parser(text, resolver)
+    f = p.expr()
+    if p.toks[p.pos] is not None:
+        raise p.fail(f"trailing input {p.toks[p.pos]!r}", p.pos)
+    return f
 
-    def fail(message: str, i: int) -> ParseError:
+
+class _Parser:
+    """Tokens read by index up to a None sentinel; methods, not nested
+    closures, so that a parse leaves no reference cycle behind."""
+
+    __slots__ = ("text", "resolver", "toks", "pos")
+
+    def __init__(self, text: str, resolver: Resolver | None):
+        self.text, self.resolver, self.pos = text, resolver, 0
+        self.toks = _TOKEN_RE.findall(text) + [None]
+
+    def fail(self, message: str, i: int) -> ParseError:
         """The error at token i, whose offset is recovered only here."""
-        off = len(text)
-        if toks[i] is not None:
-            off = next(itertools.islice(_TOKEN_RE.finditer(text), i, None)).start()
+        off = len(self.text)
+        if self.toks[i] is not None:
+            off = next(itertools.islice(_TOKEN_RE.finditer(self.text), i, None)).start()
         return ParseError(message, off)
 
-    def take() -> int:
+    def take(self) -> int:
         """The index of the next token, which must exist."""
-        nonlocal pos
-        if toks[pos] is None:
-            raise fail("unexpected end of input", pos)
-        pos += 1
-        return pos - 1
+        if self.toks[self.pos] is None:
+            raise self.fail("unexpected end of input", self.pos)
+        self.pos += 1
+        return self.pos - 1
 
-    def items(read, at_end="unexpected end of input") -> list:
+    def items(self, read, at_end="unexpected end of input") -> list:
         """Read items with `read` up to and including the list's ')'."""
-        nonlocal pos
-        out = []
-        while toks[pos] != ")":
-            if toks[pos] is None:
-                raise fail(at_end, pos)
+        toks, out = self.toks, []
+        while toks[self.pos] != ")":
+            if toks[self.pos] is None:
+                raise self.fail(at_end, self.pos)
             out.append(read())
-        pos += 1
+        self.pos += 1
         return out
 
-    def no_item():
-        i = take()
-        raise fail(f"expected ')', got {toks[i]!r}", i)
+    def no_item(self):
+        i = self.take()
+        raise self.fail(f"expected ')', got {self.toks[i]!r}", i)
 
-    def variable(i: int) -> str:
-        if not _VAR_RE.match(toks[i]):
-            raise fail(f"bad variable {toks[i]!r}", i)
-        return toks[i]
+    def variable(self, i: int) -> str:
+        if not _VAR_RE.match(self.toks[i]):
+            raise self.fail(f"bad variable {self.toks[i]!r}", i)
+        return self.toks[i]
 
-    def index() -> Index:
-        i = take()
-        tok = toks[i]
+    def index(self) -> Index:
+        i = self.take()
+        tok = self.toks[i]
         if tok == "inf":
             return "inf"
         if tok.isascii() and tok.isdigit():  # str.isdigit alone admits digits like '²'
             if int(tok) < 1:
-                raise fail(f"non-positive index {tok}", i)
+                raise self.fail(f"non-positive index {tok}", i)
             return int(tok)
         if not FAMILY_RE.match(tok):
-            raise fail(f"bad index {tok!r}", i)
-        if resolver is None:
-            raise fail(f"no resolver for formula reference {tok!r}", i)
+            raise self.fail(f"bad index {tok!r}", i)
+        if self.resolver is None:
+            raise self.fail(f"no resolver for formula reference {tok!r}", i)
         try:
-            ix = resolver(tok)
+            ix = self.resolver(tok)
         except KeyError:
-            raise fail(f"unknown formula reference {tok!r}", i)
+            raise self.fail(f"unknown formula reference {tok!r}", i)
         if type(ix) is not int or ix < 1:
-            raise fail(f"formula reference {tok!r} resolved to {ix!r}, not a positive id", i)
+            raise self.fail(f"formula reference {tok!r} resolved to {ix!r}, not a positive id", i)
         return ix
 
-    def expr() -> Formula:
-        i = take()
+    def expr(self) -> Formula:
+        toks = self.toks
+        i = self.take()
         if toks[i] != "(":
-            raise fail(f"expected '(', got {toks[i]!r}", i)
-        h = take()
+            raise self.fail(f"expected '(', got {toks[i]!r}", i)
+        h = self.take()
         head = toks[h]
         if head in ("and", "or"):
-            kids = tuple(items(expr, "unterminated list"))
+            kids = tuple(self.items(self.expr, "unterminated list"))
             if not kids:
-                raise fail(f"empty ({head})", h)
+                raise self.fail(f"empty ({head})", h)
             return And(kids) if head == "and" else Or(kids)
         if head == "distinct":
-            vs = items(lambda: variable(take()))
+            vs = self.items(lambda: self.variable(self.take()))
             if len(vs) < 2:
-                raise fail("(distinct ...) needs at least two variables", h)
+                raise self.fail("(distinct ...) needs at least two variables", h)
             lits = tuple(EqualityLiteral(x, y, False) for x, y in itertools.combinations(vs, 2))
             return And(lits) if len(lits) > 1 else lits[0]
         if head == "=":
-            a, b = take(), take()  # both operands are read before either is checked
-            f = EqualityLiteral(variable(a), variable(b), True)
+            a, b = self.take(), self.take()  # both operands are read before either is checked
+            f = EqualityLiteral(self.variable(a), self.variable(b), True)
         elif head == "not":
-            f = Not(expr())
+            f = Not(self.expr())
         else:
-            fi = take() if head == "pred" else h
+            fi = self.take() if head == "pred" else h
             if not FAMILY_RE.match(toks[fi]):
                 what = "unknown predicate family" if head == "pred" else "unknown operator"
-                raise fail(f"{what} {toks[fi]!r}", fi)
-            return PredicateLiteral(PredicateId(toks[fi], tuple(items(index))))
-        items(no_item)
+                raise self.fail(f"{what} {toks[fi]!r}", fi)
+            return PredicateLiteral(PredicateId(toks[fi], tuple(self.items(self.index))))
+        self.items(self.no_item)
         return f
-
-    f = expr()
-    if toks[pos] is not None:
-        raise fail(f"trailing input {toks[pos]!r}", pos)
-    return f
 
 
 # -- DNF -----------------------------------------------------------------
@@ -553,24 +559,6 @@ def _equality_minimum(eq_lits: tuple[EqualityLiteral, ...]) -> int | None:
         return None
     # Only classes on a disequality can need more than one element.
     adj = graph[1]
-
-    def colorable(order: list[str], k: int, colors: dict[str, int]) -> bool:
-        """Whether the coloring of a prefix of order extends to k colors."""
-        if len(colors) == len(order):
-            return True
-        v = order[len(colors)]
-        used = {colors[u] for u in adj[v] if u in colors}
-        for c in range(k):
-            if c in used:
-                continue
-            colors[v] = c
-            if colorable(order, k, colors):
-                return True
-            del colors[v]
-            if c not in colors.values():
-                break  # first unused color: symmetric to the rest
-        return False
-
     best, seen = 1, set()
     for root in adj:
         if root in seen:
@@ -587,9 +575,27 @@ def _equality_minimum(eq_lits: tuple[EqualityLiteral, ...]) -> int | None:
             best = len(comp)
             continue
         order = sorted(comp, key=lambda c: (-len(adj[c]), c))
-        while not colorable(order, best, {}):
+        while not _colorable(adj, order, best, {}):
             best += 1
     return best
+
+
+def _colorable(adj, order: list[str], k: int, colors: dict[str, int]) -> bool:
+    """Whether the coloring of a prefix of order extends to k colors."""
+    if len(colors) == len(order):
+        return True
+    v = order[len(colors)]
+    used = {colors[u] for u in adj[v] if u in colors}
+    for c in range(k):
+        if c in used:
+            continue
+        colors[v] = c
+        if _colorable(adj, order, k, colors):
+            return True
+        del colors[v]
+        if c not in colors.values():
+            break  # first unused color: symmetric to the rest
+    return False
 
 
 _kept_equality_minimum = lru_cache(maxsize=EQUALITY_MINIMA_KEPT)(_equality_minimum)
@@ -618,26 +624,23 @@ def enumerate_arrangements(
         if graph is None:
             return
         find, apart = graph
-    classes = [find(v) for v in vs]
+    yield from _grow([(v, find(v)) for v in vs], apart, 0, (), ())
 
-    def grow(i: int, blocks: tuple[tuple[str, ...], ...], held: tuple[frozenset[str], ...]):
-        """Place vs[i:] given `blocks` and the classes each block holds."""
-        if i == len(vs):
-            yield Arrangement(blocks)
-            return
-        c = classes[i]
-        placed = any(c in h for h in held)
-        for j, h in enumerate(held):
-            if (c in h) if placed else apart[c].isdisjoint(h):
-                yield from grow(
-                    i + 1,
-                    blocks[:j] + (blocks[j] + (vs[i],),) + blocks[j + 1 :],
-                    held[:j] + (h | {c},) + held[j + 1 :],
-                )
-        if not placed:
-            yield from grow(i + 1, blocks + ((vs[i],),), held + (frozenset((c,)),))
 
-    yield from grow(0, (), ())
+def _grow(placing, apart, i: int, blocks: tuple[tuple[str, ...], ...], held: tuple[frozenset[str], ...]):
+    """Place the (variable, class) pairs of placing[i:] given `blocks` and
+    the classes each block holds."""
+    if i == len(placing):
+        yield Arrangement(blocks)
+        return
+    v, c = placing[i]
+    placed = any(c in h for h in held)
+    for j, h in enumerate(held):
+        if (c in h) if placed else apart[c].isdisjoint(h):
+            grown = blocks[:j] + (blocks[j] + (v,),) + blocks[j + 1 :]
+            yield from _grow(placing, apart, i + 1, grown, held[:j] + (h | {c},) + held[j + 1 :])
+    if not placed:
+        yield from _grow(placing, apart, i + 1, blocks + ((v,),), held + (frozenset((c,)),))
 
 
 def arrangement_to_cube(arr: Arrangement) -> Cube:

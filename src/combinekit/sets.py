@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import ParseError
+from .errors import ParseError, SetBoundExceeded
 
 
 class _Aleph0:
@@ -207,7 +207,7 @@ BOUND = 2**20
 
 def _within_bound(n: int) -> int:
     if n > BOUND:
-        raise ValueError(f"member {n} is past the set bound {BOUND}")
+        raise SetBoundExceeded(f"member {n} is past the set bound {BOUND}")
     return n
 
 
@@ -261,7 +261,7 @@ def bitzero(i: int) -> EvPeriodicSet:
     if i < 1:
         raise ValueError("bit index must be >= 1")
     if i >= BOUND.bit_length():  # checked before 2**i is built
-        raise ValueError(f"period length 2**{i} is past the set bound {BOUND}")
+        raise SetBoundExceeded(f"period length 2**{i} is past the set bound {BOUND}")
     q = 2**i
     per = tuple(((n >> (i - 1)) & 1) == 0 for n in range(1, q + 1))
     return EvPeriodicSet((), per)

@@ -420,6 +420,18 @@ def test_a_sat_first_cube_stops_the_lowering():
     assert SizePinTheory().decide_cube(next(iter_dnf(formula)))
 
 
+def test_a_cube_one_side_refutes_walks_no_arrangement():
+    # T_eq_P reads (P 2) with (P 3) as having no model, so none of the
+    # Bell(10) = 115,975 arrangements of the ten free variables is visited.
+    xs = " ".join(f"(= x{i} x{i})" for i in range(1, 11))
+    v = combine_decide(MaxSizeTheory(3), SizePinTheory(), f(f"(and (P 2) (P 3) {xs})"))
+    assert (v.sat, v.method_used, v.stats) == (False, "gentle", {"arrangements_tried": 0, "loop_iterations": 0})
+    # Both sides are read before the skip: the other side's rejected
+    # predicate still raises.
+    with pytest.raises(SignatureError, match="Q_inf"):
+        combine_decide(SizePinTheory(), SizePinTheory("Q"), f(f"(and (P 2) (P 3) (pred Q inf) {xs})"))
+
+
 def test_gentle_distinct_cube_tries_one_arrangement():
     # Bell(10) = 115,975 arrangements, of which only the all-apart one is
     # consistent with the cube.

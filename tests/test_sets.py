@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combinekit.catalog import default_catalog
+from combinekit.errors import CombineKitError, SetBoundExceeded
+from combinekit.formulas import parse_formula, to_dnf
 from combinekit.sets import (
     ALEPH0,
     BOUND,
@@ -210,3 +213,13 @@ def test_factories_refuse_sizes_past_the_bound():
     ):
         with pytest.raises(ValueError, match="past the set bound"):
             build()
+
+
+def test_the_set_bound_is_a_typed_error():
+    # A CombineKitError for library callers, and still a ValueError.
+    assert issubclass(SetBoundExceeded, CombineKitError) and issubclass(SetBoundExceeded, ValueError)
+    with pytest.raises(SetBoundExceeded, match="period length 2"):
+        bitzero(21)
+    t_eq_p = next(t for t in default_catalog() if t.name == "T_eq_P")
+    with pytest.raises(SetBoundExceeded, match="member 1048577 is past the set bound"):
+        t_eq_p.decide_cube(to_dnf(parse_formula(f"(P {BOUND + 1})"))[0])

@@ -6,7 +6,9 @@ when it is reached; the split keeps each side's literals in the cube's
 order; and the combination shell runs the method on the sides' readings
 at each block count instead of on joined arrangement cubes.  Each copy
 below is the code as it stood before, so every test here is a
-differential: same formulas, same errors, same cubes, same verdict JSON.
+differential: same formulas, same errors, same cubes, same verdict JSON,
+except that the shell skips a cube one side refutes, so its counts of
+arrangements and loop iterations may only fall.
 """
 
 import itertools
@@ -400,12 +402,20 @@ def _joint_formula(t1, t2, rng):
 
 
 def _verdict_json(decide):
-    return _outcome(lambda: json.dumps(decide().to_json(), sort_keys=True))
+    """The verdict's JSON without its stats, and the stats; or the error."""
+    def run():
+        out = decide().to_json()
+        stats = out.pop("stats")
+        return json.dumps(out, sort_keys=True), stats
+    return _outcome(run)
 
 
 def test_combine_json_matches_the_arrangement_cube_loop(theory_list):
+    """Verdict, method, witness and error as the reference gives them; the
+    two counts may only fall, because a cube that one side refutes is
+    skipped before its arrangement walk."""
     rng = random.Random(21)
-    pairs = runs = 0
+    pairs = runs = fell = 0
     for t1 in theory_list:
         for t2 in theory_list:
             if t1 is t2 or select_method(t1, t2) is None:
@@ -420,7 +430,12 @@ def test_combine_json_matches_the_arrangement_cube_loop(theory_list):
                     f = _joint_formula(t1, t2, rng)
                     want = _verdict_json(lambda: reference_combine(t1, t2, f, method))
                     got = _verdict_json(lambda: combine_decide(t1, t2, f, method))
-                    assert got == want, (t1.name, t2.name, method, f)
+                    assert len(got) == len(want) and got[0] == want[0], (t1.name, t2.name, method, f)
+                    if len(want) == 2:
+                        assert all(got[1][k] <= n for k, n in want[1].items()), (t1.name, t2.name, method, f)
+                        fell += got[1] != want[1]
+                    else:
+                        assert got == want, (t1.name, t2.name, method, f)
                     runs += 1
     assert pairs == 292
-    assert runs > 2000
+    assert runs > 2000 and fell > 0
