@@ -62,9 +62,9 @@ class CombinationVerdict:
 
 
 def _run_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
-    if not v1.sat():
-        return False, None
     k = v1.minmod(cap)
+    if k is None:
+        return False, None
     if not is_finite_card(k):
         raise CapabilityMissing(v1.owner.name, "minmod", "shiny needs a finite minimal model")
     stats["loop_iterations"] += 1

@@ -1,12 +1,13 @@
 """Theory combination property certificates and their inclusion lattice.
 
 A certificate records which combination-relevant properties a theory's
-implementation actually supports.  Construction closes the declared
-classes upward along the inclusion lattice (`LATTICE_EDGES`, 15 edges):
-every implied property is filled in, and an explicit denial of an
-implied property is rejected.  `CLASS_TABLE` states each class's facts
-once: the parameter its membership needs, its membership test, and the
-declared field that membership forces.
+implementation actually supports.  `PropertyCertificate` is the one way
+to build one (`certificate` is another name for it), and building one
+closes the declared classes upward along the inclusion lattice
+(`LATTICE_EDGES`, 15 edges): every implied property is filled in, and an
+explicit denial of an implied property is rejected.  `CLASS_TABLE`
+states each class's facts once: the parameter its membership needs, its
+membership test, and the declared field that membership forces.
 
 Parameterized properties are rule-valued: n-decidability is a rule over
 cardinalities, quasi-gentleness (and its co-variant) a rule over free
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+from .errors import CombineKitError
 from .filters import NO, YES, FreeFilter
 
 # (lower, upper) inclusion edges of the property lattice.
@@ -85,22 +87,73 @@ def _eval_filter_rule(rule: FilterRule, filt: FreeFilter) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PropertyCertificate:
-    cfs: bool = False
-    infinitely_decidable: bool = False
-    stably_infinite: bool = False
-    smooth: bool = False
-    fmp: bool = False
-    minmod_computable: bool = False
-    gentle: bool = False
+    """A theory's place in the property lattice, closed when it is built.
+
+    ``None`` means "derive"; an explicit ``False`` (or rule ``("none",)``)
+    that an implication forces raises :class:`CertificateViolation`.
+    Apart from the lattice edges, four implications hold: shiny gives fmp
+    and minimal-model computability, smoothness gives SI, a never-infinite
+    theory decides the infinite question, and quasi-gentleness for some
+    filters needs computable finite spectra.  ``dataclasses.replace``
+    closes again, so it rejects a closed certificate that stores
+    ``("none",)`` for a rule its classes force.
+    """
+
+    cfs: bool | None = None
+    infinitely_decidable: bool | None = None
+    stably_infinite: bool | None = None
+    smooth: bool | None = None
+    fmp: bool | None = None
+    minmod_computable: bool | None = None
+    gentle: bool | None = None
     shiny: bool = False
     never_infinite: bool = False
     finitely_witnessable: bool = False
     n_shiny_param: int | None = None
-    n_decidable_rule: NDecRule = ("none",)
-    fqg_rule: FilterRule = ("none",)
-    cofqg_rule: FilterRule = ("none",)
+    n_decidable_rule: NDecRule | None = None
+    fqg_rule: FilterRule | None = None
+    cofqg_rule: FilterRule | None = None
+
+    def __post_init__(self):
+        fields = dict(vars(self))
+
+        def force(name: str, value, why: str):
+            if fields[name] is False or fields[name] == ("none",):
+                raise CertificateViolation(f"{name} denied but implied by {why}")
+            if value is not None:
+                fields[name] = value
+
+        if self.shiny:
+            force("fmp", True, "shiny")
+            force("minmod_computable", True, "shiny")
+        # The classes the declaration states, with the three non-edge
+        # implications folded in: smooth -> SI, never infinite -> ID, and a
+        # (co-)F-QG rule for some filters -> CFS.
+        partial_rule = any(r not in (None, ("none",), ("all",)) for r in (self.fqg_rule, self.cofqg_rule))
+        stated = {
+            "shiny": self.shiny,
+            "n-shiny": self.n_shiny_param is not None,
+            "gentle": self.gentle,
+            "F-QG": self.fqg_rule == ("all",),
+            "co-F-QG": self.cofqg_rule == ("all",),
+            "SI": self.stably_infinite or self.smooth,
+            "ID": self.infinitely_decidable or self.never_infinite,
+            "CFS": self.cfs or partial_rule,
+        }
+        closed = frozenset().union(*(class_ancestors(c) for c, on in stated.items() if on))
+        for cls, (_, _, forced) in CLASS_TABLE.items():
+            if forced and cls in closed:
+                force(*forced, f"{cls} in the lattice")
+        if self.never_infinite and "SI" in closed:
+            raise CertificateViolation("never_infinite contradicts stable infiniteness (and smoothness)")
+        for name, value in fields.items():
+            if name.endswith("_rule"):
+                value = value or ("none",)
+            elif name != "n_shiny_param":
+                value = bool(value)
+            object.__setattr__(self, name, value)
 
     # -- derived classes -----------------------------------------------
 
@@ -160,96 +213,11 @@ CLASSES = tuple(CLASS_TABLE)  # lattice node names, top to bottom
 @cache
 def class_ancestors(cls: str) -> frozenset[str]:
     """The class and everything reachable upward from it."""
-    out = {cls}
-    changed = True
-    while changed:
-        changed = False
-        for lo, hi in LATTICE_EDGES:
-            if lo in out and hi not in out:
-                out.add(hi)
-                changed = True
-    return frozenset(out)
+    return frozenset({cls}).union(*(class_ancestors(hi) for lo, hi in LATTICE_EDGES if lo == cls))
 
 
-class CertificateViolation(ValueError):
+class CertificateViolation(CombineKitError, ValueError):
     """An explicit flag contradicts a lattice implication."""
 
 
-def certificate(
-    *,
-    cfs: bool | None = None,
-    infinitely_decidable: bool | None = None,
-    stably_infinite: bool | None = None,
-    smooth: bool | None = None,
-    fmp: bool | None = None,
-    minmod_computable: bool | None = None,
-    gentle: bool | None = None,
-    shiny: bool = False,
-    never_infinite: bool = False,
-    finitely_witnessable: bool = False,
-    n_shiny_param: int | None = None,
-    n_decidable_rule: NDecRule | None = None,
-    fqg_rule: FilterRule | None = None,
-    cofqg_rule: FilterRule | None = None,
-) -> PropertyCertificate:
-    """Build a certificate, closing it under the lattice implications.
-
-    ``None`` means "derive"; an explicit ``False`` (or rule ``("none",)``)
-    that an implication forces raises :class:`CertificateViolation`.
-    Apart from the lattice edges, four implications hold: shiny gives fmp
-    and minimal-model computability, smoothness gives SI, a never-infinite
-    theory decides the infinite question, and quasi-gentleness for some
-    filters needs computable finite spectra.
-    """
-    fields = {
-        "cfs": cfs,
-        "infinitely_decidable": infinitely_decidable,
-        "stably_infinite": stably_infinite,
-        "smooth": smooth,
-        "fmp": fmp,
-        "minmod_computable": minmod_computable,
-        "gentle": gentle,
-        "fqg_rule": fqg_rule,
-        "cofqg_rule": cofqg_rule,
-    }
-
-    def force(name: str, value, why: str):
-        if fields[name] is False or fields[name] == ("none",):
-            raise CertificateViolation(f"{name} denied but implied by {why}")
-        if value is not None:
-            fields[name] = value
-
-    if shiny:
-        force("fmp", True, "shiny")
-        force("minmod_computable", True, "shiny")
-    # The classes the declaration states, with the three non-edge
-    # implications folded in: smooth -> SI, never infinite -> ID, and a
-    # (co-)F-QG rule for some filters -> CFS.
-    partial_rule = any(r not in (None, ("none",), ("all",)) for r in (fqg_rule, cofqg_rule))
-    stated = {
-        "shiny": shiny,
-        "n-shiny": n_shiny_param is not None,
-        "gentle": gentle,
-        "F-QG": fqg_rule == ("all",),
-        "co-F-QG": cofqg_rule == ("all",),
-        "SI": stably_infinite or smooth,
-        "ID": infinitely_decidable or never_infinite,
-        "CFS": cfs or partial_rule,
-    }
-    closed = frozenset().union(*(class_ancestors(c) for c, on in stated.items() if on))
-    for cls, (_, _, forced) in CLASS_TABLE.items():
-        if forced and cls in closed:
-            force(*forced, f"{cls} in the lattice")
-    if never_infinite and "SI" in closed:
-        raise CertificateViolation("never_infinite contradicts stable infiniteness (and smoothness)")
-
-    return PropertyCertificate(
-        **{k: bool(v) for k, v in fields.items() if not k.endswith("_rule")},
-        shiny=bool(shiny),
-        never_infinite=bool(never_infinite),
-        finitely_witnessable=bool(finitely_witnessable),
-        n_shiny_param=n_shiny_param,
-        n_decidable_rule=n_decidable_rule or ("none",),
-        fqg_rule=fields["fqg_rule"] or ("none",),
-        cofqg_rule=fields["cofqg_rule"] or ("none",),
-    )
+certificate = PropertyCertificate

@@ -41,11 +41,6 @@ class ExactSpectrum:
     def is_empty(self) -> bool:
         return self.finite_part.is_empty() and not self.has_inf
 
-    def contains(self, c: Card) -> bool:
-        if c is ALEPH0:
-            return self.has_inf
-        return self.finite_part.contains(c)
-
     def finite_or_cofinite(self) -> bool:
         """Whether the spectrum fits the gentle output shape: a finite set
         of finite cardinalities, or the complement of one."""

@@ -140,6 +140,23 @@ def test_shiny_combination_examples():
     assert combine_decide(teq, tle1, f("(= x y)"), SHINY).sat
 
 
+def test_shiny_asks_side_one_once_per_run():
+    teq = EqualityTheory()
+    calls = []
+    decide = teq.decide_cube
+    teq.decide_cube = lambda c: calls.append(c) or decide(c)
+    v = combine_decide(teq, MaxSizeTheory(3), f("(distinct x y)"), SHINY)
+    assert (v.sat, v.stats) == (True, {"arrangements_tried": 1, "loop_iterations": 1})
+    assert len(calls) == 1
+
+
+def test_n_shiny_needs_a_positive_n():
+    assert n_shiny(1).label() == "n-shiny(1)"
+    for n in (0, -1, None):
+        with pytest.raises(ValueError, match="positive n"):
+            Method("n-shiny", n=n)
+
+
 def test_gentle_combination_examples():
     tle3, tp = MaxSizeTheory(3), SizePinTheory()
     v = combine_decide(tle3, tp, f("(and (P 2) (distinct x y))"), GENTLE)

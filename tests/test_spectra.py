@@ -32,7 +32,7 @@ def test_exact_spectrum_shapes_and_json():
     assert t.finite_or_cofinite()
     u = ExactSpectrum(empty_set(), True)  # only the infinite cardinality
     assert not u.finite_or_cofinite()
-    assert u.contains(ALEPH0) and not u.contains(3)
+    assert u.has_inf and not u.finite_part.contains(3)
 
 
 def test_spec_contains_examples():

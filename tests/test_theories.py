@@ -695,6 +695,9 @@ def test_complete_theory_rejects_bad_two_size_indices():
         t.decide_cube(Cube((plit("R", 4, 6, 1),)))  # lower size equals n
     with pytest.raises(SignatureError):
         t.decide_cube(Cube((plit("R", 5, 3, 1),)))  # not increasing
+    for kind in ("shiny-complete", "ID-complete"):
+        with pytest.raises(SignatureError, match="needs i < j"):
+            CompositeTestTheory(kind).decide_cube(cube("(pred R 3 3 1)"))  # equal sizes
 
 
 def test_unknown_complete_kind():
