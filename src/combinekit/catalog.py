@@ -5,7 +5,8 @@ nullary predicates (or not at all, for the empty-signature theories,
 which keep the base class's empty signature).  A theory is placed by
 its spectra alone, so T_eq is T_geq_1 under its own name.
 A theory declares ``shape(part)``, the spectrum shape each predicate
-part of a cube allows, from which the :class:`~combinekit.theories.Theory`
+part of a cube allows, and ``predicate_free`` where a cube with no
+positive predicate is not free, from which the :class:`~combinekit.theories.Theory`
 base derives the exact decision and spectrum procedures; and, written
 separately, ``admits(size, part)``, the model axiom for one predicate
 part, on which the base ``model_check`` backs the brute-force oracle.
@@ -17,6 +18,8 @@ keeps them faithful to their capability certificates.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .errors import SignatureError
 from .formulas import Cube, EqualityLiteral, PredicateId, PredicateLiteral, Signature, fresh_variables
@@ -45,12 +48,11 @@ _IDENTITY = identity_oracle()
 class InfiniteOnlyTheory(Theory):
     """Empty signature, models forced infinite; spectra are {inf} or empty."""
 
+    predicate_free = Shape(EMPTY, True)
+
     def __init__(self):
         self.name = "T_inf"
         self.certificate = certificate(cfs=True, smooth=True)
-
-    def shape(self, part):
-        return Shape(EMPTY, True)
 
     def admits(self, size, part):
         return False
@@ -65,9 +67,7 @@ class ExactSizeTheory(Theory):
         self.n = n
         self.name = f"T_eq_{n}"
         self.certificate = certificate(never_infinite=True, cfs=True, n_shiny_param=n)
-
-    def shape(self, part):
-        return Shape(finite_set([self.n]), False)
+        self.predicate_free = Shape(finite_set([n]), False)
 
     def admits(self, size, part):
         return size == self.n
@@ -84,9 +84,7 @@ class MaxSizeTheory(Theory):
         self.certificate = certificate(
             never_infinite=True, cfs=True, gentle=True, n_shiny_param=1 if n == 1 else None
         )
-
-    def shape(self, part):
-        return Shape(interval(1, self.n), False)
+        self.predicate_free = Shape(interval(1, n), False)
 
     def admits(self, size, part):
         return size <= self.n
@@ -101,9 +99,7 @@ class MinSizeTheory(Theory):
         self.n = n
         self.name = f"T_geq_{n}"
         self.certificate = certificate(shiny=True)
-
-    def shape(self, part):
-        return Shape(upfrom(self.n), True)
+        self.predicate_free = Shape(upfrom(n), True)
 
     def admits(self, size, part):
         return size >= self.n
@@ -132,8 +128,6 @@ class SizePinTheory(Theory):
         self.certificate = certificate(gentle=True)
 
     def shape(self, pos):
-        if pos is None:
-            return Shape(ALL, True)
         return Shape(finite_set([pos.indices[0]]), False)
 
     def admits(self, size, pos):
@@ -156,8 +150,6 @@ class BigModelTagTheory(Theory):
         self.certificate = certificate(smooth=True, fmp=True, finitely_witnessable=True)
 
     def shape(self, pos):
-        if pos is None:
-            return Shape(ALL, True)
         return Shape(upfrom(self.n + 1), True, withheld=interval(1, self.n), why=TAGGED)
 
     def admits(self, size, pos):
@@ -180,10 +172,9 @@ class TwoSizeTheory(Theory):
         self.u_standin = u_standin
         self._declare_family(f"T_mn_{m}_{n}", family, 1)
         self.certificate = certificate(never_infinite=True, n_decidable_rule=("except", frozenset({m})))
+        self.predicate_free = Shape(finite_set([m, n]), False)
 
     def shape(self, pos):
-        if pos is None:
-            return Shape(finite_set([self.m, self.n]), False)
         return Shape(finite_set([self.n]), False, withheld=finite_set([self.m]), why=TAGGED)
 
     def admits(self, size, pos):
@@ -211,12 +202,10 @@ class SizeCapTheory(Theory):
             fqg_rule=("set-in-filter", s),
             cofqg_rule=("complement-not-in-filter", s),
         )
+        self.predicate_free = Shape(s, True)
 
     def shape(self, pos):
-        if pos is None:
-            return Shape(self.s, True)
-        j = pos.indices[0]
-        return Shape(self.s, None, allow=lambda k: self.f.geq(j, k), why=CAPPED)
+        return Shape(self.s, None, allow=partial(self.f.geq, pos.indices[0]), why=CAPPED)
 
     def admits(self, size, pos):
         return self.s.contains(size) and (pos is None or self.f.geq(pos.indices[0], size))
@@ -239,7 +228,9 @@ class GapIndexTheory(Theory):
             raise ValueError("inner theory must have computable finite spectra")
         self.inner = inner
         self.enumeration = FormulaEnumeration(inner)
-        self._scans: dict[int, tuple[list[int], int]] = {}
+        # The gap scan is bound to its own state, not to the theory, so a
+        # shape's gap test leaves no reference cycle through the theory.
+        self._nth_gap = partial(_nth_gap, {}, inner, self.enumeration)
         self._declare_family(f"Th_of({inner.name})", family, 2)
         self.certificate = certificate(cfs=True)
         # Friendly references for the inner theory's bare predicates:
@@ -248,11 +239,9 @@ class GapIndexTheory(Theory):
         for fam, arity in sorted(inner.signature.families):
             if arity != 0:
                 continue
-            pid = PredicateId(fam, ())
-            self._names[fam.upper()] = self.enumeration.id_of(Cube((PredicateLiteral(pid, True),)))
-            self._names["NOT" + fam.upper()] = self.enumeration.id_of(
-                Cube((PredicateLiteral(pid, False),))
-            )
+            for prefix, positive in (("", True), ("NOT", False)):
+                lit = PredicateLiteral(PredicateId(fam, ()), positive)
+                self._names[prefix + fam.upper()] = self.enumeration.id_of(Cube((lit,)))
 
     def resolver(self, name: str) -> int:
         return self._names[name]
@@ -268,35 +257,16 @@ class GapIndexTheory(Theory):
     def inner_cube(self, fid: int) -> Cube:
         return self.enumeration.cube(fid)
 
-    def _nth_gap(self, fid: int, n: int, below: int) -> int | None:
-        """The n-th size the inner spectrum of formula fid misses, or None
-        when fewer than n sizes below ``below`` are missed.  The inner
-        spectrum is asked about each size once: per formula id, the gaps
-        found so far and the last size scanned are kept."""
-        gaps, scanned = self._scans.get(fid, ([], 0))
-        phi = self.inner_cube(fid)
-        while len(gaps) < n and scanned < below - 1:
-            scanned += 1
-            if not self.inner.spec_finite(phi, scanned):
-                gaps.append(scanned)
-        self._scans[fid] = (gaps, scanned)
-        return gaps[n - 1] if len(gaps) >= n and gaps[n - 1] < below else None
-
     def shape(self, pos):
-        if pos is None:
-            return Shape(ALL, True)
-        fid, n = pos.indices
-        why = "the gap may or may not exist"
-        return Shape(ALL, None, allow=lambda k: self._nth_gap(fid, n, k + 1) == k, why=why)
+        gap = partial(_is_nth_gap, self._nth_gap, *pos.indices)
+        return Shape(ALL, None, allow=gap, why="the gap may or may not exist")
 
     def decide_at_least(self, cube: Readable, k: int) -> bool:
         if k < 1:
             raise ValueError("clique size must be >= 1")
         r = self._reading(cube)
-        if r is None:
-            return False
-        if r.part is None:  # no predicate
-            return True
+        if r is None or r.part is None:  # no part: the base reads predicate_free
+            return super().decide_at_least(r, k)
         # Sat unless the n-th gap lies below max(equality minimum, k).
         fid, n = r.part.indices
         return self._nth_gap(fid, n, max(r.floor, k)) is None
@@ -307,10 +277,8 @@ class GapIndexTheory(Theory):
 
     def cube_spectrum_exact(self, cube: Readable):
         r = self._reading(cube)
-        if r is None:
-            return ExactSpectrum(EMPTY, False)
-        if r.part is None:  # no predicate
-            return ExactSpectrum(upfrom(r.floor), True)
+        if r is None or r.part is None:
+            return super().cube_spectrum_exact(r)
         fid, n = r.part.indices
         inner = self.inner.cube_spectrum_exact(self.inner_cube(fid))
         if inner is None:
@@ -326,6 +294,25 @@ class GapIndexTheory(Theory):
     def sample_pred(self, rng):
         # Small formula ids keep the inner enumeration cheap.
         return PredicateId(self.family, (rng.randint(1, 6), rng.randint(1, 4)))
+
+
+def _nth_gap(scans: dict, inner: Theory, enumeration: FormulaEnumeration, fid: int, n: int, below: int):
+    """The n-th size the inner spectrum of formula fid misses, or None
+    when fewer than n sizes below ``below`` are missed.  The inner
+    spectrum is asked about each size once: ``scans`` keeps, per formula
+    id, the gaps found so far and the last size scanned."""
+    gaps, scanned = scans.get(fid, ([], 0))
+    phi = enumeration.cube(fid)
+    while len(gaps) < n and scanned < below - 1:
+        scanned += 1
+        if not inner.spec_finite(phi, scanned):
+            gaps.append(scanned)
+    scans[fid] = (gaps, scanned)
+    return gaps[n - 1] if len(gaps) >= n and gaps[n - 1] < below else None
+
+
+def _is_nth_gap(nth_gap, fid: int, n: int, k: int) -> bool:
+    return nth_gap(fid, n, k + 1) == k
 
 
 class MixedTagTheory(Theory):
@@ -351,11 +338,11 @@ class MixedTagTheory(Theory):
         self.certificate = certificate(n_decidable_rule=("geq", n + 1))
 
     def shape(self, pos):
-        j = 1 if pos is None else pos.indices[0]
+        j = pos.indices[0]
         if j == 1:
             return Shape(ALL, True)
         if j % 2 == 0:
-            return Shape(ALL, None, allow=lambda k: self.f.geq(j // 2, k), why=CAPPED)
+            return Shape(ALL, None, allow=partial(self.f.geq, j // 2), why=CAPPED)
         return Shape(upfrom(self.n + 1), True, withheld=interval(1, self.n), why=TAGGED)
 
     def admits(self, size, pos):
@@ -378,12 +365,10 @@ class CapOrUnboundedTheory(Theory):
         self.certificate = certificate(cfs=True)
 
     def shape(self, pos):
-        if pos is None:
-            return Shape(ALL, True)
         j = pos.indices[0]
         if j == 1:
             return Shape(EMPTY, True)
-        return Shape(ALL, None, allow=lambda k: self.f.geq(j, k), why=CAPPED)
+        return Shape(ALL, None, allow=partial(self.f.geq, j), why=CAPPED)
 
     def admits(self, size, pos):
         return pos is None or (pos.indices[0] != 1 and self.f.geq(pos.indices[0], size))
@@ -402,8 +387,6 @@ class TaggedInfinityTheory(Theory):
         self.certificate = certificate(stably_infinite=True, smooth=True)
 
     def shape(self, pos):
-        if pos is None:
-            return Shape(ALL, True)
         return Shape(EMPTY, True, withheld=ALL, why=TAGGED)
 
     def admits(self, size, pos):
@@ -426,15 +409,15 @@ class SingletonOrInfiniteTheory(_BarePredicateTheory):
     """A single bare predicate: true pins the domain to one element,
     false forces an infinite one."""
 
+    # Left unmentioned, the predicate may be true or false.
+    predicate_free = Shape(finite_set([1]), True)
+
     def __init__(self, family: str = "P"):
         self._declare_family("T_cs", family, 0)
         self.certificate = certificate(cfs=True, infinitely_decidable=True)
 
     def shape(self, polarity):
-        if polarity is False:
-            return Shape(EMPTY, True)
-        # True pins one element; left unmentioned, it may also be false.
-        return Shape(finite_set([1]), polarity is None)
+        return Shape(finite_set([1]), False) if polarity else Shape(EMPTY, True)
 
     def admits(self, size, polarity):
         return polarity and size == 1
@@ -454,13 +437,10 @@ class StepTheory(_BarePredicateTheory):
         self._declare_family(f"T_ns_{pin}" if pin == floor else f"T_step_{pin}_{floor}", family, 0)
         self.name = name or self.name
         self.certificate = certificate(cfs=True, n_shiny_param=pin)
+        self.predicate_free = Shape(finite_set([pin]).union(upfrom(floor)), True)
 
     def shape(self, polarity):
-        if polarity is True:
-            return Shape(finite_set([self.pin]), False)
-        if polarity is False:
-            return Shape(upfrom(self.floor), True)
-        return Shape(finite_set([self.pin]).union(upfrom(self.floor)), True)
+        return Shape(finite_set([self.pin]), False) if polarity else Shape(upfrom(self.floor), True)
 
     def admits(self, size, polarity):
         return size == self.pin if polarity else size >= self.floor
@@ -480,12 +460,11 @@ class OracleFloorTheory(Theory):
         self.certificate = certificate(cfs=True, smooth=True)
 
     def read_part(self, pred_part):
-        return tuple(lit.pred for lit in pred_part if lit.positive)
+        return tuple(lit.pred for lit in pred_part if lit.positive) or None
 
     def shape(self, pos):
-        if not pos:
-            return Shape(ALL, True)
-        return Shape(ALL, True, allow=lambda k: all(not self.f.geq(p.indices[0], k + 1) for p in pos))
+        f = self.f
+        return Shape(ALL, True, allow=lambda k: all(not f.geq(p.indices[0], k + 1) for p in pos))
 
     def model_check(self, size, true_preds):
         return all(not self.f.geq(pid.indices[0], size + 1) for pid in true_preds)
@@ -542,13 +521,11 @@ class CompositeTestTheory(Theory):
                 raise SignatureError(f"{self.name}: no infinite index on {pid}")
 
     def shape(self, pos):
-        if pos is None:
-            return Shape(ALL, True)
         ix = pos.indices
         if pos.family == "P":
             return Shape(EMPTY, True) if ix[0] == "inf" else Shape(finite_set([ix[0]]), False)
         if pos.family == "Q":
-            return Shape(ALL, None, allow=lambda k: self.f.geq(ix[0], k), why=CAPPED)
+            return Shape(ALL, None, allow=partial(self.f.geq, ix[0]), why=CAPPED)
         if pos.family == "R":
             return Shape(finite_set([ix[1]]), False, withheld=finite_set([ix[0]]), why=TAGGED)
         # B_(n,tag): a big enough model always exists; below n the tag decides.

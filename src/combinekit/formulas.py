@@ -247,10 +247,14 @@ def parse_formula(text: str, resolver: Resolver | None = None) -> Formula:
     Forms: ``(= x y)``, ``(not F)``, ``(and F...)``, ``(or F...)``,
     ``(distinct x1 .. xn)``, ``(P k)`` / ``(P)`` for the plain family P,
     and ``(pred FAMILY i j k)`` for arbitrary families.  Indices are
-    positive naturals, ``inf``, or names resolved by `resolver`.
+    positive naturals, ``inf``, or names resolved by `resolver`.  A
+    formula nested past the interpreter's recursion limit is a ParseError.
     """
     p = _Parser(text, resolver)
-    f = p.expr()
+    try:
+        f = p.expr()
+    except RecursionError:
+        raise p.fail("formula nested too deeply", p.pos) from None
     if p.toks[p.pos] is not None:
         raise p.fail(f"trailing input {p.toks[p.pos]!r}", p.pos)
     return f
@@ -385,6 +389,7 @@ def _dnf(f: Formula, negate: bool) -> Iterator[tuple[Literal, ...]]:
     if not choices:
         yield tuple(lits)
         return
+    # Kept iterative: a recursive product walk overflows at 1,500 disjunctions.
     # An odometer over the disjunctive conjuncts: each one's cubes are
     # streamed afresh for every choice made before it, so nothing past the
     # current cube is built.  prefix[i] holds the literals chosen before

@@ -188,8 +188,7 @@ class Registry:
             if m:
                 fields = {key: int(value) for key, value in m.groupdict().items()}
                 t = theory_from_json({**kind, **fields}, self)
-                self._theories[t.name] = t
-                return t
+                return self._theories.setdefault(t.name, t)  # one handle per canonical name
         raise RegistryError(f"unknown theory {name!r}; known: {', '.join(self.names())}")
 
     def all_theories(self) -> list[Theory]:

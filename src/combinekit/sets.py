@@ -299,6 +299,8 @@ def parse_set_literal(text: str) -> EvPeriodicSet:
     m = _LITERAL_RE.match(t)
     if m:
         p, q = int(m.group(1)), int(m.group(2))
+        if max(p, q) > BOUND:  # checked before the bitmaps are built
+            raise SetBoundExceeded(f"preperiod {p} or period {q} is past the set bound {BOUND}")
         pre, per = m.group(3), m.group(4)
         if len(pre) != p or len(per) != q:
             raise ParseError(f"bitmap lengths disagree with p/q in {text!r}")

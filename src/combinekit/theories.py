@@ -9,9 +9,12 @@ exactly that, and the :class:`Theory` base derives every
 query from it.  A concrete theory declares:
 
 * ``certificate``, and ``signature`` unless it is the empty one;
+* ``predicate_free`` -- the :class:`Shape` a cube with no positive
+  predicate allows, where it is not the default (every size and the
+  infinite one, right when a predicate guards every axiom); an
+  empty-signature theory declares nothing else of its spectrum;
 * ``shape(part)`` -- the :class:`Shape` one predicate part of a cube
-  allows: by default the part is the cube's unique positive predicate,
-  or None when it has none;
+  allows: by default the part is the cube's unique positive predicate;
 * ``admits(size, part)`` -- the model axiom for one predicate part,
   written by hand apart from the shape so that the brute oracle can
   referee the derived queries.
@@ -107,11 +110,12 @@ class Shape:
     ``finite`` holds the finite sizes the part allows, each subject to
     ``allow`` when that oracle test is set.  ``withheld`` holds the finite
     sizes whose membership depends on the tag set (None when there are
-    none); it is disjoint from ``finite``.  ``inf`` says whether the
-    infinite cardinality is allowed, None when that is withheld.  ``why``
-    explains the withheld queries.  Where ``inf`` is not True, ``allow``
-    must be downward closed (a cap), so satisfiability asks it only about
-    the least allowed size at or above the equality minimum.
+    none); construction checks that it is disjoint from ``finite``.
+    ``inf`` says whether the infinite cardinality is allowed, None when
+    that is withheld.  ``why`` explains the withheld queries.  Where
+    ``inf`` is not True, ``allow`` must be downward closed (a cap), so
+    satisfiability asks it only about the least allowed size at or above
+    the equality minimum.
     """
 
     finite: EvPeriodicSet
@@ -119,6 +123,10 @@ class Shape:
     withheld: EvPeriodicSet | None = None
     allow: Callable[[int], bool] | None = None
     why: str = ""
+
+    def __post_init__(self):
+        if self.withheld is not None and not self.withheld.intersect(self.finite).is_empty():
+            raise ValueError("a shape cannot both allow and withhold a size")
 
     @property
     def known(self) -> bool:
@@ -152,11 +160,14 @@ READINGS_KEPT = 256
 @lru_cache(maxsize=READINGS_KEPT)
 def _read_pred_part(theory: "Theory", pred_part: tuple[PredicateLiteral, ...]) -> tuple:
     """The theory's part of a cube's predicate literals and that part's
-    shape (None for UNSAT).  A SignatureError is raised, never kept."""
+    shape (None for UNSAT; ``predicate_free`` for no part).  A
+    SignatureError is raised, never kept."""
     for lit in pred_part:
         theory.check_pred(lit.pred)
     part = theory.read_part(pred_part)
-    return part, None if part is UNSAT else theory.shape(part)
+    if part is UNSAT:
+        return part, None
+    return part, theory.predicate_free if part is None else theory.shape(part)
 
 
 # What a derived query takes: a cube, or this theory's reading of one
@@ -176,10 +187,12 @@ class Theory:
     name: str
     signature: Signature = Signature(frozenset())  # the empty signature, unless declared
     certificate: PropertyCertificate
+    predicate_free: Shape = Shape(ALL, True)  # right when a predicate guards every axiom
 
     # -- declared by each theory ----------------------------------------
 
     def shape(self, part) -> Shape:
+        """The shape a predicate part allows; never asked about None."""
         raise NotImplementedError
 
     # Theories over infinite signatures must only constrain models through

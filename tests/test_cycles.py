@@ -7,11 +7,14 @@ a seeded mix of every query kind must leave it nothing to find.
 
 import gc
 import random
+import weakref
 
+from combinekit import brute, theories
 from combinekit.brute import brute_combined_formula_sat, brute_spectrum, random_cube
+from combinekit.catalog import default_catalog
 from combinekit.combine import combine_decide, select_method
 from combinekit.errors import CombineKitError
-from combinekit.formulas import parse_formula
+from combinekit.formulas import TOP, Cube, PredicateLiteral, parse_formula
 from combinekit.spectra import view
 
 MALFORMED = ("(and (= x y)", "(pred P 0)", "(P Q)", "(distinct x)", "(= x y))")
@@ -97,3 +100,34 @@ def test_queries_leave_no_cyclic_garbage(theory_list):
         if was_enabled:
             gc.enable()
     assert found == dict.fromkeys(found, 0)
+
+
+def test_a_dropped_theory_leaves_no_cycle():
+    # A theory keeps its reading of the last cube it read, and the reading
+    # keeps the part's shape, whose cap or gap test must not refer back to
+    # the theory: otherwise a theory dropped from the readings memo is a
+    # cycle that only the collector frees.
+    rng = random.Random(7)
+    fresh = default_catalog()
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while fresh:
+            t = fresh.pop()
+            name = t.name
+            for _ in range(6):
+                pid = t.sample_pred(rng)
+                c = TOP if pid is None else Cube((PredicateLiteral(pid, True),))
+                _attempt(t.decide_at_least, c, 2)
+                _attempt(t.spec_finite, c, 3)
+                _attempt(t.spec_inf, c)
+            dropped = weakref.ref(t)
+            del t
+            theories._read_pred_part.cache_clear()
+            brute._fitting_subsets.cache_clear()
+            assert gc.collect() == 0, name
+            assert dropped() is None, name
+    finally:
+        if was_enabled:
+            gc.enable()

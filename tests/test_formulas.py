@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combinekit.catalog import MaxSizeTheory, SizePinTheory
+from combinekit.combine import combine_decide
 from combinekit.errors import ParseError, SignatureError
 from combinekit.formulas import (
     And,
@@ -135,6 +137,40 @@ def test_parse_rejects_resolver_values_that_are_not_positive_ids(value):
         parse_formula("(pred P 1 Q)", resolver={"Q": value}.__getitem__)
     assert "resolved to" in str(e.value)
     assert e.value.offset == 10
+
+
+def _nested_nots(depth):
+    return "(not " * depth + "(= x y)" + ")" * depth
+
+
+def _nested_and_or(depth):
+    f = "(= a b)"
+    for _ in range(depth):
+        f = f"(and (= a b) (or (P 1) {f}))"
+    return f
+
+
+def test_a_formula_nested_past_the_stack_is_a_parse_error():
+    for text in (_nested_nots(2000), _nested_and_or(300)):
+        with pytest.raises(ParseError, match="nested too deeply") as e:
+            parse_formula(text)
+        assert 0 < e.value.offset < len(text)
+
+
+def test_formulas_nested_below_the_stack_still_parse_lower_and_combine():
+    assert to_dnf(parse_formula(_nested_nots(900))) == [Cube((EqualityLiteral("x", "y", True),))]
+    f = parse_formula(_nested_and_or(150))
+    assert len(to_dnf(f)) == 2
+    assert combine_decide(MaxSizeTheory(3), SizePinTheory(), f).sat
+
+
+def test_lowering_thousands_of_disjunctions_reaches_the_first_cube():
+    # The odometer in _dnf keeps an explicit stack; a recursive product
+    # walk overflows the interpreter stack at 1,500 disjunctions.
+    n = 1500
+    f = parse_formula("(and (P 2)" + "".join(f" (or (= x{i} y{i}) (distinct x{i} y{i}))" for i in range(n)) + ")")
+    first = next(iter_dnf(f))
+    assert len(first.literals) == n + 1 and all(lit.positive for lit in first.literals)
 
 
 # -- cubes ---------------------------------------------------------------------

@@ -2,8 +2,19 @@ import json
 
 import pytest
 
+from combinekit.catalog import (
+    ExactSizeTheory,
+    InfiniteOnlyTheory,
+    MaxSizeTheory,
+    MinSizeTheory,
+    SingletonOrInfiniteTheory,
+    SizeCapTheory,
+    StepTheory,
+    TwoSizeTheory,
+)
 from combinekit.formulas import Cube, PredicateId, PredicateLiteral
 from combinekit.registry import Registry, RegistryError, theory_from_json
+from combinekit.theories import Theory, _read_pred_part
 
 # Every JSON kind, with the registry name of the handle it should equal
 # (None where the registry has no name for that definition).
@@ -66,6 +77,40 @@ def test_integer_names_are_built_on_demand():
     for name in INTEGER_NAMES:
         assert registry.resolve(name) is registry.resolve(name)
     assert set(INTEGER_NAMES) <= set(registry.names())
+
+
+def test_a_built_name_returns_the_handle_registered_under_its_name():
+    registry = Registry()
+    ns4, leq3 = registry.resolve("T_ns_4"), registry.resolve("T_leq_3")
+    for _ in range(3):
+        assert registry.resolve("T_step_4_4") is ns4
+        assert registry.resolve("T_leq_03") is leq3
+    assert registry.resolve("T_ns_4") is ns4 and registry.resolve("T_leq_3") is leq3
+    assert len(registry.all_theories()) == 26
+
+
+# The theories a cube with no positive predicate constrains: one has an
+# unguarded axiom, or a bare predicate that a cube may leave unmentioned.
+NOT_PREDICATE_FREE = (
+    InfiniteOnlyTheory,
+    ExactSizeTheory,
+    MaxSizeTheory,
+    MinSizeTheory,
+    TwoSizeTheory,
+    SizeCapTheory,
+    SingletonOrInfiniteTheory,
+    StepTheory,
+)
+
+
+def test_the_predicate_free_shape_is_read_from_the_theory():
+    catalog = Registry().all_theories()
+    built = [Registry({"mine": spec}).resolve("mine") for spec, _ in KINDS]
+    assert len(catalog) == 26
+    for t in catalog + built:
+        assert _read_pred_part(t, ()) == (None, t.predicate_free), t
+        overrides = t.predicate_free is not Theory.predicate_free
+        assert overrides == isinstance(t, NOT_PREDICATE_FREE), t
 
 
 def test_doubling_oracle_caps_at_twice_the_index():

@@ -215,6 +215,19 @@ def test_factories_refuse_sizes_past_the_bound():
             build()
 
 
+@pytest.mark.parametrize("p, q", [(BOUND + 5, 1), (0, BOUND + 5)])
+def test_a_periodic_literal_past_the_bound_is_refused(p, q):
+    text = f"periodic:p={p},q={q},pre={'0' * p},per={'0' * (q - 1)}1"
+    with pytest.raises(SetBoundExceeded, match="past the set bound"):
+        parse_set_literal(text)
+
+
+def test_a_periodic_literal_at_the_bound_is_read():
+    s = parse_set_literal(f"periodic:p={BOUND - 1},q=1,pre={'0' * (BOUND - 1)},per=1")
+    assert s == upfrom(BOUND)
+    assert len(parse_set_literal(f"periodic:p=0,q={BOUND},pre=,per={'0' * (BOUND - 1)}1").period) == BOUND
+
+
 def test_the_set_bound_is_a_typed_error():
     # A CombineKitError for library callers, and still a ValueError.
     assert issubclass(SetBoundExceeded, CombineKitError) and issubclass(SetBoundExceeded, ValueError)

@@ -37,12 +37,13 @@ from combinekit.formulas import (
     to_dnf,
 )
 from combinekit.registry import Registry
-from combinekit.sets import evens, odds, upfrom
+from combinekit.sets import evens, interval, odds, upfrom
 from combinekit.spectra import view
 from combinekit.theories import (
     UNSAT,
     FormulaEnumeration,
     Reading,
+    Shape,
     Theory,
     doubling_oracle,
     minmod_equalities,
@@ -424,6 +425,13 @@ def test_a_far_cap_is_decided_at_its_least_member():
     assert not t.decide_at_least(sat, 50001)
 
 
+def test_a_shape_cannot_both_allow_and_withhold_a_size():
+    assert Shape(upfrom(4), True, withheld=interval(1, 3)).withheld == interval(1, 3)
+    for finite in (upfrom(3), interval(3, 3), upfrom(1)):
+        with pytest.raises(ValueError, match="both allow and withhold"):
+            Shape(finite, True, withheld=interval(1, 3))
+
+
 def test_every_cap_is_downward_closed(theory_list, rng):
     # decide_at_least asks a cap only about the least allowed size, which
     # is sound only if a cap that rejects a size rejects every larger one.
@@ -441,7 +449,8 @@ def test_every_cap_is_downward_closed(theory_list, rng):
         parts = [None] + [t.sample_pred(rng) for _ in range(40)]
         for p in parts:
             c = TOP if p is None else Cube((PredicateLiteral(p, True),))
-            shape = t.shape(t.read_part(c.pred_part))
+            part = t.read_part(c.pred_part)
+            shape = t.predicate_free if part is None else t.shape(part)
             if shape.allow is None or shape.inf is True:
                 continue
             capped.add(type(t).__name__)
@@ -527,7 +536,8 @@ def _uncached_reading(t, c):
     if part is UNSAT or c.contradictory:
         return None
     floor = formulas._equality_minimum(c.eq_part)
-    return None if floor is None else Reading(part, t.shape(part), floor)
+    shape = t.predicate_free if part is None else t.shape(part)
+    return None if floor is None else Reading(part, shape, floor)
 
 
 def _query_answers(t, c):
