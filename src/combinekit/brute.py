@@ -198,14 +198,9 @@ def random_cube(
     pool_vars = ["x", "y", "z", "w"][:max_vars]
     lits = []
     for _ in range(rng.randint(0, max_literals)):
-        if rng.random() < 0.55:
+        if rng.random() < 0.55 or (pid := theory.sample_pred(rng)) is None:
             a, b = rng.sample(pool_vars, 2) if len(pool_vars) >= 2 else (pool_vars[0], pool_vars[0])
             lits.append(EqualityLiteral(a, b, rng.random() < 0.45))
         else:
-            pid = theory.sample_pred(rng)
-            if pid is None:
-                a, b = rng.sample(pool_vars, 2)
-                lits.append(EqualityLiteral(a, b, rng.random() < 0.45))
-            else:
-                lits.append(PredicateLiteral(pid, rng.random() < 0.7))
+            lits.append(PredicateLiteral(pid, rng.random() < 0.7))
     return Cube(tuple(lits))

@@ -24,13 +24,11 @@ from functools import partial
 from .errors import SignatureError
 from .formulas import Cube, EqualityLiteral, PredicateId, PredicateLiteral, Signature, fresh_variables
 from .properties import certificate
-from .sets import EvPeriodicSet, evens, finite_set, interval, upfrom
+from .sets import ALL, EMPTY, EvPeriodicSet, cofinite_excluding, evens, finite_set, interval, upfrom
 from .spectra import ExactSpectrum
 from .theories import (
-    ALL,
     CAPPED,
     DEFAULT_U_STANDIN,
-    EMPTY,
     SAMPLE_INDEX_BOUND,
     TAGGED,
     FOracle,
@@ -171,7 +169,7 @@ class TwoSizeTheory(Theory):
         self.m, self.n = m, n
         self.u_standin = u_standin
         self._declare_family(f"T_mn_{m}_{n}", family, 1)
-        self.certificate = certificate(never_infinite=True, n_decidable_rule=("except", frozenset({m})))
+        self.certificate = certificate(never_infinite=True, n_decidable_sizes=cofinite_excluding([m]))
         self.predicate_free = Shape(finite_set([m, n]), False)
 
     def shape(self, pos):
@@ -197,11 +195,7 @@ class SizeCapTheory(Theory):
         self.s = s
         self.f = f
         self._declare_family(f"T_leq_S({s.to_literal()})", family, 1)
-        self.certificate = certificate(
-            cfs=True,
-            fqg_rule=("set-in-filter", s),
-            cofqg_rule=("complement-not-in-filter", s),
-        )
+        self.certificate = certificate(cfs=True, fqg_set=s, cofqg_set=s)
         self.predicate_free = Shape(s, True)
 
     def shape(self, pos):
@@ -335,7 +329,7 @@ class MixedTagTheory(Theory):
         self.f = f
         self.u_standin = u_standin
         self._declare_family(f"T_d_{n}", family, 1)
-        self.certificate = certificate(n_decidable_rule=("geq", n + 1))
+        self.certificate = certificate(n_decidable_sizes=upfrom(n + 1))
 
     def shape(self, pos):
         j = pos.indices[0]
@@ -506,7 +500,7 @@ class CompositeTestTheory(Theory):
             if n is None or n < 1:
                 raise ValueError("n-shiny-complete needs a positive n")
             self.name = f"complete_nshiny_{n}"
-            self.certificate = certificate(n_decidable_rule=("only", frozenset({n})))
+            self.certificate = certificate(n_decidable_sizes=finite_set([n]))
         self.signature = Signature(frozenset(fams))
 
     def validate_indices(self, pid: PredicateId):

@@ -16,7 +16,7 @@ import functools
 import random
 from dataclasses import dataclass
 
-from .brute import brute_spectrum, random_cube
+from .brute import brute_sat_at, brute_spectrum, random_cube
 from .catalog import BigModelTagTheory, witness_tgtnp
 from .errors import CapabilityMissing, IterationCapExceeded
 from .filters import NO, YES, FreeFilter, filter_includes, frechet
@@ -146,8 +146,14 @@ def probe_certificate(
 
     def finitely_witnessable(c):
         if isinstance(theory, BigModelTagTheory) and len(c.positive_preds()) == 1:
-            if theory.decide_cube(c) != theory.decide_cube(witness_tgtnp(theory, c)):
+            w = witness_tgtnp(theory, c)
+            sat = theory.decide_cube(w)
+            if theory.decide_cube(c) != sat:
                 return f"witness transform changes satisfiability of {c}"
+            # A satisfiable witness has a model carried by its own variables.
+            m = len(w.variables())
+            if sat and m <= bound and not any(brute_sat_at(theory, w, k) for k in range(1, m + 1)):
+                return f"witness {w} of {c} has no model of size at most its {m} variables"
 
     # (flag, claimed, per-cube check, verdict when clean) in report order;
     # shiny has no check of its own, it rests on the rows above it.

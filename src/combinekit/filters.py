@@ -7,9 +7,12 @@ generators it is the Fréchet filter (all cofinite sets).
 
 Membership is a yes/no verdict, decided exactly: intersections only
 shrink as the generator subset grows, so ``A`` belongs to the filter iff
-``(intersection of all generators) \\ A`` is finite.  The intersection of
-no generators is every size, so the Fréchet filter's members are exactly
-the cofinite sets.
+``core \\ A`` is finite, where the core is the intersection of all
+generators.  For the same reason some subfamily has a finite
+intersection exactly when the whole family does, so the strong finite
+intersection property is a check of the core alone.  The intersection
+of no generators is every size, so the Fréchet filter's members are
+exactly the cofinite sets.
 
 Ultrafilters are deliberately absent: they are non-constructive, and the
 self-dual quasi-gentle case they would induce stays uninstantiated.
@@ -17,11 +20,10 @@ self-dual quasi-gentle case they would induce stays uninstantiated.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
-from .sets import EvPeriodicSet, upfrom
+from .sets import ALL, EvPeriodicSet
 
 YES = "yes"
 NO = "no"
@@ -29,23 +31,21 @@ NO = "no"
 
 @dataclass(frozen=True)
 class FreeFilter:
-    """The free filter generated by finitely many infinite-intersection sets."""
+    """The free filter generated by finitely many infinite-intersection
+    sets; ``core`` is their intersection (``ALL`` when there are none)."""
 
     generators: tuple[EvPeriodicSet, ...]
     name: str = "generated"
+    core: EvPeriodicSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for size in range(1, len(self.generators) + 1):
-            for combo in itertools.combinations(self.generators, size):
-                inter = reduce(lambda a, b: a.intersect(b), combo)
-                if inter.is_finite():
-                    raise ValueError(
-                        "generators lack the strong finite intersection property"
-                    )
+        core = reduce(EvPeriodicSet.intersect, self.generators, ALL)
+        if core.is_finite():
+            raise ValueError("generators lack the strong finite intersection property")
+        object.__setattr__(self, "core", core)
 
     def member(self, s: EvPeriodicSet) -> str:
-        core = reduce(lambda a, b: a.intersect(b), self.generators, upfrom(1))
-        return YES if core.difference(s).is_finite() else NO
+        return YES if self.core.difference(s).is_finite() else NO
 
 
 def frechet() -> FreeFilter:

@@ -9,9 +9,9 @@ explicit denial of an implied property is rejected.  `CLASS_TABLE`
 states each class's facts once: the parameter its membership needs, its
 membership test, and the declared field that membership forces.
 
-Parameterized properties are rule-valued: n-decidability is a rule over
-cardinalities, quasi-gentleness (and its co-variant) a rule over free
-filters.
+Parameterized properties are set-valued.  n-decidability holds on a set
+of sizes; F-QG holds for the free filters that contain a set, and co-F-QG
+for those that do not contain a set's complement.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from functools import cache
 
 from .errors import CombineKitError
 from .filters import NO, YES, FreeFilter
+from .sets import ALL, EMPTY, EvPeriodicSet
 
 # (lower, upper) inclusion edges of the property lattice.
 LATTICE_EDGES = (
@@ -55,50 +56,25 @@ _PARTNER_PAIRS = (
 )
 PARTNER = {a: b for pair in _PARTNER_PAIRS for a, b in (pair, pair[::-1])}
 
-# Rules for n-decidability: which finite cardinalities k admit an exact
-# "k in spectrum?" answer for every cube.
-NDecRule = tuple  # ('all',) | ('geq', k) | ('except', frozenset) | ('only', frozenset) | ('none',)
-
-# Rules for (co-)quasi-gentleness, evaluated against a concrete filter.
-FilterRule = tuple  # ('all',) | ('set-in-filter', set) | ('complement-not-in-filter', set) | ('none',)
-
-
-def _eval_ndec(rule: NDecRule, k: int) -> bool:
-    kind = rule[0]
-    if kind == "all":
-        return True
-    if kind == "geq":
-        return k >= rule[1]
-    if kind == "except":
-        return k not in rule[1]
-    if kind == "only":
-        return k in rule[1]
-    return False
-
-
-def _eval_filter_rule(rule: FilterRule, filt: FreeFilter) -> bool:
-    kind = rule[0]
-    if kind == "all":
-        return True
-    if kind == "set-in-filter":
-        return filt.member(rule[1]) == YES
-    if kind == "complement-not-in-filter":
-        return filt.member(rule[1].complement()) == NO
-    return False
-
 
 @dataclass(frozen=True, kw_only=True)
 class PropertyCertificate:
     """A theory's place in the property lattice, closed when it is built.
 
-    ``None`` means "derive"; an explicit ``False`` (or rule ``("none",)``)
-    that an implication forces raises :class:`CertificateViolation`.
-    Apart from the lattice edges, four implications hold: shiny gives fmp
-    and minimal-model computability, smoothness gives SI, a never-infinite
-    theory decides the infinite question, and quasi-gentleness for some
-    filters needs computable finite spectra.  ``dataclasses.replace``
-    closes again, so it rejects a closed certificate that stores
-    ``("none",)`` for a rule its classes force.
+    ``None`` means "derive"; an explicit ``False`` (or ``EMPTY``) that an
+    implication forces raises :class:`CertificateViolation`.  The set
+    fields: the theory is k-decidable for k in ``n_decidable_sizes``,
+    F-QG for every filter that contains ``fqg_set``, and co-F-QG for
+    every filter that does not contain ``cofqg_set``'s complement.
+    Apart from the lattice edges, four implications hold: shiny gives
+    fmp and minimal-model computability, smoothness gives SI, a
+    never-infinite theory decides the infinite question, and
+    quasi-gentleness for some filters needs computable finite spectra.
+    A closed certificate is its own closure under ``dataclasses.replace``.
+
+    Strong politeness has no node: for decidable theories it coincides
+    with shininess (Casal & Rasga, JAR 2018).  ``finitely_witnessable``
+    records only the witness transform that a classify probe checks.
     """
 
     cfs: bool | None = None
@@ -112,35 +88,34 @@ class PropertyCertificate:
     never_infinite: bool = False
     finitely_witnessable: bool = False
     n_shiny_param: int | None = None
-    n_decidable_rule: NDecRule | None = None
-    fqg_rule: FilterRule | None = None
-    cofqg_rule: FilterRule | None = None
+    n_decidable_sizes: EvPeriodicSet | None = None
+    fqg_set: EvPeriodicSet | None = None
+    cofqg_set: EvPeriodicSet | None = None
 
     def __post_init__(self):
         fields = dict(vars(self))
 
         def force(name: str, value, why: str):
-            if fields[name] is False or fields[name] == ("none",):
+            if fields[name] is False or fields[name] == EMPTY:
                 raise CertificateViolation(f"{name} denied but implied by {why}")
-            if value is not None:
-                fields[name] = value
+            fields[name] = value
 
         if self.shiny:
             force("fmp", True, "shiny")
             force("minmod_computable", True, "shiny")
         # The classes the declaration states, with the three non-edge
-        # implications folded in: smooth -> SI, never infinite -> ID, and a
-        # (co-)F-QG rule for some filters -> CFS.
-        partial_rule = any(r not in (None, ("none",), ("all",)) for r in (self.fqg_rule, self.cofqg_rule))
+        # implications folded in: smooth -> SI, never infinite -> ID, and
+        # (co-)F-QG for some filters -> CFS.
+        partial = any(s not in (None, EMPTY, ALL) for s in (self.fqg_set, self.cofqg_set))
         stated = {
             "shiny": self.shiny,
             "n-shiny": self.n_shiny_param is not None,
             "gentle": self.gentle,
-            "F-QG": self.fqg_rule == ("all",),
-            "co-F-QG": self.cofqg_rule == ("all",),
+            "F-QG": self.fqg_set == ALL,
+            "co-F-QG": self.cofqg_set == ALL,
             "SI": self.stably_infinite or self.smooth,
             "ID": self.infinitely_decidable or self.never_infinite,
-            "CFS": self.cfs or partial_rule,
+            "CFS": self.cfs or partial,
         }
         closed = frozenset().union(*(class_ancestors(c) for c, on in stated.items() if on))
         for cls, (_, _, forced) in CLASS_TABLE.items():
@@ -149,8 +124,8 @@ class PropertyCertificate:
         if self.never_infinite and "SI" in closed:
             raise CertificateViolation("never_infinite contradicts stable infiniteness (and smoothness)")
         for name, value in fields.items():
-            if name.endswith("_rule"):
-                value = value or ("none",)
+            if name.endswith(("_sizes", "_set")):
+                value = EMPTY if value is None else value
             elif name != "n_shiny_param":
                 value = bool(value)
             object.__setattr__(self, name, value)
@@ -166,16 +141,16 @@ class PropertyCertificate:
         return self.smooth and self.cs
 
     def is_n_decidable(self, k: int) -> bool:
-        return self.cfs or _eval_ndec(self.n_decidable_rule, k)
+        return self.cfs or k in self.n_decidable_sizes
 
     def is_n_shiny(self, n: int) -> bool:
         return self.shiny or self.n_shiny_param == n
 
     def is_fqg(self, filt: FreeFilter) -> bool:
-        return self.gentle or _eval_filter_rule(self.fqg_rule, filt)
+        return self.gentle or filt.member(self.fqg_set) == YES
 
     def is_cofqg(self, filt: FreeFilter) -> bool:
-        return self.is_fqg(filt) or _eval_filter_rule(self.cofqg_rule, filt)
+        return self.is_fqg(filt) or filt.member(self.cofqg_set.complement()) == NO
 
     def member(self, cls: str, *, n: int | None = None, filt: FreeFilter | None = None) -> bool:
         """Membership of this theory in a lattice class; n-decidable and
@@ -191,17 +166,16 @@ class PropertyCertificate:
 
 # Each lattice class, top to bottom, as (the parameter its membership
 # needs, its test, the declared field that membership forces with the
-# value it forces, or None).  co-F-QG membership reads "F-QG, or the
-# co-rule", so forcing it only rejects an explicit ("none",).
+# value it forces, or None).
 CLASS_TABLE = {
     "decidable": (None, lambda c, _: True, None),
     "n-decidable": ("n", PropertyCertificate.is_n_decidable, None),
     "CFS": (None, lambda c, _: c.cfs, ("cfs", True)),
     "ID": (None, lambda c, _: c.infinitely_decidable, ("infinitely_decidable", True)),
-    "co-F-QG": ("filt", PropertyCertificate.is_cofqg, ("cofqg_rule", None)),
+    "co-F-QG": ("filt", PropertyCertificate.is_cofqg, ("cofqg_set", ALL)),
     "CS": (None, lambda c, _: c.cs, None),
     "SI": (None, lambda c, _: c.stably_infinite, ("stably_infinite", True)),
-    "F-QG": ("filt", PropertyCertificate.is_fqg, ("fqg_rule", ("all",))),
+    "F-QG": ("filt", PropertyCertificate.is_fqg, ("fqg_set", ALL)),
     "gentle": (None, lambda c, _: c.gentle, ("gentle", True)),
     "SM+CS": (None, lambda c, _: c.sm_cs, ("smooth", True)),
     "n-shiny": ("n", PropertyCertificate.is_n_shiny, None),

@@ -251,6 +251,11 @@ def odds() -> EvPeriodicSet:
     return EvPeriodicSet((), (True, False))
 
 
+# The shared empty and universal sets; an instance is immutable.
+EMPTY = empty_set()
+ALL = upfrom(1)
+
+
 def bitzero(i: int) -> EvPeriodicSet:
     """Positive naturals whose i-th binary bit is 0 (bit 1 = least significant).
 

@@ -64,7 +64,7 @@ from .formulas import (
     minmod_equalities,  # noqa: F401  (re-exported)
 )
 from .properties import PropertyCertificate
-from .sets import ALEPH0, Card, EvPeriodicSet, empty_set, odds, upfrom
+from .sets import ALEPH0, ALL, EMPTY, Card, EvPeriodicSet, odds, upfrom
 from .spectra import ExactSpectrum
 
 
@@ -134,9 +134,6 @@ class Shape:
         equality minimum alone: no oracle test and nothing withheld."""
         return self.allow is None and self.withheld is None and self.inf is not None
 
-
-EMPTY = empty_set()
-ALL = upfrom(1)
 
 # The part of predicate literals with two distinct positive predicates.
 UNSAT = object()

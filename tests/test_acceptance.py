@@ -56,7 +56,7 @@ from combinekit.properties import (
     certificate,
     class_ancestors,
 )
-from combinekit.sets import evens
+from combinekit.sets import ALL, evens, finite_set
 from combinekit.theories import FormulaEnumeration
 
 
@@ -250,14 +250,14 @@ TABLE_REFUTED = {
 }
 
 EDGE_CONSTRUCTIONS = {
-    ("n-decidable", "decidable"): dict(n_decidable_rule=("only", frozenset({4}))),
+    ("n-decidable", "decidable"): dict(n_decidable_sizes=finite_set([4])),
     ("ID", "decidable"): dict(infinitely_decidable=True),
     ("CFS", "n-decidable"): dict(cfs=True),
-    ("co-F-QG", "CFS"): dict(cofqg_rule=("complement-not-in-filter", evens())),
+    ("co-F-QG", "CFS"): dict(cofqg_set=evens()),
     ("CS", "CFS"): dict(cfs=True, infinitely_decidable=True),
     ("CS", "ID"): dict(cfs=True, infinitely_decidable=True),
     ("SI", "ID"): dict(stably_infinite=True),
-    ("F-QG", "co-F-QG"): dict(fqg_rule=("all",)),
+    ("F-QG", "co-F-QG"): dict(fqg_set=ALL),
     ("gentle", "F-QG"): dict(gentle=True),
     ("gentle", "CS"): dict(gentle=True),
     ("SM+CS", "CS"): dict(smooth=True, cfs=True),
@@ -384,8 +384,8 @@ def test_criterion_8_degenerate_regressions():
     to = SizeCapTheory(odds(), family="Q")
     with pytest.raises(MethodNotApplicable):
         combine_decide(te, to, parse_formula("(= x x)"), quasi_gentle())
-    te.certificate = certificate(fqg_rule=("all",))
-    to.certificate = certificate(cofqg_rule=("all",))
+    te.certificate = certificate(fqg_set=ALL)
+    to.certificate = certificate(cofqg_set=ALL)
     with pytest.raises(IterationCapExceeded) as e:
         combine_decide(te, to, parse_formula("(= x x)"), quasi_gentle(), cap=40)
     assert e.value.cap == 40

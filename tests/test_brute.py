@@ -337,3 +337,14 @@ def test_brute_oracle_never_reads_the_closed_forms():
         "_pred_subsets",
         "brute_sat_at",
     } <= set(used)
+
+
+def test_random_cube_over_one_variable_needs_no_predicate():
+    # With no predicate to sample (T_inf, T_eq), the draw falls back to an
+    # equality over the one variable, as T_eq_P's equality draws do.
+    for theory in (InfiniteOnlyTheory(), EqualityTheory(), SizePinTheory()):
+        rng = random.Random(5)
+        for _ in range(50):
+            cube = random_cube(theory, rng, max_vars=1)
+            assert cube.variables() <= {"x"}
+            assert all(isinstance(lit, EqualityLiteral) for lit in cube.eq_part)

@@ -1,5 +1,7 @@
+import itertools
 import random
 from dataclasses import dataclass
+from functools import reduce
 from types import SimpleNamespace
 
 import pytest
@@ -29,6 +31,8 @@ from combinekit.properties import (
 )
 from combinekit.registry import Registry
 from combinekit.sets import (
+    ALL,
+    EMPTY,
     bitzero,
     cofinite_excluding,
     empty_set,
@@ -52,14 +56,14 @@ def _member(cert, cls, n=4):
 EDGE_WITNESS_CERTS = {
     # For each edge (lower, upper): a certificate construction that is in
     # the lower class; closure must force membership in the upper class.
-    ("n-decidable", "decidable"): dict(n_decidable_rule=("only", frozenset({4}))),
+    ("n-decidable", "decidable"): dict(n_decidable_sizes=finite_set([4])),
     ("ID", "decidable"): dict(infinitely_decidable=True),
     ("CFS", "n-decidable"): dict(cfs=True),
-    ("co-F-QG", "CFS"): dict(cofqg_rule=("complement-not-in-filter", evens())),
+    ("co-F-QG", "CFS"): dict(cofqg_set=evens()),
     ("CS", "CFS"): dict(cfs=True, infinitely_decidable=True),
     ("CS", "ID"): dict(cfs=True, infinitely_decidable=True),
     ("SI", "ID"): dict(stably_infinite=True),
-    ("F-QG", "co-F-QG"): dict(fqg_rule=("all",)),
+    ("F-QG", "co-F-QG"): dict(fqg_set=ALL),
     ("gentle", "F-QG"): dict(gentle=True),
     ("gentle", "CS"): dict(gentle=True),
     ("SM+CS", "CS"): dict(smooth=True, cfs=True),
@@ -86,7 +90,7 @@ def test_certificate_violations_rejected():
     with pytest.raises(CertificateViolation):
         certificate(gentle=True, cfs=False)
     with pytest.raises(CertificateViolation):
-        certificate(gentle=True, fqg_rule=("none",))
+        certificate(gentle=True, fqg_set=EMPTY)
     with pytest.raises(CertificateViolation):
         certificate(stably_infinite=True, infinitely_decidable=False)
     with pytest.raises(CertificateViolation):
@@ -96,9 +100,9 @@ def test_certificate_violations_rejected():
     with pytest.raises(CertificateViolation):
         certificate(smooth=True, stably_infinite=False)
     with pytest.raises(CertificateViolation):
-        certificate(fqg_rule=("all",), cofqg_rule=("none",))
+        certificate(fqg_set=ALL, cofqg_set=EMPTY)
     with pytest.raises(CertificateViolation):
-        certificate(cofqg_rule=("complement-not-in-filter", evens()), cfs=False)
+        certificate(cofqg_set=evens(), cfs=False)
 
 
 def test_member_needs_its_parameter():
@@ -221,6 +225,21 @@ def test_probe_reports_a_witness_transform_that_changes_satisfiability(monkeypat
     (row,) = [r for r in probe_certificate(BigModelTagTheory(2), samples=20) if r["flag"] == "finitely-witnessable"]
     assert row["verdict"] == "fail"
     assert row["evidence"].startswith("witness transform changes satisfiability of {P_")
+
+
+def test_probe_reports_a_witness_without_a_model_on_its_own_variables(monkeypatch):
+    def row(**kw):
+        (got,) = [r for r in probe_certificate(BigModelTagTheory(2), **kw) if r["flag"] == "finitely-witnessable"]
+        return got["verdict"], got["evidence"]
+
+    # The real transform passes, also with a bound below every witness's size.
+    for bound in (2, 6):
+        assert row(bound=bound) == ("probe-pass", "sampled probe clean")
+    # The identity keeps satisfiability, but {P_k} has no variables to carry
+    # the model that its tag may force past the threshold.
+    monkeypatch.setattr(classify, "witness_tgtnp", lambda t, c: c)
+    verdict, evidence = row()
+    assert verdict == "fail" and evidence.startswith("witness {P_")
 
 
 # -- refutations --------------------------------------------------------------------
@@ -435,6 +454,42 @@ def _eventually_periodic_samples(rng):
         per = "".join(rng.choice("01") for _ in range(q))
         sets.append(parse_set_literal(f"periodic:p={p},q={q},pre={pre},per={per}"))
     return sets
+
+
+class _SubsetLoopFilter:
+    """The replaced generator check: every nonempty generator subfamily
+    must have an infinite intersection."""
+
+    def __init__(self, generators):
+        for size in range(1, len(generators) + 1):
+            for combo in itertools.combinations(generators, size):
+                if reduce(lambda a, b: a.intersect(b), combo).is_finite():
+                    raise ValueError("generators lack the strong finite intersection property")
+        self.generators = generators
+
+    def member(self, s):
+        core = reduce(lambda a, b: a.intersect(b), self.generators, upfrom(1))
+        return YES if core.difference(s).is_finite() else NO
+
+
+def test_core_check_matches_the_subset_loop():
+    rng = random.Random(41)
+    pool = [*(bitzero(i) for i in range(1, 6)), evens(), odds(), finite_set([2, 4, 6]), cofinite_excluding([1, 3])]
+    probes = _eventually_periodic_samples(random.Random(43))
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        gens = tuple(rng.sample(pool, rng.randint(0, 6)))
+        try:
+            ref = _SubsetLoopFilter(gens)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                FreeFilter(gens)
+            outcomes[False] += 1
+            continue
+        filt = FreeFilter(gens)
+        assert [filt.member(s) for s in probes] == [ref.member(s) for s in probes], gens
+        outcomes[True] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_frechet_is_the_free_filter_without_generators():

@@ -52,7 +52,7 @@ from combinekit.formulas import (
     split_by_signature,
 )
 from combinekit.properties import CLASSES, LATTICE_EDGES, PARTNER, certificate, class_ancestors
-from combinekit.sets import ALEPH0, card_to_json, evens, upfrom
+from combinekit.sets import ALEPH0, ALL, card_to_json, evens, upfrom
 from combinekit.spectra import DEFAULT_ITERATION_CAP, view
 
 TOP = Cube(())
@@ -273,8 +273,8 @@ def test_quasi_gentle_miscertified_pair_hits_cap():
         combine_decide(te, to, f("(= x x)"), quasi_gentle())
     # Certificates that wrongly claim quasi-gentleness for every filter:
     # the scan over the disjoint even and odd sizes never meets.
-    te.certificate = certificate(fqg_rule=("all",))
-    to.certificate = certificate(cofqg_rule=("all",))
+    te.certificate = certificate(fqg_set=ALL)
+    to.certificate = certificate(cofqg_set=ALL)
     with pytest.raises(IterationCapExceeded) as e:
         combine_decide(te, to, f("(= x x)"), quasi_gentle(), cap=64)
     assert e.value.cap == 64

@@ -27,10 +27,10 @@ from combinekit.combine import (
     quasi_gentle,
     select_method,
 )
-from combinekit.properties import CLASSES, certificate
-from combinekit.sets import bitzero
+from combinekit.properties import CLASSES, CertificateViolation, certificate
+from combinekit.sets import ALL, EMPTY, bitzero, cofinite_excluding, finite_set, upfrom
 
-GOLDEN = "202d6f1e8373"
+GOLDEN = "1b7d75a4f1f2"
 
 FILTERS = (
     bitzero_filter(set()),
@@ -49,21 +49,8 @@ TRI_FLAGS = (
     "gentle",
 )
 BOOL_FLAGS = ("shiny", "never_infinite", "finitely_witnessable")
-NDEC_RULES = (
-    None,
-    ("none",),
-    ("all",),
-    ("geq", 3),
-    ("except", frozenset({2})),
-    ("only", frozenset({4})),
-)
-FILTER_RULES = (
-    None,
-    ("none",),
-    ("all",),
-    ("set-in-filter", bitzero(1)),
-    ("complement-not-in-filter", bitzero(2)),
-)
+NDEC_SIZES = (None, EMPTY, ALL, upfrom(3), cofinite_excluding([2]), finite_set([4]))
+FILTER_SETS = (None, EMPTY, ALL, bitzero(1), bitzero(2))
 CONSTRUCTIONS = 6000
 
 
@@ -81,15 +68,21 @@ def _flags(cert) -> str:
     return "|".join(fields + [repr(cert.cs), repr(cert.sm_cs)])
 
 
-def _certificate_lines():
+def _constructions():
+    """The seeded keyword combinations the digest builds certificates from."""
     rng = random.Random(4)
     for _ in range(CONSTRUCTIONS):
         kw = {f: rng.choice(TRI) for f in TRI_FLAGS}
         kw.update({f: rng.random() < 0.2 for f in BOOL_FLAGS})
         kw["n_shiny_param"] = rng.choice((None, 1, 4))
-        kw["n_decidable_rule"] = rng.choice(NDEC_RULES)
-        kw["fqg_rule"] = rng.choice(FILTER_RULES)
-        kw["cofqg_rule"] = rng.choice(FILTER_RULES)
+        kw["n_decidable_sizes"] = rng.choice(NDEC_SIZES)
+        kw["fqg_set"] = rng.choice(FILTER_SETS)
+        kw["cofqg_set"] = rng.choice(FILTER_SETS)
+        yield kw
+
+
+def _certificate_lines():
+    for kw in _constructions():
         try:
             cert = certificate(**kw)
             got = f"{_flags(cert)}|{_grid(cert)}"
@@ -133,3 +126,15 @@ def lattice_digest() -> str:
 
 def test_lattice_surface_digest():
     assert lattice_digest() == GOLDEN
+
+
+def test_every_closed_certificate_is_its_own_closure():
+    closed = [t.certificate for t in default_catalog()]
+    for kw in _constructions():
+        try:
+            closed.append(certificate(**kw))
+        except CertificateViolation:
+            pass
+    assert len(closed) > 26
+    for cert in closed:
+        assert dataclasses.replace(cert) == cert, cert
