@@ -145,7 +145,9 @@ def probe_certificate(
                 return f"shape {shape} disagrees with brute at {kk} on {c}"
 
     def finitely_witnessable(c):
-        if isinstance(theory, BigModelTagTheory) and len(c.positive_preds()) == 1:
+        if not isinstance(theory, BigModelTagTheory):
+            return f"no witness transform for {theory.name}: witness_tgtnp covers T_gt_n_P only"
+        if len(c.positive_preds()) == 1:
             w = witness_tgtnp(theory, c)
             sat = theory.decide_cube(w)
             if theory.decide_cube(c) != sat:

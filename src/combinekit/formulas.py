@@ -10,6 +10,12 @@ Variables are plain lowercase identifiers.  Predicates carry a family
 tag (an uppercase name) and a tuple of indices; indices are positive
 ints, the marker ``"inf"``, or registered formula ids resolved by the
 parser.
+
+A literal computes its hash and sort key once, when built, and a cube
+its hash once.  ``negate`` and the parser share literals through a
+bounded table, and the parser maps an atom's tokens straight to its
+literal through a bounded table that keeps no formula reference.
+Equality stays by value, so a dropped entry costs only time.
 """
 
 from __future__ import annotations
@@ -27,12 +33,25 @@ from .errors import ParseError, SignatureError
 Index = int | str  # positive int, or the "inf" marker
 
 
+class _BuiltOnce:
+    """The hash and sort key a literal sets once, when built; not fields."""
+
+    __slots__ = ("_hash", "sort_key")
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, not restored: a str's hash differs between processes
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
 @dataclass(frozen=True, slots=True)
-class PredicateId:
+class PredicateId(_BuiltOnce):
     """An indexed nullary predicate, e.g. P_3, P_(7,2) or R_(2,5,9)."""
 
     family: str
     indices: tuple[Index, ...] = ()
+    __hash__ = _BuiltOnce.__hash__  # dataclass would replace an inherited one
 
     def __post_init__(self):
         for ix in self.indices:
@@ -41,10 +60,9 @@ class PredicateId:
                     raise ValueError(f"predicate index must be positive, got {ix}")
             elif ix != "inf":
                 raise ValueError(f"bad predicate index {ix!r}")
-
-    @property
-    def sort_key(self):
-        return (self.family, tuple([(1, "") if ix == "inf" else (0, ix) for ix in self.indices]))
+        object.__setattr__(self, "_hash", hash((self.family, self.indices)))
+        key = tuple([(1, "") if ix == "inf" else (0, ix) for ix in self.indices])
+        object.__setattr__(self, "sort_key", (self.family, key))
 
     def __str__(self) -> str:
         if not self.indices:
@@ -53,16 +71,17 @@ class PredicateId:
 
 
 @dataclass(frozen=True, slots=True)
-class PredicateLiteral:
+class PredicateLiteral(_BuiltOnce):
     pred: PredicateId
     positive: bool = True
+    __hash__ = _BuiltOnce.__hash__
 
-    @property
-    def sort_key(self):
-        return (0, self.pred.sort_key, not self.positive)
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.pred, self.positive)))
+        object.__setattr__(self, "sort_key", (0, self.pred.sort_key, not self.positive))
 
     def negate(self) -> "PredicateLiteral":
-        return PredicateLiteral(self.pred, not self.positive)
+        return shared_literal(PredicateLiteral, self.pred, not self.positive)
 
     def variables(self) -> frozenset[str]:
         return frozenset()
@@ -72,25 +91,24 @@ class PredicateLiteral:
 
 
 @dataclass(frozen=True, slots=True)
-class EqualityLiteral:
+class EqualityLiteral(_BuiltOnce):
     """x = y or x != y, with endpoints stored in lexicographic order."""
 
     left: str
     right: str
     positive: bool = True
+    __hash__ = _BuiltOnce.__hash__
 
     def __post_init__(self):
         if self.right < self.left:
             lo, hi = self.right, self.left
             object.__setattr__(self, "left", lo)
             object.__setattr__(self, "right", hi)
-
-    @property
-    def sort_key(self):
-        return (1, self.left, self.right, not self.positive)
+        object.__setattr__(self, "_hash", hash((self.left, self.right, self.positive)))
+        object.__setattr__(self, "sort_key", (1, self.left, self.right, not self.positive))
 
     def negate(self) -> "EqualityLiteral":
-        return EqualityLiteral(self.left, self.right, not self.positive)
+        return shared_literal(EqualityLiteral, self.left, self.right, not self.positive)
 
     def variables(self) -> frozenset[str]:
         return frozenset((self.left, self.right))
@@ -102,6 +120,10 @@ class EqualityLiteral:
 
 Literal = PredicateLiteral | EqualityLiteral
 
+# Entries each bounded table keeps: literals LRU, parsed atoms oldest first.
+ATOMS_KEPT = 1024
+shared_literal = lru_cache(maxsize=ATOMS_KEPT)(lambda kind, *fields: kind(*fields))
+_ATOMS: dict[tuple, Literal] = {}
 
 _sort_key = operator.attrgetter("sort_key")
 
@@ -129,35 +151,35 @@ class Cube:
     time.  ``pred_part`` and ``eq_part`` are the two slices of the sorted
     literals at that boundary; verdicts read the parts apart, so memos key
     on a part, not on the cube.  ``contradictory`` (x != x, or a literal
-    with its negation) and ``minmod``, the equality minimum
-    (:func:`minmod_equalities`), are computed at most once per cube.
-    Tautological self-equalities x = x are retained (they contribute
-    variables, which matters for witness constructions).
+    with its negation), ``minmod``, the equality minimum
+    (:func:`minmod_equalities`), and the hash are computed at most once
+    per cube.  Tautological self-equalities x = x are retained (they
+    contribute variables, which matters for witness constructions).
     """
 
     literals: tuple[Literal, ...]
 
     def __post_init__(self):
-        lits = sorted(dict.fromkeys(self.literals), key=_sort_key)
-        cut = sum(type(l) is PredicateLiteral for l in lits)
-        vars(self).update(literals=tuple(lits), pred_part=tuple(lits[:cut]), eq_part=tuple(lits[cut:]))
+        lits = tuple(sorted(dict.fromkeys(self.literals), key=_sort_key))
+        cut = operator.countOf(map(type, lits), PredicateLiteral)
+        vars(self).update(literals=lits, pred_part=lits[:cut], eq_part=lits[cut:])
+
+    def __hash__(self):
+        return self._hash
+
+    @_computed_once
+    def _hash(self) -> int:
+        return hash(self.literals)
 
     @_computed_once
     def contradictory(self) -> bool:
         # Sorting puts each negative literal right after its positive twin.
-        prev = None
+        twin = None  # the last positive literal's key, less its polarity
         for lit in self.literals:
-            if not lit.positive:
-                if isinstance(lit, EqualityLiteral):
-                    if lit.left == lit.right or (
-                        isinstance(prev, EqualityLiteral)
-                        and prev.positive
-                        and (prev.left, prev.right) == (lit.left, lit.right)
-                    ):
-                        return True
-                elif isinstance(prev, PredicateLiteral) and prev.positive and prev.pred == lit.pred:
-                    return True
-            prev = lit
+            if lit.positive:
+                twin = lit.sort_key[:-1]
+            elif lit.sort_key[:-1] == twin or type(lit) is EqualityLiteral and lit.left == lit.right:
+                return True
         return False
 
     @_computed_once
@@ -208,10 +230,7 @@ Formula = And | Or | Not | PredicateLiteral | EqualityLiteral
 def formula_atoms(f: Formula) -> frozenset:
     """The distinct atoms of f (literals with polarity stripped)."""
     if isinstance(f, (And, Or)):
-        out: frozenset = frozenset()
-        for c in f.children:
-            out |= formula_atoms(c)
-        return out
+        return frozenset().union(*map(formula_atoms, f.children))
     if isinstance(f, Not):
         return formula_atoms(f.child)
     pos = f if f.positive else f.negate()
@@ -268,7 +287,8 @@ class _Parser:
 
     def __init__(self, text: str, resolver: Resolver | None):
         self.text, self.resolver, self.pos = text, resolver, 0
-        self.toks = _TOKEN_RE.findall(text) + [None]
+        # _TOKEN_RE's tokens (fail() counts them for an offset), split faster.
+        self.toks = text.replace("(", " ( ").replace(")", " ) ").split() + [None]
 
     def fail(self, message: str, i: int) -> ParseError:
         """The error at token i, whose offset is recovered only here."""
@@ -331,6 +351,12 @@ class _Parser:
             raise self.fail(f"expected '(', got {toks[i]!r}", i)
         h = self.take()
         head = toks[h]
+        # An atom parsed before: its tokens through its ')' map to its literal.
+        key = tuple(toks[h : h + (4 if head == "=" else 2 if toks[h + 1] == ")" else 3)])
+        f = _ATOMS.get(key)
+        if f is not None:
+            self.pos = h + len(key)
+            return f
         if head in ("and", "or"):
             kids = tuple(self.items(self.expr, "unterminated list"))
             if not kids:
@@ -340,20 +366,27 @@ class _Parser:
             vs = self.items(lambda: self.variable(self.take()))
             if len(vs) < 2:
                 raise self.fail("(distinct ...) needs at least two variables", h)
-            lits = tuple(EqualityLiteral(x, y, False) for x, y in itertools.combinations(vs, 2))
+            lits = tuple(shared_literal(EqualityLiteral, *xy, False) for xy in itertools.combinations(vs, 2))
             return And(lits) if len(lits) > 1 else lits[0]
+        if head == "not":
+            f = Not(self.expr())
+            self.items(self.no_item)
+            return f
         if head == "=":
             a, b = self.take(), self.take()  # both operands are read before either is checked
-            f = EqualityLiteral(self.variable(a), self.variable(b), True)
-        elif head == "not":
-            f = Not(self.expr())
+            f = shared_literal(EqualityLiteral, self.variable(a), self.variable(b), True)
+            self.items(self.no_item)
         else:
             fi = self.take() if head == "pred" else h
             if not FAMILY_RE.match(toks[fi]):
                 what = "unknown predicate family" if head == "pred" else "unknown operator"
                 raise self.fail(f"{what} {toks[fi]!r}", fi)
-            return PredicateLiteral(PredicateId(toks[fi], tuple(self.items(self.index))))
-        self.items(self.no_item)
+            f = shared_literal(PredicateLiteral, PredicateId(toks[fi], tuple(self.items(self.index))), True)
+        # Kept when read whole from its key; never a formula reference, which each resolver resolves.
+        if head != "pred" and self.pos == h + len(key) and not FAMILY_RE.match(toks[h + 1]):
+            if len(_ATOMS) >= ATOMS_KEPT:
+                del _ATOMS[next(iter(_ATOMS))]
+            _ATOMS[key] = f
         return f
 
 

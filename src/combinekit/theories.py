@@ -24,15 +24,16 @@ The base states predicate exclusivity once on each side.  Its one reader,
 floor, which is ``Cube.minmod`` unless the caller fixes it (the
 combination shell reads a side once per cube and sets the floor to each
 arrangement's block count), or None when the cube clashes.  It checks
-the cube's predicate part (ownership, index grammar, exclusivity) and
-builds its shape once per (theory, ``Cube.pred_part``) while a bounded
-memo keeps it, so cubes that share a predicate part share one reading of
-it.  From one reading the base derives ``decide_at_least``,
-``spec_finite``, ``spec_inf``, ``minmod_cube``, ``exact_spectrum``,
-``cube_spectrum_exact``, ``nshiny_classify`` and ``infinite_only``; each
-takes a cube or a reading.  Given a cube, a theory also keeps its
-reading of the last cube it read, compared by identity, so consecutive
-queries on one cube hash neither part.
+the cube's predicate part (ownership, index grammar, exclusivity) once
+per (theory, ``Cube.pred_part``), and builds a shape once per (theory,
+part), while bounded memos keep them: predicate parts that differ only in
+literals the theory ignores share one shape.  From one reading the base
+derives ``decide_at_least``, ``spec_finite``, ``spec_inf``,
+``minmod_cube``, ``exact_spectrum``, ``cube_spectrum_exact``,
+``nshiny_classify`` and ``infinite_only``; each takes a cube or a
+reading.  Given a cube, a theory also keeps its reading of the last cube
+it read, compared by identity, so consecutive queries on one cube hash
+neither part.
 ``decide_at_least(cube, k)`` is the primary satisfiability query: a
 disequality clique over k fresh variables would raise the equality
 minimum to max(minmod, k), so it asks a cap about the least allowed size
@@ -149,8 +150,8 @@ class Reading(NamedTuple):
     floor: int
 
 
-# A theory's readings of predicate parts are kept per (theory, part), at
-# most READINGS_KEPT of them, least recently used dropped first.
+# Each memo below keeps at most READINGS_KEPT entries, least recently used
+# dropped first: readings by (theory, predicate part), shapes by (theory, part).
 READINGS_KEPT = 256
 
 
@@ -162,9 +163,13 @@ def _read_pred_part(theory: "Theory", pred_part: tuple[PredicateLiteral, ...]) -
     for lit in pred_part:
         theory.check_pred(lit.pred)
     part = theory.read_part(pred_part)
-    if part is UNSAT:
-        return part, None
-    return part, theory.predicate_free if part is None else theory.shape(part)
+    return part, None if part is UNSAT else _part_shape(theory, part)
+
+
+@lru_cache(maxsize=READINGS_KEPT)
+def _part_shape(theory: "Theory", part) -> Shape:
+    """The shape of a theory's part, shared by every predicate part read as it."""
+    return theory.predicate_free if part is None else theory.shape(part)
 
 
 # What a derived query takes: a cube, or this theory's reading of one

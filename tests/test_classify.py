@@ -9,7 +9,14 @@ import pytest
 from combinekit import classify
 from combinekit.brute import brute_spectrum
 from combinekit.cli import main
-from combinekit.catalog import BigModelTagTheory, EqualityTheory, MaxSizeTheory, SizePinTheory, StepTheory
+from combinekit.catalog import (
+    BigModelTagTheory,
+    EqualityTheory,
+    InfiniteOnlyTheory,
+    MaxSizeTheory,
+    SizePinTheory,
+    StepTheory,
+)
 from combinekit.classify import (
     DEFAULT_PROBE_SAMPLES,
     bitzero_filter,
@@ -26,6 +33,7 @@ from combinekit.properties import (
     CLASSES,
     LATTICE_EDGES,
     CertificateViolation,
+    PropertyCertificate,
     certificate,
     class_ancestors,
 )
@@ -240,6 +248,22 @@ def test_probe_reports_a_witness_without_a_model_on_its_own_variables(monkeypatc
     monkeypatch.setattr(classify, "witness_tgtnp", lambda t, c: c)
     verdict, evidence = row()
     assert verdict == "fail" and evidence.startswith("witness {P_")
+
+
+def test_probe_fails_a_finitely_witnessable_claim_without_a_witness_transform():
+    # T_inf has no finite model at all; claiming the flag without a
+    # transform to check it must not read as a clean probe.
+    t = InfiniteOnlyTheory()
+    t.certificate = PropertyCertificate(
+        cfs=True, smooth=True, infinitely_decidable=True, stably_infinite=True, finitely_witnessable=True
+    )
+    rows = {r["flag"]: r for r in probe_certificate(t)}
+    assert rows["finitely-witnessable"]["verdict"] == "fail"
+    assert rows["finitely-witnessable"]["evidence"] == (
+        "no witness transform for T_inf: witness_tgtnp covers T_gt_n_P only"
+    )
+    # The other claims are true of T_inf and still probe clean.
+    assert all(r["verdict"] != "fail" for f, r in rows.items() if f != "finitely-witnessable")
 
 
 # -- refutations --------------------------------------------------------------------

@@ -106,7 +106,8 @@ def test_a_dropped_theory_leaves_no_cycle():
     # A theory keeps its reading of the last cube it read, and the reading
     # keeps the part's shape, whose cap or gap test must not refer back to
     # the theory: otherwise a theory dropped from the readings memo is a
-    # cycle that only the collector frees.
+    # cycle that only the collector frees.  The readings memo and the
+    # shape memo both hold the theory, so both are cleared.
     rng = random.Random(7)
     fresh = default_catalog()
     gc.collect()
@@ -125,6 +126,7 @@ def test_a_dropped_theory_leaves_no_cycle():
             dropped = weakref.ref(t)
             del t
             theories._read_pred_part.cache_clear()
+            theories._part_shape.cache_clear()
             brute._fitting_subsets.cache_clear()
             assert gc.collect() == 0, name
             assert dropped() is None, name

@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combinekit import formulas
 from combinekit.catalog import MaxSizeTheory, SizePinTheory
 from combinekit.combine import combine_decide
 from combinekit.errors import ParseError, SignatureError
@@ -171,6 +174,87 @@ def test_lowering_thousands_of_disjunctions_reaches_the_first_cube():
     f = parse_formula("(and (P 2)" + "".join(f" (or (= x{i} y{i}) (distinct x{i} y{i}))" for i in range(n)) + ")")
     first = next(iter_dnf(f))
     assert len(first.literals) == n + 1 and all(lit.positive for lit in first.literals)
+
+
+# -- shared literals and the atom table ----------------------------------------------
+
+
+def _reference_sort_key(lit):
+    """A literal's sort key as the literal classes once computed it on every read."""
+    if isinstance(lit, EqualityLiteral):
+        return (1, lit.left, lit.right, not lit.positive)
+    indices = tuple([(1, "") if ix == "inf" else (0, ix) for ix in lit.pred.indices])
+    return (0, (lit.pred.family, indices), not lit.positive)
+
+
+def _seeded_atoms(rng, count):
+    """(atom text, its negation built field by field, the atom built field by field)."""
+    out = []
+    for _ in range(count):
+        r = rng.random()
+        if r < 0.5:
+            a, b = rng.choice("xyzw"), rng.choice(("a", "y1", "z_3", "x2"))  # never x = x
+            out.append((f"(= {a} {b})", EqualityLiteral(a, b, False), EqualityLiteral(a, b, True)))
+            continue
+        if r < 0.8:
+            text, pid = "(P {})", PredicateId("P", (rng.choice((1, 2, 7, "inf")),))
+        elif r < 0.9:
+            text, pid = "(Q)", PredicateId("Q", ())
+        else:
+            text, pid = "(pred R {} {})", PredicateId("R", (rng.randint(1, 3), rng.choice((4, "inf"))))
+        out.append((text.format(*pid.indices), PredicateLiteral(pid, False), PredicateLiteral(pid, True)))
+    return out
+
+
+def test_shared_literals_match_literals_built_field_by_field():
+    # Twice over the corpus: the second pass takes every atom from the tables.
+    corpus = _seeded_atoms(random.Random(3501), 300)
+    for _ in range(2):
+        for text, neg, pos in corpus:
+            (neg_cube,) = to_dnf(parse_formula(f"(not {text})"))
+            parsed = parse_formula(text)
+            for got, want in ((parsed, pos), (parsed.negate(), neg), (neg_cube.literals[0], neg), (neg.negate(), pos)):
+                assert got == want and hash(got) == hash(want), text
+                assert got.sort_key == want.sort_key == _reference_sort_key(want), text
+                assert (repr(got), str(got)) == (repr(want), str(want)), text
+                back = pickle.loads(pickle.dumps(got))
+                assert back == got and hash(back) == hash(got) and back.sort_key == got.sort_key
+    # The hash and the sort key are kept, not dataclass fields.
+    lit = EqualityLiteral("y", "x", False)
+    assert repr(lit) == "EqualityLiteral(left='x', right='y', positive=False)"
+    assert [f.name for f in dataclasses.fields(lit)] == ["left", "right", "positive"]
+    assert dataclasses.replace(lit, positive=True).sort_key == (1, "x", "y", False)
+
+
+def test_more_atoms_than_the_tables_keep_still_parse_and_lower_by_value():
+    n = formulas.ATOMS_KEPT + 300
+    pairs = [(f"a{i}", f"b{i}") for i in range(1, n + 1)]
+    text = "(and" + "".join(f" (= {a} {b})" for a, b in pairs) + ")"
+    assert to_dnf(parse_formula(text)) == [Cube(tuple(EqualityLiteral(a, b, True) for a, b in pairs))]
+    # Both tables drop (= a1 b1) before its negation is read, so the two
+    # literals are built apart; they are still equal, and the cube clashes.
+    f = parse_formula(text[:-1] + " (not (= a1 b1)))")
+    first, last = f.children[0], f.children[-1].child
+    assert first == last and first is not last
+    assert to_dnf(f) == []
+
+
+def test_a_formula_reference_is_resolved_by_each_parse():
+    for _ in range(2):
+        for text in ("(pred P Q)", "(P Q)"):
+            assert parse_formula(text, {"Q": 3}.__getitem__) == P(3)
+            assert parse_formula(text, {"Q": 5}.__getitem__) == P(5)
+            with pytest.raises(ParseError, match="no resolver for formula reference 'Q'"):
+                parse_formula(text)
+
+
+def test_the_literal_tables_stay_within_their_bound():
+    bound = formulas.ATOMS_KEPT
+    text = "(and" + "".join(f" (= c{i} d{i}) (not (P {i}))" for i in range(1, 2 * bound)) + ")"
+    assert len(to_dnf(parse_formula(text))) == 1
+    info = formulas.shared_literal.cache_info()
+    assert info.maxsize == bound and info.currsize <= bound
+    assert 0 < len(formulas._ATOMS) <= bound
 
 
 # -- cubes ---------------------------------------------------------------------

@@ -21,6 +21,7 @@ from combinekit.catalog import (
     StepTheory,
     TaggedInfinityTheory,
     TwoSizeTheory,
+    default_catalog,
     toy_inner_theory,
     witness_tgtnp,
 )
@@ -569,6 +570,48 @@ def test_readings_by_predicate_part_match_an_uncached_reading(theory_list):
                         other.decide_cube(d)
                     continue
                 assert _query_answers(other, d) == _query_answers(other, want), (other, d)
+
+
+def test_a_shape_is_built_once_per_part_whatever_the_negative_literals(monkeypatch):
+    # Predicate parts that differ only in negative literals are read apart,
+    # since each must pass the signature check, but read as one part, whose
+    # shape is built once.
+    theories._read_pred_part.cache_clear()
+    theories._part_shape.cache_clear()
+    t = SizePinTheory()
+    shaped, read = [], []
+    real_shape, real_read = SizePinTheory.shape, Theory.read_part
+    monkeypatch.setattr(SizePinTheory, "shape", lambda self, part: shaped.append(part) or real_shape(self, part))
+    monkeypatch.setattr(SizePinTheory, "read_part", lambda self, pp: read.append(pp) or real_read(self, pp))
+    texts = ["(P 3)", "(and (P 3) (not (P 1)))", "(and (P 3) (not (P 2)) (not (P 5)))", "(and (not (P 4)) (P 3))"]
+    for text in texts * 2:
+        assert t.spec_finite(cube(text), 3) and not t.spec_finite(cube(text), 4)
+    assert shaped == [pid("P", 3)]
+    assert len(read) == 4  # one per distinct predicate part: twins share a reading
+    # No positive predicate is the predicate-free part, which has no shape to build.
+    for text in ("(not (P 1))", "(and (not (P 2)) (not (P 6)))", "(= x y)"):
+        assert t.decide_cube(cube(text))
+    assert shaped == [pid("P", 3)]
+    info = theories._part_shape.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)  # P_3 and None
+
+
+def test_readings_through_the_shape_memo_match_a_fresh_theory(theory_list):
+    # Each cube is read next to twins that add or drop negative predicate
+    # literals, so its part's shape usually comes from the memo; a fresh
+    # catalog theory reads it without memos.  The nullary toy reads the
+    # polarity of its last predicate literal, so its twins change parts.
+    assert len(theory_list) == 26 and "toy" in {t.name for t in theory_list}
+    rng = random.Random(3511)
+    for t, fresh in zip(theory_list, default_catalog()):
+        assert t.name == fresh.name and t is not fresh
+        for _ in range(40):
+            c = random_cube(t, rng)
+            negatives = [lit for lit in c.pred_part if not lit.positive]
+            extra = [] if (p := t.sample_pred(rng)) is None else [PredicateLiteral(p, False)]
+            for d in (c, Cube(c.literals + tuple(extra)), Cube(tuple(set(c.literals) - set(negatives))), c):
+                want = _query_answers(fresh, _uncached_reading(fresh, d))
+                assert _query_answers(t, d) == want, (t, d)
 
 
 def test_the_reading_memo_stays_within_its_bound():
