@@ -12,10 +12,9 @@ ints, the marker ``"inf"``, or registered formula ids resolved by the
 parser.
 
 A literal computes its hash and sort key once, when built, and a cube
-its hash once.  ``negate`` and the parser share literals through a
-bounded table, and the parser maps an atom's tokens straight to its
-literal through a bounded table that keeps no formula reference.
-Equality stays by value, so a dropped entry costs only time.
+its hash once.  Two bounded tables share negations and map an atom's
+tokens to the literal parsed for them before: they pay where atoms recur
+across parses and cost time where all are new.  Equality stays by value.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ class EqualityLiteral(_BuiltOnce):
 
 Literal = PredicateLiteral | EqualityLiteral
 
-# Entries each bounded table keeps: literals LRU, parsed atoms oldest first.
+# At most ATOMS_KEPT each: shared negations (LRU) and parsed atoms by token (emptied when full).
 ATOMS_KEPT = 1024
 shared_literal = lru_cache(maxsize=ATOMS_KEPT)(lambda kind, *fields: kind(*fields))
 _ATOMS: dict[tuple, Literal] = {}
@@ -164,8 +163,8 @@ class Cube:
         cut = operator.countOf(map(type, lits), PredicateLiteral)
         vars(self).update(literals=lits, pred_part=lits[:cut], eq_part=lits[cut:])
 
-    def __hash__(self):
-        return self._hash
+    # The hash is kept, and pickle rebuilds the cube, as it does a literal.
+    __hash__, __reduce__ = _BuiltOnce.__hash__, _BuiltOnce.__reduce__
 
     @_computed_once
     def _hash(self) -> int:
@@ -287,8 +286,7 @@ class _Parser:
 
     def __init__(self, text: str, resolver: Resolver | None):
         self.text, self.resolver, self.pos = text, resolver, 0
-        # _TOKEN_RE's tokens (fail() counts them for an offset), split faster.
-        self.toks = text.replace("(", " ( ").replace(")", " ) ").split() + [None]
+        self.toks = _TOKEN_RE.findall(text) + [None]
 
     def fail(self, message: str, i: int) -> ParseError:
         """The error at token i, whose offset is recovered only here."""
@@ -352,11 +350,12 @@ class _Parser:
         h = self.take()
         head = toks[h]
         # An atom parsed before: its tokens through its ')' map to its literal.
-        key = tuple(toks[h : h + (4 if head == "=" else 2 if toks[h + 1] == ")" else 3)])
-        f = _ATOMS.get(key)
-        if f is not None:
-            self.pos = h + len(key)
-            return f
+        if head not in ("and", "or", "not", "distinct", "pred"):
+            key = tuple(toks[h : h + (4 if head == "=" else 2 if toks[h + 1] == ")" else 3)])
+            f = _ATOMS.get(key)
+            if f is not None:
+                self.pos = h + len(key)
+                return f
         if head in ("and", "or"):
             kids = tuple(self.items(self.expr, "unterminated list"))
             if not kids:
@@ -374,18 +373,19 @@ class _Parser:
             return f
         if head == "=":
             a, b = self.take(), self.take()  # both operands are read before either is checked
-            f = shared_literal(EqualityLiteral, self.variable(a), self.variable(b), True)
+            f = EqualityLiteral(self.variable(a), self.variable(b), True)
             self.items(self.no_item)
         else:
             fi = self.take() if head == "pred" else h
             if not FAMILY_RE.match(toks[fi]):
                 what = "unknown predicate family" if head == "pred" else "unknown operator"
                 raise self.fail(f"{what} {toks[fi]!r}", fi)
-            f = shared_literal(PredicateLiteral, PredicateId(toks[fi], tuple(self.items(self.index))), True)
-        # Kept when read whole from its key; never a formula reference, which each resolver resolves.
-        if head != "pred" and self.pos == h + len(key) and not FAMILY_RE.match(toks[h + 1]):
+            f = PredicateLiteral(PredicateId(toks[fi], tuple(self.items(self.index))))
+            if head == "pred" or FAMILY_RE.match(toks[h + 1]):
+                return f  # may hold a formula reference, which each parse's resolver resolves
+        if self.pos == h + len(key):  # read whole from its key
             if len(_ATOMS) >= ATOMS_KEPT:
-                del _ATOMS[next(iter(_ATOMS))]
+                _ATOMS.clear()  # not oldest first: next(iter()) would scan past every deleted slot
             _ATOMS[key] = f
         return f
 

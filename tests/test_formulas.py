@@ -176,7 +176,7 @@ def test_lowering_thousands_of_disjunctions_reaches_the_first_cube():
     assert len(first.literals) == n + 1 and all(lit.positive for lit in first.literals)
 
 
-# -- shared literals and the atom table ----------------------------------------------
+# -- literals that carry their hash and sort key, and the atom table ----------------
 
 
 def _reference_sort_key(lit):
@@ -206,19 +206,23 @@ def _seeded_atoms(rng, count):
     return out
 
 
-def test_shared_literals_match_literals_built_field_by_field():
-    # Twice over the corpus: the second pass takes every atom from the tables.
-    corpus = _seeded_atoms(random.Random(3501), 300)
-    for _ in range(2):
-        for text, neg, pos in corpus:
-            (neg_cube,) = to_dnf(parse_formula(f"(not {text})"))
-            parsed = parse_formula(text)
-            for got, want in ((parsed, pos), (parsed.negate(), neg), (neg_cube.literals[0], neg), (neg.negate(), pos)):
-                assert got == want and hash(got) == hash(want), text
-                assert got.sort_key == want.sort_key == _reference_sort_key(want), text
-                assert (repr(got), str(got)) == (repr(want), str(want)), text
-                back = pickle.loads(pickle.dumps(got))
-                assert back == got and hash(back) == hash(got) and back.sort_key == got.sort_key
+def test_parsed_and_negated_literals_match_literals_built_field_by_field():
+    # Twice over the corpus: the second pass takes every atom from the table.
+    for text, neg, pos in _seeded_atoms(random.Random(3501), 300) * 2:
+        (neg_cube,) = to_dnf(parse_formula(f"(not {text})"))
+        parsed = parse_formula(text)
+        for got, want in ((parsed, pos), (parsed.negate(), neg), (neg_cube.literals[0], neg), (neg.negate(), pos)):
+            assert got == want and hash(got) == hash(want), text
+            assert got.sort_key == want.sort_key == _reference_sort_key(want), text
+            assert (repr(got), str(got)) == (repr(want), str(want)), text
+        # Pickle rebuilds, not restores: a kept hash is of strings, whose
+        # hash differs between processes.  A cube computes its hash anew.
+        for got in (parsed, neg_cube):
+            back = pickle.loads(pickle.dumps(got))
+            assert back == got and hash(back) == hash(got), text
+        assert parsed.__reduce__() == (type(parsed), tuple(getattr(parsed, f.name) for f in dataclasses.fields(parsed)))
+        assert neg_cube.__reduce__() == (Cube, (neg_cube.literals,))
+        assert "_hash" in vars(neg_cube) and "_hash" not in vars(pickle.loads(pickle.dumps(neg_cube)))
     # The hash and the sort key are kept, not dataclass fields.
     lit = EqualityLiteral("y", "x", False)
     assert repr(lit) == "EqualityLiteral(left='x', right='y', positive=False)"
@@ -226,12 +230,12 @@ def test_shared_literals_match_literals_built_field_by_field():
     assert dataclasses.replace(lit, positive=True).sort_key == (1, "x", "y", False)
 
 
-def test_more_atoms_than_the_tables_keep_still_parse_and_lower_by_value():
+def test_more_atoms_than_the_table_keeps_still_parse_and_lower_by_value():
     n = formulas.ATOMS_KEPT + 300
     pairs = [(f"a{i}", f"b{i}") for i in range(1, n + 1)]
     text = "(and" + "".join(f" (= {a} {b})" for a, b in pairs) + ")"
     assert to_dnf(parse_formula(text)) == [Cube(tuple(EqualityLiteral(a, b, True) for a, b in pairs))]
-    # Both tables drop (= a1 b1) before its negation is read, so the two
+    # The table drops (= a1 b1) before its negation is read, so the two
     # literals are built apart; they are still equal, and the cube clashes.
     f = parse_formula(text[:-1] + " (not (= a1 b1)))")
     first, last = f.children[0], f.children[-1].child
@@ -252,9 +256,10 @@ def test_the_literal_tables_stay_within_their_bound():
     bound = formulas.ATOMS_KEPT
     text = "(and" + "".join(f" (= c{i} d{i}) (not (P {i}))" for i in range(1, 2 * bound)) + ")"
     assert len(to_dnf(parse_formula(text))) == 1
-    info = formulas.shared_literal.cache_info()
-    assert info.maxsize == bound and info.currsize <= bound
+    info = formulas.shared_literal.cache_info()  # the negations of (P 1) .. (P 2047)
+    assert info.maxsize == bound and info.currsize == bound
     assert 0 < len(formulas._ATOMS) <= bound
+    assert ("=", f"c{2 * bound - 1}", f"d{2 * bound - 1}", ")") in formulas._ATOMS
 
 
 # -- cubes ---------------------------------------------------------------------
