@@ -120,7 +120,7 @@ class EqualityLiteral(_BuiltOnce):
 Literal = PredicateLiteral | EqualityLiteral
 
 # At most ATOMS_KEPT each: shared negations (LRU) and parsed atoms by token (emptied when full).
-ATOMS_KEPT = 1024
+ATOMS_KEPT = 256
 shared_literal = lru_cache(maxsize=ATOMS_KEPT)(lambda kind, *fields: kind(*fields))
 _ATOMS: dict[tuple, Literal] = {}
 
