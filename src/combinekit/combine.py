@@ -24,7 +24,7 @@ from .filters import FreeFilter, frechet
 from .formulas import Arrangement, Cube, Formula, enumerate_arrangements, iter_dnf, split_by_signature
 from .properties import PARTNER
 from .sets import ALEPH0, Card, card_to_json, is_finite_card
-from .spectra import DEFAULT_ITERATION_CAP, SpectrumView, view
+from .spectra import DEFAULT_ITERATION_CAP, AtLeast, SpectrumView, view
 from .theories import Theory
 
 
@@ -136,8 +136,12 @@ def _run_n_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, s
 
 
 def _run_quasi_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
+    # Scan the sizes both sides reach.  Each side's `decide_at_least` is
+    # monotone, so it is searched in O(log n) queries; membership is still
+    # asked of both sides at every size the scan covers.
+    reach1, reach2 = AtLeast(v1, cap), AtLeast(v2, cap)
     n = 1
-    while v1.owner.decide_at_least(v1.subject, n) and v2.owner.decide_at_least(v2.subject, n):
+    while reach1(n) and reach2(n):
         if v1.contains(n) and v2.contains(n):
             return True, n
         n += 1

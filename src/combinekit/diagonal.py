@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import CapabilityMissing
 from .formulas import Cube
@@ -70,11 +70,14 @@ def process_formula(state: DiagState, theory: Theory, enum: FormulaEnumeration) 
     size j on, or promised for later fulfillment."""
     _check_theory(theory)
     phi = enum.cube(state.i)
+    sat, unsat, prom = state.sat, state.unsat, state.prom
     if _has_model_in(theory, phi, state.s_prefix):
-        return replace(state, sat=state.sat | {state.i}, i=state.i + 1)
-    if not theory.decide_at_least(phi, state.j):
-        return replace(state, unsat=state.unsat | {state.i}, i=state.i + 1)
-    return replace(state, prom=state.prom | {state.i}, i=state.i + 1)
+        sat = sat | {state.i}
+    elif not theory.decide_at_least(phi, state.j):
+        unsat = unsat | {state.i}
+    else:
+        prom = prom | {state.i}
+    return DiagState(state.s_prefix, sat, unsat, prom, state.i + 1, state.j, state.skipped)
 
 
 def process_number(state: DiagState, theory: Theory, enum: FormulaEnumeration) -> DiagState:
@@ -98,9 +101,7 @@ def process_number(state: DiagState, theory: Theory, enum: FormulaEnumeration) -
         sat = sat | {hit}
         prom = prom - {hit}
         j += 1
-    return replace(
-        state, s_prefix=s, sat=sat, prom=prom, j=j + 1, skipped=state.skipped + (j,)
-    )
+    return DiagState(s, sat, state.unsat, prom, state.i, j + 1, state.skipped + (j,))
 
 
 def run_diagonalization(

@@ -132,16 +132,22 @@ class EvPeriodicSet:
         return self.min_from(1)
 
     def min_from(self, n: int) -> int | None:
-        """Least element >= n (n >= 1); None when there is none."""
-        p, q = len(self.preperiod), len(self.period)
-        for m in range(n, p + 1):
-            if self.preperiod[m - 1]:
-                return m
-        start = max(n, p + 1)
-        for m in range(start, start + q):
-            if self.period[(m - p - 1) % q]:
-                return m
-        return None
+        """Least element >= n (n >= 1); None when there is none.  Scans
+        the preperiod from n, then the period from n's place in it with
+        wrap-around, each by ``tuple.index``."""
+        pre, per = self.preperiod, self.period
+        if n <= len(pre):
+            try:
+                return pre.index(True, n - 1) + 1
+            except ValueError:
+                n = len(pre) + 1
+        if True not in per:
+            return None
+        i = (n - len(pre) - 1) % len(per)
+        try:
+            return n + per.index(True, i) - i
+        except ValueError:
+            return n + per.index(True) + len(per) - i
 
     def max_element(self) -> int | None:
         """Greatest element of a finite set; None when empty or infinite.

@@ -84,19 +84,20 @@ class SpectrumView:
         return self.owner.spec_finite(self.subject, c)
 
     def max_finite(self, cap: int = DEFAULT_ITERATION_CAP) -> int | None:
-        """Greatest finite spectrum element: ask ``decide_at_least`` for
-        k = 1, 2, ... until it fails.
+        """Greatest finite spectrum element: the last k at which
+        ``decide_at_least`` holds, found by :class:`AtLeast` in O(log k)
+        queries, none of them past ``cap + 1``.
 
         The caller certifies the spectrum has no infinite member; a
-        mis-declared certificate shows up as IterationCapExceeded.
+        mis-declared certificate shows up as IterationCapExceeded, raised
+        exactly when ``decide_at_least(cap + 1)`` holds.
         Returns None when the cube is unsatisfiable.
         """
-        k = 0
-        while self.owner.decide_at_least(self.subject, k + 1):
-            k += 1
-            if k > cap:
+        at_least = AtLeast(self, cap)
+        while at_least(at_least.held + 1):
+            if at_least.held > cap:
                 raise IterationCapExceeded("max_finite", cap)
-        return k if k >= 1 else None
+        return at_least.held or None
 
     def minmod(self, cap: int = DEFAULT_ITERATION_CAP) -> Card | None:
         """Least spectrum element; None when unsatisfiable.
@@ -121,6 +122,30 @@ class SpectrumView:
 
     def exact(self) -> ExactSpectrum:
         return self.owner.exact_spectrum(self.subject)
+
+
+class AtLeast:
+    """One view's ``decide_at_least``, searched as the monotone predicate
+    it is (a model of at least k elements has at least k - 1).  Keeps the
+    largest size known to hold and the least known to fail; a size between
+    them is decided by a probe at twice the size, or halfway to the known
+    failure (Bentley and Yao's unbounded search).  A scan to n asks
+    O(log n) queries, none past ``cap + 1``."""
+
+    def __init__(self, v: SpectrumView, cap: int):
+        self.v, self.cap, self.held, self.failed = v, cap, 0, None
+
+    def __call__(self, k: int) -> bool:
+        if k <= self.held:
+            return True
+        while self.failed is None or k < self.failed:
+            gallop = self.failed is None
+            probe = max(k, min(2 * k, self.cap + 1)) if gallop else (k + self.failed) // 2
+            if self.v.owner.decide_at_least(self.v.subject, probe):
+                self.held = probe
+                return True
+            self.failed = probe
+        return False
 
 
 def view(theory: "Theory", subject: "Readable") -> SpectrumView:

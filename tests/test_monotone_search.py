@@ -1,0 +1,148 @@
+"""The monotone `decide_at_least` search against the linear scans it
+replaced: `SpectrumView.max_finite` and the quasi-gentle scan give the
+same answers, witnesses, loop counts and errors, in O(log n) queries
+that never go past ``cap + 1``."""
+
+import math
+import random
+
+import pytest
+
+from combinekit.brute import random_cube
+from combinekit.catalog import ExactSizeTheory, MaxSizeTheory, MinSizeTheory
+from combinekit.combine import METHODS, quasi_gentle
+from combinekit.errors import IterationCapExceeded
+from combinekit.formulas import Cube
+from combinekit.spectra import SpectrumView
+
+REFERENCE_CAP = 64
+
+
+class Counted:
+    """A theory whose ``decide_at_least`` records every size asked."""
+
+    def __init__(self, theory):
+        self.theory, self.asked = theory, []
+
+    def __getattr__(self, name):
+        return getattr(self.theory, name)
+
+    def decide_at_least(self, cube, k):
+        self.asked.append(k)
+        return self.theory.decide_at_least(cube, k)
+
+
+def counted_view(theory, cube) -> SpectrumView:
+    return SpectrumView(Counted(theory), cube)
+
+
+def linear_max_finite(v, cap):
+    """`max_finite` as a linear scan: ask k = 1, 2, ... until it fails."""
+    k = 0
+    while v.owner.decide_at_least(v.subject, k + 1):
+        k += 1
+        if k > cap:
+            raise IterationCapExceeded("max_finite", cap)
+    return k if k >= 1 else None
+
+
+def linear_quasi_gentle(method, v1, v2, cap, stats):
+    """The quasi-gentle scan asking both sides `decide_at_least` at every n."""
+    n = 1
+    while v1.owner.decide_at_least(v1.subject, n) and v2.owner.decide_at_least(v2.subject, n):
+        if v1.contains(n) and v2.contains(n):
+            return True, n
+        n += 1
+        stats["loop_iterations"] += 1
+        if n > cap:
+            raise IterationCapExceeded("quasi-gentle interleaved scan", cap)
+    return False, None
+
+
+def outcome(run, *args):
+    try:
+        return "ok", run(*args)
+    except Exception as e:  # compared by type and message
+        return type(e), str(e)
+
+
+def caps_around(answer: int | None) -> list[int]:
+    a = REFERENCE_CAP if answer is None else answer
+    return sorted({max(a - 1, 0), a, a + 1})
+
+
+def theories(theory_list):
+    return list(theory_list) + [
+        MaxSizeTheory(40), ExactSizeTheory(33), MinSizeTheory(5), MaxSizeTheory(1)
+    ]
+
+
+def test_max_finite_matches_the_linear_scan(theory_list):
+    rng = random.Random(3601)
+    for t in theories(theory_list):
+        cubes = [Cube(())] + [random_cube(t, rng) for _ in range(6)]
+        for c in cubes:
+            ref = outcome(linear_max_finite, counted_view(t, c), REFERENCE_CAP)
+            for cap in caps_around(ref[1] if ref[0] == "ok" else None):
+                want = outcome(linear_max_finite, counted_view(t, c), cap)
+                v = counted_view(t, c)
+                assert outcome(v.max_finite, cap) == want, (t.name, c, cap)
+                assert max(v.owner.asked) <= cap + 1, (t.name, c, cap)
+
+
+def test_quasi_gentle_matches_the_linear_scan(theory_list):
+    rng = random.Random(3602)
+    pool = theories(theory_list)
+    method = quasi_gentle()
+    run = METHODS["quasi-gentle"][1]
+    for t in pool:
+        for c in [Cube(())] + [random_cube(t, rng) for _ in range(3)]:
+            # Each catalog cube on either side, against a bounded, an
+            # exact, an unbounded and a catalog partner.
+            partners = [
+                MaxSizeTheory(rng.randint(1, 40)),
+                ExactSizeTheory(rng.randint(1, 40)),
+                MinSizeTheory(rng.randint(1, 8)),
+                rng.choice(pool),
+            ]
+            for p in partners:
+                d = random_cube(p, rng) if rng.random() < 0.5 else Cube(())
+                for sides in (((t, c), (p, d)), ((p, d), (t, c))):
+                    check_quasi_gentle(run, method, *sides)
+
+
+def check_quasi_gentle(run, method, side1, side2):
+    stats = {"loop_iterations": 0}
+    lin1 = counted_view(*side1)
+    ref = outcome(linear_quasi_gentle, method, lin1, counted_view(*side2), REFERENCE_CAP, stats)
+    scanned = len(lin1.owner.asked)  # the last size the scan reached
+    for cap in caps_around(None if ref[0] is IterationCapExceeded else scanned):
+        got_stats, want_stats = {"loop_iterations": 0}, {"loop_iterations": 0}
+        lin1 = counted_view(*side1)
+        want = outcome(linear_quasi_gentle, method, lin1, counted_view(*side2), cap, want_stats)
+        v1, v2 = counted_view(*side1), counted_view(*side2)
+        got = outcome(run, method, v1, v2, cap, got_stats)
+        assert (got, got_stats) == (want, want_stats), (side1, side2, cap)
+        n = len(lin1.owner.asked)
+        for v in (v1, v2):
+            assert all(k <= cap + 1 for k in v.owner.asked), (side1, side2, cap)
+            assert len(v.owner.asked) <= 4 * math.log2(max(n, 1)) + 4, (n, v.owner.asked)
+
+
+def test_max_finite_of_a_million_asks_at_most_45_queries():
+    v = counted_view(MaxSizeTheory(1_000_000), Cube(()))
+    assert v.max_finite(cap=2**20) == 1_000_000
+    assert len(v.owner.asked) <= 45 and max(v.owner.asked) <= 2**20 + 1
+    with pytest.raises(IterationCapExceeded, match="max_finite"):
+        counted_view(MaxSizeTheory(1_000_000), Cube(())).max_finite(cap=999_999)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 40, 100, 1000])
+def test_quasi_gentle_scan_to_n_asks_logarithmically_many_queries(n):
+    # Side 1 reaches every size and side 2 is {n}: the scan ends at n.
+    v1, v2 = counted_view(MinSizeTheory(1), Cube(())), counted_view(ExactSizeTheory(n), Cube(()))
+    stats = {"loop_iterations": 0}
+    assert METHODS["quasi-gentle"][1](quasi_gentle(), v1, v2, 10_000, stats) == (True, n)
+    assert stats["loop_iterations"] == n - 1
+    for v in (v1, v2):
+        assert len(v.owner.asked) <= 4 * math.log2(n) + 4, v.owner.asked

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import pytest
@@ -153,6 +154,34 @@ def test_least_and_greatest_elements_match_pointwise(s):
         assert s.max_element() == (members[-1] if members else None)
     else:
         assert s.max_element() is None
+
+
+def _min_from_loop(s: EvPeriodicSet, n: int) -> int | None:
+    """The least element >= n by a Python walk over the bitmaps, as
+    ``min_from`` was written before it scanned with ``tuple.index``."""
+    p, q = len(s.preperiod), len(s.period)
+    for m in range(n, p + 1):
+        if s.preperiod[m - 1]:
+            return m
+    start = max(n, p + 1)
+    for m in range(start, start + q):
+        if s.period[(m - p - 1) % q]:
+            return m
+    return None
+
+
+def test_min_from_matches_the_bitmap_walk():
+    rng = random.Random(3606)
+    bits = lambda k: tuple(rng.random() < 0.3 for _ in range(k))
+    sets = [EvPeriodicSet((), (False,)), EvPeriodicSet((True,), (False,) * 3)]
+    for _ in range(300):
+        pre, per = bits(rng.randint(0, 9)), bits(rng.randint(1, 7))
+        sets += [EvPeriodicSet(pre, per), EvPeriodicSet((), per), EvPeriodicSet(pre, (False,))]
+    assert any(not s.preperiod for s in sets) and any(s.is_finite() for s in sets)
+    for s in sets:
+        p, q = len(s.preperiod), len(s.period)
+        for n in range(1, p + 3 * q + 3):  # well past the preperiod
+            assert s.min_from(n) == _min_from_loop(s, n), (s, n)
 
 
 def test_large_interval_builds_in_linear_time():
