@@ -55,8 +55,10 @@ def _assign(variables: tuple[str, ...], k: int, values: list[int], i: int, used:
         yield from _assign(variables, k, values, i + 1, max(used, val))
 
 
-# Memo bounds, least recently used dropped first: equality parts, and
-# (theory, predicate part, closure) keys.
+# Memo bounds, least recently used dropped first: equality parts, whose
+# assignment walk each cube sharing the part would repeat, and (theory,
+# predicate part, closure) keys, whose subsets and model-checker verdicts
+# each cube and size sharing the part would rebuild.
 EQUALITY_PARTS_KEPT = 4_096
 PRED_PARTS_KEPT = 256
 

@@ -566,8 +566,9 @@ def equality_classes(
     return find, apart
 
 
-# The memo of equality minima keeps at most EQUALITY_MINIMA_KEPT parts,
-# least recently used dropped first, and only parts of at most
+# The memo of equality minima spares the colouring search for each cube
+# that repeats an equality part.  It keeps at most EQUALITY_MINIMA_KEPT
+# parts, least recently used dropped first, and only parts of at most
 # EQUALITY_PART_KEPT_LITERALS literals: a k-clique's part has k(k-1)/2
 # literals and is rarely seen twice, so keeping those would hold megabytes.
 EQUALITY_MINIMA_KEPT = 256

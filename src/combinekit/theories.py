@@ -23,17 +23,16 @@ The base states predicate exclusivity once on each side.  Its one reader,
 ``read``, returns a :class:`Reading`: the part, the part's shape, and a
 floor, which is ``Cube.minmod`` unless the caller fixes it (the
 combination shell reads a side once per cube and sets the floor to each
-arrangement's block count), or None when the cube clashes.  It checks
-the cube's predicate part (ownership, index grammar, exclusivity) once
-per (theory, ``Cube.pred_part``), and builds a shape once per (theory,
-part), while bounded memos keep them: predicate parts that differ only in
-literals the theory ignores share one shape.  From one reading the base
-derives ``decide_at_least``, ``spec_finite``, ``spec_inf``,
-``minmod_cube``, ``exact_spectrum``, ``cube_spectrum_exact``,
-``nshiny_classify`` and ``infinite_only``; each takes a cube or a
-reading.  Given a cube, a theory also keeps its reading of the last cube
-it read, compared by identity, so consecutive queries on one cube hash
-neither part.
+arrangement's block count), or None when the cube clashes.  Every read
+checks each predicate literal's ownership and index grammar and reads the
+theory's part; a bounded memo keeps shapes by (theory, part), so
+predicate parts that differ only in literals the theory ignores share one
+shape.  From one reading the base derives ``decide_at_least``,
+``spec_finite``, ``spec_inf``, ``minmod_cube``, ``exact_spectrum``,
+``cube_spectrum_exact``, ``nshiny_classify`` and ``infinite_only``; each
+takes a cube or a reading.  Given a cube, a theory also keeps its reading
+of the last cube it read, compared by identity, so a run of queries on
+one cube reads it once.
 ``decide_at_least(cube, k)`` is the primary satisfiability query: a
 disequality clique over k fresh variables would raise the equality
 minimum to max(minmod, k), so it asks a cap about the least allowed size
@@ -150,25 +149,14 @@ class Reading(NamedTuple):
     floor: int
 
 
-# Each memo below keeps at most READINGS_KEPT entries, least recently used
-# dropped first: readings by (theory, predicate part), shapes by (theory, part).
-READINGS_KEPT = 256
+# Shapes kept by (theory, part), least recently used dropped first.
+SHAPES_KEPT = 256
 
 
-@lru_cache(maxsize=READINGS_KEPT)
-def _read_pred_part(theory: "Theory", pred_part: tuple[PredicateLiteral, ...]) -> tuple:
-    """The theory's part of a cube's predicate literals and that part's
-    shape (None for UNSAT; ``predicate_free`` for no part).  A
-    SignatureError is raised, never kept."""
-    for lit in pred_part:
-        theory.check_pred(lit.pred)
-    part = theory.read_part(pred_part)
-    return part, None if part is UNSAT else _part_shape(theory, part)
-
-
-@lru_cache(maxsize=READINGS_KEPT)
+@lru_cache(maxsize=SHAPES_KEPT)
 def _part_shape(theory: "Theory", part) -> Shape:
-    """The shape of a theory's part, shared by every predicate part read as it."""
+    """The shape of a theory's part, shared by every predicate part read
+    as it, so that a catalog ``shape`` builds its sets once per part."""
     return theory.predicate_free if part is None else theory.shape(part)
 
 
@@ -247,14 +235,19 @@ class Theory:
         minimum when given; None when its literals clash or its equalities
         are inconsistent.  Raises SignatureError for a predicate this
         theory does not own or whose indices its grammar rejects."""
-        part, shape = _read_pred_part(self, cube.pred_part)
-        if part is UNSAT or cube.contradictory:
+        for lit in cube.pred_part:
+            self.check_pred(lit.pred)
+        part = self.read_part(cube.pred_part)
+        # The shape comes before the clash check: a part that its shape
+        # refuses raises even in a contradictory cube.
+        shape = None if part is UNSAT else _part_shape(self, part)
+        if shape is None or cube.contradictory:
             return None
         floor = cube.minmod if floor is None else floor
         return None if floor is None else Reading(part, shape, floor)
 
     # The last cube read and its reading, compared by identity: a run of
-    # queries on one cube reads it without hashing it.
+    # queries on one cube checks and reads it once, and hashes nothing.
     _last_reading: tuple = (None, None)
 
     def _reading(self, cube: Readable) -> Reading | None:

@@ -14,7 +14,7 @@ from combinekit.catalog import (
 )
 from combinekit.formulas import Cube, PredicateId, PredicateLiteral
 from combinekit.registry import Registry, RegistryError, theory_from_json
-from combinekit.theories import Theory, _read_pred_part
+from combinekit.theories import Theory
 
 # Every JSON kind, with the registry name of the handle it should equal
 # (None where the registry has no name for that definition).
@@ -108,7 +108,8 @@ def test_the_predicate_free_shape_is_read_from_the_theory():
     built = [Registry({"mine": spec}).resolve("mine") for spec, _ in KINDS]
     assert len(catalog) == 26
     for t in catalog + built:
-        assert _read_pred_part(t, ()) == (None, t.predicate_free), t
+        part, shape, _ = t.read(Cube(()))
+        assert (part, shape) == (None, t.predicate_free), t
         overrides = t.predicate_free is not Theory.predicate_free
         assert overrides == isinstance(t, NOT_PREDICATE_FREE), t
 

@@ -26,7 +26,7 @@ from combinekit.catalog import (
     witness_tgtnp,
 )
 from combinekit.combine import combine_decide, quasi_gentle
-from combinekit.errors import CapabilityMissing, CombineKitError, SignatureError
+from combinekit.errors import CapabilityMissing, CombineKitError, SetBoundExceeded, SignatureError
 from combinekit.formulas import (
     Cube,
     EqualityLiteral,
@@ -511,22 +511,35 @@ def test_an_unowned_predicate_raises_on_every_read(catalog):
         assert t.decide_cube(TOP)  # another cube is read in between
 
 
+def test_a_read_refuses_the_predicate_part_before_the_cube_clashes(catalog):
+    # A read checks the predicate part and builds its shape before it looks
+    # at the cube's clash, so a contradictory cube still raises what its
+    # predicate part raises; only two positive predicates answer first.
+    t = catalog["T_eq_P"]
+    far, clash = plit("P", 1048577), EqualityLiteral("x", "x", False)
+    for c in (Cube((far, clash)), Cube((far, plit("P", 1048577, positive=False)))):
+        assert c.contradictory
+        for query in (t.read, t.decide_cube, lambda c: t.spec_finite(c, 2)):
+            with pytest.raises(SetBoundExceeded, match="member 1048577 is past the set bound"):
+                query(c)
+    unowned = Cube((plit("P", 2), plit("Q"), clash))
+    assert unowned.contradictory
+    for query in (t.read, t.decide_cube, lambda c: t.spec_finite(c, 2)):
+        with pytest.raises(SignatureError):
+            query(unowned)
+    assert t.read(Cube((far, plit("P", 2), clash))) is None
+
+
 def test_a_run_of_queries_on_one_cube_reads_it_once(monkeypatch):
     t = SizePinTheory()
     calls = []
     real = Theory.read_part
     monkeypatch.setattr(SizePinTheory, "read_part", lambda self, part: calls.append(part) or real(self, part))
-    c, d = cube("(and (P 3) (distinct x y))"), cube("(P 4)")
+    c = cube("(and (P 3) (distinct x y))")
     assert t.decide_cube(c)
     assert [t.spec_finite(c, k) for k in range(1, 7)] == [k == 3 for k in range(1, 7)]
     assert not t.spec_inf(c)
     assert calls == [c.pred_part]
-    # Cubes with one predicate part read it once, whatever their equality
-    # parts and whichever cube was read in between; each keeps its floor.
-    twin, wide = cube("(and (P 3) (= x y))"), cube("(and (P 3) (distinct x y z w))")
-    assert t.decide_cube(d) and t.decide_cube(c) and t.decide_cube(Cube(c.literals)) and t.decide_cube(twin)
-    assert t.spec_finite(twin, 3) and not t.decide_cube(wide) and t.decide_at_least(twin, 3)
-    assert calls == [c.pred_part, d.pred_part]
 
 
 def _uncached_reading(t, c):
@@ -573,21 +586,18 @@ def test_readings_by_predicate_part_match_an_uncached_reading(theory_list):
 
 
 def test_a_shape_is_built_once_per_part_whatever_the_negative_literals(monkeypatch):
-    # Predicate parts that differ only in negative literals are read apart,
-    # since each must pass the signature check, but read as one part, whose
-    # shape is built once.
-    theories._read_pred_part.cache_clear()
+    # Predicate parts that differ only in negative literals are each
+    # checked against the signature, but read as one part, whose shape is
+    # built once.
     theories._part_shape.cache_clear()
     t = SizePinTheory()
-    shaped, read = [], []
-    real_shape, real_read = SizePinTheory.shape, Theory.read_part
+    shaped = []
+    real_shape = SizePinTheory.shape
     monkeypatch.setattr(SizePinTheory, "shape", lambda self, part: shaped.append(part) or real_shape(self, part))
-    monkeypatch.setattr(SizePinTheory, "read_part", lambda self, pp: read.append(pp) or real_read(self, pp))
     texts = ["(P 3)", "(and (P 3) (not (P 1)))", "(and (P 3) (not (P 2)) (not (P 5)))", "(and (not (P 4)) (P 3))"]
     for text in texts * 2:
         assert t.spec_finite(cube(text), 3) and not t.spec_finite(cube(text), 4)
     assert shaped == [pid("P", 3)]
-    assert len(read) == 4  # one per distinct predicate part: twins share a reading
     # No positive predicate is the predicate-free part, which has no shape to build.
     for text in ("(not (P 1))", "(and (not (P 2)) (not (P 6)))", "(= x y)"):
         assert t.decide_cube(cube(text))
@@ -616,10 +626,10 @@ def test_readings_through_the_shape_memo_match_a_fresh_theory(theory_list):
 
 def test_the_reading_memo_stays_within_its_bound():
     t = SizePinTheory()
-    bound = theories.READINGS_KEPT
+    bound = theories.SHAPES_KEPT
     for i in range(1, bound + 51):
         assert t.spec_finite(Cube((plit("P", i),)), i)
-    info = theories._read_pred_part.cache_info()
+    info = theories._part_shape.cache_info()
     assert info.maxsize == bound and info.currsize <= bound
 
 
