@@ -56,9 +56,9 @@ def _assign(variables: tuple[str, ...], k: int, values: list[int], i: int, used:
 
 
 # Memo bounds, least recently used dropped first: equality parts, whose
-# assignment walk each cube sharing the part would repeat, and (theory,
-# predicate part, closure) keys, whose subsets and model-checker verdicts
-# each cube and size sharing the part would rebuild.
+# assignment walk each cube sharing the part would repeat; (theory,
+# predicate part, closure), whose fitting subsets each cube sharing it would
+# rebuild; and (theory, true predicates), whose verdicts parts would re-ask.
 EQUALITY_PARTS_KEPT = 4_096
 PRED_PARTS_KEPT = 256
 
@@ -81,20 +81,40 @@ def _min_satisfying_blocks(eq_lits: tuple[EqualityLiteral, ...]) -> int | None:
     return best
 
 
+# (true predicates, model-checker verdicts by size) per (theory, set), shared by the parts fitting it.
+_verdicts = lru_cache(maxsize=PRED_PARTS_KEPT)(lambda theory, true_preds: (true_preds, {}))
+
+
 @lru_cache(maxsize=PRED_PARTS_KEPT)
 def _fitting_subsets(theory: Theory, pred_lits: tuple[PredicateLiteral, ...], closure) -> tuple:
-    """The predicate subsets of the closure that agree with a cube's
-    predicate literals, and the model checker's verdict on them per size,
-    filled in as sizes are asked."""
-    subsets = _pred_subsets(_closure_for(theory, pred_lits, closure))
-    fits = tuple(s for s in subsets if all((lit.pred in s) == lit.positive for lit in pred_lits))
-    return fits, {}
+    """The closure's predicate subsets that agree with a cube's predicate
+    literals, built from them: the positive predicates plus each subset of
+    the closure's unnamed predicates (none if a positive one is outside the
+    closure or negated), each as its `_verdicts` pair; and the part's verdicts."""
+    closure = _closure_for(theory, pred_lits, closure)
+    positive = frozenset(lit.pred for lit in pred_lits if lit.positive)
+    negated = {lit.pred for lit in pred_lits if not lit.positive}
+    if positive - closure or positive & negated:
+        return (), {}
+    free = closure - positive - negated
+    true_sets = [positive | s for s in _pred_subsets(free)] if free else [positive]
+    fits = tuple(_verdicts(theory, s) for s in true_sets)
+    return fits, fits[0][1] if len(fits) == 1 else {}  # one subset: its verdicts are the part's
 
 
 # The last cube the oracle read: (theory, cube, closure, blocks, fits,
-# verdicts).  Compared by identity, so a size scan over one cube hashes
-# none of its parts, and at most one cube is held.
+# verdicts by size).  Compared by identity, so a size scan over one cube
+# hashes none of its parts, and at most one cube is held.
 _last_read = (None, None, None, None, (), {})
+
+
+def _read(theory: Theory, cube: Cube, closure) -> tuple:
+    """Read a cube anew into `_last_read`: fewest classes (None: no model), fits, verdicts."""
+    global _last_read
+    blocks = None if cube.contradictory else _min_satisfying_blocks(cube.eq_part)
+    fits, sizes = ((), {}) if blocks is None else _fitting_subsets(theory, cube.pred_part, closure)
+    _last_read = (theory, cube, closure, blocks, fits, sizes)
+    return blocks, fits, sizes
 
 
 def brute_sat_at(
@@ -108,22 +128,20 @@ def brute_sat_at(
     The predicate side (which predicate subsets pass the model checker
     and the cube's predicate literals) and the equality side (which
     variable assignments satisfy the equality literals) are independent,
-    so each is enumerated exhaustively on its own, from the cube's
-    predicate part and equality part: once per part while its memo keeps
-    it (and the last cube read in ``_last_read``), asking the model
-    checker once per predicate part and size.
+    so each is enumerated exhaustively on its own.  The equality part
+    gives the fewest classes once per part; the fitting subsets are
+    built from the predicate literals once per (theory, predicate part,
+    closure); and the model checker is asked once per (theory, set of
+    true predicates, size) while their memos keep them.
     """
-    global _last_read
-    t, c, cl, blocks, fits, verdicts = _last_read
+    t, c, cl, blocks, fits, sizes = _last_read
     if not (t is theory and c is cube and cl is closure):
-        blocks = None if cube.contradictory else _min_satisfying_blocks(cube.eq_part)
-        fits, verdicts = ((), {}) if blocks is None else _fitting_subsets(theory, cube.pred_part, closure)
-        _last_read = (theory, cube, closure, blocks, fits, verdicts)
+        blocks, fits, sizes = _read(theory, cube, closure)
     if blocks is None or blocks > k:
         return False
-    sat = verdicts.get(k)
+    sat = sizes.get(k)
     if sat is None:
-        sat = verdicts[k] = any(theory.model_check(k, s) for s in fits)
+        sat = sizes[k] = any(v[k] if k in v else v.setdefault(k, theory.model_check(k, s)) for s, v in fits)
     return sat
 
 
@@ -135,8 +153,14 @@ def _pred_subsets(preds: frozenset[PredicateId]):
 
 
 def brute_spectrum(theory: Theory, cube: Cube, max_card: int = 6) -> set[int]:
-    """All cardinalities up to the bound at which the cube has a model."""
-    return {k for k in range(1, max_card + 1) if brute_sat_at(theory, cube, k)}
+    """All cardinalities up to the bound at which the cube has a model.
+    The cube is read once, and `brute_sat_at` is asked only the sizes
+    from its fewest equality classes up whose verdict is not known."""
+    t, c, cl, blocks, _, sizes = _last_read
+    if not (t is theory and c is cube and cl is None):
+        blocks, _, sizes = _read(theory, cube, None)
+    up = () if blocks is None else range(blocks, max_card + 1)
+    return {k for k in up if (sizes[k] if k in sizes else brute_sat_at(theory, cube, k))}
 
 
 def brute_combined_formula_sat(

@@ -239,15 +239,6 @@ def hypothesis_diff(method: Method, t1: Theory, t2: Theory) -> str:
     return "; ".join(lines) if lines else "applicable"
 
 
-def intersect(
-    method: Method, v1: SpectrumView, v2: SpectrumView, cap: int = DEFAULT_ITERATION_CAP
-) -> bool:
-    """Whether the two views' spectra meet, by the method's procedure;
-    the first view is the side the method's hypotheses are about."""
-    run = METHODS[method.kind][1]
-    return run(method, v1, v2, cap, {"loop_iterations": 0})[0]
-
-
 # -- method selection ---------------------------------------------------------
 
 

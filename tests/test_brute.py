@@ -24,7 +24,15 @@ from combinekit.catalog import (
     StepTheory,
 )
 from combinekit.errors import SignatureError
-from combinekit.formulas import And, Cube, EqualityLiteral, PredicateId, parse_formula, to_dnf
+from combinekit.formulas import (
+    And,
+    Cube,
+    EqualityLiteral,
+    PredicateId,
+    PredicateLiteral,
+    parse_formula,
+    to_dnf,
+)
 
 TOP = Cube(())
 
@@ -200,23 +208,23 @@ def test_oracle_matches_a_fresh_enumeration_per_cube(theory_list):
         assert _closure_for(t, (), None) == _reference_closure(t, TOP, None)
 
 
-def test_a_size_scan_enumerates_the_cube_once(monkeypatch, catalog):
-    calls = []
-    real = brute._pred_subsets
-    monkeypatch.setattr(brute, "_pred_subsets", lambda preds: calls.append(preds) or real(preds))
+def test_a_size_scan_enumerates_the_cube_once(catalog):
     brute._fitting_subsets.cache_clear()
+    misses = lambda: brute._fitting_subsets.cache_info().misses
     c = cube("(and (P 2) (= x y))")
     assert brute_spectrum(catalog["T_eq_P"], c, 6) == {2}
-    assert len(calls) == 1
-    # Cubes with one predicate part enumerate its subsets once.
+    assert misses() == 1
+    # Cubes with one predicate part build its subsets once.
     assert brute_spectrum(catalog["T_eq_P"], cube("(and (P 2) (distinct x y))"), 6) == {2}
     assert brute_spectrum(catalog["T_eq_P"], cube("(and (P 2) (distinct x y z))"), 6) == set()
-    assert len(calls) == 1
+    assert misses() == 1
     # A finite signature's closure is the whole signature, whatever the
-    # cube: its subsets are enumerated once per predicate part too.
+    # cube: its subsets are built once per predicate part too.
     for text in ("(= x y)", "(distinct x y)", "(and (pred P) (= x x))", "(pred P)"):
         brute_spectrum(catalog["T_ns_4"], cube(text), 6)
-    assert calls[1:] == [frozenset({PredicateId("P", ())})] * 2
+    assert misses() == 3
+    fits, _ = brute._fitting_subsets(catalog["T_ns_4"], (), None)
+    assert [s for s, _ in fits] == [frozenset(), frozenset({PredicateId("P", ())})]
 
 
 def test_a_predicate_part_asks_the_model_checker_once_per_size():
@@ -226,8 +234,80 @@ def test_a_predicate_part_asks_the_model_checker_once_per_size():
     t.model_check = lambda k, s: asked.append(k) or real(k, s)
     for text in ("(and (P 3) (distinct x y))", "(and (P 3) (= x y))", "(and (P 3) (not (P 4)))"):
         assert brute_spectrum(t, cube(text), 6) == {3}
-    # The second cube's part has two classes fewer; the third is new.
-    assert asked == [2, 3, 4, 5, 6, 1, 1, 2, 3, 4, 5, 6]
+    # The second cube's part has two classes fewer; the third part's one
+    # fitting subset is {P_3}, whose verdicts are all known.
+    assert asked == [2, 3, 4, 5, 6, 1]
+
+
+def test_a_spectrum_reads_the_cube_once_and_asks_only_unknown_sizes(monkeypatch):
+    t = SizePinTheory()
+    sat_at, checked = [], []
+    real_sat_at, real_check = brute.brute_sat_at, t.model_check
+    monkeypatch.setattr(brute, "brute_sat_at", lambda *a: sat_at.append(a[2]) or real_sat_at(*a))
+    monkeypatch.setattr(t, "model_check", lambda k, s: checked.append(k) or real_check(k, s))
+    c = cube("(and (P 3) (distinct x y z))")
+    # A fresh cube: sizes below its three classes are answered unasked.
+    assert brute_spectrum(t, c, 6) == {3}
+    assert sat_at == [3, 4, 5, 6] and checked == [3, 4, 5, 6]
+    # Every verdict known, for the cube and for a twin read afresh.
+    del sat_at[:], checked[:]
+    assert brute_spectrum(t, c, 6) == {3}
+    assert brute_spectrum(t, Cube(c.literals), 6) == {3}
+    assert sat_at == [] and checked == []
+    # One predicate part with fewer classes: only the new sizes are asked.
+    assert brute_spectrum(t, cube("(and (P 3) (= x y))"), 6) == {3}
+    assert sat_at == [1, 2] and checked == [1, 2]
+
+
+def _enumerated_fits(theory, pred_lits, closure):
+    """The fitting subsets by enumeration: every subset of the closure,
+    then those that agree with the predicate literals."""
+    return tuple(
+        s
+        for s in _reference_subsets(_reference_closure(theory, Cube(pred_lits), closure))
+        if all((lit.pred in s) == lit.positive for lit in pred_lits)
+    )
+
+
+def test_fitting_subsets_built_from_the_literals_match_the_enumeration(catalog, theory_list):
+    def check(t, lits, closure=None):
+        fits, _ = brute._fitting_subsets(t, lits, closure)
+        assert tuple(s for s, _ in fits) == _enumerated_fits(t, lits, closure), (t, lits, closure)
+
+    rng = random.Random(3811)
+    for t in theory_list:
+        for _ in range(40):
+            lits = random_cube(t, rng).pred_part
+            base = frozenset(lit.pred for lit in lits if lit.positive)
+            extra = base | {p for p in (t.sample_pred(rng), t.sample_pred(rng)) if p is not None}
+            for closure in (None, base, extra, extra - base):
+                check(t, lits, closure)
+    t = catalog["T_eq_P"]
+    p3, p4, p6 = (PredicateId("P", (i,)) for i in (3, 4, 6))
+    pos3, neg3, neg4 = PredicateLiteral(p3, True), PredicateLiteral(p3, False), PredicateLiteral(p4, False)
+    check(t, (pos3, neg3))  # a negated positive predicate
+    check(t, (pos3, neg3), frozenset({p3, p4}))
+    check(t, (pos3,), frozenset({p4}))  # a closure that omits a positive predicate
+    check(t, (pos3, neg4), frozenset({p3, p4, p6}))  # a closure with extra predicates
+    assert brute._fitting_subsets(t, (pos3,), frozenset({p4}))[0] == ()
+    for name in ("toy", "T_ns_4"):  # finite signatures: the whole signature
+        t = catalog[name]
+        nullary = [PredicateId(fam, ()) for fam, arity in t.signature.families if arity == 0]
+        assert len(nullary) == len(t.signature.families) == 1
+        (pid,) = nullary
+        for lits in ((), (PredicateLiteral(pid, True),), (PredicateLiteral(pid, False),)):
+            for closure in (None, frozenset()):
+                check(t, lits, closure)
+    # The oracle built on them, past the benchmark's K = 6, with theories interleaved.
+    for _ in range(12):
+        for t in theory_list:
+            c = random_cube(t, rng)
+            reference = {k for k in range(1, 9) if _reference_sat_at(t, c, k)}
+            assert brute_spectrum(t, c, 8) == reference, (t, c)
+            for k in range(8, 0, -1):
+                assert brute_sat_at(t, c, k) == (k in reference), (t, c, k)
+            twin = Cube(c.literals)
+            assert brute_spectrum(t, twin, 6) == {k for k in reference if k <= 6}, (t, c)
 
 
 def test_oracle_memos_by_part_match_an_uncached_enumeration(theory_list):
@@ -257,6 +337,7 @@ def test_the_oracle_memos_stay_within_their_bounds():
     t = SizePinTheory()
     for memo, bound, part in (
         (brute._fitting_subsets, brute.PRED_PARTS_KEPT, lambda i: cube(f"(P {i})")),
+        (brute._verdicts, brute.PRED_PARTS_KEPT, lambda i: cube(f"(P {i})")),
         (brute._min_satisfying_blocks, brute.EQUALITY_PARTS_KEPT, lambda i: Cube((EqualityLiteral(f"x{i}", "y"),))),
     ):
         for i in range(1, bound + 51):

@@ -25,7 +25,6 @@ from combinekit.combine import (
     SMCS,
     Method,
     combine_decide,
-    intersect,
     method_applicable,
     n_shiny,
     quasi_gentle,
@@ -184,6 +183,10 @@ def test_smcs_combination_examples():
 
 
 # -- intersect procedures, spec examples -----------------------------------------
+
+
+def intersect(method, v1, v2):
+    return METHODS[method.kind][1](method, v1, v2, DEFAULT_ITERATION_CAP, {"loop_iterations": 0})[0]
 
 
 def test_intersect_shiny_examples():

@@ -114,6 +114,7 @@ def test_a_dropped_theory_leaves_no_cycle():
     # patches a theory's method may leave it in a cycle of its own.
     theories._part_shape.cache_clear()
     brute._fitting_subsets.cache_clear()
+    brute._verdicts.cache_clear()
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
@@ -131,6 +132,7 @@ def test_a_dropped_theory_leaves_no_cycle():
             del t
             theories._part_shape.cache_clear()
             brute._fitting_subsets.cache_clear()
+            brute._verdicts.cache_clear()
             assert gc.collect() == 0, name
             assert dropped() is None, name
     finally:
