@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .brute import brute_sat_at, brute_spectrum, random_cube
 from .catalog import BigModelTagTheory, witness_tgtnp
-from .errors import CapabilityMissing, IterationCapExceeded
+from .errors import CapabilityMissing
 from .filters import NO, YES, FreeFilter, filter_includes, frechet
 from .formulas import Cube, PredicateLiteral
 from .properties import CLASSES, LATTICE_EDGES
@@ -234,14 +234,9 @@ def refute_class(
         """The first clique size that kills the cube, proving its spectrum
         is bounded (hence misses the infinite cardinality); None if none up
         to bound + 1 does."""
-        if not theory.decide_cube(c):
+        if not theory.decide_cube(c) or theory.decide_at_least(c, bound + 1):
             return None
-        try:
-            return view(theory, c).max_finite(bound) + 1
-        except IterationCapExceeded as e:
-            if e.operation != "max_finite":
-                raise
-            return None
+        return view(theory, c).max_finite() + 1
 
     @functools.cache
     def exact(c):
@@ -412,8 +407,3 @@ def filter_chain_demo(depth: int = 5) -> dict:
     antichain = [row({i}, {j}) for i in bits for j in bits if i != j]
     ok = all(r["verdict"] == r["expected"] for r in chain + antichain)
     return {"depth": depth, "chain": chain, "antichain": antichain, "ok": ok}
-
-
-def generated_filter_inclusion(s1: set[int], s2: set[int]) -> str:
-    """Inclusion verdict between two bitzero-generated filters."""
-    return filter_includes(bitzero_filter(s1), bitzero_filter(s2))

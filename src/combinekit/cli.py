@@ -20,7 +20,6 @@ from .diagonal import run_rounds
 from .errors import CapabilityMissing, CombineKitError
 from .formulas import iter_dnf, parse_formula, to_dnf
 from .registry import Registry, load_registry
-from .spectra import DEFAULT_ITERATION_CAP
 from .theories import Theory
 
 EXIT_SAT = 0
@@ -78,7 +77,7 @@ def cmd_combine(args, registry: Registry) -> int:
     resolver = getattr(t1, "resolver", None) or getattr(t2, "resolver", None)
     f = parse_formula(args.formula, resolver)
     method = _method_from_flag(args.method)
-    verdict = combine_decide(t1, t2, f, method, cap=args.cap)
+    verdict = combine_decide(t1, t2, f, method)
     _emit(verdict.to_json())
     return EXIT_SAT if verdict.sat else EXIT_UNSAT
 
@@ -182,22 +181,13 @@ def cmd_filters(args, registry: Registry) -> int:
     return EXIT_SAT
 
 
-# Global flags only some subcommands read, with those subcommands and the
-# flag's default.  The parser's default is None, so that a flag given to a
-# subcommand that would ignore it can be refused.
-SCOPED_FLAGS = {
-    "K": (("classify", "brute-check"), DEFAULT_PROBE_BOUND),
-    "cap": (("combine",), DEFAULT_ITERATION_CAP),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="combinekit", description=__doc__)
     p.add_argument("--config", help="registry config path (or set COMBINEKIT_CONFIG)")
     p.add_argument("--format", default="json", choices=["json", "dot"])
     p.add_argument("--seed", type=int, default=0)
+    # No parser default, so that --K given where it is not read is refused.
     p.add_argument("--K", type=_positive_int, help="brute-force size bound")
-    p.add_argument("--cap", type=_positive_int, help="iteration cap for unbounded scans")
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("decide", help="satisfiability of a formula in one theory")
@@ -249,11 +239,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.format == "dot" and args.command != "lattice":
             raise CombineKitError("--format dot applies only to lattice")
-        for flag, (commands, default) in SCOPED_FLAGS.items():
-            if getattr(args, flag) is None:
-                setattr(args, flag, default)
-            elif args.command not in commands:
-                raise CombineKitError(f"--{flag} applies only to {', '.join(commands)}")
+        if args.K is None:
+            args.K = DEFAULT_PROBE_BOUND
+        elif args.command not in ("classify", "brute-check"):
+            raise CombineKitError("--K applies only to classify, brute-check")
         registry = load_registry(args.config)
         return args.fn(args, registry)
     except (CombineKitError, ValueError, OSError) as e:

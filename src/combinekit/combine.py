@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from . import spectra
 from .errors import CapabilityMissing, IterationCapExceeded, MethodNotApplicable
 from .filters import FreeFilter, frechet
 from .formulas import Arrangement, Cube, Formula, enumerate_arrangements, iter_dnf, split_by_signature
 from .properties import PARTNER
 from .sets import ALEPH0, Card, card_to_json, is_finite_card
-from .spectra import DEFAULT_ITERATION_CAP, AtLeast, SpectrumView, view
+from .spectra import AtLeast, SpectrumView, view
 from .theories import Theory
 
 
@@ -61,8 +62,8 @@ class CombinationVerdict:
 # certificate.
 
 
-def _run_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
-    k = v1.minmod(cap)
+def _run_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, stats: dict):
+    k = v1.minmod()
     if k is None:
         return False, None
     if not is_finite_card(k):
@@ -71,13 +72,13 @@ def _run_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, sta
     return v2.owner.decide_at_least(v2.subject, k), None
 
 
-def _run_nelson_oppen(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
+def _run_nelson_oppen(method: Method, v1: SpectrumView, v2: SpectrumView, stats: dict):
     if v1.sat() and v2.sat():
         return True, ALEPH0
     return False, None
 
 
-def _run_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
+def _run_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, stats: dict):
     spec1 = v1.exact()
     if spec1.is_empty():
         return False, None
@@ -94,23 +95,23 @@ def _run_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, st
     return v2.owner.decide_at_least(v2.subject, top + 1), None
 
 
-def _run_smcs(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
+def _run_smcs(method: Method, v1: SpectrumView, v2: SpectrumView, stats: dict):
     if v2.contains(ALEPH0):
         if v1.sat():
             return True, ALEPH0
         return False, None
-    k = v2.max_finite(cap) or 0
+    k = v2.max_finite() or 0
     stats["loop_iterations"] += k
     if k and v1.contains(k):
         return True, k
     return False, None
 
 
-def _run_cs(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
+def _run_cs(method: Method, v1: SpectrumView, v2: SpectrumView, stats: dict):
     inf1 = v1.contains(ALEPH0)
     if inf1 and v2.contains(ALEPH0):
         return True, ALEPH0
-    k = (v2 if inf1 else v1).max_finite(cap) or 0
+    k = (v2 if inf1 else v1).max_finite() or 0
     stats["loop_iterations"] += k
     for n in range(1, k + 1):
         if v1.contains(n) and v2.contains(n):
@@ -118,7 +119,7 @@ def _run_cs(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats:
     return False, None
 
 
-def _run_n_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
+def _run_n_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, stats: dict):
     n = method.n
     if not v1.sat():
         return False, None
@@ -135,19 +136,19 @@ def _run_n_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, s
     return v2.owner.decide_at_least(v2.subject, k), None
 
 
-def _run_quasi_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, cap: int, stats: dict):
+def _run_quasi_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, stats: dict):
     # Scan the sizes both sides reach.  Each side's `decide_at_least` is
     # monotone, so it is searched in O(log n) queries; membership is still
     # asked of both sides at every size the scan covers.
-    reach1, reach2 = AtLeast(v1, cap), AtLeast(v2, cap)
+    reach1, reach2 = AtLeast(v1), AtLeast(v2)
     n = 1
     while reach1(n) and reach2(n):
         if v1.contains(n) and v2.contains(n):
             return True, n
         n += 1
         stats["loop_iterations"] += 1
-        if n > cap:
-            raise IterationCapExceeded("quasi-gentle interleaved scan", cap)
+        if n > spectra.BOUND:
+            raise IterationCapExceeded("quasi-gentle interleaved scan", spectra.BOUND)
     return False, None
 
 
@@ -267,8 +268,6 @@ def combine_decide(
     t2: Theory,
     f: Formula | Cube,
     method: Method | None = None,
-    *,
-    cap: int = DEFAULT_ITERATION_CAP,
 ) -> CombinationVerdict:
     """Joint satisfiability of f over the disjoint union of t1 and t2.
 
@@ -288,7 +287,7 @@ def combine_decide(
     carries the first witness in canonical order, as a walk over every
     arrangement would.  The method runs only on a theory order whose
     certificates meet its hypotheses; an explicit method that fits
-    neither order raises MethodNotApplicable.
+    neither order raises MethodNotApplicable.  Scans stop at the set bound.
     """
     if method is None:
         picked = select_method(t1, t2)
@@ -322,7 +321,7 @@ def combine_decide(
                 continue
             tried_blocks.add(b)
             v1, v2 = view(t1, r1._replace(floor=b)), view(t2, r2._replace(floor=b))
-            ok, card = run(method, v1, v2, cap, stats)
+            ok, card = run(method, v1, v2, stats)
             if ok:
                 witness = (arr, card) if card is not None else None
                 return CombinationVerdict(True, witness, label, stats)

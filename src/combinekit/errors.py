@@ -37,10 +37,11 @@ class CapabilityMissing(CombineKitError):
 
 
 class IterationCapExceeded(CombineKitError):
-    """An unbounded search passed the configured cap.
+    """An unbounded search passed the set bound (``sets.BOUND``).
 
-    Signals a mis-declared certificate (e.g. an unbounded spectrum where a
-    finite one was promised), never a normal outcome.
+    No set holds a member past it, so this signals a mis-declared
+    certificate (e.g. an unbounded spectrum where a finite one was
+    promised), never a normal outcome.
     """
 
     def __init__(self, operation: str, cap: int):

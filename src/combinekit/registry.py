@@ -141,7 +141,7 @@ def theory_from_json(spec: dict, registry: "Registry | None" = None) -> Theory:
 def read_config(path: str) -> dict:
     """The theory definitions of a JSON registry config,
     ``{"theories": {name: definition, ...}}``.  Run settings (``--K``,
-    ``--cap``, ``--seed``, ``--format``) are CLI flags only."""
+    ``--seed``, ``--format``) are CLI flags only."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):

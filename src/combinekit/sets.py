@@ -207,7 +207,8 @@ def _canonicalize(pre: tuple[bool, ...], per: tuple[bool, ...]):
 # -- factories ----------------------------------------------------------
 
 # The largest member and the longest period a factory builds: a set is a
-# dense bitmap, and this is far above any scan (capped at 10,000 steps).
+# dense bitmap.  No finite spectrum element lies past it, so it is also
+# where every unbounded spectrum scan stops.
 BOUND = 2**20
 
 

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import CapabilityMissing, IterationCapExceeded
-from .sets import ALEPH0, Card, EvPeriodicSet, is_finite_card
+from .sets import ALEPH0, BOUND, Card, EvPeriodicSet, is_finite_card
 
 if TYPE_CHECKING:  # pragma: no cover
     from .theories import Readable, Theory
-
-DEFAULT_ITERATION_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -83,23 +81,23 @@ class SpectrumView:
             raise CapabilityMissing(self.owner.name, "spec_finite", f"at cardinality {c}")
         return self.owner.spec_finite(self.subject, c)
 
-    def max_finite(self, cap: int = DEFAULT_ITERATION_CAP) -> int | None:
+    def max_finite(self) -> int | None:
         """Greatest finite spectrum element: the last k at which
         ``decide_at_least`` holds, found by :class:`AtLeast` in O(log k)
-        queries, none of them past ``cap + 1``.
+        queries, none of them past ``BOUND + 1``.
 
         The caller certifies the spectrum has no infinite member; a
         mis-declared certificate shows up as IterationCapExceeded, raised
-        exactly when ``decide_at_least(cap + 1)`` holds.
+        exactly when ``decide_at_least(BOUND + 1)`` holds.
         Returns None when the cube is unsatisfiable.
         """
-        at_least = AtLeast(self, cap)
+        at_least = AtLeast(self)
         while at_least(at_least.held + 1):
-            if at_least.held > cap:
-                raise IterationCapExceeded("max_finite", cap)
+            if at_least.held > BOUND:
+                raise IterationCapExceeded("max_finite", BOUND)
         return at_least.held or None
 
-    def minmod(self, cap: int = DEFAULT_ITERATION_CAP) -> Card | None:
+    def minmod(self) -> Card | None:
         """Least spectrum element; None when unsatisfiable.
 
         Uses the theory's closed form when it has one, otherwise searches
@@ -115,10 +113,10 @@ class SpectrumView:
             return ALEPH0
         if not self.owner.certificate.cfs:
             raise CapabilityMissing(self.owner.name, "minmod")
-        for k in range(1, cap + 1):
+        for k in range(1, BOUND + 1):
             if self.owner.spec_finite(self.subject, k):
                 return k
-        raise IterationCapExceeded("minmod", cap)
+        raise IterationCapExceeded("minmod", BOUND)
 
     def exact(self) -> ExactSpectrum:
         return self.owner.exact_spectrum(self.subject)
@@ -130,17 +128,17 @@ class AtLeast:
     largest size known to hold and the least known to fail; a size between
     them is decided by a probe at twice the size, or halfway to the known
     failure (Bentley and Yao's unbounded search).  A scan to n asks
-    O(log n) queries, none past ``cap + 1``."""
+    O(log n) queries, none past ``BOUND + 1``."""
 
-    def __init__(self, v: SpectrumView, cap: int):
-        self.v, self.cap, self.held, self.failed = v, cap, 0, None
+    def __init__(self, v: SpectrumView):
+        self.v, self.held, self.failed = v, 0, None
 
     def __call__(self, k: int) -> bool:
         if k <= self.held:
             return True
         while self.failed is None or k < self.failed:
             gallop = self.failed is None
-            probe = max(k, min(2 * k, self.cap + 1)) if gallop else (k + self.failed) // 2
+            probe = max(k, min(2 * k, BOUND + 1)) if gallop else (k + self.failed) // 2
             if self.v.owner.decide_at_least(self.v.subject, probe):
                 self.held = probe
                 return True

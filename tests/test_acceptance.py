@@ -21,7 +21,7 @@ from combinekit.catalog import (
     toy_inner_theory,
 )
 from combinekit.classify import (
-    generated_filter_inclusion,
+    bitzero_filter,
     filter_chain_demo,
     probe_certificate,
     refute_class,
@@ -40,7 +40,7 @@ from combinekit.combine import (
 )
 from combinekit.diagonal import intersect_from_run, run_diagonalization
 from combinekit.errors import CapabilityMissing, IterationCapExceeded, MethodNotApplicable
-from combinekit.filters import NO, YES, frechet
+from combinekit.filters import NO, YES, filter_includes, frechet
 from combinekit.formulas import (
     And,
     Cube,
@@ -375,9 +375,7 @@ def test_criterion_8_degenerate_regressions():
     from combinekit.sets import odds
 
     tns, tp = StepTheory(4, 4), SizePinTheory()
-    verdict = combine_decide(
-        tns, tp, parse_formula("(and (pred P) (P 5))"), n_shiny(4), cap=50
-    )
+    verdict = combine_decide(tns, tp, parse_formula("(and (pred P) (P 5))"), n_shiny(4))
     assert not verdict.sat
 
     te = SizeCapTheory(evens())
@@ -387,9 +385,9 @@ def test_criterion_8_degenerate_regressions():
     te.certificate = certificate(fqg_set=ALL)
     to.certificate = certificate(cofqg_set=ALL)
     with pytest.raises(IterationCapExceeded) as e:
-        combine_decide(te, to, parse_formula("(= x x)"), quasi_gentle(), cap=40)
-    assert e.value.cap == 40
-    report(8, True, "single-size shape answers unsat without a cap; mis-certified pair caps out")
+        combine_decide(te, to, parse_formula("(= x x)"), quasi_gentle())
+    assert e.value.cap == 2**20
+    report(8, True, "single-size shape answers unsat at once; mis-certified pair stops at the set bound")
 
 
 # -- 9: generated-filter structure --------------------------------------------------------------
@@ -406,7 +404,7 @@ def test_criterion_9_filter_structure():
     for s1 in subsets:
         for s2 in subsets:
             want = YES if s1 <= s2 else NO
-            assert generated_filter_inclusion(s1, s2) == want, (s1, s2)
+            assert filter_includes(bitzero_filter(s1), bitzero_filter(s2)) == want, (s1, s2)
             pairs += 1
     demo = filter_chain_demo(5)
     assert demo["ok"]

@@ -278,6 +278,8 @@ def test_combine_method_outside_certificate_exits_2(capsys):
     [
         ("combine", "T_leq_3", "T_eq_5", "(= x x)", "--method", "shiny", "--override"),
         ("--format", "text", "decide", "T_eq_P", "(P 3)"),
+        # Scans stop at the set bound; there is no budget to set.
+        ("--cap", "7", "combine", "T_leq_3", "T_eq_P", "(P 2)"),
     ],
 )
 def test_removed_flags_exit_2(capsys, argv):
@@ -309,9 +311,6 @@ def test_format_dot_outside_lattice_exits_2(capsys, argv):
         (("--K", "2", "spectrum", "T_eq_P", "(P 3)"), "--K applies only to classify, brute-check"),
         (("--K", "6", "decide", "T_leq_3", "(= x x)"), "--K applies only to classify, brute-check"),
         (("--K", "3", "combine", "T_leq_3", "T_eq_P", "(P 2)"), "--K applies only to classify, brute-check"),
-        (("--cap", "1", "decide", "T_leq_3", "(= x x)"), "--cap applies only to combine"),
-        (("--cap", "10000", "brute-check", "--theory", "T_cs"), "--cap applies only to combine"),
-        (("--cap", "5", "diagonal", "--rounds", "1"), "--cap applies only to combine"),
     ],
 )
 def test_a_global_flag_the_subcommand_ignores_exits_2(capsys, argv, err):
@@ -320,17 +319,11 @@ def test_a_global_flag_the_subcommand_ignores_exits_2(capsys, argv, err):
     assert (code, out, got) == (2, "", f"error: {err}\n")
 
 
-def test_scoped_flags_keep_their_defaults(capsys, monkeypatch):
+def test_scoped_flags_keep_their_defaults(capsys):
     code, out, _ = run_cli(capsys, "brute-check", "--theory", "T_cs", "--samples", "5")
     assert code == 0 and json.loads(out)["K"] == 6
     code, out, _ = run_cli(capsys, "--K", "3", "brute-check", "--theory", "T_cs", "--samples", "5")
     assert code == 0 and json.loads(out)["K"] == 3
-    caps = []
-    real = cli.combine_decide
-    monkeypatch.setattr(cli, "combine_decide", lambda *a, cap: caps.append(cap) or real(*a, cap=cap))
-    assert run_cli(capsys, "combine", "T_leq_3", "T_eq_P", "(P 2)")[0] == 0
-    assert run_cli(capsys, "--cap", "7", "combine", "T_leq_3", "T_eq_P", "(P 2)")[0] == 0
-    assert caps == [10_000, 7]
 
 
 def test_brute_check_flags_infinite_only_with_finite_models(capsys, monkeypatch):
@@ -401,7 +394,6 @@ def test_internal_fault_exits_2_not_unsat(capsys, monkeypatch):
         ("classify", "T_eq", "--samples", "0"),
         ("--K", "0", "brute-check", "--theory", "T_eq_P"),
         ("spectrum", "T_eq_P", "(P 3)", "--upto", "-2"),
-        ("--cap", "0", "combine", "T_leq_3", "T_eq_P", "(= x x)"),
         ("brute-check", "--theory", "T_eq", "--samples", "0"),
         ("diagonal", "--rounds", "0"),
         ("lattice", "--n", "0"),

@@ -52,7 +52,7 @@ from combinekit.formulas import (
 )
 from combinekit.properties import CLASSES, LATTICE_EDGES, PARTNER, certificate, class_ancestors
 from combinekit.sets import ALEPH0, ALL, card_to_json, evens, upfrom
-from combinekit.spectra import DEFAULT_ITERATION_CAP, view
+from combinekit.spectra import view
 
 TOP = Cube(())
 XY = Cube((EqualityLiteral("x", "y", False),))
@@ -177,6 +177,13 @@ def test_quasi_gentle_combination_example():
     assert v.sat and v.witness[1] == 2
 
 
+def test_cs_scan_ends_at_a_finite_top_far_past_ten_thousand():
+    # A correctly certified CS side has its finite top inside a set, so
+    # the scan ends there, however far up it lies.
+    v = combine_decide(MaxSizeTheory(20_000), SizePinTheory(), f("(P 15000)"), CS)
+    assert v.sat and v.witness[1] == 15_000
+
+
 def test_smcs_combination_examples():
     assert combine_decide(MinSizeTheory(2), ExactSizeTheory(5), f("(= x x)"), SMCS).sat
     assert not combine_decide(MinSizeTheory(4), ExactSizeTheory(3), f("(= x x)"), SMCS).sat
@@ -186,7 +193,7 @@ def test_smcs_combination_examples():
 
 
 def intersect(method, v1, v2):
-    return METHODS[method.kind][1](method, v1, v2, DEFAULT_ITERATION_CAP, {"loop_iterations": 0})[0]
+    return METHODS[method.kind][1](method, v1, v2, {"loop_iterations": 0})[0]
 
 
 def test_intersect_shiny_examples():
@@ -263,7 +270,7 @@ def test_gentle_detects_purely_infinite_intersections():
 
 def test_nshiny_degenerate_shape_returns_unsat_without_cap():
     tns, tp = StepTheory(4, 4), SizePinTheory()
-    v = combine_decide(tns, tp, f("(and (pred P) (P 5))"), n_shiny(4), cap=50)
+    v = combine_decide(tns, tp, f("(and (pred P) (P 5))"), n_shiny(4))
     assert not v.sat
 
 
@@ -275,12 +282,13 @@ def test_quasi_gentle_miscertified_pair_hits_cap():
     with pytest.raises(MethodNotApplicable):
         combine_decide(te, to, f("(= x x)"), quasi_gentle())
     # Certificates that wrongly claim quasi-gentleness for every filter:
-    # the scan over the disjoint even and odd sizes never meets.
+    # the scan over the disjoint even and odd sizes never meets, and
+    # stops at the set bound.
     te.certificate = certificate(fqg_set=ALL)
     to.certificate = certificate(cofqg_set=ALL)
     with pytest.raises(IterationCapExceeded) as e:
-        combine_decide(te, to, f("(= x x)"), quasi_gentle(), cap=64)
-    assert e.value.cap == 64
+        combine_decide(te, to, f("(= x x)"), quasi_gentle())
+    assert (e.value.operation, e.value.cap) == ("quasi-gentle interleaved scan", 2**20)
 
 
 # -- structural checks -------------------------------------------------------------
@@ -380,7 +388,7 @@ def _bell_loop_json(t1, t2, cube):
         for arr in enumerate_arrangements(shared):
             delta = arrangement_to_cube(arr)
             v1, v2 = view(t1, c1.join(delta)), view(t2, c2.join(delta))
-            ok, card = run(method, v1, v2, DEFAULT_ITERATION_CAP, {"loop_iterations": 0})
+            ok, card = run(method, v1, v2, {"loop_iterations": 0})
             if ok:
                 w = None
                 if card is not None:

@@ -78,8 +78,8 @@ def _mix(theory_list, seed):
         for t in theory_list:
             for _ in range(2):
                 v = view(t, random_cube(t, rng))
-                _attempt(v.max_finite, 40)
-                _attempt(v.minmod, 40)
+                _attempt(v.max_finite)
+                _attempt(v.minmod)
 
     return [("parse", parse), ("combine", combine), ("brute_spectrum", spectra),
             ("brute_combined_formula_sat", joint), ("views", views)]

@@ -43,10 +43,10 @@ def _theory_lines(t, index: int):
             _answer(t.cube_spectrum_exact, c),
             _answer(t.nshiny_classify, c),
             _answer(t.infinite_only, c),
-            _answer(view(t, c).minmod, 200),
+            _answer(view(t, c).minmod),
         ]
         if t.certificate.never_infinite:
-            answers.append(_answer(view(t, c).max_finite, 30))
+            answers.append(_answer(view(t, c).max_finite))
         yield f"{t.name}|{c}|" + "|".join(answers)
 
 
@@ -79,7 +79,7 @@ def _combine_lines(theories):
         for _ in range(2):
             formula = _formula(t1, t2, rng)
             try:
-                v = combine_decide(t1, t2, formula, cap=200)
+                v = combine_decide(t1, t2, formula)
                 got = f"{v.sat}|{v.method_used}"
             except Exception as e:
                 got = type(e).__name__

@@ -1,18 +1,21 @@
 """The monotone `decide_at_least` search against the linear scans it
 replaced: `SpectrumView.max_finite` and the quasi-gentle scan give the
 same answers, witnesses, loop counts and errors, in O(log n) queries
-that never go past ``cap + 1``."""
+that never go past the scan bound + 1.  Each comparison lowers the bound,
+``spectra.BOUND``, to a cap around the answer."""
 
 import math
 import random
 
 import pytest
 
+from combinekit import spectra
 from combinekit.brute import random_cube
 from combinekit.catalog import ExactSizeTheory, MaxSizeTheory, MinSizeTheory
 from combinekit.combine import METHODS, quasi_gentle
-from combinekit.errors import IterationCapExceeded
+from combinekit.errors import IterationCapExceeded, SetBoundExceeded
 from combinekit.formulas import Cube
+from combinekit.registry import RegistryError, load_registry
 from combinekit.spectra import SpectrumView
 
 REFERENCE_CAP = 64
@@ -77,7 +80,7 @@ def theories(theory_list):
     ]
 
 
-def test_max_finite_matches_the_linear_scan(theory_list):
+def test_max_finite_matches_the_linear_scan(theory_list, monkeypatch):
     rng = random.Random(3601)
     for t in theories(theory_list):
         cubes = [Cube(())] + [random_cube(t, rng) for _ in range(6)]
@@ -86,11 +89,12 @@ def test_max_finite_matches_the_linear_scan(theory_list):
             for cap in caps_around(ref[1] if ref[0] == "ok" else None):
                 want = outcome(linear_max_finite, counted_view(t, c), cap)
                 v = counted_view(t, c)
-                assert outcome(v.max_finite, cap) == want, (t.name, c, cap)
+                monkeypatch.setattr(spectra, "BOUND", cap)
+                assert outcome(v.max_finite) == want, (t.name, c, cap)
                 assert max(v.owner.asked) <= cap + 1, (t.name, c, cap)
 
 
-def test_quasi_gentle_matches_the_linear_scan(theory_list):
+def test_quasi_gentle_matches_the_linear_scan(theory_list, monkeypatch):
     rng = random.Random(3602)
     pool = theories(theory_list)
     method = quasi_gentle()
@@ -108,10 +112,10 @@ def test_quasi_gentle_matches_the_linear_scan(theory_list):
             for p in partners:
                 d = random_cube(p, rng) if rng.random() < 0.5 else Cube(())
                 for sides in (((t, c), (p, d)), ((p, d), (t, c))):
-                    check_quasi_gentle(run, method, *sides)
+                    check_quasi_gentle(monkeypatch, run, method, *sides)
 
 
-def check_quasi_gentle(run, method, side1, side2):
+def check_quasi_gentle(monkeypatch, run, method, side1, side2):
     stats = {"loop_iterations": 0}
     lin1 = counted_view(*side1)
     ref = outcome(linear_quasi_gentle, method, lin1, counted_view(*side2), REFERENCE_CAP, stats)
@@ -121,7 +125,8 @@ def check_quasi_gentle(run, method, side1, side2):
         lin1 = counted_view(*side1)
         want = outcome(linear_quasi_gentle, method, lin1, counted_view(*side2), cap, want_stats)
         v1, v2 = counted_view(*side1), counted_view(*side2)
-        got = outcome(run, method, v1, v2, cap, got_stats)
+        monkeypatch.setattr(spectra, "BOUND", cap)
+        got = outcome(run, method, v1, v2, got_stats)
         assert (got, got_stats) == (want, want_stats), (side1, side2, cap)
         n = len(lin1.owner.asked)
         for v in (v1, v2):
@@ -129,12 +134,25 @@ def check_quasi_gentle(run, method, side1, side2):
             assert len(v.owner.asked) <= 4 * math.log2(max(n, 1)) + 4, (n, v.owner.asked)
 
 
-def test_max_finite_of_a_million_asks_at_most_45_queries():
+def test_max_finite_of_a_million_asks_at_most_45_queries(monkeypatch):
     v = counted_view(MaxSizeTheory(1_000_000), Cube(()))
-    assert v.max_finite(cap=2**20) == 1_000_000
+    assert v.max_finite() == 1_000_000
     assert len(v.owner.asked) <= 45 and max(v.owner.asked) <= 2**20 + 1
+    monkeypatch.setattr(spectra, "BOUND", 999_999)
     with pytest.raises(IterationCapExceeded, match="max_finite"):
-        counted_view(MaxSizeTheory(1_000_000), Cube(())).max_finite(cap=999_999)
+        counted_view(MaxSizeTheory(1_000_000), Cube(())).max_finite()
+
+
+def test_the_largest_representable_top_is_found_within_the_bound():
+    # The scans stop at the set bound because no finite top lies past it:
+    # a size cap one past the bound cannot be built, by hand or by name.
+    v = counted_view(load_registry(None).resolve("T_leq_1048576"), Cube(()))
+    assert v.max_finite() == 2**20 == spectra.BOUND
+    assert len(v.owner.asked) <= 45 and max(v.owner.asked) <= 2**20 + 1
+    with pytest.raises(SetBoundExceeded):
+        MaxSizeTheory(2**20 + 1)
+    with pytest.raises(RegistryError, match="past the set bound 1048576"):
+        load_registry(None).resolve("T_leq_1048577")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 40, 100, 1000])
@@ -142,7 +160,7 @@ def test_quasi_gentle_scan_to_n_asks_logarithmically_many_queries(n):
     # Side 1 reaches every size and side 2 is {n}: the scan ends at n.
     v1, v2 = counted_view(MinSizeTheory(1), Cube(())), counted_view(ExactSizeTheory(n), Cube(()))
     stats = {"loop_iterations": 0}
-    assert METHODS["quasi-gentle"][1](quasi_gentle(), v1, v2, 10_000, stats) == (True, n)
+    assert METHODS["quasi-gentle"][1](quasi_gentle(), v1, v2, stats) == (True, n)
     assert stats["loop_iterations"] == n - 1
     for v in (v1, v2):
         assert len(v.owner.asked) <= 4 * math.log2(n) + 4, v.owner.asked

@@ -47,7 +47,7 @@ from combinekit.formulas import (
     split_by_signature,
     to_dnf,
 )
-from combinekit.spectra import DEFAULT_ITERATION_CAP, view
+from combinekit.spectra import view
 
 # -- the eager code, as it was ----------------------------------------------------
 
@@ -183,7 +183,7 @@ def reference_split(cube, sig1, sig2):
     return c1, c2, c1.variables() & c2.variables()
 
 
-def reference_combine(t1, t2, f, method=None, cap=DEFAULT_ITERATION_CAP):
+def reference_combine(t1, t2, f, method=None):
     if method is None:
         picked = select_method(t1, t2)
         if picked is None:
@@ -208,7 +208,7 @@ def reference_combine(t1, t2, f, method=None, cap=DEFAULT_ITERATION_CAP):
             tried_blocks.add(len(arr.blocks))
             delta = arrangement_to_cube(arr)
             a1, a2 = c1.join(delta), c2.join(delta)
-            ok, card = run(method, view(t1, a1), view(t2, a2), cap, stats)
+            ok, card = run(method, view(t1, a1), view(t2, a2), stats)
             if ok:
                 witness = (arr, card) if card is not None else None
                 return CombinationVerdict(True, witness, label, stats)

@@ -61,7 +61,7 @@ def test_max_finite_examples():
     assert view(MaxSizeTheory(3), TOP).max_finite() == 3
     assert view(ExactSizeTheory(4), TOP).max_finite() == 4
     with pytest.raises(IterationCapExceeded):
-        view(EqualityTheory(), TOP).max_finite(cap=100)
+        view(EqualityTheory(), TOP).max_finite()
     assert view(MaxSizeTheory(2), neq_clique(["a", "b", "c"], 3)).max_finite() is None
 
 

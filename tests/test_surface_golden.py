@@ -13,12 +13,12 @@ from combinekit.catalog import default_catalog, toy_inner_theory
 from combinekit.classify import (
     bitzero_filter,
     filter_chain_demo,
-    generated_filter_inclusion,
     probe_certificate,
     refute_class,
 )
 from combinekit.diagonal import intersect_from_run
 from combinekit.errors import ParseError
+from combinekit.filters import filter_includes
 from combinekit.formulas import parse_formula
 from combinekit.properties import CLASSES
 from combinekit.registry import load_registry
@@ -69,7 +69,8 @@ def _lines():
     yield "chain|" + repr(filter_chain_demo(4))
     for s1 in ({1}, {2}, {1, 2}, set()):
         for s2 in ({1}, {2}, {1, 2}, set()):
-            yield f"inclusion|{sorted(s1)}|{sorted(s2)}|" + generated_filter_inclusion(s1, s2)
+            verdict = filter_includes(bitzero_filter(s1), bitzero_filter(s2))
+            yield f"inclusion|{sorted(s1)}|{sorted(s2)}|{verdict}"
     for text in MALFORMED:
         try:
             got = repr(parse_formula(text))
