@@ -1,12 +1,12 @@
 """Independent brute-force finite-model oracle.
 
 Enumerates every candidate model of a bounded size outright: predicate
-subsets drawn from a finite closure, and variable assignments as
-canonical first-occurrence partitions (values introduced in order, which
-is exhaustive up to symmetry because literals only compare variables for
-equality).  This module deliberately avoids the theories' closed-form
-spectrum procedures; it only consumes ``model_check`` and raw literal
-evaluation, so it can referee them.
+subsets drawn from one closure per cube (see `_closure_for`), and
+variable assignments as canonical first-occurrence partitions (values
+introduced in order, which is exhaustive up to symmetry because literals
+only compare variables for equality).  This module deliberately avoids
+the theories' closed-form spectrum procedures; it only consumes
+``model_check`` and raw literal evaluation, so it can referee them.
 """
 
 from __future__ import annotations
@@ -20,16 +20,15 @@ from .formulas import Cube, EqualityLiteral, Formula, PredicateId, PredicateLite
 from .theories import Theory
 
 
-def _closure_for(theory: Theory, pred_lits, explicit) -> frozenset[PredicateId]:
+def _closure_for(theory: Theory, pred_lits) -> frozenset[PredicateId]:
     """Predicates allowed to be true: the whole signature when it is
     finite (all nullary), else the predicates occurring positively in
     ``pred_lits``.
 
     Sound because the infinite-signature theories in the catalog only
     constrain models through positively guarded axioms, so turning extra
-    predicates off never loses a model."""
-    if explicit is not None:
-        return frozenset(explicit)
+    predicates off never loses a model (checked on every catalog theory,
+    against closures enlarged from its own signature, in the tests)."""
     families = theory.signature.families
     if all(arity == 0 for _, arity in families):
         return frozenset(PredicateId(fam, ()) for fam, _ in families)
@@ -39,9 +38,6 @@ def _closure_for(theory: Theory, pred_lits, explicit) -> frozenset[PredicateId]:
 def _assignments(variables: tuple[str, ...], k: int):
     """Canonical assignments of the variables into [1..k]: each fresh
     value is the smallest unused one, covering all equality patterns."""
-    if not variables:
-        yield {}
-        return
     yield from _assign(variables, k, [0] * len(variables), 0, 0)
 
 
@@ -57,7 +53,7 @@ def _assign(variables: tuple[str, ...], k: int, values: list[int], i: int, used:
 
 # Memo bounds, least recently used dropped first: equality parts, whose
 # assignment walk each cube sharing the part would repeat; (theory,
-# predicate part, closure), whose fitting subsets each cube sharing it would
+# predicate part), whose fitting subsets each cube sharing it would
 # rebuild; and (theory, true predicates), whose verdicts parts would re-ask.
 EQUALITY_PARTS_KEPT = 4_096
 PRED_PARTS_KEPT = 256
@@ -86,12 +82,12 @@ _verdicts = lru_cache(maxsize=PRED_PARTS_KEPT)(lambda theory, true_preds: (true_
 
 
 @lru_cache(maxsize=PRED_PARTS_KEPT)
-def _fitting_subsets(theory: Theory, pred_lits: tuple[PredicateLiteral, ...], closure) -> tuple:
+def _fitting_subsets(theory: Theory, pred_lits: tuple[PredicateLiteral, ...]) -> tuple:
     """The closure's predicate subsets that agree with a cube's predicate
     literals, built from them: the positive predicates plus each subset of
     the closure's unnamed predicates (none if a positive one is outside the
     closure or negated), each as its `_verdicts` pair; and the part's verdicts."""
-    closure = _closure_for(theory, pred_lits, closure)
+    closure = _closure_for(theory, pred_lits)
     positive = frozenset(lit.pred for lit in pred_lits if lit.positive)
     negated = {lit.pred for lit in pred_lits if not lit.positive}
     if positive - closure or positive & negated:
@@ -102,27 +98,22 @@ def _fitting_subsets(theory: Theory, pred_lits: tuple[PredicateLiteral, ...], cl
     return fits, fits[0][1] if len(fits) == 1 else {}  # one subset: its verdicts are the part's
 
 
-# The last cube the oracle read: (theory, cube, closure, blocks, fits,
-# verdicts by size).  Compared by identity, so a size scan over one cube
-# hashes none of its parts, and at most one cube is held.
-_last_read = (None, None, None, None, (), {})
+# The last cube the oracle read: (theory, cube, blocks, fits, verdicts by
+# size).  Compared by identity, so a size scan over one cube hashes none
+# of its parts, and at most one cube is held.
+_last_read = (None, None, None, (), {})
 
 
-def _read(theory: Theory, cube: Cube, closure) -> tuple:
+def _read(theory: Theory, cube: Cube) -> tuple:
     """Read a cube anew into `_last_read`: fewest classes (None: no model), fits, verdicts."""
     global _last_read
     blocks = None if cube.contradictory else _min_satisfying_blocks(cube.eq_part)
-    fits, sizes = ((), {}) if blocks is None else _fitting_subsets(theory, cube.pred_part, closure)
-    _last_read = (theory, cube, closure, blocks, fits, sizes)
+    fits, sizes = ((), {}) if blocks is None else _fitting_subsets(theory, cube.pred_part)
+    _last_read = (theory, cube, blocks, fits, sizes)
     return blocks, fits, sizes
 
 
-def brute_sat_at(
-    theory: Theory,
-    cube: Cube,
-    k: int,
-    closure: frozenset[PredicateId] | None = None,
-) -> bool:
+def brute_sat_at(theory: Theory, cube: Cube, k: int) -> bool:
     """Whether some size-k model of the theory satisfies the cube.
 
     The predicate side (which predicate subsets pass the model checker
@@ -130,13 +121,13 @@ def brute_sat_at(
     variable assignments satisfy the equality literals) are independent,
     so each is enumerated exhaustively on its own.  The equality part
     gives the fewest classes once per part; the fitting subsets are
-    built from the predicate literals once per (theory, predicate part,
-    closure); and the model checker is asked once per (theory, set of
+    built from the predicate literals once per (theory, predicate part);
+    and the model checker is asked once per (theory, set of
     true predicates, size) while their memos keep them.
     """
-    t, c, cl, blocks, fits, sizes = _last_read
-    if not (t is theory and c is cube and cl is closure):
-        blocks, fits, sizes = _read(theory, cube, closure)
+    t, c, blocks, fits, sizes = _last_read
+    if not (t is theory and c is cube):
+        blocks, fits, sizes = _read(theory, cube)
     if blocks is None or blocks > k:
         return False
     sat = sizes.get(k)
@@ -156,9 +147,9 @@ def brute_spectrum(theory: Theory, cube: Cube, max_card: int = 6) -> set[int]:
     """All cardinalities up to the bound at which the cube has a model.
     The cube is read once, and `brute_sat_at` is asked only the sizes
     from its fewest equality classes up whose verdict is not known."""
-    t, c, cl, blocks, _, sizes = _last_read
-    if not (t is theory and c is cube and cl is None):
-        blocks, _, sizes = _read(theory, cube, None)
+    t, c, blocks, _, sizes = _last_read
+    if not (t is theory and c is cube):
+        blocks, _, sizes = _read(theory, cube)
     up = () if blocks is None else range(blocks, max_card + 1)
     return {k for k in up if (sizes[k] if k in sizes else brute_sat_at(theory, cube, k))}
 
@@ -182,8 +173,8 @@ def brute_combined_formula_sat(
                 preds2.add(atom.pred)
             else:
                 raise SignatureError(f"predicate {atom.pred} owned by neither side")
-    closure1 = _closure_for(t1, (), None) | preds1
-    closure2 = _closure_for(t2, (), None) | preds2
+    closure1 = _closure_for(t1, ()) | preds1
+    closure2 = _closure_for(t2, ()) | preds2
     variables = tuple(sorted(set().union(*(atom.variables() for atom in atoms))))
     for k in range(1, max_card + 1):
         for sub1 in _pred_subsets(closure1):

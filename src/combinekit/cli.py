@@ -235,7 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):  # else argparse reads an unknown flag's value as the command
+        flag = argv[i].split("=", 1)[0]
+        if not any(o.startswith(flag) for o in parser._option_string_actions):
+            parser.error(f"unrecognized arguments: {flag}")
+        i += 1 if "=" in argv[i] else 2
+    args = parser.parse_args(argv)
     try:
         if args.format == "dot" and args.command != "lattice":
             raise CombineKitError("--format dot applies only to lattice")

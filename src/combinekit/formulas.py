@@ -254,6 +254,8 @@ _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 _VAR_RE = re.compile(r"^[a-z][a-zA-Z0-9_]*$")
 FAMILY_RE = re.compile(r"^[A-Z][A-Za-z0-9]*$")
 
+MAX_NESTING = 256  # connective levels; the recursive lowering, evaluation and joint oracle answer at it
+
 # Resolves symbolic formula references inside (pred FAMILY ...) index lists
 # to registered formula ids.
 Resolver = Callable[[str], int]
@@ -266,13 +268,10 @@ def parse_formula(text: str, resolver: Resolver | None = None) -> Formula:
     ``(distinct x1 .. xn)``, ``(P k)`` / ``(P)`` for the plain family P,
     and ``(pred FAMILY i j k)`` for arbitrary families.  Indices are
     positive naturals, ``inf``, or names resolved by `resolver`.  A
-    formula nested past the interpreter's recursion limit is a ParseError.
+    formula nested more than `MAX_NESTING` connectives deep is a ParseError.
     """
     p = _Parser(text, resolver)
-    try:
-        f = p.expr()
-    except RecursionError:
-        raise p.fail("formula nested too deeply", p.pos) from None
+    f = p.expr()
     if p.toks[p.pos] is not None:
         raise p.fail(f"trailing input {p.toks[p.pos]!r}", p.pos)
     return f
@@ -282,10 +281,10 @@ class _Parser:
     """Tokens read by index up to a None sentinel; methods, not nested
     closures, so that a parse leaves no reference cycle behind."""
 
-    __slots__ = ("text", "resolver", "toks", "pos")
+    __slots__ = ("text", "resolver", "toks", "pos", "depth")
 
     def __init__(self, text: str, resolver: Resolver | None):
-        self.text, self.resolver, self.pos = text, resolver, 0
+        self.text, self.resolver, self.pos, self.depth = text, resolver, 0, 0
         self.toks = _TOKEN_RE.findall(text) + [None]
 
     def fail(self, message: str, i: int) -> ParseError:
@@ -356,21 +355,25 @@ class _Parser:
             if f is not None:
                 self.pos = h + len(key)
                 return f
-        if head in ("and", "or"):
-            kids = tuple(self.items(self.expr, "unterminated list"))
-            if not kids:
+        if head in ("and", "or", "not"):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise self.fail("formula nested too deeply", h)
+            if head == "not":
+                f = Not(self.expr())
+                self.items(self.no_item)
+            elif not (kids := tuple(self.items(self.expr, "unterminated list"))):
                 raise self.fail(f"empty ({head})", h)
-            return And(kids) if head == "and" else Or(kids)
+            else:
+                f = And(kids) if head == "and" else Or(kids)
+            self.depth -= 1
+            return f
         if head == "distinct":
             vs = self.items(lambda: self.variable(self.take()))
             if len(vs) < 2:
                 raise self.fail("(distinct ...) needs at least two variables", h)
             lits = tuple(shared_literal(EqualityLiteral, *xy, False) for xy in itertools.combinations(vs, 2))
             return And(lits) if len(lits) > 1 else lits[0]
-        if head == "not":
-            f = Not(self.expr())
-            self.items(self.no_item)
-            return f
         if head == "=":
             a, b = self.take(), self.take()  # both operands are read before either is checked
             f = EqualityLiteral(self.variable(a), self.variable(b), True)

@@ -93,22 +93,49 @@ def test_monotone_in_max_card(catalog, rng):
             assert spectrum == {k for k in range(1, 7) if hits[k - 1]}
 
 
-def test_enlarging_closure_never_flips_true_to_false(catalog, rng):
-    t = catalog["T_eq_P"]
-    extra = frozenset({PredicateId("P", (6,)), PredicateId("P", (2,))})
-    for _ in range(60):
-        c = random_cube(t, rng, max_vars=3, max_literals=3)
-        base = frozenset(c.positive_preds())
-        for k in range(1, 5):
-            if brute_sat_at(t, c, k, closure=base):
-                assert brute_sat_at(t, c, k, closure=base | extra)
+def _partitions(n):
+    """Every set partition of n variables, as restricted growth strings."""
+    out = [()]
+    for _ in range(n):
+        out = [p + (v,) for p in out for v in range(max(p, default=-1) + 2)]
+    return out
 
 
-def _reference_closure(theory, cube, explicit):
+def _enlarged_sat_at(theory, cube, k, extra):
+    """Whether a size-k model satisfies the cube, by enumeration over the
+    cube's closure enlarged by `extra`: every partition of its variables
+    into at most k classes and every subset of the enlarged closure, each
+    checked against the literals and then by the model checker."""
+    variables = sorted(cube.variables())
+    for p in _partitions(len(variables)):
+        value = dict(zip(variables, p))
+        if len(set(p)) <= k and all((value[l.left] == value[l.right]) == l.positive for l in cube.eq_part):
+            break
+    else:
+        return False
+    return any(
+        all((lit.pred in s) == lit.positive for lit in cube.pred_part) and theory.model_check(k, s)
+        for s in _reference_subsets(_reference_closure(theory, cube) | extra)
+    )
+
+
+def test_turning_unnamed_predicates_off_loses_no_model(theory_list):
+    # The oracle's premise: the predicates outside its closure can all be
+    # false.  A closure enlarged by predicates of the theory's own signature
+    # finds a model at exactly the sizes the oracle does, on every theory.
+    assert len(theory_list) == 26
+    rng = random.Random(4001)
+    for t in theory_list:
+        for _ in range(200):
+            c = random_cube(t, rng)
+            extra = frozenset(p for p in (t.sample_pred(rng) for _ in range(rng.randint(1, 3))) if p is not None)
+            for k in range(1, 8):
+                assert brute_sat_at(t, c, k) == _enlarged_sat_at(t, c, k, extra), (t, c, k, extra)
+
+
+def _reference_closure(theory, cube):
     """The oracle's closure, rebuilt on every call: the whole signature
     when it is finite, else the cube's positive predicates."""
-    if explicit is not None:
-        return frozenset(explicit)
     fams = theory.signature.families
     if all(arity == 0 for _, arity in fams):
         return frozenset(PredicateId(fam, ()) for fam, _ in fams)
@@ -122,7 +149,7 @@ def _reference_subsets(preds):
             yield frozenset(combo)
 
 
-def _reference_candidates(theory, cube, closure):
+def _reference_candidates(theory, cube):
     """A cube's fewest equality classes and fitting predicate subsets,
     enumerated afresh on every call."""
     blocks = None if cube.contradictory else _min_satisfying_blocks(cube.eq_part)
@@ -131,18 +158,18 @@ def _reference_candidates(theory, cube, closure):
         lits = cube.pred_part
         fits = tuple(
             subset
-            for subset in _reference_subsets(_reference_closure(theory, cube, closure))
+            for subset in _reference_subsets(_reference_closure(theory, cube))
             if all((lit.pred in subset) == lit.positive for lit in lits)
         )
     return blocks, fits
 
 
-def _reference_sat_at(theory, cube, k, closure=None):
-    blocks, fits = _reference_candidates(theory, cube, closure)
+def _reference_sat_at(theory, cube, k):
+    blocks, fits = _reference_candidates(theory, cube)
     return blocks is not None and blocks <= k and any(theory.model_check(k, s) for s in fits)
 
 
-def _per_size_loop(theory, cube, k, closure=None):
+def _per_size_loop(theory, cube, k):
     """The oracle as one loop per size: every predicate subset of the
     closure, the model checker, then the cube's predicate literals."""
     if cube.contradictory:
@@ -150,7 +177,7 @@ def _per_size_loop(theory, cube, k, closure=None):
     blocks = _min_satisfying_blocks(cube.eq_part)
     if blocks is None or blocks > k:
         return False
-    for subset in _reference_subsets(_reference_closure(theory, cube, closure)):
+    for subset in _reference_subsets(_reference_closure(theory, cube)):
         if theory.model_check(k, subset) and all(
             (lit.pred in subset) == lit.positive for lit in cube.pred_part
         ):
@@ -169,24 +196,20 @@ def _accepts(theory, cube):
 
 
 def test_reading_each_cube_once_matches_the_per_size_loop(theory_list):
-    # Interleaves another theory, an equal but distinct cube and explicit
-    # closures on each cube, so an oracle that kept a reading under the
-    # wrong key would answer for the wrong question.
+    # Interleaves another theory and an equal but distinct cube on each
+    # cube, so an oracle that kept a reading under the wrong key would
+    # answer for the wrong question.
     rng = random.Random(19)
     for t in theory_list:
         for _ in range(200):
             c = random_cube(t, rng)
             owners = [o for o in theory_list if _accepts(o, c)]
             other = rng.choice([o for o in owners if o is not t] or owners)
-            base = frozenset(c.positive_preds())
-            extra = base | {p for p in (t.sample_pred(rng), t.sample_pred(rng)) if p is not None}
             twin = Cube(c.literals)
             for k in range(7, 0, -1):
                 assert brute_sat_at(t, c, k) == _per_size_loop(t, c, k), (t, c, k)
                 assert brute_sat_at(other, c, k) == _per_size_loop(other, c, k), (other, c, k)
                 assert brute_sat_at(t, twin, k) == _per_size_loop(t, twin, k), (t, c, k)
-                for closure in (base, extra):
-                    assert brute_sat_at(t, c, k, closure) == _per_size_loop(t, c, k, closure), (t, c, k)
             assert brute_spectrum(t, c, 6) == {k for k in range(1, 7) if _per_size_loop(t, c, k)}
 
 
@@ -198,14 +221,11 @@ def test_oracle_matches_a_fresh_enumeration_per_cube(theory_list):
     for t in theory_list:
         for _ in range(40):
             c = random_cube(t, rng)
-            base = frozenset(c.positive_preds())
-            extra = base | {p for p in (t.sample_pred(rng), t.sample_pred(rng)) if p is not None}
-            for closure in (None, base, extra):
-                for k in range(1, 7):
-                    assert brute_sat_at(t, c, k, closure) == _reference_sat_at(t, c, k, closure), (t, c, k)
+            for k in range(1, 7):
+                assert brute_sat_at(t, c, k) == _reference_sat_at(t, c, k), (t, c, k)
             assert brute_spectrum(t, c, 6) == {k for k in range(1, 7) if _reference_sat_at(t, c, k)}, (t, c)
     for t in theory_list:
-        assert _closure_for(t, (), None) == _reference_closure(t, TOP, None)
+        assert _closure_for(t, ()) == _reference_closure(t, TOP)
 
 
 def test_a_size_scan_enumerates_the_cube_once(catalog):
@@ -223,7 +243,7 @@ def test_a_size_scan_enumerates_the_cube_once(catalog):
     for text in ("(= x y)", "(distinct x y)", "(and (pred P) (= x x))", "(pred P)"):
         brute_spectrum(catalog["T_ns_4"], cube(text), 6)
     assert misses() == 3
-    fits, _ = brute._fitting_subsets(catalog["T_ns_4"], (), None)
+    fits, _ = brute._fitting_subsets(catalog["T_ns_4"], ())
     assert [s for s, _ in fits] == [frozenset(), frozenset({PredicateId("P", ())})]
 
 
@@ -259,45 +279,41 @@ def test_a_spectrum_reads_the_cube_once_and_asks_only_unknown_sizes(monkeypatch)
     assert sat_at == [1, 2] and checked == [1, 2]
 
 
-def _enumerated_fits(theory, pred_lits, closure):
+def _enumerated_fits(theory, pred_lits):
     """The fitting subsets by enumeration: every subset of the closure,
     then those that agree with the predicate literals."""
     return tuple(
         s
-        for s in _reference_subsets(_reference_closure(theory, Cube(pred_lits), closure))
+        for s in _reference_subsets(_reference_closure(theory, Cube(pred_lits)))
         if all((lit.pred in s) == lit.positive for lit in pred_lits)
     )
 
 
 def test_fitting_subsets_built_from_the_literals_match_the_enumeration(catalog, theory_list):
-    def check(t, lits, closure=None):
-        fits, _ = brute._fitting_subsets(t, lits, closure)
-        assert tuple(s for s, _ in fits) == _enumerated_fits(t, lits, closure), (t, lits, closure)
+    def check(t, lits):
+        fits, _ = brute._fitting_subsets(t, lits)
+        assert tuple(s for s, _ in fits) == _enumerated_fits(t, lits), (t, lits)
 
     rng = random.Random(3811)
     for t in theory_list:
         for _ in range(40):
-            lits = random_cube(t, rng).pred_part
-            base = frozenset(lit.pred for lit in lits if lit.positive)
-            extra = base | {p for p in (t.sample_pred(rng), t.sample_pred(rng)) if p is not None}
-            for closure in (None, base, extra, extra - base):
-                check(t, lits, closure)
+            check(t, random_cube(t, rng).pred_part)
     t = catalog["T_eq_P"]
-    p3, p4, p6 = (PredicateId("P", (i,)) for i in (3, 4, 6))
+    p3, p4 = PredicateId("P", (3,)), PredicateId("P", (4,))
     pos3, neg3, neg4 = PredicateLiteral(p3, True), PredicateLiteral(p3, False), PredicateLiteral(p4, False)
     check(t, (pos3, neg3))  # a negated positive predicate
-    check(t, (pos3, neg3), frozenset({p3, p4}))
-    check(t, (pos3,), frozenset({p4}))  # a closure that omits a positive predicate
-    check(t, (pos3, neg4), frozenset({p3, p4, p6}))  # a closure with extra predicates
-    assert brute._fitting_subsets(t, (pos3,), frozenset({p4}))[0] == ()
+    check(t, (pos3,))
+    check(t, (pos3, neg4))  # a negated predicate outside the closure
     for name in ("toy", "T_ns_4"):  # finite signatures: the whole signature
         t = catalog[name]
         nullary = [PredicateId(fam, ()) for fam, arity in t.signature.families if arity == 0]
         assert len(nullary) == len(t.signature.families) == 1
         (pid,) = nullary
         for lits in ((), (PredicateLiteral(pid, True),), (PredicateLiteral(pid, False),)):
-            for closure in (None, frozenset()):
-                check(t, lits, closure)
+            check(t, lits)
+        # A positive predicate outside a finite closure: no subset fits.
+        check(t, (PredicateLiteral(p3, True),))
+        assert brute._fitting_subsets(t, (PredicateLiteral(p3, True),))[0] == ()
     # The oracle built on them, past the benchmark's K = 6, with theories interleaved.
     for _ in range(12):
         for t in theory_list:
@@ -312,8 +328,8 @@ def test_fitting_subsets_built_from_the_literals_match_the_enumeration(catalog, 
 
 def test_oracle_memos_by_part_match_an_uncached_enumeration(theory_list):
     # Twins share a predicate part or an equality part with the cube just
-    # read, closures are explicit or not, and theories interleave, so a
-    # memo kept under the wrong key would answer for the wrong question.
+    # read, and theories interleave, so a memo kept under the wrong key
+    # would answer for the wrong question.
     assert len(theory_list) == 26
     rng = random.Random(2929)
     for t in theory_list:
@@ -322,13 +338,10 @@ def test_oracle_memos_by_part_match_an_uncached_enumeration(theory_list):
             o = rng.choice(cubes)
             owners = [x for x in theory_list if _accepts(x, c)]
             other = rng.choice([x for x in owners if x is not t] or owners)
-            base = frozenset(c.positive_preds())
-            closures = (None, base, base | {p for p in (t.sample_pred(rng),) if p is not None})
             for d in (c, Cube(c.pred_part + o.eq_part), Cube(o.pred_part + c.eq_part), c):
-                for closure in closures:
-                    for k in range(1, 7):
-                        assert brute_sat_at(t, d, k, closure) == _reference_sat_at(t, d, k, closure), (t, d, k)
-                        assert brute_sat_at(other, c, k) == _reference_sat_at(other, c, k), (other, c, k)
+                for k in range(1, 7):
+                    assert brute_sat_at(t, d, k) == _reference_sat_at(t, d, k), (t, d, k)
+                    assert brute_sat_at(other, c, k) == _reference_sat_at(other, c, k), (other, c, k)
 
 
 def test_the_oracle_memos_stay_within_their_bounds():

@@ -109,9 +109,9 @@ def test_spectrum_worked_example(capsys):
 def test_spectrum_decides_each_withheld_size_once(capsys, monkeypatch):
     calls = []
 
-    def counting(theory, cube, k, closure=None):
+    def counting(theory, cube, k):
         calls.append(k)
-        return brute_sat_at(theory, cube, k, closure)
+        return brute_sat_at(theory, cube, k)
 
     monkeypatch.setattr("combinekit.brute.brute_sat_at", counting)
     monkeypatch.setattr("combinekit.cli.brute_sat_at", counting)
@@ -287,6 +287,31 @@ def test_removed_flags_exit_2(capsys, argv):
         main(list(argv))
     assert e.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag", ["--cap", "--cap=7"])
+def test_an_unknown_global_flag_is_named_not_its_value(capsys, flag):
+    # argparse would set --cap aside and read 7 as the subcommand.
+    with pytest.raises(SystemExit) as e:
+        main([flag, "7", "combine", "T_leq_3", "T_eq_P", "(P 2)"])
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.endswith("error: unrecognized arguments: --cap\n")
+
+
+def test_the_global_flags_still_work_ahead_of_the_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "registry.json"
+    cfg.write_text(json.dumps({"theories": {"pin_q": {"kind": "T_eq_P", "family": "Q"}}}))
+    for argv, head in (
+        (("--K", "8", "brute-check", "--theory", "T_eq", "--samples", "5"), '{"K": 8'),
+        (("--seed", "3", "classify", "T_eq"), "[{"),
+        (("--seed", "-3", "classify", "T_eq"), "[{"),  # a value that starts with '-'
+        ((f"--config={cfg}", "decide", "pin_q", "(pred Q 4)"), '{"sat": true}'),
+        (("--format", "dot", "lattice"), "digraph"),
+        (("--form", "dot", "lattice"), "digraph"),  # argparse's own abbreviations
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith(head), argv
 
 
 @pytest.mark.parametrize(

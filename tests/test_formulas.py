@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combinekit import formulas
+from combinekit.brute import brute_combined_formula_sat
 from combinekit.catalog import MaxSizeTheory, SizePinTheory
+from combinekit.cli import main
 from combinekit.combine import combine_decide
 from combinekit.errors import ParseError, SignatureError
 from combinekit.formulas import (
+    MAX_NESTING,
     And,
     Arrangement,
     Cube,
@@ -161,10 +164,33 @@ def test_a_formula_nested_past_the_stack_is_a_parse_error():
 
 
 def test_formulas_nested_below_the_stack_still_parse_lower_and_combine():
-    assert to_dnf(parse_formula(_nested_nots(900))) == [Cube((EqualityLiteral("x", "y", True),))]
-    f = parse_formula(_nested_and_or(150))
+    # At the bound every recursive pass answers: the lowering, the shell,
+    # evaluation and the joint oracle.
+    t1, t2 = MaxSizeTheory(3), SizePinTheory()
+    f = parse_formula(_nested_nots(MAX_NESTING))
+    assert to_dnf(f) == [Cube((EqualityLiteral("x", "y", True),))]
+    assert combine_decide(t1, t2, f).sat and brute_combined_formula_sat(t1, t2, f, 2)
+    f = parse_formula(_nested_and_or(MAX_NESTING // 2))  # and/or alternating, MAX_NESTING levels
     assert len(to_dnf(f)) == 2
-    assert combine_decide(MaxSizeTheory(3), SizePinTheory(), f).sat
+    assert combine_decide(t1, t2, f).sat and brute_combined_formula_sat(t1, t2, f, 2)
+    assert eval_formula(f, formula_atoms(f))
+
+
+@pytest.mark.parametrize(
+    "text, innermost",
+    [(_nested_nots(MAX_NESTING + 1), "(not"), ("(not " + _nested_and_or(MAX_NESTING // 2) + ")", "(or")],
+    ids=["not", "and-or"],
+)
+def test_one_level_past_the_bound_is_a_parse_error(capsys, text, innermost):
+    # The level past the bound is refused at its head, from the library and
+    # from the command line, whatever the caller's stack depth.
+    offset = text.rindex(innermost) + 1
+    with pytest.raises(ParseError, match="formula nested too deeply") as e:
+        parse_formula(text)
+    assert e.value.offset == offset
+    assert main(["combine", "T_leq_3", "T_eq_P", text]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: formula nested too deeply (at byte {offset})\n"
 
 
 def test_lowering_thousands_of_disjunctions_reaches_the_first_cube():

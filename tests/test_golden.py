@@ -107,7 +107,7 @@ MODEL_CHECK_GOLDEN = "2f3af54d076e"
 def _model_check_lines(t, index: int):
     rng = random.Random(2000 + index)
     preds = {t.sample_pred(rng) for _ in range(8)} - {None}
-    preds |= _closure_for(t, (), None)
+    preds |= _closure_for(t, ())
     ordered = sorted(preds, key=lambda p: p.sort_key)
     for r in range(3):
         for subset in itertools.combinations(ordered, r):
