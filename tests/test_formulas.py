@@ -182,8 +182,8 @@ def test_formulas_nested_below_the_stack_still_parse_lower_and_combine():
     ids=["not", "and-or"],
 )
 def test_one_level_past_the_bound_is_a_parse_error(capsys, text, innermost):
-    # The level past the bound is refused at its head, from the library and
-    # from the command line, whatever the caller's stack depth.
+    # The level past the bound is refused at its head, at the same offset
+    # from the library and from the command line.
     offset = text.rindex(innermost) + 1
     with pytest.raises(ParseError, match="formula nested too deeply") as e:
         parse_formula(text)
