@@ -4,8 +4,8 @@ Enumerates every candidate model of a bounded size outright: predicate
 subsets drawn from one closure per cube (see `_closure_for`), and
 variable assignments as canonical first-occurrence partitions (values
 introduced in order, which is exhaustive up to symmetry because literals
-only compare variables for equality).  This module deliberately avoids
-the theories' closed-form spectrum procedures; it only consumes
+only compare variables for equality), memoized by cube part.  It avoids
+the theories' closed-form spectrum procedures and consumes only
 ``model_check`` and raw literal evaluation, so it can referee them.
 """
 
@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
 
 from .errors import SignatureError
-from .formulas import Cube, EqualityLiteral, Formula, PredicateId, PredicateLiteral, eval_formula, formula_atoms
+from .formulas import Cube, EqualityLiteral, Formula, PredicateId, PredicateLiteral
+from .formulas import eval_formula, formula_atoms, keyed_by_part
 from .theories import Theory
 
 
@@ -51,15 +51,7 @@ def _assign(variables: tuple[str, ...], k: int, values: list[int], i: int, used:
         yield from _assign(variables, k, values, i + 1, max(used, val))
 
 
-# Memo bounds, least recently used dropped first: equality parts, whose
-# assignment walk each cube sharing the part would repeat; (theory,
-# predicate part), whose fitting subsets each cube sharing it would
-# rebuild; and (theory, true predicates), whose verdicts parts would re-ask.
-EQUALITY_PARTS_KEPT = 4_096
-PRED_PARTS_KEPT = 256
-
-
-@lru_cache(maxsize=EQUALITY_PARTS_KEPT)
+@keyed_by_part
 def _min_satisfying_blocks(eq_lits: tuple[EqualityLiteral, ...]) -> int | None:
     """Smallest number of equality classes over all canonical assignments
     satisfying a cube's equality literals (keyed by them alone, so the
@@ -78,10 +70,10 @@ def _min_satisfying_blocks(eq_lits: tuple[EqualityLiteral, ...]) -> int | None:
 
 
 # (true predicates, model-checker verdicts by size) per (theory, set), shared by the parts fitting it.
-_verdicts = lru_cache(maxsize=PRED_PARTS_KEPT)(lambda theory, true_preds: (true_preds, {}))
+_verdicts = keyed_by_part(lambda theory, true_preds: (true_preds, {}))
 
 
-@lru_cache(maxsize=PRED_PARTS_KEPT)
+@keyed_by_part
 def _fitting_subsets(theory: Theory, pred_lits: tuple[PredicateLiteral, ...]) -> tuple:
     """The closure's predicate subsets that agree with a cube's predicate
     literals, built from them: the positive predicates plus each subset of
@@ -98,21 +90,6 @@ def _fitting_subsets(theory: Theory, pred_lits: tuple[PredicateLiteral, ...]) ->
     return fits, fits[0][1] if len(fits) == 1 else {}  # one subset: its verdicts are the part's
 
 
-# The last cube the oracle read: (theory, cube, blocks, fits, verdicts by
-# size).  Compared by identity, so a size scan over one cube hashes none
-# of its parts, and at most one cube is held.
-_last_read = (None, None, None, (), {})
-
-
-def _read(theory: Theory, cube: Cube) -> tuple:
-    """Read a cube anew into `_last_read`: fewest classes (None: no model), fits, verdicts."""
-    global _last_read
-    blocks = None if cube.contradictory else _min_satisfying_blocks(cube.eq_part)
-    fits, sizes = ((), {}) if blocks is None else _fitting_subsets(theory, cube.pred_part)
-    _last_read = (theory, cube, blocks, fits, sizes)
-    return blocks, fits, sizes
-
-
 def brute_sat_at(theory: Theory, cube: Cube, k: int) -> bool:
     """Whether some size-k model of the theory satisfies the cube.
 
@@ -125,11 +102,10 @@ def brute_sat_at(theory: Theory, cube: Cube, k: int) -> bool:
     and the model checker is asked once per (theory, set of
     true predicates, size) while their memos keep them.
     """
-    t, c, blocks, fits, sizes = _last_read
-    if not (t is theory and c is cube):
-        blocks, fits, sizes = _read(theory, cube)
+    blocks = None if cube.contradictory else _min_satisfying_blocks(cube.eq_part)
     if blocks is None or blocks > k:
         return False
+    fits, sizes = _fitting_subsets(theory, cube.pred_part)
     sat = sizes.get(k)
     if sat is None:
         sat = sizes[k] = any(v[k] if k in v else v.setdefault(k, theory.model_check(k, s)) for s, v in fits)
@@ -145,11 +121,10 @@ def _pred_subsets(preds: frozenset[PredicateId]):
 
 def brute_spectrum(theory: Theory, cube: Cube, max_card: int = 6) -> set[int]:
     """All cardinalities up to the bound at which the cube has a model.
-    The cube is read once, and `brute_sat_at` is asked only the sizes
-    from its fewest equality classes up whose verdict is not known."""
-    t, c, blocks, _, sizes = _last_read
-    if not (t is theory and c is cube):
-        blocks, _, sizes = _read(theory, cube)
+    `brute_sat_at` is asked only the sizes from the cube's fewest
+    equality classes up whose verdict is not known."""
+    blocks = None if cube.contradictory else _min_satisfying_blocks(cube.eq_part)
+    sizes = {} if blocks is None else _fitting_subsets(theory, cube.pred_part)[1]
     up = () if blocks is None else range(blocks, max_card + 1)
     return {k for k in up if (sizes[k] if k in sizes else brute_sat_at(theory, cube, k))}
 

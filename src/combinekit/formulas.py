@@ -13,8 +13,9 @@ parser.
 
 A literal computes its hash and sort key once, when built, and a cube
 its hash once.  Two bounded tables share negations and map an atom's
-tokens to the literal parsed for them before: they pay where atoms recur
-across parses and cost time where all are new.  Equality stays by value.
+tokens to the literal parsed for them before (they pay where atoms recur
+and cost time where all are new); a third interns cube parts, so a part
+hashes by identity.  Equality stays by value.
 """
 
 from __future__ import annotations
@@ -127,6 +128,52 @@ _ATOMS: dict[tuple, Literal] = {}
 _sort_key = operator.attrgetter("sort_key")
 
 
+class Part(tuple):  # equal by value, hashed by identity (in C)
+    """A cube's predicate or equality literals, one object per value while interned."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+
+# The part table: one part per value, built from canonical literals, until
+# its parts hold PART_LITERALS_KEPT literals (a clique part counts its size).
+# Then it empties itself, those literals and every memo `keyed_by_part`.
+PART_LITERALS_KEPT = 12_288
+_PARTS: dict[int, Part] = {}
+_LITERALS: dict = {}
+_EMPTIED_WITH_PARTS: list[Callable[[], None]] = [_PARTS.clear, _LITERALS.clear]
+_held = 0
+
+
+def empty_parts():
+    """Empty the part table, its literals and every memo keyed by a part."""
+    global _held
+    _held = 0
+    for clear in _EMPTIED_WITH_PARTS:
+        clear()
+
+
+def keyed_by_part(fn):
+    """`fn` memoized with no bound of its own: it is emptied with the part table."""
+    _EMPTIED_WITH_PARTS.append((memo := lru_cache(maxsize=None)(fn)).cache_clear)
+    return memo
+
+
+def _intern(lits: tuple) -> Part:
+    """The one part of these sorted literals, by hash then value.  A part past the
+    room left empties the table; one past the bound is not kept, but counted for the memos."""
+    global _held
+    part = _PARTS.get(h := hash(lits))
+    if part is None or part != lits:
+        if _held + len(lits) > PART_LITERALS_KEPT:
+            empty_parts()
+        _held += len(lits)
+        if _held > PART_LITERALS_KEPT:
+            return Part(lits)
+        part = _PARTS[h] = Part(map(_LITERALS.setdefault, lits, lits))
+    return part
+
+
 class _computed_once:
     """``functools.cached_property`` without the lock that Python 3.11
     takes on each first read."""
@@ -148,9 +195,9 @@ class Cube:
     Literals are deduplicated in input order, then sorted, predicates
     first, so sorted runs (as in a join of two cubes) merge in linear
     time.  ``pred_part`` and ``eq_part`` are the two slices of the sorted
-    literals at that boundary; verdicts read the parts apart, so memos key
-    on a part, not on the cube.  ``contradictory`` (x != x, or a literal
-    with its negation), ``minmod``, the equality minimum
+    literals at that boundary, interned as :class:`Part`; verdicts read
+    the parts apart, so memos key on a part.  ``contradictory`` (x != x,
+    or a literal with its negation), ``minmod``, the equality minimum
     (:func:`minmod_equalities`), and the hash are computed at most once
     per cube.  Tautological self-equalities x = x are retained (they
     contribute variables, which matters for witness constructions).
@@ -161,7 +208,7 @@ class Cube:
     def __post_init__(self):
         lits = tuple(sorted(dict.fromkeys(self.literals), key=_sort_key))
         cut = operator.countOf(map(type, lits), PredicateLiteral)
-        vars(self).update(literals=lits, pred_part=lits[:cut], eq_part=lits[cut:])
+        vars(self).update(literals=lits, pred_part=_intern(lits[:cut]), eq_part=_intern(lits[cut:]))
 
     # The hash is kept, and pickle rebuilds the cube, as it does a literal.
     __hash__, __reduce__ = _BuiltOnce.__hash__, _BuiltOnce.__reduce__
@@ -208,19 +255,65 @@ class Cube:
 TOP = Cube(())
 
 
-@dataclass(frozen=True)
-class And:
+class _Connective:
+    """Dunders that walk the tree in a loop: any depth compares, hashes, prints, pickles, copies."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return _prefix(self) == _prefix(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(_prefix(self)))
+
+    def __repr__(self):  # the text of the dataclass repr
+        return _fold(_prefix(self), _node_repr, repr)
+
+    def __reduce__(self):
+        return _fold, (tuple(_prefix(self)),)
+
+    def __deepcopy__(self, memo):
+        return self  # immutable
+
+
+@dataclass(frozen=True, repr=False, eq=False)
+class And(_Connective):
     children: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, repr=False, eq=False)
+class Or(_Connective):
     children: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, repr=False, eq=False)
+class Not(_Connective):
     child: "Formula"
+
+
+def _prefix(f) -> list:
+    """f's nodes in prefix order, a connective as (its class, its number of children)."""
+    out, todo = [], [f]
+    while todo:
+        out.append(g := todo.pop())
+        if isinstance(g, _Connective):
+            kids = (g.child,) if type(g) is Not else g.children
+            out[-1] = (type(g), len(kids))
+            todo += reversed(kids)
+    return out
+
+
+def _fold(items, node=lambda kind, kids: kind(*kids) if kind is Not else kind(tuple(kids)), leaf=lambda g: g):
+    """The tree of a prefix list, or, given `node` and `leaf`, its value built bottom-up."""
+    done = []
+    for g in reversed(items):
+        done.append(node(g[0], [done.pop() for _ in range(g[1])]) if type(g) is tuple else leaf(g))
+    return done.pop()
+
+
+def _node_repr(kind, kids: list[str]) -> str:
+    args = f"child={kids[0]}" if kind is Not else f"children=({', '.join(kids)}{',' * (len(kids) == 1)})"
+    return f"{kind.__qualname__}({args})"
 
 
 Formula = And | Or | Not | PredicateLiteral | EqualityLiteral
@@ -569,15 +662,6 @@ def equality_classes(
     return find, apart
 
 
-# The memo of equality minima spares the colouring search for each cube
-# that repeats an equality part.  It keeps at most EQUALITY_MINIMA_KEPT
-# parts, least recently used dropped first, and only parts of at most
-# EQUALITY_PART_KEPT_LITERALS literals: a k-clique's part has k(k-1)/2
-# literals and is rarely seen twice, so keeping those would hold megabytes.
-EQUALITY_MINIMA_KEPT = 256
-EQUALITY_PART_KEPT_LITERALS = 8
-
-
 def minmod_equalities(cube: Cube) -> int | None:
     """Minimum model size of the equality part of a cube; None if inconsistent.
 
@@ -585,14 +669,11 @@ def minmod_equalities(cube: Cube) -> int | None:
     the chromatic number of the disequality graph over those classes,
     taken per connected component; complete components in closed form,
     any other searched upward from the best so far (1 without
-    disequalities, since domains are nonempty).  A short part's minimum
-    is computed once and memoized by ``cube.eq_part``, which is
-    normalized and sorted and is the only input the minimum reads.
+    disequalities, since domains are nonempty).  A part's minimum is
+    computed once and memoized by ``cube.eq_part``, which is normalized
+    and sorted and is the only input the minimum reads.
     """
-    eq_lits = cube.eq_part
-    if len(eq_lits) > EQUALITY_PART_KEPT_LITERALS:
-        return _equality_minimum(eq_lits)
-    return _kept_equality_minimum(eq_lits)
+    return _kept_equality_minimum(cube.eq_part)
 
 
 def _equality_minimum(eq_lits: tuple[EqualityLiteral, ...]) -> int | None:
@@ -640,7 +721,7 @@ def _colorable(adj, order: list[str], k: int, colors: dict[str, int]) -> bool:
     return False
 
 
-_kept_equality_minimum = lru_cache(maxsize=EQUALITY_MINIMA_KEPT)(_equality_minimum)
+_kept_equality_minimum = keyed_by_part(_equality_minimum)
 
 
 def enumerate_arrangements(

@@ -4,9 +4,9 @@ Every catalog theory constrains only domain cardinalities.  So the
 spectrum of a cube is the set of sizes its predicate literals allow, cut
 off below at the cube's equality minimum, which ``Cube.minmod`` reads
 once per cube (:func:`~combinekit.formulas.minmod_equalities`, which
-computes it once per distinct short equality part).  A theory declares
-exactly that, and the :class:`Theory` base derives every
-query from it.  A concrete theory declares:
+computes it once per equality part while the part table keeps it).  A
+theory declares exactly that, and the :class:`Theory` base derives
+every query from it.  A concrete theory declares:
 
 * ``certificate``, and ``signature`` unless it is the empty one;
 * ``predicate_free`` -- the :class:`Shape` a cube with no positive

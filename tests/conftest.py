@@ -2,8 +2,16 @@ import random
 
 import pytest
 
+from combinekit import formulas
 from combinekit.catalog import SizeCapTheory, default_catalog
 from combinekit.sets import evens, upfrom
+
+
+@pytest.fixture(autouse=True)
+def empty_part_table():
+    """Each test starts with an empty part table, so a test that counts
+    memo misses never sees an emptying that an earlier test set up."""
+    formulas.empty_parts()
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from combinekit import brute
+from combinekit import brute, formulas
 from combinekit.brute import (
     _closure_for,
     _min_satisfying_blocks,
@@ -23,7 +23,7 @@ from combinekit.catalog import (
     SizePinTheory,
     StepTheory,
 )
-from combinekit.errors import SignatureError
+from combinekit.errors import CapabilityMissing, SignatureError
 from combinekit.formulas import (
     And,
     Cube,
@@ -344,20 +344,59 @@ def test_oracle_memos_by_part_match_an_uncached_enumeration(theory_list):
                     assert brute_sat_at(other, c, k) == _reference_sat_at(other, c, k), (other, c, k)
 
 
+def _referee_answers(t, c):
+    """What the referee asks of a cube: every theory query (None where
+    withheld) and the brute window, size by size and as a spectrum."""
+
+    def ask(query, *args):
+        try:
+            return query(c, *args)
+        except CapabilityMissing:
+            return None
+
+    finite = [ask(t.spec_finite, k) for k in range(1, 7)]
+    brute = [brute_sat_at(t, c, k) for k in range(8, 0, -1)]
+    return t.decide_cube(c), finite, ask(t.spec_inf), t.infinite_only(c), brute_spectrum(t, c, 6), brute
+
+
+def test_answers_do_not_depend_on_the_part_table_bound(theory_list, monkeypatch):
+    # With room for three literals the table empties every few cubes, and
+    # longer parts are never kept, so memos see parts of every age.
+    def answers():
+        rng = random.Random(4111)
+        return [_referee_answers(t, random_cube(t, rng)) for _ in range(40) for t in theory_list]
+
+    assert len(theory_list) == 26
+    want = answers()
+    emptied = []
+    real = formulas.empty_parts
+    monkeypatch.setattr(formulas, "PART_LITERALS_KEPT", 3)
+    monkeypatch.setattr(formulas, "empty_parts", lambda: emptied.append(1) or real())
+    real()
+    assert answers() == want
+    assert len(emptied) > 500  # of 1,040 cubes
+
+
 def test_the_oracle_memos_stay_within_their_bounds():
-    # 100,000 kept equality parts held 41 MiB; a 400-round referee run sees 1,451.
-    assert brute.EQUALITY_PARTS_KEPT <= 4_096
+    # A seed-1 referee run peaked at 32.5 MiB under the old per-memo bounds,
+    # 33.8 MiB at 12,288 literals and 34.5 MiB at 16,384.
+    bound = formulas.PART_LITERALS_KEPT
+    assert bound <= 16_384
     t = SizePinTheory()
-    for memo, bound, part in (
-        (brute._fitting_subsets, brute.PRED_PARTS_KEPT, lambda i: cube(f"(P {i})")),
-        (brute._verdicts, brute.PRED_PARTS_KEPT, lambda i: cube(f"(P {i})")),
-        (brute._min_satisfying_blocks, brute.EQUALITY_PARTS_KEPT, lambda i: Cube((EqualityLiteral(f"x{i}", "y"),))),
+    for memo, part in (
+        (brute._fitting_subsets, lambda i: cube(f"(P {i})")),
+        (brute._verdicts, lambda i: cube(f"(P {i})")),
+        (brute._min_satisfying_blocks, lambda i: Cube((EqualityLiteral(f"x{i}", "y"),))),
     ):
+        assert memo.cache_clear in formulas._EMPTIED_WITH_PARTS
         for i in range(1, bound + 51):
             brute_sat_at(t, part(i), 1)
+            assert formulas._held <= bound
         info = memo.cache_info()
-        assert info.maxsize == bound and info.currsize <= bound
-        memo.cache_clear()
+        # One-literal parts: at most one entry per literal held, and the
+        # table emptied the memo once it was full.
+        assert info.maxsize is None and 0 < info.currsize <= formulas._held < bound
+        formulas.empty_parts()
 
 
 def test_formula_level_joint_models():

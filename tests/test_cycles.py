@@ -9,7 +9,7 @@ import gc
 import random
 import weakref
 
-from combinekit import brute, theories
+from combinekit import formulas, theories
 from combinekit.brute import brute_combined_formula_sat, brute_spectrum, random_cube
 from combinekit.catalog import default_catalog
 from combinekit.combine import combine_decide, select_method
@@ -106,15 +106,14 @@ def test_a_dropped_theory_leaves_no_cycle():
     # A theory keeps its reading of the last cube it read, and the reading
     # keeps the part's shape, whose cap or gap test must not refer back to
     # the theory: otherwise a theory dropped from the shape memo is a
-    # cycle that only the collector frees.  The shape memo holds the
-    # theory, so it is cleared.
+    # cycle that only the collector frees.  The shape memo and the memos
+    # emptied with the part table hold the theory, so they are cleared.
     rng = random.Random(7)
     fresh = default_catalog()
     # Theories that earlier tests left in the memos go first: a test that
     # patches a theory's method may leave it in a cycle of its own.
     theories._part_shape.cache_clear()
-    brute._fitting_subsets.cache_clear()
-    brute._verdicts.cache_clear()
+    formulas.empty_parts()
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
@@ -131,8 +130,7 @@ def test_a_dropped_theory_leaves_no_cycle():
             dropped = weakref.ref(t)
             del t
             theories._part_shape.cache_clear()
-            brute._fitting_subsets.cache_clear()
-            brute._verdicts.cache_clear()
+            formulas.empty_parts()
             assert gc.collect() == 0, name
             assert dropped() is None, name
     finally:

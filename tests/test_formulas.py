@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import pickle
@@ -193,6 +194,62 @@ def test_one_level_past_the_bound_is_a_parse_error(capsys, text, innermost):
     assert out.out == "" and out.err == f"error: formula nested too deeply (at byte {offset})\n"
 
 
+def test_a_formula_at_the_bound_prints_compares_pickles_and_copies():
+    # The connectives' dunders walk the tree in a loop; the dataclass ones
+    # recursed past the interpreter's limit below the bound.
+    deep_nots = _nested_nots(MAX_NESTING)
+    for text, other in (
+        (deep_nots, deep_nots.replace("(= x y)", "(= x z)")),
+        (_nested_and_or(MAX_NESTING // 2), _nested_and_or(MAX_NESTING // 2 - 1)),
+    ):
+        f, g = parse_formula(text), parse_formula(text)
+        assert f is not g and f == g and hash(f) == hash(g) and f != parse_formula(other)
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and repr(back) == repr(f) == str(f)
+        assert copy.deepcopy(f) is f and copy.copy(f) == f
+    eq_xy = repr(EqualityLiteral("x", "y", True))
+    assert repr(parse_formula(deep_nots)) == "Not(child=" * MAX_NESTING + eq_xy + ")" * MAX_NESTING
+
+
+# Frozen dataclasses with the connectives' names and fields, whose generated
+# repr and == recurse as the connectives' own once did.
+_DATACLASS = {
+    kind: dataclasses.make_dataclass(kind.__name__, [f.name for f in dataclasses.fields(kind)], frozen=True)
+    for kind in (And, Or, Not)
+}
+
+
+def _as_dataclass(f):
+    if isinstance(f, Not):
+        return _DATACLASS[Not](_as_dataclass(f.child))
+    if isinstance(f, (And, Or)):
+        return _DATACLASS[type(f)](tuple(map(_as_dataclass, f.children)))
+    return f
+
+
+def _seeded_formula_text(rng, depth) -> str:
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["(P 1)", "(P 2)", "(= x y)", "(= y z)", "(distinct x y z)", "(pred Q 1 inf)", "(Q)"])
+    head = rng.choice(["and", "or", "not"])
+    kids = 1 if head == "not" else rng.randint(1, 3)
+    return f"({head} {' '.join(_seeded_formula_text(rng, depth - 1) for _ in range(kids))})"
+
+
+def test_connectives_print_and_compare_as_the_dataclasses_did():
+    rng = random.Random(4101)
+    texts = [_seeded_formula_text(rng, rng.randint(1, 7)) for _ in range(400)]
+    fs = list(map(parse_formula, texts))
+    assert any(isinstance(f, (And, Or)) and len(f.children) == 1 for f in fs)  # printed "(x,)"
+    assert len(set(map(_as_dataclass, fs))) < len(fs)  # some pairs are equal
+    for text, f, g in zip(texts, fs, fs[1:] + fs[:1]):
+        assert repr(f) == repr(_as_dataclass(f)), f
+        assert (f == g) == (_as_dataclass(f) == _as_dataclass(g)), (f, g)
+        twin = parse_formula(text)
+        assert twin == f and hash(twin) == hash(f)
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and repr(back) == repr(f)
+
+
 def test_lowering_thousands_of_disjunctions_reaches_the_first_cube():
     # The odometer in _dnf keeps an explicit stack; a recursive product
     # walk overflows the interpreter stack at 1,500 disjunctions.
@@ -328,6 +385,41 @@ def test_cube_normalization_ignores_order_and_repeats():
         )
         assert a.contradictory == b.contradictory == clash
         assert list(a.literals) == sorted(set(lits), key=lambda l: l.sort_key)
+
+
+def test_equal_cubes_built_on_both_sides_of_an_emptying_compare_and_hash_equal():
+    rng = random.Random(4117)
+    for _ in range(200):
+        lits = _seeded_literals(rng, rng.randint(0, 6))
+        before = Cube(tuple(lits))
+        same = Cube(tuple(reversed(lits)))
+        assert same.pred_part is before.pred_part and same.eq_part is before.eq_part
+        formulas.empty_parts()
+        after = Cube(tuple(reversed(lits)))
+        assert after == before and hash(after) == hash(before) and len({before, after}) == 1
+        assert after.pred_part == before.pred_part and after.eq_part == tuple(before.eq_part)
+        assert after.pred_part is not before.pred_part and after.eq_part is not before.eq_part
+        assert after.minmod == before.minmod == minmod_equalities(Cube(tuple(lits)))
+
+
+def test_the_part_table_never_holds_more_literals_than_its_bound(monkeypatch):
+    monkeypatch.setattr(formulas, "PART_LITERALS_KEPT", 5)
+    held = lambda: sum(map(len, formulas._PARTS.values()))
+    kept = lambda part: any(p is part for p in formulas._PARTS.values())
+    rng = random.Random(4127)
+    for _ in range(300):
+        c = Cube(tuple(_seeded_literals(rng, rng.randint(0, 8))))
+        assert held() <= formulas._held and held() <= 5
+        assert kept(c.eq_part) == (len(c.eq_part) <= 5)
+        assert Cube(c.literals) == c and Cube(c.literals).eq_part == c.eq_part
+    # A single part larger than the bound is not kept, and its cube's
+    # equal twin gets an equal part of its own.
+    lits = tuple(EqualityLiteral(f"v{i}", "w", True) for i in range(6))
+    c = Cube(lits)
+    assert held() == 0 and not kept(c.eq_part)
+    twin = Cube(lits)
+    assert twin == c and twin.eq_part == c.eq_part and twin.eq_part is not c.eq_part
+    assert held() == 0 and twin.minmod == c.minmod == 1
 
 
 def test_cube_join_equals_cube_of_both_literal_lists():

@@ -280,7 +280,7 @@ def _scan_cube(rng, c):
     return Cube(tuple(lits) or (EqualityLiteral("a1", "a1", True),))
 
 
-def test_memoized_minimum_matches_the_uncached_computation(theory_list):
+def test_memoized_minimum_matches_the_uncached_computation(theory_list, monkeypatch):
     rng = random.Random(2424)
     assert "Th_of(toy)" in {t.name for t in theory_list}
     cubes = [random_cube(t, rng) for t in theory_list for _ in range(60)]
@@ -291,12 +291,16 @@ def test_memoized_minimum_matches_the_uncached_computation(theory_list):
         base = _scan_cube(rng, rng.randint(1, 6))
         cubes += [base] + [clique_extension(base, k) for k in range(1, rng.randint(2, 12))]
     cubes += [component_cube(rng) for _ in range(200)]
-    assert any(len(c.eq_part) > formulas.EQUALITY_PART_KEPT_LITERALS for c in cubes)
-    for _ in range(2):  # the second pass answers from the memo
-        for c in cubes:
-            assert minmod_equalities(c) == _uncached_minmod(c), c
-            twin = Cube(c.pred_part[:1] + c.eq_part)
-            assert minmod_equalities(twin) == _uncached_minmod(c), c
+    # At the part table's bound, and at one that the longest parts pass, so
+    # that those are counted but not kept and the table empties on the way.
+    assert any(len(c.eq_part) > 8 for c in cubes)
+    for bound in (formulas.PART_LITERALS_KEPT, 8):
+        monkeypatch.setattr(formulas, "PART_LITERALS_KEPT", bound)
+        for _ in range(2):  # the second pass answers from the memo
+            for c in cubes:
+                assert minmod_equalities(c) == _uncached_minmod(c), c
+                twin = Cube(c.pred_part[:1] + c.eq_part)
+                assert minmod_equalities(twin) == _uncached_minmod(c), c
 
 
 def test_equality_minimum_is_computed_once_per_equality_part(monkeypatch):
@@ -309,17 +313,25 @@ def test_equality_minimum_is_computed_once_per_equality_part(monkeypatch):
     assert one is not other and one.eq_part == other.eq_part
     assert one.minmod == other.minmod == 2
     assert len(computed) == 1
-    # A part past the literal bound is not kept: each cube computes it.
+    # A clique part is kept like any other: its twin reads it from the memo.
     clique = neq_clique([f"memo_{i}" for i in range(6)], 6)
-    assert len(clique.eq_part) > formulas.EQUALITY_PART_KEPT_LITERALS
     assert Cube(clique.literals).minmod == Cube(clique.literals).minmod == 6
-    assert len(computed) == 3
-    # More distinct parts than the bound: the memo holds at most the bound.
-    bound = formulas.EQUALITY_MINIMA_KEPT
+    assert len(computed) == 2
+    # A part past the table's bound is not kept: each cube computes it.
+    bound = formulas.PART_LITERALS_KEPT
+    monkeypatch.setattr(formulas, "PART_LITERALS_KEPT", len(clique.eq_part) - 1)
+    formulas.empty_parts()
+    assert Cube(clique.literals).minmod == Cube(clique.literals).minmod == 6
+    assert len(computed) == 4
+    # More distinct parts than the bound: the memo holds at most the parts
+    # the table holds, and the table at most the bound.
+    monkeypatch.setattr(formulas, "PART_LITERALS_KEPT", bound)
     for i in range(bound + 50):
         assert Cube((EqualityLiteral(f"memo_x{i}", f"memo_y{i}", False),)).minmod == 2
+        assert formulas._held <= bound
     info = formulas._kept_equality_minimum.cache_info()
-    assert info.maxsize == bound and info.currsize <= bound
+    assert info.maxsize is None and info.currsize <= len(formulas._PARTS)
+    assert sum(map(len, formulas._PARTS.values())) <= formulas._held < bound
 
 
 def test_cached_minmod_matches_a_fresh_computation_and_brute(theory_list, rng):
