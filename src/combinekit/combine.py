@@ -17,6 +17,7 @@ overlap using only the queries their hypotheses license.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 from . import spectra
@@ -59,84 +60,80 @@ class CombinationVerdict:
 # license; the views refuse anything else with CapabilityMissing.  Two
 # queries go to a view's owner directly: `decide_at_least`, which every
 # theory answers, and `nshiny_classify`, which the owner gates on its own
-# certificate.
+# certificate.  A runner returns (ok, card, scanned): the verdict, the
+# witness size when it has one, and how many sizes its loop scanned,
+# which the shell sums into ``loop_iterations``.
 
 
-def _run_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, stats: dict):
+def _run_shiny(v1: SpectrumView, v2: SpectrumView):
     k = v1.minmod()
     if k is None:
-        return False, None
+        return False, None, 0
     if not is_finite_card(k):
         raise CapabilityMissing(v1.owner.name, "minmod", "shiny needs a finite minimal model")
-    stats["loop_iterations"] += 1
-    return v2.owner.decide_at_least(v2.subject, k), None
+    return v2.owner.decide_at_least(v2.subject, k), None, 1
 
 
-def _run_nelson_oppen(method: Method, v1: SpectrumView, v2: SpectrumView, stats: dict):
+def _run_nelson_oppen(v1: SpectrumView, v2: SpectrumView):
     if v1.sat() and v2.sat():
-        return True, ALEPH0
-    return False, None
+        return True, ALEPH0, 0
+    return False, None, 0
 
 
-def _run_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, stats: dict):
+def _run_gentle(v1: SpectrumView, v2: SpectrumView):
     spec1 = v1.exact()
-    if spec1.is_empty():
-        return False, None
     bounded = spec1.finite_part.is_finite() and not spec1.has_inf
     # Scan a finite spectrum whole; scan a cofinite one up to its last
     # hole, then ask for anything bigger.
     top = (spec1.finite_part if bounded else spec1.finite_part.complement()).max_element() or 0
+    scanned = 0
     for n in spec1.finite_part.elements(top):
-        stats["loop_iterations"] += 1
+        scanned += 1
         if v2.contains(n):
-            return True, n
+            return True, n, scanned
     if bounded:
-        return False, None
-    return v2.owner.decide_at_least(v2.subject, top + 1), None
+        return False, None, scanned
+    return v2.owner.decide_at_least(v2.subject, top + 1), None, scanned
 
 
-def _run_smcs(method: Method, v1: SpectrumView, v2: SpectrumView, stats: dict):
+def _run_smcs(v1: SpectrumView, v2: SpectrumView):
     if v2.contains(ALEPH0):
         if v1.sat():
-            return True, ALEPH0
-        return False, None
+            return True, ALEPH0, 0
+        return False, None, 0
     k = v2.max_finite() or 0
-    stats["loop_iterations"] += k
     if k and v1.contains(k):
-        return True, k
-    return False, None
+        return True, k, k
+    return False, None, k
 
 
-def _run_cs(method: Method, v1: SpectrumView, v2: SpectrumView, stats: dict):
+def _run_cs(v1: SpectrumView, v2: SpectrumView):
     inf1 = v1.contains(ALEPH0)
     if inf1 and v2.contains(ALEPH0):
-        return True, ALEPH0
+        return True, ALEPH0, 0
     k = (v2 if inf1 else v1).max_finite() or 0
-    stats["loop_iterations"] += k
     for n in range(1, k + 1):
         if v1.contains(n) and v2.contains(n):
-            return True, n
-    return False, None
+            return True, n, k
+    return False, None, k
 
 
-def _run_n_shiny(method: Method, v1: SpectrumView, v2: SpectrumView, stats: dict):
-    n = method.n
+def _run_n_shiny(v1: SpectrumView, v2: SpectrumView, n: int):
     if not v1.sat():
-        return False, None
+        return False, None, 0
     if v1.contains(n) and v2.contains(n):
-        return True, n
+        return True, n, 0
     shape = v1.owner.nshiny_classify(v1.subject)
     if shape is None:
         raise CapabilityMissing(v1.owner.name, "nshiny_classify", "no shape for a satisfiable cube")
     t, k = shape
     if t == 0:
         # Spectrum is exactly {n}; the n-check above already failed.
-        return False, None
-    stats["loop_iterations"] += 1
-    return v2.owner.decide_at_least(v2.subject, k), None
+        return False, None, 0
+    return v2.owner.decide_at_least(v2.subject, k), None, 1
 
 
-def _run_quasi_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, stats: dict):
+def _run_quasi_gentle(v1: SpectrumView, v2: SpectrumView):
     # Scan the sizes both sides reach.  Each side's `decide_at_least` is
     # monotone, so it is searched in O(log n) queries; membership is still
     # asked of both sides at every size the scan covers.
@@ -144,18 +141,17 @@ def _run_quasi_gentle(method: Method, v1: SpectrumView, v2: SpectrumView, stats:
     n = 1
     while reach1(n) and reach2(n):
         if v1.contains(n) and v2.contains(n):
-            return True, n
+            return True, n, n - 1
         n += 1
-        stats["loop_iterations"] += 1
         if n > spectra.BOUND:
             raise IterationCapExceeded("quasi-gentle interleaved scan", spectra.BOUND)
-    return False, None
+    return False, None, n - 1
 
 
 # Each method as (side-1 class, runner), in the cheapest-first order
 # auto-selection tries them; side 2 must be in the class's `PARTNER`.
 # n-shiny reads the method's n, and quasi-gentle its filter, for both
-# memberships.
+# memberships; the n-shiny runner is also given n, bound at dispatch.
 METHODS = {
     "nelson-oppen": ("SI", _run_nelson_oppen),
     "gentle": ("gentle", _run_gentle),
@@ -302,6 +298,8 @@ def combine_decide(
         t1, t2 = t2, t1
 
     run = METHODS[method.kind][1]
+    if method.kind == "n-shiny":
+        run = partial(run, n=method.n)
     stats = {"arrangements_tried": 0, "loop_iterations": 0}
     label = method.label() + (" [sides swapped]" if swapped else "")
     cubes = iter_dnf(f) if not isinstance(f, Cube) else ([f] if not f.contradictory else [])
@@ -321,7 +319,8 @@ def combine_decide(
                 continue
             tried_blocks.add(b)
             v1, v2 = view(t1, r1._replace(floor=b)), view(t2, r2._replace(floor=b))
-            ok, card = run(method, v1, v2, stats)
+            ok, card, scanned = run(v1, v2)
+            stats["loop_iterations"] += scanned
             if ok:
                 witness = (arr, card) if card is not None else None
                 return CombinationVerdict(True, witness, label, stats)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -161,6 +162,8 @@ def test_gentle_combination_examples():
     v = combine_decide(tle3, tp, f("(and (P 2) (distinct x y))"), GENTLE)
     assert v.sat and v.witness[1] == 2
     assert not combine_decide(tle3, tp, f("(and (P 4) (distinct x y))"), GENTLE).sat
+    two = Cube((PredicateLiteral(PredicateId("P", (2,)), True),))
+    assert runner(GENTLE)(view(tle3, TOP), view(tp, two)) == (True, 2, 2)
 
 
 def test_nelson_oppen_combination_example():
@@ -168,6 +171,8 @@ def test_nelson_oppen_combination_example():
         TaggedInfinityTheory(), MinSizeTheory(3), f("(and (P 5) (distinct x y))"), NELSON_OPPEN
     )
     assert v.sat and v.witness[1] is ALEPH0
+    si, geq3 = view(TaggedInfinityTheory(), TOP), view(MinSizeTheory(3), TOP)
+    assert runner(NELSON_OPPEN)(si, geq3) == (True, ALEPH0, 0)
 
 
 def test_quasi_gentle_combination_example():
@@ -192,13 +197,24 @@ def test_smcs_combination_examples():
 # -- intersect procedures, spec examples -----------------------------------------
 
 
+def runner(method):
+    """The method's runner, with n-shiny's n bound as the shell binds it."""
+    run = METHODS[method.kind][1]
+    return partial(run, n=method.n) if method.kind == "n-shiny" else run
+
+
 def intersect(method, v1, v2):
-    return METHODS[method.kind][1](method, v1, v2, {"loop_iterations": 0})[0]
+    return runner(method)(v1, v2)[0]
+
+
+def scanned(method, v1, v2):
+    return runner(method)(v1, v2)[2]
 
 
 def test_intersect_shiny_examples():
     teq, tle3 = EqualityTheory(), MaxSizeTheory(3)
     assert intersect(SHINY, view(teq, TOP), view(tle3, TOP))
+    assert scanned(SHINY, view(teq, TOP), view(tle3, TOP)) == 1
     c4 = neq_clique(["a", "b", "c", "d"], 4)
     assert not intersect(SHINY, view(teq, c4), view(tle3, TOP))
     bad = Cube((EqualityLiteral("x", "x", False),))
@@ -207,6 +223,7 @@ def test_intersect_shiny_examples():
 
 def test_intersect_smcs_examples():
     assert intersect(SMCS, view(MinSizeTheory(2), TOP), view(ExactSizeTheory(3), TOP))
+    assert scanned(SMCS, view(MinSizeTheory(2), TOP), view(ExactSizeTheory(3), TOP)) == 3
     assert not intersect(SMCS, view(MinSizeTheory(4), TOP), view(ExactSizeTheory(3), TOP))
     assert intersect(SMCS, view(MinSizeTheory(2), TOP), view(InfiniteOnlyTheory(), TOP))
     # Side 2 has an infinite model, but side 1 has no model at all.
@@ -216,6 +233,8 @@ def test_intersect_smcs_examples():
 
 def test_intersect_cs_examples():
     assert intersect(CS, view(MaxSizeTheory(3), TOP), view(MinSizeTheory(2), TOP))
+    # The top k is counted whole, though the scan stops at its first hit.
+    assert scanned(CS, view(MaxSizeTheory(3), TOP), view(MinSizeTheory(2), TOP)) == 3
     assert not intersect(CS, view(MaxSizeTheory(2), TOP), view(MinSizeTheory(3), TOP))
     tcs1, tcs2 = SingletonOrInfiniteTheory(), SingletonOrInfiniteTheory("Q")
     p1 = Cube((PredicateLiteral(PredicateId("P", ()), True),))
@@ -234,6 +253,7 @@ def test_intersect_nshiny_examples():
     assert intersect(n_shiny(4), view(tns, P), view(tp, pin(4)))
     assert not intersect(n_shiny(4), view(tns, P), view(tp, pin(5)))
     assert intersect(n_shiny(4), view(tns, notP), view(tp, pin(7)))
+    assert scanned(n_shiny(4), view(tns, notP), view(tp, pin(7))) == 1
 
 
 def test_intersect_quasigentle_examples():
@@ -241,6 +261,7 @@ def test_intersect_quasigentle_examples():
     se = SizeCapTheory(evens(), family="Q")
     c3 = neq_clique(["a", "b", "c"], 3)
     assert intersect(quasi_gentle(), view(sa, XY), view(se, c3))
+    assert scanned(quasi_gentle(), view(sa, XY), view(se, c3)) == 3  # n - 1 at the hit n = 4
     p3 = Cube((PredicateLiteral(PredicateId("Q", (3,)), True),))
     c5 = neq_clique(["a", "b", "c", "d", "e"], 5)
     assert not intersect(quasi_gentle(), view(se, p3), view(sa.__class__(evens(), family="P"), c5))
@@ -252,6 +273,13 @@ def test_intersect_gentle_short_circuits_empty():
     tle3, tp = MaxSizeTheory(3), SizePinTheory()
     bad = Cube((EqualityLiteral("x", "x", False),))
     assert not intersect(GENTLE, view(tle3, bad), view(tp, TOP))
+
+    class Unasked:
+        def __getattr__(self, name):
+            raise AssertionError(f"side 2 asked for {name}")
+
+    # An empty spectrum gives an empty scan, which asks side 2 nothing.
+    assert runner(GENTLE)(view(tle3, bad), Unasked()) == (False, None, 0)
 
 
 def test_gentle_detects_purely_infinite_intersections():
@@ -381,14 +409,14 @@ def _bell_loop_json(t1, t2, cube):
     method, swapped = select_method(t1, t2)
     if swapped:
         t1, t2 = t2, t1
-    run = METHODS[method.kind][1]
+    run = runner(method)
     label = method.label() + (" [sides swapped]" if swapped else "")
     if not cube.contradictory:
         c1, c2, shared = split_by_signature(cube, t1.signature, t2.signature)
         for arr in enumerate_arrangements(shared):
             delta = arrangement_to_cube(arr)
             v1, v2 = view(t1, c1.join(delta)), view(t2, c2.join(delta))
-            ok, card = run(method, v1, v2, {"loop_iterations": 0})
+            ok, card, _ = run(v1, v2)
             if ok:
                 w = None
                 if card is not None:

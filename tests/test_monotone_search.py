@@ -12,7 +12,7 @@ import pytest
 from combinekit import spectra
 from combinekit.brute import random_cube
 from combinekit.catalog import ExactSizeTheory, MaxSizeTheory, MinSizeTheory
-from combinekit.combine import METHODS, quasi_gentle
+from combinekit.combine import METHODS
 from combinekit.errors import IterationCapExceeded, SetBoundExceeded
 from combinekit.formulas import Cube
 from combinekit.registry import RegistryError, load_registry
@@ -49,17 +49,17 @@ def linear_max_finite(v, cap):
     return k if k >= 1 else None
 
 
-def linear_quasi_gentle(method, v1, v2, cap, stats):
-    """The quasi-gentle scan asking both sides `decide_at_least` at every n."""
+def linear_quasi_gentle(v1, v2, cap):
+    """The quasi-gentle scan asking both sides `decide_at_least` at every n;
+    (ok, card, sizes scanned) as the runner returns them."""
     n = 1
     while v1.owner.decide_at_least(v1.subject, n) and v2.owner.decide_at_least(v2.subject, n):
         if v1.contains(n) and v2.contains(n):
-            return True, n
+            return True, n, n - 1
         n += 1
-        stats["loop_iterations"] += 1
         if n > cap:
             raise IterationCapExceeded("quasi-gentle interleaved scan", cap)
-    return False, None
+    return False, None, n - 1
 
 
 def outcome(run, *args):
@@ -97,7 +97,6 @@ def test_max_finite_matches_the_linear_scan(theory_list, monkeypatch):
 def test_quasi_gentle_matches_the_linear_scan(theory_list, monkeypatch):
     rng = random.Random(3602)
     pool = theories(theory_list)
-    method = quasi_gentle()
     run = METHODS["quasi-gentle"][1]
     for t in pool:
         for c in [Cube(())] + [random_cube(t, rng) for _ in range(3)]:
@@ -112,22 +111,20 @@ def test_quasi_gentle_matches_the_linear_scan(theory_list, monkeypatch):
             for p in partners:
                 d = random_cube(p, rng) if rng.random() < 0.5 else Cube(())
                 for sides in (((t, c), (p, d)), ((p, d), (t, c))):
-                    check_quasi_gentle(monkeypatch, run, method, *sides)
+                    check_quasi_gentle(monkeypatch, run, *sides)
 
 
-def check_quasi_gentle(monkeypatch, run, method, side1, side2):
-    stats = {"loop_iterations": 0}
+def check_quasi_gentle(monkeypatch, run, side1, side2):
     lin1 = counted_view(*side1)
-    ref = outcome(linear_quasi_gentle, method, lin1, counted_view(*side2), REFERENCE_CAP, stats)
-    scanned = len(lin1.owner.asked)  # the last size the scan reached
-    for cap in caps_around(None if ref[0] is IterationCapExceeded else scanned):
-        got_stats, want_stats = {"loop_iterations": 0}, {"loop_iterations": 0}
+    ref = outcome(linear_quasi_gentle, lin1, counted_view(*side2), REFERENCE_CAP)
+    reached = len(lin1.owner.asked)  # the last size the scan reached
+    for cap in caps_around(None if ref[0] is IterationCapExceeded else reached):
         lin1 = counted_view(*side1)
-        want = outcome(linear_quasi_gentle, method, lin1, counted_view(*side2), cap, want_stats)
+        want = outcome(linear_quasi_gentle, lin1, counted_view(*side2), cap)
         v1, v2 = counted_view(*side1), counted_view(*side2)
         monkeypatch.setattr(spectra, "BOUND", cap)
-        got = outcome(run, method, v1, v2, got_stats)
-        assert (got, got_stats) == (want, want_stats), (side1, side2, cap)
+        got = outcome(run, v1, v2)
+        assert got == want, (side1, side2, cap)
         n = len(lin1.owner.asked)
         for v in (v1, v2):
             assert all(k <= cap + 1 for k in v.owner.asked), (side1, side2, cap)
@@ -159,8 +156,6 @@ def test_the_largest_representable_top_is_found_within_the_bound():
 def test_quasi_gentle_scan_to_n_asks_logarithmically_many_queries(n):
     # Side 1 reaches every size and side 2 is {n}: the scan ends at n.
     v1, v2 = counted_view(MinSizeTheory(1), Cube(())), counted_view(ExactSizeTheory(n), Cube(()))
-    stats = {"loop_iterations": 0}
-    assert METHODS["quasi-gentle"][1](quasi_gentle(), v1, v2, stats) == (True, n)
-    assert stats["loop_iterations"] == n - 1
+    assert METHODS["quasi-gentle"][1](v1, v2) == (True, n, n - 1)
     for v in (v1, v2):
         assert len(v.owner.asked) <= 4 * math.log2(n) + 4, v.owner.asked

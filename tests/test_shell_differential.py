@@ -14,6 +14,7 @@ arrangements and loop iterations may only fall.
 import itertools
 import json
 import random
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,6 +197,8 @@ def reference_combine(t1, t2, f, method=None):
     if swapped:
         t1, t2 = t2, t1
     run = METHODS[method.kind][1]
+    if method.kind == "n-shiny":
+        run = partial(run, n=method.n)
     stats = {"arrangements_tried": 0, "loop_iterations": 0}
     label = method.label() + (" [sides swapped]" if swapped else "")
     for cube in reference_to_dnf(f):
@@ -208,7 +211,8 @@ def reference_combine(t1, t2, f, method=None):
             tried_blocks.add(len(arr.blocks))
             delta = arrangement_to_cube(arr)
             a1, a2 = c1.join(delta), c2.join(delta)
-            ok, card = run(method, view(t1, a1), view(t2, a2), stats)
+            ok, card, scanned = run(view(t1, a1), view(t2, a2))
+            stats["loop_iterations"] += scanned
             if ok:
                 witness = (arr, card) if card is not None else None
                 return CombinationVerdict(True, witness, label, stats)
