@@ -15,7 +15,7 @@ import sys
 
 from .brute import brute_sat_at, brute_spectrum, random_cube
 from .classify import DEFAULT_PROBE_BOUND, build_lattice, filter_chain_demo, probe_certificate
-from .combine import METHODS, Method, combine_decide, n_shiny
+from .combine import METHODS, Method, combine_decide, n_shiny, quasi_gentle
 from .diagonal import run_rounds
 from .errors import CapabilityMissing, CombineKitError
 from .formulas import iter_dnf, parse_formula, to_dnf
@@ -49,17 +49,19 @@ def _positive_int(text: str) -> int:
 
 
 def _method_from_flag(name: str) -> Method | None:
-    """``auto``, a `METHODS` kind (``no`` for nelson-oppen), or
+    """``auto``, a method's label as a verdict prints it, ``no`` for
+    nelson-oppen, a bare ``quasi-gentle`` for its Fréchet label, or
     ``n-shiny(<n>)``; bare ``n-shiny`` has no default n."""
     if name == "auto":
         return None
-    kind = "nelson-oppen" if name == "no" else name
-    if kind in METHODS and kind != "n-shiny":
-        return Method(kind)
+    labelled = {m.label(): m for m in (Method(kind) for kind in METHODS if kind != "n-shiny")}
+    named = {"no": Method("nelson-oppen"), **labelled, "quasi-gentle": quasi_gentle()}
+    if name in named:
+        return named[name]
     m = re.fullmatch(r"n-shiny\(([1-9][0-9]*)\)", name)
     if m:
         return n_shiny(int(m.group(1)))
-    accepted = ["auto", "no", *(k for k in METHODS if k != "n-shiny"), "n-shiny(<n>)"]
+    accepted = ["auto", *named, "n-shiny(<n>)"]
     raise CombineKitError(f"unknown method {name!r}; accepted: {', '.join(accepted)}")
 
 
@@ -184,9 +186,10 @@ def cmd_filters(args, registry: Registry) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="combinekit", description=__doc__)
     p.add_argument("--config", help="registry config path (or set COMBINEKIT_CONFIG)")
-    p.add_argument("--format", default="json", choices=["json", "dot"])
-    p.add_argument("--seed", type=int, default=0)
-    # No parser default, so that --K given where it is not read is refused.
+    # No parser defaults: `main` refuses these where `_READERS` says they
+    # are not read, and sets the default elsewhere.
+    p.add_argument("--format", choices=["json", "dot"])
+    p.add_argument("--seed", type=int)
     p.add_argument("--K", type=_positive_int, help="brute-force size bound")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -199,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("theory1")
     c.add_argument("theory2")
     c.add_argument("formula")
-    c.add_argument("--method", default="auto", help="auto, a method kind, no, or n-shiny(<n>)")
+    c.add_argument("--method", default="auto", help="auto, a method label, no, quasi-gentle, or n-shiny(<n>)")
     c.set_defaults(fn=cmd_combine)
 
     s = sub.add_parser("spectrum", help="window view of a formula's spectrum")
@@ -234,6 +237,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Each global flag's destination, the subcommands that read it, and its
+# value when it is not given.
+_READERS = {
+    "K": (("classify", "brute-check"), DEFAULT_PROBE_BOUND),
+    "seed": (("classify", "brute-check"), 0),
+    "format": (("lattice",), "json"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
@@ -245,12 +257,11 @@ def main(argv: list[str] | None = None) -> int:
         i += 1 if "=" in argv[i] else 2
     args = parser.parse_args(argv)
     try:
-        if args.format == "dot" and args.command != "lattice":
-            raise CombineKitError("--format dot applies only to lattice")
-        if args.K is None:
-            args.K = DEFAULT_PROBE_BOUND
-        elif args.command not in ("classify", "brute-check"):
-            raise CombineKitError("--K applies only to classify, brute-check")
+        for dest, (readers, default) in _READERS.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif args.command not in readers:
+                raise CombineKitError(f"--{dest} applies only to {', '.join(readers)}")
         registry = load_registry(args.config)
         return args.fn(args, registry)
     except (CombineKitError, ValueError, OSError) as e:

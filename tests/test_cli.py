@@ -9,6 +9,7 @@ from combinekit import cli
 from combinekit.brute import brute_sat_at
 from combinekit.catalog import MaxSizeTheory
 from combinekit.cli import main
+from combinekit.combine import select_method
 from combinekit.properties import certificate
 
 
@@ -209,9 +210,11 @@ def test_seeded_outputs_are_byte_identical(capsys):
     a = run_cli(capsys, "--seed", "9", "brute-check", "--theory", "T_cs", "--samples", "40")
     b = run_cli(capsys, "--seed", "9", "brute-check", "--theory", "T_cs", "--samples", "40")
     assert a == b
-    c = run_cli(capsys, "--seed", "9", "combine", "T_leq_3", "T_eq_P", "(pred P 2)")
-    d = run_cli(capsys, "--seed", "9", "combine", "T_leq_3", "T_eq_P", "(pred P 2)")
-    assert c == d
+    assert a[0] == 0
+    # combine reads no seed; its output is byte-identical without one.
+    c = run_cli(capsys, "combine", "T_leq_3", "T_eq_P", "(pred P 2)")
+    d = run_cli(capsys, "combine", "T_leq_3", "T_eq_P", "(pred P 2)")
+    assert c == d and c[0] == 0
 
 
 def test_config_file_adds_theories(tmp_path, capsys, monkeypatch):
@@ -324,10 +327,10 @@ def test_the_global_flags_still_work_ahead_of_the_subcommand(tmp_path, capsys):
     ],
 )
 def test_format_dot_outside_lattice_exits_2(capsys, argv):
-    # Only lattice has a DOT rendering; elsewhere the flag would be ignored.
+    # Only lattice reads --format; elsewhere the flag would be ignored.
     code, out, err = run_cli(capsys, "--format", "dot", *argv)
     assert (code, out) == (2, "")
-    assert err == "error: --format dot applies only to lattice\n"
+    assert err == "error: --format applies only to lattice\n"
 
 
 @pytest.mark.parametrize(
@@ -336,6 +339,9 @@ def test_format_dot_outside_lattice_exits_2(capsys, argv):
         (("--K", "2", "spectrum", "T_eq_P", "(P 3)"), "--K applies only to classify, brute-check"),
         (("--K", "6", "decide", "T_leq_3", "(= x x)"), "--K applies only to classify, brute-check"),
         (("--K", "3", "combine", "T_leq_3", "T_eq_P", "(P 2)"), "--K applies only to classify, brute-check"),
+        (("--seed", "5", "decide", "T_eq", "(= x y)"), "--seed applies only to classify, brute-check"),
+        (("--seed", "0", "diagonal", "--rounds", "1"), "--seed applies only to classify, brute-check"),
+        (("--format", "json", "combine", "T_leq_3", "T_eq_P", "(P 2)"), "--format applies only to lattice"),
     ],
 )
 def test_a_global_flag_the_subcommand_ignores_exits_2(capsys, argv, err):
@@ -349,6 +355,10 @@ def test_scoped_flags_keep_their_defaults(capsys):
     assert code == 0 and json.loads(out)["K"] == 6
     code, out, _ = run_cli(capsys, "--K", "3", "brute-check", "--theory", "T_cs", "--samples", "5")
     assert code == 0 and json.loads(out)["K"] == 3
+    argv = ("brute-check", "--theory", "T_cs", "--samples", "5")
+    assert run_cli(capsys, *argv) == run_cli(capsys, "--seed", "0", *argv)
+    code, out, _ = run_cli(capsys, "lattice")
+    assert code == 0 and json.loads(out)["edges"]
 
 
 def test_brute_check_flags_infinite_only_with_finite_models(capsys, monkeypatch):
@@ -391,8 +401,21 @@ def test_combine_method_forms(capsys):
         assert code == 0 and json.loads(out.strip())["method"] == "nelson-oppen"
     code, out, _ = run_cli(capsys, "combine", "T_eq_4", "T_leq_5", "(= x x)", "--method", "n-shiny(4)")
     assert code == 0 and json.loads(out.strip())["method"].startswith("n-shiny(4)")
-    code, out, _ = run_cli(capsys, "combine", "T_leq_3", "T_eq_P", "(pred P 2)", "--method", "quasi-gentle")
-    assert code == 0 and json.loads(out.strip())["method"] == "quasi-gentle(frechet)"
+    for method in ("quasi-gentle", "quasi-gentle(frechet)"):
+        code, out, _ = run_cli(capsys, "combine", "T_leq_3", "T_eq_P", "(pred P 2)", "--method", method)
+        assert code == 0 and json.loads(out.strip())["method"] == "quasi-gentle(frechet)"
+
+
+def test_every_label_auto_selection_prints_parses_back(theory_list):
+    labels = set()
+    for t1 in theory_list:
+        for t2 in theory_list:
+            picked = select_method(t1, t2)
+            if t1 is not t2 and picked is not None:
+                method = picked[0]
+                assert cli._method_from_flag(method.label()) == method
+                labels.add(method.label())
+    assert {"quasi-gentle(frechet)", "n-shiny(4)", "nelson-oppen"} <= labels
 
 
 def test_combine_method_syntax_is_strict(capsys):
