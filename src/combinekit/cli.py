@@ -49,9 +49,8 @@ def _positive_int(text: str) -> int:
 
 
 def _method_from_flag(name: str) -> Method | None:
-    """``auto``, a method's label as a verdict prints it, ``no`` for
-    nelson-oppen, a bare ``quasi-gentle`` for its Fréchet label, or
-    ``n-shiny(<n>)``; bare ``n-shiny`` has no default n."""
+    """``auto``, a method label as verdicts print it, ``no``, a bare
+    ``quasi-gentle`` or ``n-shiny(<n>)``; bare ``n-shiny`` has no default n."""
     if name == "auto":
         return None
     labelled = {m.label(): m for m in (Method(kind) for kind in METHODS if kind != "n-shiny")}
@@ -113,8 +112,7 @@ def cmd_classify(args, registry: Registry) -> int:
             probe_certificate(registry.resolve(name), samples=args.samples, bound=args.K, seed=args.seed)
         )
     _emit(rows)
-    bad = [r for r in rows if r["verdict"] == "fail"]
-    return EXIT_SAT if not bad else EXIT_ERROR
+    return EXIT_ERROR if any(r["verdict"] == "fail" for r in rows) else EXIT_SAT
 
 
 def cmd_lattice(args, registry: Registry) -> int:
@@ -128,12 +126,11 @@ def cmd_lattice(args, registry: Registry) -> int:
 
 def cmd_diagonal(args, registry: Registry) -> int:
     theory = registry.resolve(args.theory)
-    last = None
+    state = None
     for state in run_rounds(theory, args.rounds):
-        last = state
         _emit(state.to_json())
-    if last is not None:
-        _emit({"digest": last.digest()})
+    if state is not None:
+        _emit({"digest": state.digest()})
     return EXIT_SAT
 
 
@@ -186,8 +183,7 @@ def cmd_filters(args, registry: Registry) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="combinekit", description=__doc__)
     p.add_argument("--config", help="registry config path (or set COMBINEKIT_CONFIG)")
-    # No parser defaults: `main` refuses these where `_READERS` says they
-    # are not read, and sets the default elsewhere.
+    # No parser defaults: `main` refuses each where `_READERS` says it is unread.
     p.add_argument("--format", choices=["json", "dot"])
     p.add_argument("--seed", type=int)
     p.add_argument("--K", type=_positive_int, help="brute-force size bound")
@@ -237,13 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# Each global flag's destination, the subcommands that read it, and its
-# value when it is not given.
-_READERS = {
-    "K": (("classify", "brute-check"), DEFAULT_PROBE_BOUND),
-    "seed": (("classify", "brute-check"), 0),
-    "format": (("lattice",), "json"),
-}
+# Each global flag's destination: the subcommands that read it, and its default.
+_READERS = {"K": (("classify", "brute-check"), DEFAULT_PROBE_BOUND), "seed": (("classify", "brute-check"), 0),
+            "format": (("lattice",), "json")}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator
 
 from . import spectra
 from .errors import CapabilityMissing, IterationCapExceeded, MethodNotApplicable
@@ -60,9 +59,8 @@ class CombinationVerdict:
 # license; the views refuse anything else with CapabilityMissing.  Two
 # queries go to a view's owner directly: `decide_at_least`, which every
 # theory answers, and `nshiny_classify`, which the owner gates on its own
-# certificate.  A runner returns (ok, card, scanned): the verdict, the
-# witness size when it has one, and how many sizes its loop scanned,
-# which the shell sums into ``loop_iterations``.
+# certificate.  A runner returns (ok, card, scanned): the verdict, its
+# witness size if any, and the sizes scanned, for ``loop_iterations``.
 
 
 def _run_shiny(v1: SpectrumView, v2: SpectrumView):
@@ -75,9 +73,8 @@ def _run_shiny(v1: SpectrumView, v2: SpectrumView):
 
 
 def _run_nelson_oppen(v1: SpectrumView, v2: SpectrumView):
-    if v1.sat() and v2.sat():
-        return True, ALEPH0, 0
-    return False, None, 0
+    ok = v1.sat() and v2.sat()
+    return ok, ALEPH0 if ok else None, 0
 
 
 def _run_gentle(v1: SpectrumView, v2: SpectrumView):
@@ -87,8 +84,7 @@ def _run_gentle(v1: SpectrumView, v2: SpectrumView):
     # hole, then ask for anything bigger.
     top = (spec1.finite_part if bounded else spec1.finite_part.complement()).max_element() or 0
     scanned = 0
-    for n in spec1.finite_part.elements(top):
-        scanned += 1
+    for scanned, n in enumerate(spec1.finite_part.elements(top), 1):
         if v2.contains(n):
             return True, n, scanned
     if bounded:
@@ -98,9 +94,8 @@ def _run_gentle(v1: SpectrumView, v2: SpectrumView):
 
 def _run_smcs(v1: SpectrumView, v2: SpectrumView):
     if v2.contains(ALEPH0):
-        if v1.sat():
-            return True, ALEPH0, 0
-        return False, None, 0
+        ok = v1.sat()
+        return ok, ALEPH0 if ok else None, 0
     k = v2.max_finite() or 0
     if k and v1.contains(k):
         return True, k, k
@@ -239,13 +234,10 @@ def hypothesis_diff(method: Method, t1: Theory, t2: Theory) -> str:
 # -- method selection ---------------------------------------------------------
 
 
-def _candidate_methods(kind: str, t1: Theory, t2: Theory) -> Iterator[Method]:
+def _candidate_methods(kind: str, t1: Theory, t2: Theory) -> list[Method]:
     if kind != "n-shiny":
-        yield Method(kind)
-        return
-    for t in (t1, t2):
-        if t.certificate.n_shiny_param is not None:
-            yield n_shiny(t.certificate.n_shiny_param)
+        return [Method(kind)]
+    return [n_shiny(t.certificate.n_shiny_param) for t in (t1, t2) if t.certificate.n_shiny_param is not None]
 
 
 def select_method(t1: Theory, t2: Theory) -> tuple[Method, bool] | None:
@@ -270,20 +262,19 @@ def combine_decide(
     Lowers f to cubes one at a time, stopping at the first satisfiable
     one, splits each by signature, and visits the arrangements of the
     shared variables that are consistent with the cube, in canonical
-    order; any other arrangement contradicts the cube.  Every catalog
-    theory's spectrum depends only on a cube's predicate part and its
-    equality minimum, which a consistent arrangement with b blocks fixes
-    at max(1, b).  So each side is read once per cube, before any
+    order; any other contradicts the cube.  Every catalog theory's
+    spectrum depends only on a cube's predicate part and its equality
+    minimum, which a consistent arrangement with b blocks fixes at
+    max(1, b).  So each side is read once per cube, before any
     arrangement (a predicate its owner rejects raises SignatureError
-    whether or not the method would ask about it).  A cube that either
-    side reads as having no model is unsat at every arrangement, so its
-    walk is skipped, and ``arrangements_tried`` counts only the walks of
-    the other cubes.  The method's intersection procedure runs once per
-    block count, on the first arrangement with that count.  The verdict
-    carries the first witness in canonical order, as a walk over every
-    arrangement would.  The method runs only on a theory order whose
-    certificates meet its hypotheses; an explicit method that fits
-    neither order raises MethodNotApplicable.  Scans stop at the set bound.
+    whether or not the method asks about it).  A cube either side reads
+    as having no model is skipped unwalked; ``arrangements_tried`` counts
+    the walks of the others.  The method runs once per block count, on
+    the first arrangement with that count, and only on a theory order
+    whose certificates meet its hypotheses (an explicit method that fits
+    neither raises MethodNotApplicable); its scans stop at the set bound.
+    The verdict carries the first witness in canonical order, as a walk
+    over every arrangement would.
     """
     if method is None:
         picked = select_method(t1, t2)

@@ -4,7 +4,8 @@ The default catalog is always available; a JSON config (see
 ``read_config``) can add parameterized entries.  Every other theory is
 built from its JSON definition through one table, ``_KINDS``; an integer
 name such as ``T_step_6_2`` is the definition its ``_NAMES`` row spells.
-``T=P``, ``Teq`` and ``Tinf`` are aliases.
+``T=P``, ``Teq``, ``Tinf``, ``T_leq_S_evens`` and ``T_leq_S_all`` are
+aliases.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .catalog import (
 )
 from .errors import CombineKitError
 from .formulas import FAMILY_RE
-from .sets import evens, parse_set_literal, upfrom
+from .sets import parse_set_literal
 from .theories import FOracle, Theory, doubling_oracle, identity_oracle
 
 CONFIG_ENV_VAR = "COMBINEKIT_CONFIG"
@@ -47,19 +48,30 @@ class RegistryError(CombineKitError):
 
 
 def _field(spec: dict, key: str, kind: type = int):
-    """The field ``key``, present and of exactly this JSON type."""
+    """The field ``key``, present and of exactly this JSON type.  Like
+    every field reader, it takes what it reads out of the definition."""
     if key not in spec:
         raise RegistryError(f"missing field {key!r}")
-    value = spec[key]
+    value = spec.pop(key)
     if type(value) is not kind:  # rejects floats and, since bool subclasses int, true/false
         what = {int: "integer", str: "string", dict: "object"}[kind]
         raise RegistryError(f"field {key!r} must be a JSON {what}, got {value!r}")
     return value
 
 
+def _family(spec: dict) -> str:
+    """The definition's predicate family; ``P`` when absent."""
+    fam = spec.pop("family", "P")
+    if not isinstance(fam, str) or not FAMILY_RE.fullmatch(fam):
+        raise RegistryError(f"family {fam!r} is not an uppercase letter followed by letters or digits")
+    return fam
+
+
 def _oracle(spec: dict) -> FOracle:
-    """The definition's size-bound oracle ``F``; identity when absent."""
-    kind = "identity" if spec.get("F") is None else _field(spec, "F", dict).get("kind", "identity")
+    """The definition's size-bound oracle ``F``; identity when absent or null."""
+    oracle = {} if spec.get("F") is None else _field(spec, "F", dict)
+    spec.pop("F", None)
+    kind = oracle.get("kind", "identity")
     if kind == "identity":
         return identity_oracle()
     if kind == "double":
@@ -69,35 +81,34 @@ def _oracle(spec: dict) -> FOracle:
 
 def _inner(spec: dict, registry: "Registry | None") -> Theory:
     """A ``Th_of`` inner theory: a registry name or a nested definition."""
-    inner = spec.get("inner")
-    if not isinstance(inner, str):
+    if not isinstance(spec.get("inner"), str):
         return theory_from_json(_field(spec, "inner", dict), registry)
     if registry is None:
         raise RegistryError("inner theory reference needs a registry")
-    return registry.resolve(inner)
+    return registry.resolve(_field(spec, "inner", str))
 
 
-# Each JSON kind and its constructor, called with (definition, family, registry).
+# Each JSON kind and its constructor, called with (definition, registry).
 _KINDS = {
-    "T_eq": lambda s, fam, reg: EqualityTheory(),
-    "T_inf": lambda s, fam, reg: InfiniteOnlyTheory(),
-    "T_eq_n": lambda s, fam, reg: ExactSizeTheory(_field(s, "n")),
-    "T_leq_n": lambda s, fam, reg: MaxSizeTheory(_field(s, "n")),
-    "T_geq_n": lambda s, fam, reg: MinSizeTheory(_field(s, "n")),
-    "T_eq_P": lambda s, fam, reg: SizePinTheory(fam),
-    "T_gt_n_P": lambda s, fam, reg: BigModelTagTheory(_field(s, "n"), fam),
-    "T_mn": lambda s, fam, reg: TwoSizeTheory(_field(s, "m"), _field(s, "n"), fam),
-    "T_leq_S": lambda s, fam, reg: SizeCapTheory(parse_set_literal(_field(s, "S", str)), _oracle(s), fam),
-    "Th_of": lambda s, fam, reg: GapIndexTheory(_inner(s, reg), fam),
-    "T_d": lambda s, fam, reg: MixedTagTheory(_field(s, "n"), _oracle(s), fam),
-    "T_cfs": lambda s, fam, reg: CapOrUnboundedTheory(_oracle(s), fam),
-    "T_si": lambda s, fam, reg: TaggedInfinityTheory(fam),
-    "T_cs": lambda s, fam, reg: SingletonOrInfiniteTheory(fam),
-    "T_ns": lambda s, fam, reg: StepTheory(_field(s, "n"), _field(s, "n"), fam),
-    "T_step": lambda s, fam, reg: StepTheory(_field(s, "pin"), _field(s, "floor"), fam),
-    "T_geq_F": lambda s, fam, reg: OracleFloorTheory(_oracle(s), fam),
-    "toy": lambda s, fam, reg: toy_inner_theory(),
-    "complete": lambda s, fam, reg: CompositeTestTheory(
+    "T_eq": lambda s, reg: EqualityTheory(),
+    "T_inf": lambda s, reg: InfiniteOnlyTheory(),
+    "T_eq_n": lambda s, reg: ExactSizeTheory(_field(s, "n")),
+    "T_leq_n": lambda s, reg: MaxSizeTheory(_field(s, "n")),
+    "T_geq_n": lambda s, reg: MinSizeTheory(_field(s, "n")),
+    "T_eq_P": lambda s, reg: SizePinTheory(_family(s)),
+    "T_gt_n_P": lambda s, reg: BigModelTagTheory(_field(s, "n"), _family(s)),
+    "T_mn": lambda s, reg: TwoSizeTheory(_field(s, "m"), _field(s, "n"), _family(s)),
+    "T_leq_S": lambda s, reg: SizeCapTheory(parse_set_literal(_field(s, "S", str)), _oracle(s), _family(s)),
+    "Th_of": lambda s, reg: GapIndexTheory(_inner(s, reg), _family(s)),
+    "T_d": lambda s, reg: MixedTagTheory(_field(s, "n"), _oracle(s), _family(s)),
+    "T_cfs": lambda s, reg: CapOrUnboundedTheory(_oracle(s), _family(s)),
+    "T_si": lambda s, reg: TaggedInfinityTheory(_family(s)),
+    "T_cs": lambda s, reg: SingletonOrInfiniteTheory(_family(s)),
+    "T_ns": lambda s, reg: StepTheory(*2 * [_field(s, "n")], _family(s)),
+    "T_step": lambda s, reg: StepTheory(_field(s, "pin"), _field(s, "floor"), _family(s)),
+    "T_geq_F": lambda s, reg: OracleFloorTheory(_oracle(s), _family(s)),
+    "toy": lambda s, reg: toy_inner_theory(),
+    "complete": lambda s, reg: CompositeTestTheory(
         _field(s, "role", str), n=_field(s, "n") if "n" in s else None
     ),
 }
@@ -117,25 +128,29 @@ _NAMES = [
     (r"complete_nshiny_(?P<n>[0-9]+)", {"kind": "complete", "role": "n-shiny-complete"}),
 ]
 
-_ALIASES = {"T=P": "T_eq_P", "Teq": "T_eq", "Tinf": "T_inf"}
+_ALIASES = {
+    "T=P": "T_eq_P", "Teq": "T_eq", "Tinf": "T_inf",
+    "T_leq_S_evens": "T_leq_S(periodic:p=0,q=2,pre=,per=01)", "T_leq_S_all": "T_leq_S(cofinite-excluding:[])",
+}
 
 
 def theory_from_json(spec: dict, registry: "Registry | None" = None) -> Theory:
     """Build a theory handle from its JSON definition; RegistryError for
-    a missing or mistyped field or a value the theory rejects."""
+    a missing, mistyped or unread field or a value the theory rejects."""
     if not isinstance(spec, dict):
         raise RegistryError(f"a theory definition is a JSON object, not {spec!r}")
-    kind = spec.get("kind")
-    fam = spec.get("family", "P")
-    if not isinstance(fam, str) or not FAMILY_RE.fullmatch(fam):
-        raise RegistryError(f"family {fam!r} is not an uppercase letter followed by letters or digits")
+    spec = dict(spec)  # what no field reader takes out of this copy is unread
+    kind = spec.pop("kind", None)
     build = _KINDS.get(kind) if isinstance(kind, str) else None
     if build is None:
         raise RegistryError(f"unknown theory kind {kind!r}")
     try:
-        return build(spec, fam, registry)
+        theory = build(spec, registry)
     except ValueError as e:
         raise RegistryError(f"{kind}: {e}") from e
+    if spec:
+        raise RegistryError(f"{kind} does not read field {', '.join(map(repr, sorted(spec)))}")
+    return theory
 
 
 def read_config(path: str) -> dict:
@@ -159,16 +174,7 @@ class Registry:
     """Named theory handles: default catalog + config additions."""
 
     def __init__(self, theories: dict | None = None):
-        self._theories: dict[str, Theory] = {}
-        for t in default_catalog():
-            self._theories[t.name] = t
-        # Convenience spellings for the size-cap entries.
-        for t in list(self._theories.values()):
-            if isinstance(t, SizeCapTheory):
-                if t.s == evens():
-                    self._theories["T_leq_S_evens"] = t
-                elif t.s == upfrom(1):
-                    self._theories["T_leq_S_all"] = t
+        self._theories: dict[str, Theory] = {t.name: t for t in default_catalog()}
         for name, spec in (theories or {}).items():
             try:
                 self._theories[name] = theory_from_json(spec, self)
@@ -179,8 +185,7 @@ class Registry:
         return sorted(self._theories)
 
     def resolve(self, name: str) -> Theory:
-        name = name.strip()
-        name = _ALIASES.get(name, name)
+        name = _ALIASES.get(name.strip(), name.strip())
         if name in self._theories:
             return self._theories[name]
         for pattern, kind in _NAMES:

@@ -14,6 +14,7 @@ from combinekit.catalog import (
 )
 from combinekit.formulas import Cube, PredicateId, PredicateLiteral
 from combinekit.registry import Registry, RegistryError, theory_from_json
+from combinekit.sets import evens, upfrom
 from combinekit.theories import Theory
 
 # Every JSON kind, with the registry name of the handle it should equal
@@ -190,6 +191,11 @@ def test_integer_names_take_ascii_digits_only():
         {"kind": "T_ns", "n": 0},
         {"kind": "T_step", "pin": 0, "floor": 1},
         {"kind": "T_step", "pin": 2, "floor": 3},
+        # Fields the kind does not read.
+        {"kind": "T_leq_n", "n": 3, "family": "Q"},
+        {"kind": "T_eq_P", "n": 9, "pin": 4},
+        {"kind": "T_geq_n", "n": 2, "F": {"kind": "double"}},
+        {"kind": "Th_of", "inner": {"kind": "T_leq_n", "n": 3, "family": "Q"}},
     ],
     ids=lambda spec: json.dumps(spec, sort_keys=True),
 )
@@ -200,3 +206,25 @@ def test_a_bad_field_is_a_registry_error(spec):
         theory_from_json(spec, Registry())
     with pytest.raises(RegistryError, match="theory 'bad'"):
         Registry({"bad": spec})
+
+
+def test_an_unread_field_is_named():
+    with pytest.raises(RegistryError, match="T_leq_n does not read field 'family'"):
+        Registry({"bad": {"kind": "T_leq_n", "n": 3, "family": "Q"}})
+    with pytest.raises(RegistryError, match="T_eq_P does not read field 'n', 'pin'"):
+        theory_from_json({"kind": "T_eq_P", "n": 9, "pin": 4})
+    with pytest.raises(RegistryError, match="T_geq_n does not read field 'F'"):
+        theory_from_json({"kind": "Th_of", "inner": {"kind": "T_geq_n", "n": 2, "F": {"kind": "double"}}})
+    # A null oracle is the identity oracle, as an absent one is.
+    assert theory_from_json({"kind": "T_cfs", "F": None}).name == theory_from_json({"kind": "T_cfs"}).name
+
+
+def test_aliases_resolve_to_the_catalog_handles_and_are_not_listed():
+    registry = Registry()
+    for alias, name in (("T=P", "T_eq_P"), ("Teq", "T_eq"), ("Tinf", "T_inf")):
+        assert registry.resolve(alias) is registry.resolve(name)
+    assert registry.resolve("T_leq_S_evens").s == evens()
+    assert registry.resolve("T_leq_S_all").s == upfrom(1)
+    aliases = {"T=P", "Teq", "Tinf", "T_leq_S_evens", "T_leq_S_all"}
+    assert not aliases & set(registry.names())
+    assert len(registry.all_theories()) == 26
