@@ -185,7 +185,8 @@ class Registry:
         return sorted(self._theories)
 
     def resolve(self, name: str) -> Theory:
-        name = _ALIASES.get(name.strip(), name.strip())
+        name = name.strip()
+        name = name if name in self._theories else _ALIASES.get(name, name)  # no alias hides a config entry
         if name in self._theories:
             return self._theories[name]
         for pattern, kind in _NAMES:

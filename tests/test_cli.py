@@ -361,6 +361,16 @@ def test_scoped_flags_keep_their_defaults(capsys):
     assert code == 0 and json.loads(out)["edges"]
 
 
+@pytest.mark.parametrize("theory, withheld", [("T_si", 64), ("T_gt_2_P", 16)])
+def test_brute_check_counts_withheld_sizes_and_infinite_only_models(capsys, theory, withheld):
+    # Both theories withhold some finite sizes, which are counted and not
+    # compared; a T_si cube with no model in the window is sat only because
+    # spec_inf says it has an infinite one.
+    code, out, _ = run_cli(capsys, "brute-check", "--theory", theory, "--samples", "40")
+    report = json.loads(out)
+    assert (code, report["mismatches"], report["withheld_queries"]) == (0, 0, withheld)
+
+
 def test_brute_check_flags_infinite_only_with_finite_models(capsys, monkeypatch):
     # Claiming that every model is infinite contradicts the finite models
     # the brute window finds.

@@ -228,3 +228,8 @@ def test_aliases_resolve_to_the_catalog_handles_and_are_not_listed():
     aliases = {"T=P", "Teq", "Tinf", "T_leq_S_evens", "T_leq_S_all"}
     assert not aliases & set(registry.names())
     assert len(registry.all_theories()) == 26
+
+
+def test_a_config_entry_named_like_an_alias_is_not_shadowed():
+    registry = Registry({"T=P": {"kind": "T_leq_n", "n": 3}, "T_leq_S_evens": {"kind": "T_leq_n", "n": 4}})
+    assert (registry.resolve("T=P").name, registry.resolve("T_leq_S_evens").name) == ("T_leq_3", "T_leq_4")
