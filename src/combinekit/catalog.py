@@ -266,15 +266,15 @@ class GapIndexTheory(Theory):
         return self._nth_gap(fid, n, max(r.floor, k)) is None
 
     def infinite_only(self, cube: Readable) -> bool:
-        exact = self.cube_spectrum_exact(cube)
+        exact = self.exact_spectrum(cube)
         return exact is not None and exact.has_inf and exact.finite_part.is_empty()
 
-    def cube_spectrum_exact(self, cube: Readable):
+    def exact_spectrum(self, cube: Readable):
         r = self._reading(cube)
         if r is None or r.part is None:
-            return super().cube_spectrum_exact(r)
+            return super().exact_spectrum(r)
         fid, n = r.part.indices
-        inner = self.inner.cube_spectrum_exact(self.inner_cube(fid))
+        inner = self.inner.exact_spectrum(self.inner_cube(fid))
         if inner is None:
             return None
         v = inner.finite_part.nth_excluded(n)  # None: no n-th gap, so only infinite models
@@ -525,7 +525,7 @@ class CompositeTestTheory(Theory):
         # B_(n,tag): a big enough model always exists; below n the tag decides.
         return Shape(upfrom(ix[0] + 1), True, withheld=interval(1, ix[0]), why=TAGGED)
 
-    def cube_spectrum_exact(self, cube: Readable):
+    def exact_spectrum(self, cube: Readable):
         return None
 
     def sample_pred(self, rng):

@@ -66,6 +66,28 @@ def _first(cubes, check) -> str | None:
     return next(filter(None, map(check, cubes)), None)
 
 
+def referee(theory: Theory, cube: Cube, bound: int) -> tuple[int, int]:
+    """One cube's answers against the brute window up to ``bound``:
+    (mismatches, withheld sizes).  Each answered size must agree; an
+    unsat cube has no model in the window, and a sat one with none needs
+    ``infinite_only``, or an ID theory's ``spec_inf``, to vouch for an
+    infinite one, which ``infinite_only`` may not claim of a cube with a
+    model in the window."""
+    window = brute_spectrum(theory, cube, bound)
+    mismatches = withheld = 0
+    for k in range(1, bound + 1):
+        try:
+            mismatches += theory.spec_finite(cube, k) != (k in window)
+        except CapabilityMissing:
+            withheld += 1
+    sat, infinite = theory.decide_cube(cube), theory.infinite_only(cube)
+    if window:
+        mismatches += (not sat) + infinite
+    elif sat:
+        mismatches += not (infinite or (theory.certificate.infinitely_decidable and theory.spec_inf(cube)))
+    return mismatches, withheld
+
+
 # -- per-flag corroboration probes -------------------------------------------
 
 
@@ -240,7 +262,7 @@ def refute_class(
 
     @functools.cache
     def exact(c):
-        spec = theory.cube_spectrum_exact(c)
+        spec = theory.exact_spectrum(c)
         if spec is None and theory.certificate.cfs:
             # A provably bounded spectrum materializes through finite
             # membership alone: the clique death point caps it.

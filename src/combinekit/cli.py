@@ -13,8 +13,8 @@ import random
 import re
 import sys
 
-from .brute import brute_sat_at, brute_spectrum, random_cube
-from .classify import DEFAULT_PROBE_BOUND, build_lattice, filter_chain_demo, probe_certificate
+from .brute import brute_sat_at, random_cube
+from .classify import DEFAULT_PROBE_BOUND, build_lattice, filter_chain_demo, probe_certificate, referee
 from .combine import METHODS, Method, combine_decide, n_shiny, quasi_gentle
 from .diagonal import run_rounds
 from .errors import CapabilityMissing, CombineKitError
@@ -31,8 +31,9 @@ def _emit(obj):
     print(json.dumps(obj, sort_keys=True))
 
 
-def _parse_for(theory: Theory, text: str):
-    resolver = getattr(theory, "resolver", None)
+def _parse_for(text: str, *theories: Theory):
+    """Parse with the resolver of the first theory that has one."""
+    resolver = next(filter(None, (getattr(t, "resolver", None) for t in theories)), None)
     return parse_formula(text, resolver)
 
 
@@ -66,7 +67,7 @@ def _method_from_flag(name: str) -> Method | None:
 
 def cmd_decide(args, registry: Registry) -> int:
     theory = registry.resolve(args.theory)
-    f = _parse_for(theory, args.formula)
+    f = _parse_for(args.formula, theory)
     sat = any(theory.decide_cube(c) for c in iter_dnf(f))
     _emit({"sat": sat})
     return EXIT_SAT if sat else EXIT_UNSAT
@@ -75,8 +76,7 @@ def cmd_decide(args, registry: Registry) -> int:
 def cmd_combine(args, registry: Registry) -> int:
     t1 = registry.resolve(args.theory1)
     t2 = registry.resolve(args.theory2)
-    resolver = getattr(t1, "resolver", None) or getattr(t2, "resolver", None)
-    f = parse_formula(args.formula, resolver)
+    f = _parse_for(args.formula, t1, t2)
     method = _method_from_flag(args.method)
     verdict = combine_decide(t1, t2, f, method)
     _emit(verdict.to_json())
@@ -85,7 +85,7 @@ def cmd_combine(args, registry: Registry) -> int:
 
 def cmd_spectrum(args, registry: Registry) -> int:
     theory = registry.resolve(args.theory)
-    f = _parse_for(theory, args.formula)
+    f = _parse_for(args.formula, theory)
     cubes = to_dnf(f)
     finite = set()
     for k in range(1, args.upto + 1):
@@ -137,39 +137,16 @@ def cmd_diagonal(args, registry: Registry) -> int:
 def cmd_brute_check(args, registry: Registry) -> int:
     theory = registry.resolve(args.theory)
     rng = random.Random(args.seed)
-    mismatches = 0
-    skipped = 0
-    for _ in range(args.samples):
-        cube = random_cube(theory, rng)
-        window = brute_spectrum(theory, cube, args.K)
-        for k in range(1, args.K + 1):
-            try:
-                got = theory.spec_finite(cube, k)
-            except CapabilityMissing:
-                skipped += 1
-                continue
-            if got != (k in window):
-                mismatches += 1
-        sat = theory.decide_cube(cube)
-        if sat and not window:
-            escape = theory.infinite_only(cube)
-            if not escape and theory.certificate.infinitely_decidable:
-                escape = theory.spec_inf(cube)
-            if not escape:
-                mismatches += 1
-        if not sat and window:
-            mismatches += 1
-        if theory.infinite_only(cube) and window:
-            mismatches += 1
-    status = "pass" if mismatches == 0 else "fail"
+    counts = [referee(theory, random_cube(theory, rng), args.K) for _ in range(args.samples)]
+    mismatches, withheld = map(sum, zip(*counts))
     _emit(
         {
             "theory": theory.name,
             "samples": args.samples,
             "K": args.K,
             "mismatches": mismatches,
-            "withheld_queries": skipped,
-            "status": status,
+            "withheld_queries": withheld,
+            "status": "pass" if mismatches == 0 else "fail",
         }
     )
     return EXIT_SAT if mismatches == 0 else EXIT_ERROR

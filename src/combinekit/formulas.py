@@ -242,9 +242,6 @@ class Cube:
     def positive_preds(self) -> tuple[PredicateId, ...]:
         return tuple(l.pred for l in self.pred_part if l.positive)
 
-    def join(self, other: "Cube") -> "Cube":
-        return Cube(self.literals + other.literals)
-
     def with_literals(self, extra: Iterable[Literal]) -> "Cube":
         return Cube(self.literals + tuple(extra))
 
@@ -597,7 +594,7 @@ def clique_extension(cube: Cube, n: int) -> Cube:
     referee; no query path builds it, because ``Theory.decide_at_least``
     answers the same question symbolically.
     """
-    return cube.join(neq_clique(fresh_variables(cube.variables(), n), n))
+    return cube.with_literals(neq_clique(fresh_variables(cube.variables(), n), n).literals)
 
 
 # -- arrangements ----------------------------------------------------------

@@ -68,15 +68,16 @@ def _family(spec: dict) -> str:
 
 
 def _oracle(spec: dict) -> FOracle:
-    """The definition's size-bound oracle ``F``; identity when absent or null."""
-    oracle = {} if spec.get("F") is None else _field(spec, "F", dict)
+    """The definition's size-bound oracle ``F``; identity when absent or
+    null.  A key of ``F`` other than its ``kind`` is refused."""
+    oracle = {} if spec.get("F") is None else dict(_field(spec, "F", dict))
     spec.pop("F", None)
-    kind = oracle.get("kind", "identity")
-    if kind == "identity":
-        return identity_oracle()
-    if kind == "double":
-        return doubling_oracle()
-    raise RegistryError(f"unknown oracle kind {kind!r}")
+    kind = oracle.pop("kind", "identity")
+    if kind not in ("identity", "double"):
+        raise RegistryError(f"unknown oracle kind {kind!r}")
+    if oracle:
+        raise RegistryError(f"oracle {kind} does not read field {', '.join(map(repr, sorted(oracle)))}")
+    return identity_oracle() if kind == "identity" else doubling_oracle()
 
 
 def _inner(spec: dict, registry: "Registry | None") -> Theory:

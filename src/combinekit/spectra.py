@@ -55,11 +55,12 @@ class SpectrumView:
     """A theory and a cube (or its reading) with the supported spectrum
     queries.
 
-    Finite membership is answered where the certificate makes the
-    theory n-decidable at that cardinality (every cardinality under CFS),
-    and infinite membership where it is infinitely decidable.  ``exact``
-    materializes the spectrum of a gentle theory; the theory itself
-    refuses the rest.
+    The view checks every certificate licence: finite membership is
+    answered where the certificate makes the theory n-decidable at that
+    cardinality (every cardinality under CFS), infinite membership where
+    it is infinitely decidable, ``exact`` where it is gentle, and the
+    search of ``minmod`` where it has CFS.  The theory refuses only what
+    its shapes withhold.
     """
 
     owner: "Theory"
@@ -100,9 +101,9 @@ class SpectrumView:
     def minmod(self) -> Card | None:
         """Least spectrum element; None when unsatisfiable.
 
-        Uses the theory's closed form when it has one, otherwise searches
-        finite cardinalities through `contains`, returning ALEPH0 when
-        the theory reports the cube has no finite models at all.
+        The theory's closed form when it has one, else ALEPH0 when it
+        reports no finite model at all; else, under CFS (checked here),
+        the first size at which ``spec_finite`` holds.
         """
         if not self.sat():
             return None
@@ -118,7 +119,9 @@ class SpectrumView:
                 return k
         raise IterationCapExceeded("minmod", BOUND)
 
-    def exact(self) -> ExactSpectrum:
+    def exact(self) -> ExactSpectrum | None:
+        if not self.owner.certificate.gentle:
+            raise CapabilityMissing(self.owner.name, "exact_spectrum")
         return self.owner.exact_spectrum(self.subject)
 
 

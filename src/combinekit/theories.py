@@ -29,15 +29,18 @@ theory's part; a bounded memo keeps shapes by (theory, part), so
 predicate parts that differ only in literals the theory ignores share one
 shape.  From one reading the base derives ``decide_at_least``,
 ``spec_finite``, ``spec_inf``, ``minmod_cube``, ``exact_spectrum``,
-``cube_spectrum_exact``, ``nshiny_classify`` and ``infinite_only``; each
-takes a cube or a reading.  Given a cube, a theory also keeps its reading
-of the last cube it read, compared by identity, so a run of queries on
-one cube reads it once.
+``nshiny_classify`` and ``infinite_only``; each takes a cube or a
+reading.  Given a cube, a theory also keeps its reading of the last cube
+it read, compared by identity, so a run of queries on one cube reads it
+once.
 ``decide_at_least(cube, k)`` is the primary satisfiability query: a
 disequality clique over k fresh variables would raise the equality
 minimum to max(minmod, k), so it asks a cap about the least allowed size
-from there; ``decide_cube`` is ``decide_at_least(cube, 1)``.  Queries the
-certificate withholds raise CapabilityMissing.  For the oracle,
+from there; ``decide_cube`` is ``decide_at_least(cube, 1)``.  A theory
+checks no certificate licence; its :class:`~combinekit.spectra.SpectrumView`
+does.  It raises CapabilityMissing only where a shape withholds the answer
+(``spec_finite``, ``spec_inf``) or the query is undefined for it
+(``nshiny_classify`` on a theory that is not n-shiny).  For the oracle,
 ``model_check`` rejects a model with two true predicates and asks
 ``admits`` otherwise.
 
@@ -316,21 +319,15 @@ class Theory:
             return first
         return ALEPH0 if r.shape.inf else None
 
-    def cube_spectrum_exact(self, cube: Readable) -> ExactSpectrum | None:
+    def exact_spectrum(self, cube: Readable) -> ExactSpectrum | None:
         """Exact spectrum when computable without undecidable queries;
-        None otherwise.  Powers structural probes only."""
+        None otherwise.  A view licenses it for gentle theories only."""
         r = self._reading(cube)
         if r is None:
             return ExactSpectrum(EMPTY, False)
         if not r.shape.known:
             return None
         return ExactSpectrum(r.shape.finite.intersect(upfrom(r.floor)), r.shape.inf)
-
-    def exact_spectrum(self, cube: Readable) -> ExactSpectrum:
-        """Full materialization, for gentle theories."""
-        if not self.certificate.gentle:
-            raise CapabilityMissing(self.name, "exact_spectrum")
-        return self.cube_spectrum_exact(cube)
 
     def nshiny_classify(self, cube: Readable) -> tuple[int, int] | None:
         """Spectrum shape for n-shiny owners: (0, n) for {n}; (1, k) for

@@ -423,7 +423,6 @@ CLOSED_FORM_NAMES = {
     "spec_finite",
     "spec_inf",
     "minmod_cube",
-    "cube_spectrum_exact",
     "exact_spectrum",
     "_reading",
     "read",

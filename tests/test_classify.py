@@ -302,7 +302,7 @@ def test_refute_fqg_for_evens_cap(catalog):
 
 def test_refutation_samples_once_and_reads_each_exact_spectrum_once(theory_list, monkeypatch):
     samples, exacts = [], []
-    sample_cubes, cube_spectrum_exact = classify.sample_cubes, Theory.cube_spectrum_exact
+    sample_cubes, exact_spectrum = classify.sample_cubes, Theory.exact_spectrum
 
     def sampling(*args):
         samples.append(args)
@@ -310,10 +310,10 @@ def test_refutation_samples_once_and_reads_each_exact_spectrum_once(theory_list,
 
     def exact(self, cube):
         exacts.append(cube)
-        return cube_spectrum_exact(self, cube)
+        return exact_spectrum(self, cube)
 
     monkeypatch.setattr(classify, "sample_cubes", sampling)
-    monkeypatch.setattr(Theory, "cube_spectrum_exact", exact)
+    monkeypatch.setattr(Theory, "exact_spectrum", exact)
     for t in theory_list:
         for cls in ("F-QG", "shiny", "gentle"):
             samples.clear()

@@ -364,12 +364,10 @@ def test_witness_validity(rng):
             confirmed = False
             for cube in to_dnf(formula):
                 c1, c2, shared = split_by_signature(cube, t1.signature, t2.signature)
-                delta = arrangement_to_cube(arr)
+                delta = arrangement_to_cube(arr).literals
                 if not arr.variables() <= shared:
                     continue
-                if brute_sat_at(t1, c1.join(delta), card) and brute_sat_at(
-                    t2, c2.join(delta), card
-                ):
+                if brute_sat_at(t1, c1.with_literals(delta), card) and brute_sat_at(t2, c2.with_literals(delta), card):
                     confirmed = True
                     break
             assert confirmed, (formula, v)
@@ -414,8 +412,8 @@ def _bell_loop_json(t1, t2, cube):
     if not cube.contradictory:
         c1, c2, shared = split_by_signature(cube, t1.signature, t2.signature)
         for arr in enumerate_arrangements(shared):
-            delta = arrangement_to_cube(arr)
-            v1, v2 = view(t1, c1.join(delta)), view(t2, c2.join(delta))
+            delta = arrangement_to_cube(arr).literals
+            v1, v2 = view(t1, c1.with_literals(delta)), view(t2, c2.with_literals(delta))
             ok, card, _ = run(v1, v2)
             if ok:
                 w = None
@@ -451,7 +449,7 @@ def test_consistent_arrangements_give_the_bell_loop_verdicts(theory_list):
                     EqualityLiteral(*rng.sample(vs, 2), rng.random() < 0.3)
                     for _ in range(rng.randint(0, 4))
                 )
-                cube = random_cube(t1, rng).join(random_cube(t2, rng)).with_literals(extra)
+                cube = random_cube(t1, rng).with_literals(random_cube(t2, rng).literals).with_literals(extra)
                 if cube.contradictory:
                     continue
                 cubes += 1

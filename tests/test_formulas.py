@@ -427,8 +427,8 @@ def test_cube_join_equals_cube_of_both_literal_lists():
     for _ in range(300):
         a = Cube(tuple(_seeded_literals(rng, rng.randint(0, 8))))
         b = Cube(tuple(_seeded_literals(rng, rng.randint(0, 8))))
-        assert a.join(b) == Cube(a.literals + b.literals)
-        assert a.join(b).literals == Cube(b.literals + a.literals).literals
+        assert a.with_literals(b.literals) == Cube(a.literals + b.literals)
+        assert a.with_literals(b.literals).literals == Cube(b.literals + a.literals).literals
 
 
 def test_self_equalities_contribute_variables():
@@ -537,7 +537,7 @@ def test_arrangement_order_is_deterministic():
 
 
 def _consistent(cube, arr) -> bool:
-    return minmod_equalities(cube.join(arrangement_to_cube(arr))) is not None
+    return minmod_equalities(cube.with_literals(arrangement_to_cube(arr).literals)) is not None
 
 
 def test_arrangements_under_a_cube_are_the_consistent_ones_in_order():

@@ -196,6 +196,7 @@ def test_integer_names_take_ascii_digits_only():
         {"kind": "T_eq_P", "n": 9, "pin": 4},
         {"kind": "T_geq_n", "n": 2, "F": {"kind": "double"}},
         {"kind": "Th_of", "inner": {"kind": "T_leq_n", "n": 3, "family": "Q"}},
+        {"kind": "T_cfs", "F": {"kind": "double", "factor": 3}},
     ],
     ids=lambda spec: json.dumps(spec, sort_keys=True),
 )
@@ -215,6 +216,8 @@ def test_an_unread_field_is_named():
         theory_from_json({"kind": "T_eq_P", "n": 9, "pin": 4})
     with pytest.raises(RegistryError, match="T_geq_n does not read field 'F'"):
         theory_from_json({"kind": "Th_of", "inner": {"kind": "T_geq_n", "n": 2, "F": {"kind": "double"}}})
+    with pytest.raises(RegistryError, match="oracle double does not read field 'factor'"):
+        theory_from_json({"kind": "T_cfs", "F": {"kind": "double", "factor": 3}})
     # A null oracle is the identity oracle, as an absent one is.
     assert theory_from_json({"kind": "T_cfs", "F": None}).name == theory_from_json({"kind": "T_cfs"}).name
 

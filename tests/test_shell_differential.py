@@ -209,8 +209,8 @@ def reference_combine(t1, t2, f, method=None):
             if len(arr.blocks) in tried_blocks:
                 continue
             tried_blocks.add(len(arr.blocks))
-            delta = arrangement_to_cube(arr)
-            a1, a2 = c1.join(delta), c2.join(delta)
+            delta = arrangement_to_cube(arr).literals
+            a1, a2 = c1.with_literals(delta), c2.with_literals(delta)
             ok, card, scanned = run(view(t1, a1), view(t2, a2))
             stats["loop_iterations"] += scanned
             if ok:

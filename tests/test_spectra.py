@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from combinekit.brute import brute_spectrum, random_cube
@@ -110,7 +112,7 @@ def test_every_materialized_spectrum_satisfies_compactness(catalog, rng):
     for t in catalog.values():
         for _ in range(25):
             c = random_cube(t, rng)
-            spec = t.cube_spectrum_exact(c)
+            spec = t.exact_spectrum(c)
             if spec is not None and spec.finite_part.is_infinite():
                 assert spec.has_inf
 
@@ -123,3 +125,19 @@ def test_window_agreement_with_brute(catalog, rng):
             w = brute_spectrum(t, c, 6)
             for k in range(1, 7):
                 assert t.spec_finite(c, k) == (k in w)
+
+
+def test_only_the_view_licenses_the_exact_spectrum(theory_list):
+    # A theory answers exact_spectrum whatever its certificate (None where
+    # its shapes leave the spectrum open); the view refuses it exactly
+    # when the theory is not gentle, and otherwise passes it through.
+    rng = random.Random(48)
+    for t in theory_list:
+        for _ in range(40):
+            c = random_cube(t, rng)
+            spec = t.exact_spectrum(c)
+            if t.certificate.gentle:
+                assert view(t, c).exact() == spec, (t.name, c)
+            else:
+                with pytest.raises(CapabilityMissing, match="exact_spectrum"):
+                    view(t, c).exact()

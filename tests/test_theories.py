@@ -571,7 +571,7 @@ def _query_answers(t, c):
     return (
         [_answer_or_error(t.decide_at_least, c, k) for k in (1, 2, 3, 5, 7)]
         + [_answer_or_error(t.spec_finite, c, k) for k in range(1, 7)]
-        + [_answer_or_error(q, c) for q in (t.spec_inf, t.minmod_cube, t.cube_spectrum_exact, t.infinite_only)]
+        + [_answer_or_error(q, c) for q in (t.spec_inf, t.minmod_cube, t.exact_spectrum, t.infinite_only)]
     )
 
 
@@ -812,9 +812,9 @@ def test_gap_index_rejects_formula_ids_past_the_enumeration(extra):
     th = GapIndexTheory(toy_inner_theory())
     assert th.enumeration.size == 2**14
     # The last inner cube holds a literal and its negation, so its first gap is size 1.
-    assert th.decide_cube(Cube((plit("P", 2**14, 1),)).join(extra)) is (extra == TOP)
-    beyond = Cube((plit("P", 2**14 + 1, 1),)).join(extra)
-    for query in (th.decide_cube, th.cube_spectrum_exact, lambda c: th.spec_finite(c, 3)):
+    assert th.decide_cube(Cube((plit("P", 2**14, 1),)).with_literals(extra.literals)) is (extra == TOP)
+    beyond = Cube((plit("P", 2**14 + 1, 1),)).with_literals(extra.literals)
+    for query in (th.decide_cube, th.exact_spectrum, lambda c: th.spec_finite(c, 3)):
         with pytest.raises(SignatureError, match="past the 16384 cubes"):
             query(beyond)
 
@@ -832,7 +832,7 @@ def test_gap_index_minmod_blocks_unsatisfiable_pins():
     th = GapIndexTheory(toy_inner_theory())
     q = th.resolver("Q")
     # s_Q_2 = 2, but four pairwise-distinct variables force size >= 4
-    c = Cube((plit("P", q, 2),)).join(neq_clique(["a", "b", "c", "d"], 4))
+    c = Cube((plit("P", q, 2),)).with_literals(neq_clique(["a", "b", "c", "d"], 4).literals)
     assert not th.decide_cube(c)
 
 
@@ -849,7 +849,7 @@ def test_gap_index_decide_counts_the_gaps_once(monkeypatch, m, n):
     c = cube(f"(and (pred P Q {n}) (distinct {xs}))", th.resolver)
     sat = th.decide_cube(c)
     assert len(calls) <= m - 1
-    exact = th.cube_spectrum_exact(c)
+    exact = th.exact_spectrum(c)
     assert sat == (exact.has_inf or not exact.finite_part.is_empty())
 
 
