@@ -16,6 +16,7 @@ overlap using only the queries their hypotheses license.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -25,7 +26,7 @@ from .filters import FreeFilter, frechet
 from .formulas import Arrangement, Cube, Formula, enumerate_arrangements, iter_dnf, split_by_signature
 from .properties import PARTNER
 from .sets import ALEPH0, Card, card_to_json, is_finite_card
-from .spectra import AtLeast, SpectrumView, view
+from .spectra import SpectrumView, view
 from .theories import Theory
 
 
@@ -56,11 +57,13 @@ class CombinationVerdict:
 # -- per-method spectrum intersection ----------------------------------------
 #
 # Each runner asks its two views only what the method's hypotheses
-# license; the views refuse anything else with CapabilityMissing.  Two
-# queries go to a view's owner directly: `decide_at_least`, which every
-# theory answers, and `nshiny_classify`, which the owner gates on its own
-# certificate.  A runner returns (ok, card, scanned): the verdict, its
-# witness size if any, and the sizes scanned, for ``loop_iterations``.
+# license; the views refuse anything else with CapabilityMissing.  Some
+# queries go to a view's owner directly: `decide_at_least` and
+# `maxmod_cube`, which every theory answers, `nshiny_classify`, which the
+# owner gates on its own certificate, and `next_finite` over sizes where
+# the view refuses nothing.  A runner returns (ok, card, scanned): the
+# verdict, its witness size if any, and the sizes scanned, for
+# ``loop_iterations``.
 
 
 def _run_shiny(v1: SpectrumView, v2: SpectrumView):
@@ -107,10 +110,8 @@ def _run_cs(v1: SpectrumView, v2: SpectrumView):
     if inf1 and v2.contains(ALEPH0):
         return True, ALEPH0, 0
     k = (v2 if inf1 else v1).max_finite() or 0
-    for n in range(1, k + 1):
-        if v1.contains(n) and v2.contains(n):
-            return True, n, k
-    return False, None, k
+    n = _meet(v1, v2, k)
+    return n is not None, n, k
 
 
 def _run_n_shiny(v1: SpectrumView, v2: SpectrumView, n: int):
@@ -129,18 +130,48 @@ def _run_n_shiny(v1: SpectrumView, v2: SpectrumView, n: int):
 
 
 def _run_quasi_gentle(v1: SpectrumView, v2: SpectrumView):
-    # Scan the sizes both sides reach.  Each side's `decide_at_least` is
-    # monotone, so it is searched in O(log n) queries; membership is still
-    # asked of both sides at every size the scan covers.
-    reach1, reach2 = AtLeast(v1), AtLeast(v2)
-    n = 1
-    while reach1(n) and reach2(n):
-        if v1.contains(n) and v2.contains(n):
-            return True, n, n - 1
-        n += 1
-        if n > spectra.BOUND:
-            raise IterationCapExceeded("quasi-gentle interleaved scan", spectra.BOUND)
-    return False, None, n - 1
+    # Walk the sizes both sides reach, up to the set bound (at least size 1).
+    # A closed-form reach is read first: the other is searched only that far.
+    last = max(spectra.BOUND, 1)
+    first, then = (v2, v1) if v1.owner.maxmod_cube(v1.subject) is None else (v1, v2)
+    t = then.reach(first.reach(last))
+    n = _meet(v1, v2, t)
+    if n is not None:
+        return True, n, n - 1
+    if t == last:
+        raise IterationCapExceeded("quasi-gentle interleaved scan", spectra.BOUND)
+    return False, None, t
+
+
+def _meet(v1: SpectrumView, v2: SpectrumView, hi: int) -> int | None:
+    """The least size up to hi where both sides hold, or None; raises what
+    ``v1.contains(n) and v2.contains(n)`` asked size by size raises first.
+    A leapfrog between the sides' next members (Demaine, López-Ortiz and
+    Munro, SODA 2000): side 1 is asked at every size, side 2 only where side
+    1 holds.  Past the preperiods of two CFS sides without an oracle test the
+    answers repeat, so a walk that misses ends one common period past them."""
+    stop = v1.next_refusal(1) or hi + 1
+    n, top, refused, cut, b = 1, min(hi, stop - 1), 0, False, None
+    while (a := v1.owner.next_finite(v1.subject, n, top)) is not None:
+        if a == b:  # side 2's last member found
+            return a
+        if refused < a:
+            refused = v2.next_refusal(a) or top + 1
+        b = v2.owner.next_finite(v2.subject, a, min(top, refused - 1))
+        if b == a:
+            return a
+        if refused == a:
+            v2.contains(a)  # raises: side 2 refuses where side 1 holds
+        n = refused if b is None else b
+        if not cut and n < top:  # a first miss short of the top: cut the walk once
+            cut = True
+            periods = [v.owner.period(v.subject) if v.owner.certificate.cfs else None for v in (v1, v2)]
+            if all(periods):
+                hi = min(hi, max(p for p, _ in periods) + math.lcm(*(q for _, q in periods)) - 1)
+                top = min(top, hi)
+    if stop <= hi:
+        v1.contains(stop)  # raises: side 1 refuses
+    return None
 
 
 # Each method as (side-1 class, runner), in the cheapest-first order

@@ -85,9 +85,10 @@ class EvPeriodicSet:
 
     def elements(self, upto: int) -> Iterator[int]:
         """Members in increasing order, up to and including `upto`."""
-        for n in range(1, upto + 1):
-            if self.contains(n):
-                yield n
+        n = self.min_from(1)
+        while n is not None and n <= upto:
+            yield n
+            n = self.min_from(n + 1)
 
     # -- Boolean algebra ----------------------------------------------
 

@@ -82,21 +82,48 @@ class SpectrumView:
             raise CapabilityMissing(self.owner.name, "spec_finite", f"at cardinality {c}")
         return self.owner.spec_finite(self.subject, c)
 
-    def max_finite(self) -> int | None:
-        """Greatest finite spectrum element: the last k at which
-        ``decide_at_least`` holds, found by :class:`AtLeast` in O(log k)
-        queries, none of them past ``BOUND + 1``.
+    def next_member(self, lo: int, hi: int) -> int | None:
+        """The least size in [lo, hi] at which ``contains`` holds, or None;
+        raises what ``contains`` raises first."""
+        refused = self.next_refusal(lo) or hi + 1
+        k = self.owner.next_finite(self.subject, lo, min(hi, refused - 1))
+        if k is None and refused <= hi:
+            self.contains(refused)  # raises: the licence or the shape withholds it
+        return k
 
-        The caller certifies the spectrum has no infinite member; a
-        mis-declared certificate shows up as IterationCapExceeded, raised
-        exactly when ``decide_at_least(BOUND + 1)`` holds.
-        Returns None when the cube is unsatisfiable.
-        """
-        at_least = AtLeast(self)
-        while at_least(at_least.held + 1):
-            if at_least.held > BOUND:
-                raise IterationCapExceeded("max_finite", BOUND)
-        return at_least.held or None
+    def next_refusal(self, lo: int) -> int | None:
+        """The least size from lo on at which ``contains`` raises, or None."""
+        held, cert = self.owner.next_withheld(self.subject, lo), self.owner.certificate
+        if cert.cfs:
+            return held
+        return min(filter(None, (held, cert.n_decidable_sizes.complement().min_from(lo))), default=None)
+
+    def max_finite(self) -> int | None:
+        """Greatest finite spectrum element, None when the cube is unsatisfiable.
+        The caller certifies that it has no infinite member; a mis-declared
+        certificate shows up as IterationCapExceeded, raised exactly when
+        ``decide_at_least(BOUND + 1)`` holds."""
+        top = self.reach(BOUND + 1)
+        if top > BOUND:
+            raise IterationCapExceeded("max_finite", BOUND)
+        return top or None
+
+    def reach(self, n: int) -> int:
+        """The last size up to n at which ``decide_at_least`` holds, 0 if none:
+        the closed form ``maxmod_cube``, else a search of the monotone query
+        by probes at twice the size, then halfway to the least failure
+        (Bentley and Yao): O(log n) queries, none past ``BOUND + 1``."""
+        top = self.owner.maxmod_cube(self.subject)
+        if top is not None:
+            return n if top is ALEPH0 else min(top, n)
+        held, failed = 0, None
+        while (k := held + 1) <= n and (failed is None or k < failed):
+            probe = max(k, min(2 * k, BOUND + 1)) if failed is None else (k + failed) // 2
+            if self.owner.decide_at_least(self.subject, probe):
+                held = probe
+            else:
+                failed = probe
+        return min(held, n)
 
     def minmod(self) -> Card | None:
         """Least spectrum element; None when unsatisfiable.
@@ -114,39 +141,15 @@ class SpectrumView:
             return ALEPH0
         if not self.owner.certificate.cfs:
             raise CapabilityMissing(self.owner.name, "minmod")
-        for k in range(1, BOUND + 1):
-            if self.owner.spec_finite(self.subject, k):
-                return k
-        raise IterationCapExceeded("minmod", BOUND)
+        k = self.next_member(1, BOUND)
+        if k is None:
+            raise IterationCapExceeded("minmod", BOUND)
+        return k
 
     def exact(self) -> ExactSpectrum | None:
         if not self.owner.certificate.gentle:
             raise CapabilityMissing(self.owner.name, "exact_spectrum")
         return self.owner.exact_spectrum(self.subject)
-
-
-class AtLeast:
-    """One view's ``decide_at_least``, searched as the monotone predicate
-    it is (a model of at least k elements has at least k - 1).  Keeps the
-    largest size known to hold and the least known to fail; a size between
-    them is decided by a probe at twice the size, or halfway to the known
-    failure (Bentley and Yao's unbounded search).  A scan to n asks
-    O(log n) queries, none past ``BOUND + 1``."""
-
-    def __init__(self, v: SpectrumView):
-        self.v, self.held, self.failed = v, 0, None
-
-    def __call__(self, k: int) -> bool:
-        if k <= self.held:
-            return True
-        while self.failed is None or k < self.failed:
-            gallop = self.failed is None
-            probe = max(k, min(2 * k, BOUND + 1)) if gallop else (k + self.failed) // 2
-            if self.v.owner.decide_at_least(self.v.subject, probe):
-                self.held = probe
-                return True
-            self.failed = probe
-        return False
 
 
 def view(theory: "Theory", subject: "Readable") -> SpectrumView:

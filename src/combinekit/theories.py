@@ -28,11 +28,12 @@ checks each predicate literal's ownership and index grammar and reads the
 theory's part; a bounded memo keeps shapes by (theory, part), so
 predicate parts that differ only in literals the theory ignores share one
 shape.  From one reading the base derives ``decide_at_least``,
-``spec_finite``, ``spec_inf``, ``minmod_cube``, ``exact_spectrum``,
-``nshiny_classify`` and ``infinite_only``; each takes a cube or a
-reading.  Given a cube, a theory also keeps its reading of the last cube
-it read, compared by identity, so a run of queries on one cube reads it
-once.
+``spec_finite``, ``spec_inf``, ``minmod_cube``, ``maxmod_cube``,
+``exact_spectrum``, ``nshiny_classify``, ``infinite_only`` and the scan
+primitives ``next_finite``, ``next_withheld`` and ``period``; each takes a
+cube or a reading.  Given a cube, a theory also keeps its reading of the
+last cube it read, compared by identity, so a run of queries on one cube
+reads it once.
 ``decide_at_least(cube, k)`` is the primary satisfiability query: a
 disequality clique over k fresh variables would raise the equality
 minimum to max(minmod, k), so it asks a cap about the least allowed size
@@ -52,6 +53,7 @@ query.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -116,9 +118,10 @@ class Shape:
     none); construction checks that it is disjoint from ``finite``.
     ``inf`` says whether the infinite cardinality is allowed, None when
     that is withheld.  ``why`` explains the withheld queries.  Where
-    ``inf`` is not True, ``allow`` must be downward closed (a cap), so
-    satisfiability asks it only about the least allowed size at or above
-    the equality minimum.
+    ``inf`` is not True, ``allow`` must be downward closed (a cap) unless
+    the theory overrides ``decide_at_least``, since the base asks it only
+    about the least allowed size at or above the equality minimum.  Finite
+    membership and ``next_finite`` ask it at each size, assuming nothing.
     """
 
     finite: EvPeriodicSet
@@ -301,6 +304,37 @@ class Theory:
             raise CapabilityMissing(self.name, "spec_finite", f"membership of {k} {shape.why}")
         return shape.allow is None or shape.allow(k)
 
+    def next_finite(self, cube: Readable, lo: int, hi: int) -> int | None:
+        """The least size in [lo, hi] at which ``spec_finite`` holds, or None;
+        raises what it raises first.  Jumps between the shape's members and
+        asks ``allow`` where ``spec_finite`` would, assuming nothing of it."""
+        r = self._reading(cube)
+        refused = self.next_withheld(r, lo) or hi + 1
+        k = r and r.shape.finite.min_from(max(lo, r.floor))
+        while k and k < min(refused, hi + 1):
+            if r.shape.allow is None or r.shape.allow(k):
+                return k
+            k = r.shape.finite.min_from(k + 1)
+        if refused <= hi:
+            self.spec_finite(r, refused)  # raises: the shape withholds it
+        return None
+
+    def next_withheld(self, cube: Readable, lo: int) -> int | None:
+        """The least size from lo on at which ``spec_finite`` raises."""
+        r = self._reading(cube)
+        return r and r.shape.withheld and r.shape.withheld.min_from(max(lo, r.floor))
+
+    def period(self, cube: Readable) -> tuple[int, int] | None:
+        """(start, q): from size start on, ``spec_finite`` answers at n + q
+        as at n.  None where an oracle test decides membership."""
+        r = self._reading(cube)
+        if r is None:
+            return 1, 1
+        if r.shape.allow is not None:
+            return None
+        sets = [s for s in (r.shape.finite, r.shape.withheld) if s is not None]
+        return max(r.floor, *(len(s.preperiod) + 1 for s in sets)), math.lcm(*(len(s.period) for s in sets))
+
     def spec_inf(self, cube: Readable) -> bool:
         """Infinite spectrum membership; CapabilityMissing when withheld."""
         r = self._reading(cube)
@@ -318,6 +352,20 @@ class Theory:
         if first is not None:
             return first
         return ALEPH0 if r.shape.inf else None
+
+    def maxmod_cube(self, cube: Readable) -> Card | None:
+        """Closed-form last size at which ``decide_at_least`` holds: 0 when
+        none does, ALEPH0 when every size does; None where an oracle test
+        decides it (the view then searches)."""
+        r = self._reading(cube)
+        if r is None:
+            return 0
+        if r.shape.allow is not None:
+            return None
+        if r.shape.inf or r.shape.finite.is_infinite():
+            return ALEPH0
+        top = r.shape.finite.max_element() or 0
+        return top if top >= r.floor else 0
 
     def exact_spectrum(self, cube: Readable) -> ExactSpectrum | None:
         """Exact spectrum when computable without undecidable queries;
